@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .domains import (
     ConvexDomain,
     active_normal_cone,
+    active_normal_cones,
     ball_domain,
     half_line,
     halfplane,
@@ -54,7 +55,9 @@ from .reflectnd import (
     check_condition_b,
     modulus_gap,
     solve_skorokhod_continuous,
+    solve_skorokhod_continuous_many,
     solve_skorokhod_step,
+    solve_skorokhod_step_many,
     tanaka_inequality_gap,
 )
 from .rsde import (
@@ -92,6 +95,7 @@ __all__ = [
     "SkorokhodNdSolution",
     "TimeGrid",
     "active_normal_cone",
+    "active_normal_cones",
     "ball_domain",
     "brownian_sample",
     "check_condition_a",
@@ -120,7 +124,9 @@ __all__ = [
     "semimartingale_skorokhod",
     "skorokhod_map_1d",
     "solve_skorokhod_continuous",
+    "solve_skorokhod_continuous_many",
     "solve_skorokhod_step",
+    "solve_skorokhod_step_many",
     "strip",
     "strong_error_estimate",
     "tanaka_inequality_gap",

@@ -5,7 +5,10 @@ normal) and |x - c_j| <= r_j for each ball. The constructor demands a
 strictly interior witness point, so the intersection always has interior.
 
 Projection onto the closure is exact when at most one constraint is
-violated and falls back to Dykstra's cyclic scheme otherwise.
+violated and falls back to Dykstra's cyclic scheme otherwise. Margins and
+closed-form steps use one dot product per (point, constraint) pair, the same
+arithmetic for a single point as for a row of a batch, so ``project_batch``
+agrees with ``project`` bit for bit, row by row.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ DEFAULT_PROJECT_MAX_ITER = 10_000
 _UNIT_NORM_TOL = 1e-12
 
 
-def boundary_tolerance(x: np.ndarray) -> float:
-    """Scale-aware tolerance for deciding boundary membership."""
-    return 1e-8 * (1.0 + float(np.linalg.norm(x)))
+def boundary_tolerance(x: np.ndarray) -> float | np.ndarray:
+    """Scale-aware tolerance for deciding boundary membership, one per row of a batch."""
+    x = np.asarray(x, dtype=np.float64)
+    tol = 1e-8 * (1.0 + np.sqrt(np.vecdot(x, x)))
+    return float(tol) if x.ndim == 1 else tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,24 +91,29 @@ class ConvexDomain:
         x = np.asarray(x, dtype=np.float64)
         parts = []
         if self.normals.shape[0]:
-            parts.append(self.normals @ x - self.offsets)
+            parts.append(np.vecdot(self.normals, x) - self.offsets)
         if self.centers.shape[0]:
-            parts.append(self.radii - np.linalg.norm(x - self.centers, axis=1))
-        return np.concatenate(parts) if parts else np.empty(0)
+            diff = x - self.centers
+            parts.append(self.radii - np.sqrt(np.add.reduce(diff * diff, axis=1)))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
         return bool(np.min(self.slacks(x)) >= -tol)
 
     def slack_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Slacks for a batch of points, shape (m_points, n_constraints)."""
+        """Slacks for a batch of points, shape (m_points, n_constraints).
+
+        Row i equals ``slacks(points[i])`` bit for bit.
+        """
         points = np.asarray(points, dtype=np.float64)
         parts = []
         if self.normals.shape[0]:
-            parts.append(points @ self.normals.T - self.offsets)
+            parts.append(np.vecdot(points[:, None, :], self.normals) - self.offsets)
         if self.centers.shape[0]:
             diff = points[:, None, :] - self.centers[None, :, :]
-            parts.append(self.radii - np.linalg.norm(diff, axis=2))
-        return np.concatenate(parts, axis=1)
+            # np.linalg.norm(diff, axis=2) without its call overhead
+            parts.append(self.radii - np.sqrt(np.add.reduce(diff * diff, axis=2)))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def _project_single(self, x: np.ndarray, idx: int) -> np.ndarray:
         """Exact projection onto constraint idx (halfspace first, then balls)."""
@@ -169,40 +179,57 @@ class ConvexDomain:
         tol: float = DEFAULT_PROJECT_TOL,
         max_iter: int = DEFAULT_PROJECT_MAX_ITER,
     ) -> np.ndarray:
-        """Row-wise projection; vectorized for the common interior/one-face rows."""
+        """Row-wise projection, each row bit-identical to :meth:`project`.
+
+        Interior rows and rows violating a single constraint are handled in
+        closed form for the whole batch; only rows whose one-constraint
+        projection exposes another constraint, or that violate several, fall
+        back to Dykstra one row at a time.
+        """
         pts = np.array(points, dtype=np.float64)
         slacks = self.slack_matrix(pts)
         bad = slacks < 0.0
-        n_bad = bad.sum(axis=1)
+        if not bad.any():
+            return pts
         out = pts.copy()
-        single = np.flatnonzero(n_bad == 1)
-        if single.size:
-            idx = np.argmax(bad[single], axis=1)
-            m = self.normals.shape[0]
-            hs_rows = single[idx < m]
-            if hs_rows.size:
-                i = np.argmax(bad[hs_rows], axis=1)
-                gaps = self.offsets[i] - np.einsum("ij,ij->i", pts[hs_rows], self.normals[i])
-                out[hs_rows] = pts[hs_rows] + gaps[:, None] * self.normals[i]
-            ball_rows = single[idx >= m]
-            for row in ball_rows:
-                out[row] = self._project_single(pts[row], int(np.argmax(bad[row])))
-            # rows whose single-constraint projection exposed another constraint
-            resl = self.slack_matrix(out[single])
-            scale = 1.0 + np.linalg.norm(out[single], axis=1)
-            redo = single[np.min(resl, axis=1) < -min(tol, 1e-12) * scale]
-            for row in redo:
-                out[row] = self._dykstra(pts[row], tol, max_iter)
-        for row in np.flatnonzero(n_bad > 1):
+        n_bad = bad.sum(axis=1)
+        single = n_bad == 1
+        rows, idx = np.nonzero(bad & single[:, None])
+        m = self.offsets.size
+        on_face = idx < m
+        if m:
+            # one violated face: x + gap * n with gap = b - <n, x> = -slack exactly
+            r, i = rows[on_face], idx[on_face]
+            out[r] = pts[r] - slacks[r, i, None] * self.normals[i]
+        if self.radii.size:
+            # one violated ball: c + (r / |x - c|) (x - c), left alone where
+            # the norm of _project_single gives |x - c| <= r
+            r, j = rows[~on_face], idx[~on_face] - m
+            c, radius, x = self.centers[j], self.radii[j], pts[r]
+            dist = np.sqrt(np.vecdot(x - c, x - c))
+            out[r] = np.where((dist > radius)[:, None], c + (radius / dist)[:, None] * (x - c), x)
+        # rows whose single-constraint projection exposed another constraint
+        rows = np.flatnonzero(single)
+        landed = out[rows]
+        scale = 1.0 + np.sqrt(np.vecdot(landed, landed))
+        redo = rows[np.min(self.slack_matrix(landed), axis=1) < -min(tol, 1e-12) * scale]
+        for row in np.concatenate([redo, np.flatnonzero(n_bad > 1)]):
             out[row] = self._dykstra(pts[row], tol, max_iter)
         return out
 
     def distance_to_boundary(self, x: np.ndarray) -> float:
         """Distance to the boundary: min |slack| inside, distance to the set outside."""
-        slacks = self.slacks(x)
-        if np.min(slacks) >= 0.0:
-            return float(np.min(slacks))
-        return float(np.linalg.norm(self.project(x) - np.asarray(x, dtype=np.float64)))
+        return float(self.distance_to_boundary_batch(np.reshape(x, (1, self.dimension)))[0])
+
+    def distance_to_boundary_batch(self, points: np.ndarray) -> np.ndarray:
+        """Row-wise :meth:`distance_to_boundary`."""
+        pts = np.asarray(points, dtype=np.float64)
+        dist = np.min(self.slack_matrix(pts), axis=1)
+        outside = np.flatnonzero(dist < 0.0)
+        if outside.size:
+            shift = self.project_batch(pts[outside]) - pts[outside]
+            dist[outside] = np.sqrt(np.vecdot(shift, shift))
+        return dist
 
 
 def project(
@@ -221,22 +248,31 @@ def active_normal_cone(x, domain: ConvexDomain, tol_bd: float | None = None) -> 
     of the returned generators. Raises if x is farther than tol_bd from the
     boundary (on either side).
     """
-    x = np.asarray(x, dtype=np.float64).reshape(domain.dimension)
+    x = np.asarray(x, dtype=np.float64).reshape(1, domain.dimension)
+    return active_normal_cones(x, domain, tol_bd)[0]
+
+
+def active_normal_cones(points, domain: ConvexDomain, tol_bd=None) -> list[np.ndarray]:
+    """:func:`active_normal_cone` for each row of points.
+
+    ``tol_bd`` is one tolerance for all rows or one per row; by default each
+    row gets its own :func:`boundary_tolerance`. Generators come halfspaces
+    first, then balls, each in constraint order.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, domain.dimension)
     if tol_bd is None:
-        tol_bd = boundary_tolerance(x)
-    slacks = domain.slacks(x)
-    if np.min(slacks) < -tol_bd or np.min(np.abs(slacks)) > tol_bd:
+        tol_bd = boundary_tolerance(pts)
+    tol_bd = np.broadcast_to(np.asarray(tol_bd, dtype=np.float64), (pts.shape[0],))
+    slacks = domain.slack_matrix(pts)
+    if np.any(np.min(slacks, axis=1) < -tol_bd) or np.any(np.min(np.abs(slacks), axis=1) > tol_bd):
         raise ValueError("point is not within tol_bd of the boundary")
-    generators = []
-    m = domain.normals.shape[0]
-    for i in range(m):
-        if abs(slacks[i]) <= tol_bd:
-            generators.append(domain.normals[i])
-    for j in range(domain.centers.shape[0]):
-        if abs(slacks[m + j]) <= tol_bd:
-            v = domain.centers[j] - x
-            generators.append(v / np.linalg.norm(v))
-    return np.array(generators).reshape(-1, domain.dimension)
+    active = np.abs(slacks) <= tol_bd[:, None]
+    to_center = domain.centers[None, :, :] - pts[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):  # inactive balls are never read
+        ball_normals = to_center / np.sqrt(np.vecdot(to_center, to_center))[:, :, None]
+    face_normals = np.broadcast_to(domain.normals, (pts.shape[0],) + domain.normals.shape)
+    normals = np.concatenate([face_normals, ball_normals], axis=1)
+    return [normals[i][active[i]] for i in range(pts.shape[0])]
 
 
 # Ready-made domains used throughout the tests and experiments.

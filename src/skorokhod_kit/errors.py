@@ -41,9 +41,11 @@ class RefinementLimitError(RuntimeError):
     """Grid refinement stopped before reaching the requested tolerance.
 
     ``gaps`` is the sequence of sup-distances between successive refinement
-    levels, coarsest first.
+    levels, coarsest first; ``driver`` is the index of the driver in its
+    batch, when known.
     """
 
-    def __init__(self, message: str, gaps: tuple[float, ...]):
+    def __init__(self, message: str, gaps: tuple[float, ...], driver: int | None = None):
         super().__init__(message)
         self.gaps = gaps
+        self.driver = driver

@@ -35,8 +35,8 @@ from .reflectnd import (
     check_condition_b,
     modulus_gap,
     nd_solution_diagnostics,
-    solve_skorokhod_continuous,
-    solve_skorokhod_step,
+    solve_skorokhod_continuous_many,
+    solve_skorokhod_step_many,
     tanaka_inequality_gap,
 )
 from .rsde import (
@@ -446,12 +446,13 @@ def _nd_domain_batch(config: ExperimentConfig, domain: ConvexDomain, start_point
     }
     previous = None
     mod_indices = [(0, n_steps), (n_steps // 3, (2 * n_steps) // 3)]
-    for i in range(n_paths):
-        B = brownian_sample(
+    ws = [
+        brownian_sample(
             grid, domain.dimension, law, RngSeed(config.seed, block * STREAM_BLOCK + i)
-        )
-        w = B.with_kind(PathKind.STEP)
-        sol = solve_skorokhod_step(w, domain)
+        ).with_kind(PathKind.STEP)
+        for i in range(n_paths)
+    ]
+    for w, sol in zip(ws, solve_skorokhod_step_many(ws, domain)):
         diag = nd_solution_diagnostics(sol, w, domain)
         worst["decomposition"] = max(worst["decomposition"], diag["decomposition_max_abs"])
         worst["containment_slack"] = min(worst["containment_slack"], diag["containment_worst_slack"])
@@ -474,18 +475,28 @@ def _nd_refinement_checks(config: ExperimentConfig, domain: ConvexDomain, start_
     n_drivers = int(config.option("refine_drivers", 12))
     grid = TimeGrid.uniform(config.horizon, n0)
     law = InitialLaw.point_mass(start_point)
+    ws = [
+        brownian_sample(grid, domain.dimension, law, RngSeed(config.seed, block * STREAM_BLOCK + i))
+        for i in range(n_drivers)
+    ]
+    schedules = []
+    failures = []
+    for max_levels, factor in ((6, 2), (4, 3)):
+        try:
+            schedules.append(
+                solve_skorokhod_continuous_many(
+                    ws, domain, refine_tol=refine_tol, max_levels=max_levels, refine_factor=factor
+                )
+            )
+        except RefinementLimitError as err:
+            failures.append(err)
+    if failures:
+        # a per-driver run (dyadic, then triadic, driver by driver) stops at
+        # the first failure in that order
+        raise min(failures, key=lambda err: err.driver)
     worst = 0.0
     gap_tail = 0.0
-    for i in range(n_drivers):
-        w = brownian_sample(
-            grid, domain.dimension, law, RngSeed(config.seed, block * STREAM_BLOCK + i)
-        )
-        dyadic = solve_skorokhod_continuous(
-            w, domain, refine_tol=refine_tol, max_levels=6, refine_factor=2
-        )
-        triadic = solve_skorokhod_continuous(
-            w, domain, refine_tol=refine_tol, max_levels=4, refine_factor=3
-        )
+    for dyadic, triadic in zip(*schedules):
         stride_d = (len(dyadic.X.grid) - 1) // n0
         stride_t = (len(triadic.X.grid) - 1) // n0
         diff = dyadic.X.values[::stride_d] - triadic.X.values[::stride_t]
@@ -502,10 +513,16 @@ def _nd_1d_crosscheck(config: ExperimentConfig, block: int):
     refine_tol = None  # solver default: 1e-4 * path scale
     worst = 0.0
     achieved_tol = 0.0
-    for i in range(n_drivers):
-        B = brownian_sample(grid, 1, InitialLaw.point_mass(0.5), RngSeed(config.seed, block * STREAM_BLOCK + i))
-        w = SampledPath.continuous(grid, B.values)
-        sol = solve_skorokhod_continuous(w, domain, refine_tol=refine_tol)
+    ws = [
+        SampledPath.continuous(
+            grid,
+            brownian_sample(
+                grid, 1, InitialLaw.point_mass(0.5), RngSeed(config.seed, block * STREAM_BLOCK + i)
+            ).values,
+        )
+        for i in range(n_drivers)
+    ]
+    for w, sol in zip(ws, solve_skorokhod_continuous_many(ws, domain, refine_tol=refine_tol)):
         fine_grid = sol.X.grid
         fine_w = np.interp(fine_grid.times, grid.times, w.scalar_values)
         f = SampledPath.continuous(fine_grid, fine_w - fine_w[0])

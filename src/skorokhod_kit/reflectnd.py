@@ -4,7 +4,9 @@ The step-input construction projects the free motion back into the closure
 at every jump; the pushing term phi is the accumulated projection
 displacement, its total variation the accumulated displacement norms. For
 continuous inputs the same recursion runs on successively refined grids
-until successive solutions agree in sup norm.
+until successive solutions agree in sup norm. Both solvers take a batch of
+drivers on one grid and advance all paths together; the single-driver
+entry points are batches of one.
 
 Two inequality checks (pairwise contraction and the modulus bound) and the
 two geometric solvability conditions round out the test apparatus.
@@ -23,7 +25,7 @@ from .domains import (
     DEFAULT_PROJECT_MAX_ITER,
     DEFAULT_PROJECT_TOL,
     ConvexDomain,
-    active_normal_cone,
+    active_normal_cones,
     boundary_tolerance,
 )
 from .errors import RefinementLimitError
@@ -66,43 +68,101 @@ class SkorokhodNdSolution:
         return self.X.values - self.phi.values
 
 
-def _reflect_on_grid(
-    times: np.ndarray,
-    wv: np.ndarray,
-    domain: ConvexDomain,
-    tol: float,
-    max_iter: int,
-):
-    n, d = wv.shape
-    if np.min(domain.slacks(wv[0])) < 0.0:
-        raise ValueError("driver must start inside the closed domain")
+# longest block of steps screened at once; bounds the slack work wasted when
+# a path leaves the closure early in a block
+_MAX_SPAN = 256
+
+
+def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain, tol: float, max_iter: int):
+    """Step recursion for drivers wv of shape (paths, grid, d) on one shared grid.
+
+    A step where some path leaves the closure is one ``project_batch`` call
+    over all paths. After a step without pushing, the following steps are
+    screened in blocks of doubling length: while every path stays in the
+    closure, X = w + phi(t_k) needs no projection. Rows are independent, so
+    a path's result does not depend on the batch.
+    """
+    n_paths, n, d = wv.shape
+    outside = np.flatnonzero(np.min(domain.slack_matrix(wv[:, 0]), axis=1) < 0.0)
+    if outside.size:
+        raise ValueError(f"driver {outside[0]} must start inside the closed domain")
     X = np.empty_like(wv)
     phi = np.zeros_like(wv)
-    tv = np.zeros(n)
-    dirs = np.full((n, d), np.nan)
-    X[0] = wv[0]
-    acc = np.zeros(d)  # phi(t_k), kept as X - w so the decomposition is exact
-    acc_tv = 0.0
-    for k in range(n - 1):
-        free = wv[k + 1] + acc
-        landed = domain.project(free, tol=tol, max_iter=max_iter)
-        X[k + 1] = landed
-        if np.array_equal(landed, free):
-            # no pushing: keep phi bitwise unchanged so interior steps carry
-            # exactly zero mass
-            phi[k + 1] = acc
-            tv[k + 1] = acc_tv
+    tv = np.zeros((n_paths, n))
+    dirs = np.full_like(wv, np.nan)
+    X[:, 0] = wv[:, 0]
+    acc = np.zeros((n_paths, d))  # phi(t_k), kept as X - w so the decomposition is exact
+    acc_tv = np.zeros(n_paths)
+    k, span = 1, 1
+    while k < n:
+        if span > 1:
+            ahead = wv[:, k : k + span] + acc[:, None, :]
+            leaves = domain.slack_matrix(ahead.reshape(-1, d)) < 0.0
+            step_leaves = leaves.any(axis=1).reshape(n_paths, -1).any(axis=0)
+            stay = int(np.argmax(step_leaves)) if step_leaves.any() else step_leaves.size
+            X[:, k : k + stay] = ahead[:, :stay]
+            phi[:, k : k + stay] = acc[:, None, :]
+            tv[:, k : k + stay] = acc_tv[:, None]
+            k += stay
+            span = min(2 * span, _MAX_SPAN) if stay == step_leaves.size else 1
             continue
-        new_acc = landed - wv[k + 1]
-        dphi = new_acc - acc
-        acc = new_acc
-        phi[k + 1] = acc
-        step_norm = float(np.linalg.norm(dphi))
-        acc_tv += step_norm
-        tv[k + 1] = acc_tv
-        if step_norm > 0.0:
-            dirs[k + 1] = dphi / step_norm
+        free = wv[:, k] + acc
+        landed = domain.project_batch(free, tol=tol, max_iter=max_iter)
+        X[:, k] = landed
+        # rows with no pushing (landed == free) keep phi bitwise unchanged so
+        # interior steps carry exactly zero mass
+        moved = landed != free
+        if moved.any():
+            new_acc = np.where(moved.any(axis=1)[:, None], landed - wv[:, k], acc)
+            dphi = new_acc - acc  # exactly 0 on rows without pushing
+            acc = new_acc
+            step_norm = np.sqrt(np.vecdot(dphi, dphi))  # np.linalg.norm of each row
+            acc_tv += step_norm
+            rows = np.flatnonzero(step_norm > 0.0)
+            dirs[rows, k] = dphi[rows] / step_norm[rows, None]
+        else:
+            span = 2
+        phi[:, k] = acc
+        tv[:, k] = acc_tv
+        k += 1
     return X, phi, tv, dirs
+
+
+def _stack_drivers(ws: list[SampledPath], kind: PathKind, solver: str):
+    """Shared grid and (paths, grid, d) values of a list of drivers."""
+    if not ws:
+        raise ValueError(f"{solver} needs at least one driver")
+    if any(w.kind is not kind for w in ws):
+        raise ValueError(f"{solver} expects {kind.value} paths")
+    grid = ws[0].grid
+    if any(not w.grid.same_as(grid) or w.dim != ws[0].dim for w in ws[1:]):
+        raise ValueError(f"{solver} needs drivers on one grid and of one dimension")
+    return grid, np.stack([w.values for w in ws])
+
+
+def solve_skorokhod_step_many(
+    ws,
+    domain: ConvexDomain,
+    tol: float = DEFAULT_PROJECT_TOL,
+    max_iter: int = DEFAULT_PROJECT_MAX_ITER,
+) -> list[SkorokhodNdSolution]:
+    """Reflect cadlag step inputs sharing one grid, all paths in one recursion.
+
+    Returns one solution per driver, each the solution its driver gets on
+    its own. A driver starting outside the closure raises ValueError naming
+    its index.
+    """
+    grid, wv = _stack_drivers(list(ws), PathKind.STEP, "solve_skorokhod_step")
+    X, phi, tv, dirs = _reflect_on_grid(wv, domain, tol, max_iter)
+    return [
+        SkorokhodNdSolution(
+            X=SampledPath.step(grid, X[i]),
+            phi=SampledPath.step(grid, phi[i]),
+            total_variation=tv[i],
+            directions=dirs[i],
+        )
+        for i in range(len(wv))
+    ]
 
 
 def solve_skorokhod_step(
@@ -112,29 +172,104 @@ def solve_skorokhod_step(
     max_iter: int = DEFAULT_PROJECT_MAX_ITER,
 ) -> SkorokhodNdSolution:
     """Reflect a cadlag step input: project after every jump of w."""
-    if w.kind is not PathKind.STEP:
-        raise ValueError("solve_skorokhod_step expects a step path")
-    X, phi, tv, dirs = _reflect_on_grid(w.grid.times, w.values, domain, tol, max_iter)
-    return SkorokhodNdSolution(
-        X=SampledPath.step(w.grid, X),
-        phi=SampledPath.step(w.grid, phi),
-        total_variation=tv,
-        directions=dirs,
-    )
+    return solve_skorokhod_step_many([w], domain, tol=tol, max_iter=max_iter)[0]
 
 
 def _refine_linear(times: np.ndarray, wv: np.ndarray, factor: int):
-    """Insert factor-1 equally spaced points per interval, interpolating w linearly."""
+    """Insert factor-1 equally spaced points per interval, interpolating w linearly.
+
+    Values run along the second-to-last axis: wv is (grid, d) or (paths, grid, d).
+    """
     n = times.size
     new_times = np.empty((n - 1) * factor + 1)
-    new_vals = np.empty(((n - 1) * factor + 1, wv.shape[1]))
+    new_vals = np.empty(wv.shape[:-2] + ((n - 1) * factor + 1, wv.shape[-1]))
+    dw = np.diff(wv, axis=-2)
     for j in range(factor):
         frac = j / factor
         new_times[j::factor][: n - 1] = times[:-1] + frac * np.diff(times)
-        new_vals[j::factor][: n - 1] = wv[:-1] + frac * np.diff(wv, axis=0)
+        new_vals[..., j::factor, :][..., : n - 1, :] = wv[..., :-1, :] + frac * dw
     new_times[-1] = times[-1]
-    new_vals[-1] = wv[-1]
+    new_vals[..., -1, :] = wv[..., -1, :]
     return new_times, new_vals
+
+
+def solve_skorokhod_continuous_many(
+    ws,
+    domain: ConvexDomain,
+    refine_tol: float | None = None,
+    max_levels: int = 6,
+    refine_factor: int = 2,
+    tol: float = DEFAULT_PROJECT_TOL,
+    max_iter: int = DEFAULT_PROJECT_MAX_ITER,
+) -> list[SkorokhodNdSolution]:
+    """Reflect piecewise-linear inputs sharing one grid by joint refinement.
+
+    The drivers still refining run each level as one batch; a driver leaves
+    the batch at the level where it converges, so it gets the levels, gaps
+    and solution of :func:`solve_skorokhod_continuous` on its own (with the
+    default ``refine_tol`` taken from its own scale). If drivers exhaust
+    max_levels, raises RefinementLimitError for the first of them in driver
+    order, carrying its gaps and index.
+    """
+    ws = list(ws)
+    grid, wv = _stack_drivers(ws, PathKind.CONTINUOUS, "solve_skorokhod_continuous")
+    if refine_factor < 2:
+        raise ValueError("refine_factor must be at least 2")
+    tols = [1e-4 * w.scale() if refine_tol is None else refine_tol for w in ws]
+    times = grid.times.copy()
+    live = np.arange(len(wv))  # drivers still refining, in driver order
+    gaps: list[list[float]] = [[] for _ in live]
+    tvs: list[list[float]] = [[] for _ in live]
+    solutions: list[SkorokhodNdSolution | None] = [None] * len(live)
+    prev_X = None
+    for level in range(max_levels + 1):
+        X, phi, tv, dirs = _reflect_on_grid(wv, domain, tol, max_iter)
+        if prev_X is not None:
+            level_gaps = np.max(np.linalg.norm(X[:, ::refine_factor] - prev_X, axis=2), axis=1)
+        level_grid = TimeGrid(times)
+        keep = []
+        for row, i in enumerate(live):
+            tvs[i].append(float(tv[row, -1]))
+            converged = False
+            if tv[row, -1] == 0.0:
+                # no pushing at all: w stays in the (convex) closure, X = w exactly
+                gaps[i].append(0.0)
+                converged = True
+            elif prev_X is not None:
+                gaps[i].append(float(level_gaps[row]))
+                converged = gaps[i][-1] <= tols[i]
+            if not converged:
+                keep.append(row)
+                continue
+            solutions[i] = SkorokhodNdSolution(
+                X=SampledPath.continuous(level_grid, X[row]),
+                phi=SampledPath.continuous(level_grid, phi[row]),
+                total_variation=tv[row],
+                directions=dirs[row],
+                refine_gaps=tuple(gaps[i]),
+                tv_by_level=tuple(tvs[i]),
+            )
+        if not keep or level == max_levels:
+            break
+        live = live[keep]
+        prev_X = X[keep]
+        times, wv = _refine_linear(times, wv[keep], refine_factor)
+    failed = [i for i, sol in enumerate(solutions) if sol is None]
+    if not failed:
+        return solutions
+    i = failed[0]
+    if len(tvs[i]) >= 2 and tvs[i][-1] > 50.0 * (1.0 + tvs[i][0]):
+        warnings.warn(
+            "pushing-term total variation grew by a large factor across refinement "
+            f"levels: {tvs[i]}; the refinement sequence may not be converging",
+            RuntimeWarning,
+        )
+    raise RefinementLimitError(
+        f"driver {i}: refinement gaps {gaps[i]} did not reach tol={tols[i]} "
+        f"within {max_levels} levels",
+        gaps=tuple(gaps[i]),
+        driver=i,
+    )
 
 
 def solve_skorokhod_continuous(
@@ -154,54 +289,9 @@ def solve_skorokhod_continuous(
     drops to ``refine_tol`` (default 1e-4 times the path scale). Raises
     RefinementLimitError with the gap sequence when max_levels is exhausted.
     """
-    if w.kind is not PathKind.CONTINUOUS:
-        raise ValueError("solve_skorokhod_continuous expects a continuous path")
-    if refine_factor < 2:
-        raise ValueError("refine_factor must be at least 2")
-    if refine_tol is None:
-        refine_tol = 1e-4 * w.scale()
-    times = w.grid.times.copy()
-    wv = w.values.copy()
-    gaps: list[float] = []
-    tvs: list[float] = []
-    prev_X = None
-    for level in range(max_levels + 1):
-        X, phi, tv, dirs = _reflect_on_grid(times, wv, domain, tol, max_iter)
-        tvs.append(float(tv[-1]))
-        converged = False
-        if tv[-1] == 0.0:
-            # no pushing at all: w stays in the (convex) closure, X = w exactly
-            gaps.append(0.0)
-            converged = True
-        elif prev_X is not None:
-            gap = float(np.max(np.linalg.norm(X[::refine_factor] - prev_X, axis=1)))
-            gaps.append(gap)
-            converged = gap <= refine_tol
-        if converged:
-            grid = TimeGrid(times)
-            return SkorokhodNdSolution(
-                X=SampledPath.continuous(grid, X),
-                phi=SampledPath.continuous(grid, phi),
-                total_variation=tv,
-                directions=dirs,
-                refine_gaps=tuple(gaps),
-                tv_by_level=tuple(tvs),
-            )
-        if level == max_levels:
-            break
-        prev_X = X
-        times, wv = _refine_linear(times, wv, refine_factor)
-    if len(tvs) >= 2 and tvs[-1] > 50.0 * (1.0 + tvs[0]):
-        warnings.warn(
-            "pushing-term total variation grew by a large factor across refinement "
-            f"levels: {tvs}; the refinement sequence may not be converging",
-            RuntimeWarning,
-        )
-    raise RefinementLimitError(
-        f"refinement gaps {gaps} did not reach tol={refine_tol} "
-        f"within {max_levels} levels",
-        gaps=tuple(gaps),
-    )
+    return solve_skorokhod_continuous_many(
+        [w], domain, refine_tol, max_levels, refine_factor, tol, max_iter
+    )[0]
 
 
 def _check_same_grid(a: SkorokhodNdSolution, b: SkorokhodNdSolution) -> None:
@@ -412,19 +502,18 @@ def nd_solution_diagnostics(
     dphi = np.diff(phi, axis=0)
     dphi_norms = np.linalg.norm(dphi, axis=1)
     tv_defect = float(np.max(np.abs(np.diff(sol.total_variation) - dphi_norms)))
+    pushed = np.flatnonzero(dphi_norms > 0.0)
+    landings = X[pushed + 1]
+    tol_bd = boundary_tolerance(landings)
+    interior = domain.distance_to_boundary_batch(landings) > tol_bd
     interior_mass = 0.0
+    for mass in dphi_norms[pushed[interior]]:
+        interior_mass += float(mass)
+    on_boundary = pushed[~interior]
+    units = dphi[on_boundary] / dphi_norms[on_boundary, None]
+    cones = active_normal_cones(landings[~interior], domain, tol_bd[~interior])
     max_angular_gap = 0.0
-    for k in np.flatnonzero(dphi_norms > 0.0):
-        landing = X[k + 1]
-        tol_bd = boundary_tolerance(landing)
-        if domain.distance_to_boundary(landing) > tol_bd:
-            interior_mass += float(dphi_norms[k])
-            continue
-        generators = active_normal_cone(landing, domain, tol_bd)
-        unit = dphi[k] / dphi_norms[k]
-        if generators.shape[0] == 0:
-            max_angular_gap = max(max_angular_gap, float(np.linalg.norm(unit)))
-            continue
+    for unit, generators in zip(units, cones):
         _, residual = nnls(generators.T, unit)
         max_angular_gap = max(max_angular_gap, float(residual))
     return {

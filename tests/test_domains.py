@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from skorokhod_kit import (
     ConvexDomain,
     ProjectionIterationError,
     active_normal_cone,
+    active_normal_cones,
     ball_domain,
     half_line,
     halfplane,
@@ -15,6 +18,9 @@ from skorokhod_kit import (
     strip,
     unit_disc,
 )
+from skorokhod_kit.config import load_domain_file
+
+DOMAIN_FILES = sorted((Path(__file__).resolve().parents[1] / "configs" / "domains").glob("*.domain"))
 
 
 def brute_force_nearest(x, candidates):
@@ -173,3 +179,103 @@ def test_half_line_projection_is_clamp():
     dom = half_line()
     assert dom.project(np.array([-0.7]))[0] == 0.0
     assert dom.project(np.array([0.7]))[0] == 0.7
+
+
+def _probe_points(dom: ConvexDomain) -> np.ndarray:
+    """Inside, on one face, past a corner, outside a ball, plus a random cloud."""
+    ip = dom.interior_point
+    pts = [ip]
+    slack = dom.slacks(ip)
+    m = dom.normals.shape[0]
+    past_all = ip.copy()
+    for i in range(m):
+        outside_one = ip - (slack[i] + 0.5) * dom.normals[i]
+        pts += [outside_one, dom.project(outside_one)]  # the landing lies on face i
+        past_all = past_all - (slack[i] + 0.5) * dom.normals[i]
+    if m:
+        pts.append(past_all)
+    gen = np.random.Generator(np.random.Philox(key=np.array([3, 4], dtype=np.uint64)))
+    for c, r in zip(dom.centers, dom.radii):
+        for u in gen.normal(size=(4, dom.dimension)):
+            outside_ball = c + 1.5 * r * u / np.linalg.norm(u)
+            pts += [outside_ball, dom.project(outside_ball)]
+    cloud = ip + gen.normal(scale=2.5, size=(300, dom.dimension))
+    return np.vstack([np.array(pts), cloud])
+
+
+TILTED = ConvexDomain(
+    2,
+    normals=[[0.6, 0.8], [-0.28, 0.96]],
+    offsets=[0.1, -0.5],
+    centers=[[0.3, 0.2]],
+    radii=[1.7],
+    interior_point=[0.3, 0.5],
+)
+
+
+CAPPED_3D = ConvexDomain(
+    3,
+    normals=[[0.0, 0.0, 1.0]],
+    offsets=[0.0],
+    centers=[[0.1, -0.2, 0.3]],
+    radii=[1.5],
+    interior_point=[0.1, -0.2, 0.5],
+)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [half_line(), halfplane(), orthant(2), orthant(3), strip(), unit_disc(), TILTED, CAPPED_3D]
+    + [load_domain_file(f) for f in DOMAIN_FILES],
+    ids=["half_line", "halfplane", "orthant2", "orthant3", "strip", "unit_disc", "tilted", "capped3d"]
+    + [f.stem for f in DOMAIN_FILES],
+)
+def test_project_batch_bit_identical_to_project(dom):
+    pts = _probe_points(dom)
+    batch = dom.project_batch(pts)
+    slack_rows = dom.slack_matrix(pts)
+    for i, x in enumerate(pts):
+        assert np.array_equal(batch[i], dom.project(x))
+        assert np.array_equal(slack_rows[i], dom.slacks(x))
+        # rows do not depend on the rest of the batch
+        assert np.array_equal(dom.project_batch(pts[i : i + 1])[0], batch[i])
+        assert np.array_equal(dom.slack_matrix(pts[i : i + 1])[0], slack_rows[i])
+
+
+def test_domain_files_present():
+    assert [f.name for f in DOMAIN_FILES] == ["capped-halfplane.domain", "quarter-plane.domain"]
+
+
+def test_project_batch_interior_batch_returned_unchanged():
+    dom = unit_disc()
+    pts = np.array([[0.1, 0.2], [-0.5, 0.5], [0.0, 1.0]])
+    out = dom.project_batch(pts)
+    assert np.array_equal(out, pts)
+    assert out is not pts
+
+
+def _cone_oracle(x, dom, tol_bd):
+    """Active generators one constraint at a time: faces first, then balls."""
+    slacks = dom.slacks(x)
+    m = dom.normals.shape[0]
+    gens = [dom.normals[i] for i in range(m) if abs(slacks[i]) <= tol_bd]
+    for j, c in enumerate(dom.centers):
+        if abs(slacks[m + j]) <= tol_bd:
+            gens.append((c - x) / np.linalg.norm(c - x))
+    return np.array(gens).reshape(-1, dom.dimension)
+
+
+@pytest.mark.parametrize("dom", [orthant(2), unit_disc(), TILTED], ids=["orthant2", "unit_disc", "tilted"])
+def test_batched_boundary_helpers_match_pointwise_oracle(dom):
+    pts = _probe_points(dom)
+    dist = dom.distance_to_boundary_batch(pts)
+    for d, x in zip(dist, pts):
+        slacks = dom.slacks(x)
+        inside = np.min(slacks) >= 0.0
+        assert d == (np.min(slacks) if inside else np.linalg.norm(dom.project(x) - x))
+    near = pts[np.abs(dist) <= 1e-8]
+    assert len(near) > 0
+    for cone, x in zip(active_normal_cones(near, dom), near):
+        assert np.array_equal(cone, _cone_oracle(x, dom, 1e-8 * (1.0 + np.linalg.norm(x))))
+    with pytest.raises(ValueError):
+        active_normal_cones(np.vstack([near, dom.interior_point]), dom)

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from skorokhod_kit import (
     ConvexDomain,
@@ -9,6 +12,7 @@ from skorokhod_kit import (
     RngSeed,
     SampledPath,
     TimeGrid,
+    active_normal_cone,
     brownian_sample,
     check_condition_a,
     check_condition_b,
@@ -18,12 +22,17 @@ from skorokhod_kit import (
     orthant,
     skorokhod_map_1d,
     solve_skorokhod_continuous,
+    solve_skorokhod_continuous_many,
     solve_skorokhod_step,
+    solve_skorokhod_step_many,
     strip,
     tanaka_inequality_gap,
     unit_disc,
 )
+from skorokhod_kit.config import load_domain_file
 from skorokhod_kit.reflectnd import nd_solution_diagnostics
+
+DOMAINS_DIR = Path(__file__).resolve().parents[1] / "configs" / "domains"
 
 
 def step_path(times, values):
@@ -255,11 +264,227 @@ def test_solution_jumps_shrink_under_refinement():
     times, wv = grid.times.copy(), B.values.copy()
     max_jumps = []
     for _ in range(4):
-        X, _, _, _ = _reflect_on_grid(times, wv, unit_disc(), 1e-10, 10_000)
+        X = _reflect_on_grid(wv[None], unit_disc(), 1e-10, 10_000)[0][0]
         max_jumps.append(float(np.max(np.linalg.norm(np.diff(X, axis=0), axis=1))))
         times, wv = _refine_linear(times, wv, 2)
     assert all(max_jumps[i] > max_jumps[i + 1] for i in range(3))
     assert max_jumps[-1] < 0.5 * max_jumps[0]
+
+
+# --- batched solvers ---------------------------------------------------------
+
+
+def per_path_recursion(wv, domain):
+    """The step recursion for one path with the scalar projection."""
+    n, d = wv.shape
+    X = np.empty_like(wv)
+    phi = np.zeros_like(wv)
+    tv = np.zeros(n)
+    dirs = np.full((n, d), np.nan)
+    X[0] = wv[0]
+    acc = np.zeros(d)
+    acc_tv = 0.0
+    for k in range(1, n):
+        free = wv[k] + acc
+        landed = domain.project(free)
+        X[k] = landed
+        if not np.array_equal(landed, free):
+            new_acc = landed - wv[k]
+            dphi = new_acc - acc
+            acc = new_acc
+            norm = float(np.linalg.norm(dphi))
+            acc_tv += norm
+            if norm > 0.0:
+                dirs[k] = dphi / norm
+        phi[k] = acc
+        tv[k] = acc_tv
+    return X, phi, tv, dirs
+
+
+MIXED_CASES = [
+    (unit_disc(), [0.0, 0.0], [0.1, 0.1]),
+    (orthant(2), [0.25, 0.25], [5.0, 5.0]),
+    (strip(), [0.0, 0.5], [0.0, 0.5]),
+]
+
+
+def mixed_batch(domain, start, quiet_start, n_paths=9, n_steps=96):
+    """Brownian drivers plus one driver that never leaves the interior (index 3)."""
+    ws = [brownian_step(start, seed=70, stream=i, n_steps=n_steps) for i in range(n_paths)]
+    grid = ws[0].grid
+    wiggle = 1e-3 * np.column_stack([np.sin(grid.times), np.cos(grid.times) - 1.0])
+    ws[3] = SampledPath.step(grid, np.asarray(quiet_start) + wiggle)
+    return ws
+
+
+@pytest.mark.parametrize("domain,start,quiet_start", MIXED_CASES, ids=["disc", "orthant", "strip"])
+def test_step_many_matches_per_path_recursion(domain, start, quiet_start):
+    ws = mixed_batch(domain, start, quiet_start)
+    sols = solve_skorokhod_step_many(ws, domain)
+    assert len(sols) == len(ws)
+    pushed = 0
+    for w, sol in zip(ws, sols):
+        X, phi, tv, dirs = per_path_recursion(w.values, domain)
+        assert np.array_equal(sol.X.values, X)
+        assert np.array_equal(sol.phi.values, phi)
+        np.testing.assert_array_max_ulp(sol.total_variation, tv, maxulp=4)
+        assert np.array_equal(np.isnan(sol.directions), np.isnan(dirs))
+        finite = ~np.isnan(dirs)
+        np.testing.assert_array_max_ulp(sol.directions[finite], dirs[finite], maxulp=4)
+        pushed += int(sol.total_variation[-1] > 0.0)
+    assert pushed >= 3
+    quiet = sols[3]
+    assert np.array_equal(quiet.phi.values, np.zeros_like(quiet.phi.values))
+    assert np.all(quiet.total_variation == 0.0)
+    assert np.all(np.isnan(quiet.directions))
+
+
+@pytest.mark.parametrize("domain,start,quiet_start", MIXED_CASES, ids=["disc", "orthant", "strip"])
+def test_step_many_rows_match_batches_of_one(domain, start, quiet_start):
+    ws = mixed_batch(domain, start, quiet_start)
+    for w, sol in zip(ws, solve_skorokhod_step_many(ws, domain)):
+        solo = solve_skorokhod_step(w, domain)
+        (one,) = solve_skorokhod_step_many([w], domain)
+        for other in (solo, one):
+            assert np.array_equal(sol.X.values, other.X.values)
+            assert np.array_equal(sol.phi.values, other.phi.values)
+            assert np.array_equal(sol.total_variation, other.total_variation)
+            assert np.array_equal(sol.directions, other.directions, equal_nan=True)
+
+
+def test_step_many_names_the_driver_starting_outside():
+    inside = step_path([0.0, 1.0], [[1.0, 1.0], [0.5, -0.5]])
+    outside = step_path([0.0, 1.0], [[-1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="driver 2 "):
+        solve_skorokhod_step_many([inside, inside, outside, outside], orthant(2))
+    with pytest.raises(ValueError, match="driver 0 "):
+        solve_skorokhod_step(outside, orthant(2))
+
+
+def test_many_solvers_input_validation():
+    a = brownian_step([0.0, 0.0], seed=71, n_steps=16)
+    b = brownian_step([0.0, 0.0], seed=71, n_steps=32)
+    with pytest.raises(ValueError):
+        solve_skorokhod_step_many([a, b], unit_disc())  # grids differ
+    with pytest.raises(ValueError):
+        solve_skorokhod_step_many([], unit_disc())
+    with pytest.raises(ValueError):
+        solve_skorokhod_continuous_many([a], unit_disc())  # step kind
+
+
+def continuous_drivers(n, seed, start=(0.0, 0.0), n_steps=32):
+    grid = TimeGrid.uniform(1.0, n_steps)
+    law = InitialLaw.point_mass(list(start))
+    return [
+        SampledPath.continuous(grid, brownian_sample(grid, 2, law, RngSeed(seed, i)).values)
+        for i in range(n)
+    ]
+
+
+def test_continuous_many_matches_solo_runs():
+    ws = continuous_drivers(6, seed=72)
+    grid = ws[0].grid
+    # an input that stays inside converges at level 0 and leaves the batch first
+    ws[1] = SampledPath.continuous(grid, 0.1 * np.column_stack([np.sin(grid.times), grid.times]))
+    for kwargs in ({"refine_tol": 0.02}, {"refine_tol": 0.005, "refine_factor": 3}, {"max_levels": 9}):
+        sols = solve_skorokhod_continuous_many(ws, unit_disc(), **kwargs)
+        levels = set()
+        for w, sol in zip(ws, sols):
+            solo = solve_skorokhod_continuous(w, unit_disc(), **kwargs)
+            assert sol.refine_gaps == solo.refine_gaps
+            assert sol.tv_by_level == solo.tv_by_level
+            assert sol.X.grid.same_as(solo.X.grid)
+            assert np.array_equal(sol.X.values, solo.X.values)
+            assert np.array_equal(sol.phi.values, solo.phi.values)
+            levels.add(len(sol.tv_by_level))
+        assert sols[1].refine_gaps == (0.0,)
+        assert len(levels) >= 2  # drivers left the batch at different levels
+
+
+def test_continuous_many_reports_first_failing_driver():
+    ws = continuous_drivers(5, seed=73)
+    grid = ws[0].grid
+    ws[0] = SampledPath.continuous(grid, 0.1 * np.column_stack([grid.times, grid.times]))
+    kwargs = {"refine_tol": 1e-12, "max_levels": 2}
+    solo_failures = []
+    for i, w in enumerate(ws):
+        try:
+            solve_skorokhod_continuous(w, unit_disc(), **kwargs)
+        except RefinementLimitError as err:
+            solo_failures.append((i, err.gaps))
+    first, gaps = solo_failures[0]
+    assert first > 0
+    with pytest.raises(RefinementLimitError) as err:
+        solve_skorokhod_continuous_many(ws, unit_disc(), **kwargs)
+    assert err.value.driver == first
+    assert err.value.gaps == gaps
+    assert f"driver {first}:" in str(err.value)
+
+
+@pytest.mark.parametrize("refine_tol", [5e-4, 1.5e-4])
+def test_refinement_check_reports_the_failure_a_per_driver_loop_meets_first(refine_tol):
+    from skorokhod_kit.experiments import STREAM_BLOCK, _nd_refinement_checks, default_config
+
+    config = default_config(
+        "nd-skorokhod-props",
+        seed=3,
+        tolerances={"refine": refine_tol},
+        options={"refine_n0": 16, "refine_drivers": 5},
+    )
+    grid = TimeGrid.uniform(1.0, 16)
+    law = InitialLaw.point_mass([0.0, 0.0])
+    expected = None
+    for i in range(5):
+        w = brownian_sample(grid, 2, law, RngSeed(3, 2 * STREAM_BLOCK + i))
+        try:
+            solve_skorokhod_continuous(w, unit_disc(), refine_tol=refine_tol, max_levels=6, refine_factor=2)
+            solve_skorokhod_continuous(w, unit_disc(), refine_tol=refine_tol, max_levels=4, refine_factor=3)
+        except RefinementLimitError as err:
+            expected = err.gaps
+            break
+    assert expected is not None
+    with pytest.raises(RefinementLimitError) as err:
+        _nd_refinement_checks(config, unit_disc(), [0.0, 0.0], block=2)
+    assert err.value.gaps == expected
+
+
+def per_landing_diagnostics(sol, domain):
+    """Interior mass and angular gap, evaluated one landing at a time."""
+    X = sol.X.values
+    dphi = np.diff(sol.phi.values, axis=0)
+    norms = np.linalg.norm(dphi, axis=1)
+    interior_mass = 0.0
+    angular_gap = 0.0
+    for k in np.flatnonzero(norms > 0.0):
+        landing = X[k + 1]
+        tol_bd = 1e-8 * (1.0 + float(np.linalg.norm(landing)))
+        if domain.distance_to_boundary(landing) > tol_bd:
+            interior_mass += float(norms[k])
+            continue
+        generators = active_normal_cone(landing, domain, tol_bd)
+        _, residual = nnls(generators.T, dphi[k] / norms[k])
+        angular_gap = max(angular_gap, float(residual))
+    return interior_mass, angular_gap
+
+
+@pytest.mark.parametrize(
+    "domain,start",
+    [
+        (unit_disc(), [0.0, 0.0]),
+        (orthant(2), [0.25, 0.25]),
+        (load_domain_file(DOMAINS_DIR / "capped-halfplane.domain"), [0.0, 1.0]),
+    ],
+    ids=["disc", "orthant", "capped-halfplane"],
+)
+def test_diagnostics_match_per_landing_evaluation(domain, start):
+    ws = [brownian_step(start, seed=74, stream=i, n_steps=128) for i in range(6)]
+    ws = [SampledPath.step(w.grid, 3.0 * (w.values - w.values[0]) + w.values[0]) for w in ws]
+    for w, sol in zip(ws, solve_skorokhod_step_many(ws, domain)):
+        diag = nd_solution_diagnostics(sol, w, domain)
+        interior_mass, angular_gap = per_landing_diagnostics(sol, domain)
+        assert diag["interior_pushing_mass"] == interior_mass
+        assert diag["max_angular_gap"] == angular_gap
+        assert diag["max_angular_gap"] <= 1e-6
 
 
 # --- geometric conditions ---------------------------------------------------
