@@ -12,12 +12,16 @@ class GenerationError(RuntimeError):
 class EvaluationFault(RuntimeError):
     """A user-supplied evaluator returned a non-finite value.
 
-    ``step_index`` is the grid index at which evaluation failed, when known.
+    ``step_index`` is the grid index at which evaluation failed, when known;
+    ``path_index`` is the index of the failing path in its batch, when known.
     """
 
-    def __init__(self, message: str, step_index: int | None = None):
+    def __init__(
+        self, message: str, step_index: int | None = None, path_index: int | None = None
+    ):
         super().__init__(message)
         self.step_index = step_index
+        self.path_index = path_index
 
 
 class ContractError(ValueError):

@@ -17,7 +17,7 @@ import numpy as np
 from .domains import DEFAULT_PROJECT_MAX_ITER, DEFAULT_PROJECT_TOL, ConvexDomain
 from .errors import EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .randomness import RngSeed, standard_normals
+from .randomness import RngSeed, normal_matrix, standard_normals
 from .reflectnd import SkorokhodNdSolution, solve_skorokhod_continuous
 
 
@@ -78,12 +78,66 @@ class ReflectedSdePath:
         )
 
 
-def _eval_drift_diffusion(coeffs: SdeCoefficients, t: float, x: np.ndarray, d: int, k: int):
+# Paths per block of the batched stepper: bounds the increments held at once.
+_PATH_BLOCK = 512
+
+
+def _eval_drift_diffusion(
+    coeffs: SdeCoefficients, t: float, x: np.ndarray, d: int, k: int, path: int | None = None
+):
     drift = np.asarray(coeffs.b(t, x), dtype=np.float64).reshape(d)
     sig = np.asarray(coeffs.sigma(t, x), dtype=np.float64).reshape(d, coeffs.r)
     if not (np.all(np.isfinite(drift)) and np.all(np.isfinite(sig))):
-        raise EvaluationFault("coefficient evaluation was non-finite", step_index=k)
+        raise EvaluationFault(
+            "coefficient evaluation was non-finite", step_index=k, path_index=path
+        )
     return drift, sig
+
+
+def _euler_batch(
+    coeffs: SdeCoefficients,
+    domain: ConvexDomain,
+    x0: np.ndarray,
+    dB: np.ndarray,
+    times: np.ndarray,
+    dt: np.ndarray,
+    tol: float,
+    max_iter: int,
+    first_path: int = 0,
+) -> np.ndarray:
+    """Projected Euler for a batch: from x0 through increments (m, steps, r).
+
+    The state has shape (m, d). Step k evaluates the coefficients at
+    (times[k], state) for all rows at once, through the batch evaluators
+    when both exist and row by row otherwise, and makes one project_batch
+    call. A non-finite row raises EvaluationFault at the first such row in
+    path order, numbered from ``first_path``. Returns the terminal states.
+    """
+    m, d = dB.shape[0], x0.size
+    state = np.tile(x0, (m, 1))
+    batched = coeffs.b_batch is not None and coeffs.sigma_batch is not None
+    for k in range(dB.shape[1]):
+        t = float(times[k])
+        if batched:
+            drift = np.asarray(coeffs.b_batch(t, state), dtype=np.float64)
+            sig = np.asarray(coeffs.sigma_batch(t, state), dtype=np.float64)
+        else:
+            rows = [
+                _eval_drift_diffusion(coeffs, t, state[i], d, k, first_path + i)
+                for i in range(m)
+            ]
+            drift = np.stack([row[0] for row in rows])
+            sig = np.stack([row[1] for row in rows])
+        free = state + drift * dt[k] + np.einsum("mdr,mr->md", sig, dB[:, k, :])
+        if not np.all(np.isfinite(free)):
+            bad = int(np.argmin(np.all(np.isfinite(free), axis=1)))
+            raise EvaluationFault(
+                "coefficient evaluation was non-finite",
+                step_index=k,
+                path_index=first_path + bad,
+            )
+        state = domain.project_batch(free, tol=tol, max_iter=max_iter)
+    return state
 
 
 def euler_reflected(
@@ -243,6 +297,46 @@ def coefficient_contract_check(
     )
 
 
+def _level_terminals(
+    coeffs: SdeCoefficients,
+    domain: ConvexDomain,
+    x0: np.ndarray,
+    T: float,
+    steps: list[int],
+    n_paths: int,
+    rng: RngSeed,
+    tol: float,
+    max_iter: int,
+) -> dict[int, np.ndarray]:
+    """Terminal states (n_paths, d) per step count, all levels on one driver per path.
+
+    Path i draws its finest increments from stream i; coarse increments are
+    sums of consecutive fine ones. Paths run in blocks of _PATH_BLOCK.
+    """
+    d, r = x0.size, coeffs.r
+    n_fine = steps[-1]
+    terminals = {n: np.empty((n_paths, d)) for n in steps}
+    for start in range(0, n_paths, _PATH_BLOCK):
+        m = min(_PATH_BLOCK, n_paths - start)
+        fine = normal_matrix(rng, m, n_fine * r, first_stream=start).reshape(m, n_fine, r)
+        fine *= np.sqrt(T / n_fine)
+        for n in steps:
+            dB = fine.reshape(m, n, n_fine // n, r).sum(axis=2)
+            dt = T / n
+            terminals[n][start : start + m] = _euler_batch(
+                coeffs,
+                domain,
+                x0,
+                dB,
+                np.arange(n) * dt,
+                np.full(n, dt),
+                tol,
+                max_iter,
+                first_path=start,
+            )
+    return terminals
+
+
 def strong_error_estimate(
     coeffs: SdeCoefficients,
     domain: ConvexDomain,
@@ -258,8 +352,12 @@ def strong_error_estimate(
 
     All levels of one path share a driver: coarse increments are sums of
     consecutive fine increments, so levels must be dyadically nested (each
-    step count divides the finest by a power of 2). Returns (dt, rms) rows,
-    coarsest first; the finest level closes the table with rms 0.
+    step count divides the finest by a power of 2). Path i draws its fine
+    increments from stream i of ``rng``. Every level runs all paths at once
+    on the batched projected-Euler stepper shared with
+    simulate_reflected_terminal_batch, in blocks of 512 paths. Returns
+    (dt, rms) rows, coarsest first; the finest level closes the table with
+    rms 0.
     """
     d = domain.dimension
     x0 = np.asarray(x0, dtype=np.float64).reshape(d)
@@ -276,20 +374,7 @@ def strong_error_estimate(
         ratio = n_fine // n
         if n_fine != n * ratio or ratio & (ratio - 1):
             raise ValueError("dt levels must be dyadically nested")
-    terminals = {n: np.empty((n_paths, d)) for n in steps}
-    for i in range(n_paths):
-        gen = rng.with_stream(i).generator()
-        fine = standard_normals(gen, n_fine * coeffs.r).reshape(n_fine, coeffs.r)
-        fine *= np.sqrt(T / n_fine)
-        for n in steps:
-            ratio = n_fine // n
-            dB = fine.reshape(n, ratio, coeffs.r).sum(axis=1)
-            dt = T / n
-            y = x0.copy()
-            for k in range(n):
-                drift, sig = _eval_drift_diffusion(coeffs, k * dt, y, d, k)
-                y = domain.project(y + drift * dt + sig @ dB[k], tol=tol, max_iter=max_iter)
-            terminals[n][i] = y
+    terminals = _level_terminals(coeffs, domain, x0, T, steps, n_paths, rng, tol, max_iter)
     rows = []
     finest = terminals[n_fine]
     for n in steps:
@@ -394,44 +479,38 @@ def simulate_reflected_terminal_batch(
     rng: RngSeed,
     n_paths: int,
     first_stream: int = 0,
-    chunk: int = 512,
+    chunk: int = _PATH_BLOCK,
     tol: float = DEFAULT_PROJECT_TOL,
     max_iter: int = DEFAULT_PROJECT_MAX_ITER,
 ) -> np.ndarray:
     """Terminal states of many projected-Euler paths, one stream per path.
 
-    Uses the batch coefficient evaluators; increments per path match
-    euler_reflected on the same stream, so the two routes can be
+    Paths run in chunks of ``chunk`` rows (512 by default) on the batched
+    projected-Euler stepper shared with strong_error_estimate; coefficients
+    without batch evaluators are evaluated row by row. Increments per path
+    match euler_reflected on the same stream, so the two routes can be
     cross-checked path for path.
     """
-    if coeffs.sigma_batch is None or coeffs.b_batch is None:
-        out = np.empty((n_paths, domain.dimension))
-        for i in range(n_paths):
-            path = euler_reflected(
-                coeffs, domain, x0, grid, rng.with_stream(first_stream + i), tol, max_iter
-            )
-            out[i] = path.X.values[-1]
-        return out
-    from .randomness import normal_matrix
-
     d = domain.dimension
     x0 = np.asarray(x0, dtype=np.float64).reshape(d)
+    if not domain.contains(x0):
+        raise ValueError("x0 must lie in the closed domain")
     n_steps = len(grid) - 1
-    times = grid.times
-    dt = grid.deltas
-    sqdt = np.sqrt(dt)
+    sqdt = np.sqrt(grid.deltas)
     out = np.empty((n_paths, d))
     for start in range(0, n_paths, chunk):
         m = min(chunk, n_paths - start)
         z = normal_matrix(rng, m, n_steps * coeffs.r, first_stream=first_stream + start)
         dB = z.reshape(m, n_steps, coeffs.r) * sqdt[None, :, None]
-        state = np.broadcast_to(x0, (m, d)).copy()
-        for k in range(n_steps):
-            drift = np.asarray(coeffs.b_batch(float(times[k]), state), dtype=np.float64)
-            sig = np.asarray(coeffs.sigma_batch(float(times[k]), state), dtype=np.float64)
-            free = state + drift * dt[k] + np.einsum("mdr,mr->md", sig, dB[:, k, :])
-            if not np.all(np.isfinite(free)):
-                raise EvaluationFault("coefficient evaluation was non-finite", step_index=k)
-            state = domain.project_batch(free, tol=tol, max_iter=max_iter)
-        out[start : start + m] = state
+        out[start : start + m] = _euler_batch(
+            coeffs,
+            domain,
+            x0,
+            dB,
+            grid.times,
+            grid.deltas,
+            tol,
+            max_iter,
+            first_path=start,
+        )
     return out

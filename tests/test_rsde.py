@@ -22,7 +22,9 @@ from skorokhod_kit import (
     strong_error_estimate,
     unit_disc,
 )
-from skorokhod_kit.rsde import simulate_reflected_terminal_batch
+from skorokhod_kit.domains import DEFAULT_PROJECT_MAX_ITER, DEFAULT_PROJECT_TOL, orthant
+from skorokhod_kit.randomness import normal_matrix, standard_normals
+from skorokhod_kit.rsde import _level_terminals, simulate_reflected_terminal_batch
 
 
 def zero_coefficients(d=1):
@@ -134,11 +136,15 @@ def test_half_normal_law_at_fixed_seed():
 
 def test_batch_simulator_matches_scheme():
     grid = TimeGrid.uniform(1.0, 200)
-    unit = preset_coefficients("unit-diffusion", d=1)
-    batch = simulate_reflected_terminal_batch(unit, half_line(), [0.0], grid, RngSeed(5), 8)
-    for i in range(8):
-        single = euler_reflected(unit, half_line(), [0.0], grid, RngSeed(5, i))
-        assert batch[i, 0] == pytest.approx(float(single.X.scalar_values[-1]), abs=1e-12)
+    for preset, domain, x0 in [
+        ("unit-diffusion", half_line(), [0.0]),
+        ("sin-diffusion", unit_disc(), [0.3, -0.2]),
+    ]:
+        coeffs = preset_coefficients(preset, d=domain.dimension)
+        batch = simulate_reflected_terminal_batch(coeffs, domain, x0, grid, RngSeed(5), 8)
+        for i in range(8):
+            single = euler_reflected(coeffs, domain, x0, grid, RngSeed(5, i))
+            assert np.array_equal(batch[i], single.X.values[-1])
 
 
 def test_batch_simulator_falls_back_without_batch_evaluators():
@@ -146,6 +152,74 @@ def test_batch_simulator_falls_back_without_batch_evaluators():
     coeffs = zero_coefficients(1)
     out = simulate_reflected_terminal_batch(coeffs, half_line(), [0.4], grid, RngSeed(5), 3)
     assert np.array_equal(out, np.full((3, 1), 0.4))
+
+
+def test_batch_simulator_rejects_start_outside():
+    grid = TimeGrid.uniform(1.0, 10)
+    for coeffs in (zero_coefficients(1), preset_coefficients("unit-diffusion", d=1)):
+        with pytest.raises(ValueError):
+            simulate_reflected_terminal_batch(coeffs, half_line(), [-0.5], grid, RngSeed(0), 3)
+
+
+def _threshold_drift(batched):
+    # unit diffusion whose drift turns NaN once the state reaches 1
+    def b(t, x):
+        return np.where(x >= 1.0, np.nan, 0.0)
+
+    return SdeCoefficients(
+        sigma=lambda t, x: np.eye(1),
+        b=b,
+        sigma_batch=(lambda t, X: np.ones((X.shape[0], 1, 1))) if batched else None,
+        b_batch=b if batched else None,
+        lipschitz_K=1.0,
+        r=1,
+    )
+
+
+def _first_crossing(states, block):
+    # (step, path) of the first left endpoint at or above 1: blocks of paths
+    # in order, then steps, then paths within the block
+    hit = states[:, :-1] >= 1.0
+    for start in range(0, len(hit), block):
+        rows = hit[start : start + block]
+        if rows.any():
+            k = int(np.argmax(rows.any(axis=0)))
+            return k, start + int(np.argmax(rows[:, k]))
+    raise AssertionError("no path reaches the threshold")
+
+
+WIDE_LINE = ConvexDomain(1, normals=[[1.0]], offsets=[-1e6], interior_point=[0.0])
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_batch_simulator_fault_names_path_and_step(batched):
+    grid = TimeGrid.uniform(1.0, 200)
+    n_paths = 20
+    # at this seed only paths 12, 14 and 17 reach 1, so the fault is in the fourth chunk
+    dB = normal_matrix(RngSeed(15), n_paths, 200) * np.sqrt(grid.deltas)
+    states = np.hstack([np.zeros((n_paths, 1)), np.cumsum(dB, axis=1)])
+    step, path = _first_crossing(states, 4)
+    assert path >= 12
+    with pytest.raises(EvaluationFault) as err:
+        simulate_reflected_terminal_batch(
+            _threshold_drift(batched), WIDE_LINE, [0.0], grid, RngSeed(15), n_paths, chunk=4
+        )
+    assert (err.value.step_index, err.value.path_index) == (step, path)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_strong_error_fault_names_path_and_step(batched):
+    # the coarsest level (8 steps) runs first; its increments sum 8 fine ones
+    n_paths = 40
+    fine = normal_matrix(RngSeed(8), n_paths, 64) * np.sqrt(1.0 / 64)
+    coarse = fine.reshape(n_paths, 8, 8).sum(axis=2)
+    states = np.hstack([np.zeros((n_paths, 1)), np.cumsum(coarse, axis=1)])
+    step, path = _first_crossing(states, n_paths)
+    with pytest.raises(EvaluationFault) as err:
+        strong_error_estimate(
+            _threshold_drift(batched), WIDE_LINE, [0.0], 1.0, [1 / 8, 1 / 64], n_paths, RngSeed(8)
+        )
+    assert (err.value.step_index, err.value.path_index) == (step, path)
 
 
 def test_reflected_path_association_invariants():
@@ -253,6 +327,97 @@ def test_semimartingale_route_matches_euler():
 
 
 # --- strong error -----------------------------------------------------------
+
+
+def _strong_error_oracle(coeffs, domain, x0, T, dt_levels, n_paths, rng):
+    # one path at a time with scalar coefficients and scalar projection
+    d = domain.dimension
+    x0 = np.asarray(x0, dtype=np.float64).reshape(d)
+    steps = [round(T / dt) for dt in sorted(dt_levels, reverse=True)]
+    n_fine = steps[-1]
+    terminals = {n: np.empty((n_paths, d)) for n in steps}
+    for i in range(n_paths):
+        gen = rng.with_stream(i).generator()
+        fine = standard_normals(gen, n_fine * coeffs.r).reshape(n_fine, coeffs.r)
+        fine *= np.sqrt(T / n_fine)
+        for n in steps:
+            dB = fine.reshape(n, n_fine // n, coeffs.r).sum(axis=1)
+            dt = T / n
+            y = x0.copy()
+            for k in range(n):
+                drift = np.asarray(coeffs.b(k * dt, y), dtype=np.float64).reshape(d)
+                sig = np.asarray(coeffs.sigma(k * dt, y), dtype=np.float64).reshape(d, coeffs.r)
+                y = domain.project(y + drift * dt + sig @ dB[k])
+            terminals[n][i] = y
+    finest = terminals[n_fine]
+    return [
+        (T / n, float(np.sqrt(np.mean(np.sum((terminals[n] - finest) ** 2, axis=1)))))
+        for n in steps
+    ]
+
+
+def _skewed_coefficients():
+    # no batch evaluators; state-dependent drift and diffusion in d = 1
+    return SdeCoefficients(
+        sigma=lambda t, x: np.array([[1.0 + 0.5 * np.cos(x[0] + t)]]),
+        b=lambda t, x: np.array([0.3 - x[0]]),
+        lipschitz_K=1.0,
+        r=1,
+        name="skewed",
+    )
+
+
+ORACLE_CASES = [
+    ("unit-diffusion", half_line(), [0.0]),
+    ("unit-diffusion", WIDE_LINE, [0.0]),
+    ("constant-drift(0.5,-1)", unit_disc(), [0.1, 0.2]),
+    ("linear-drift(-2)", unit_disc(), [0.1, 0.2]),
+    ("sin-diffusion", unit_disc(), [0.3, -0.2]),
+    ("constant-drift(0.5,-1)", orthant(2), [0.1, 0.2]),
+    ("linear-drift(-2)", orthant(2), [0.1, 0.2]),
+    ("sin-diffusion", orthant(2), [0.3, 0.2]),
+    (None, half_line(), [0.2]),
+]
+
+
+@pytest.mark.parametrize("preset, domain, x0", ORACLE_CASES)
+def test_strong_error_matches_per_path_oracle(preset, domain, x0):
+    if preset is None:
+        coeffs = _skewed_coefficients()
+    else:
+        coeffs = preset_coefficients(preset, d=domain.dimension)
+    levels = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
+    args = (coeffs, domain, x0, 1.0, levels, 24, RngSeed(12))
+    assert strong_error_estimate(*args) == _strong_error_oracle(*args)
+
+
+def test_strong_error_matches_oracle_across_path_blocks():
+    unit = preset_coefficients("unit-diffusion", d=1)
+    args = (unit, half_line(), [0.0], 1.0, [1 / 4, 1 / 8, 1 / 16], 600, RngSeed(13))
+    assert strong_error_estimate(*args) == _strong_error_oracle(*args)
+
+
+def test_level_terminals_of_leading_paths_ignore_path_count():
+    coeffs = preset_coefficients("constant-drift(0.5,-1)", d=2)
+    x0 = np.array([0.1, 0.2])
+    steps = [4, 8, 16]
+
+    def run(n_paths):
+        return _level_terminals(
+            coeffs,
+            unit_disc(),
+            x0,
+            1.0,
+            steps,
+            n_paths,
+            RngSeed(14),
+            DEFAULT_PROJECT_TOL,
+            DEFAULT_PROJECT_MAX_ITER,
+        )
+
+    many, few = run(600), run(520)
+    for n in steps:
+        assert np.array_equal(many[n][:520], few[n])
 
 
 def test_strong_error_zero_coefficients():
