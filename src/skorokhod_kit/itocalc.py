@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .randomness import RngSeed, standard_normals
+from .randomness import RngSeed, normal_matrix
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,28 @@ class Integrand:
         )
 
 
-def integrand_grid_values(f: Integrand, times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """f at every grid point, using the vectorized form when available."""
+def integrand_grid_values(
+    f: Integrand, times: np.ndarray, values: np.ndarray, path_index: int | None = None
+) -> np.ndarray:
+    """f at every grid point, using the vectorized form when available.
+
+    ``path_index`` is passed on to any EvaluationFault raised here.
+    """
     if f.evaluate_path is not None:
         vals = np.asarray(f.evaluate_path(times, values), dtype=np.float64)
         if vals.shape != values.shape:
-            raise EvaluationFault("vectorized integrand returned a wrong shape")
+            raise EvaluationFault(
+                "vectorized integrand returned a wrong shape", path_index=path_index
+            )
     else:
         vals = np.empty_like(values)
         for k in range(values.size):
             vals[k] = f.evaluate(times[k], times[: k + 1], values[: k + 1])
     if not np.all(np.isfinite(vals)):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise EvaluationFault("integrand produced a non-finite value", step_index=bad)
+        raise EvaluationFault(
+            "integrand produced a non-finite value", step_index=bad, path_index=path_index
+        )
     return vals
 
 
@@ -224,6 +233,10 @@ def local_time_tanaka(X: SampledPath, a: float) -> LocalTimeEstimate:
     return LocalTimeEstimate(level=a, value=float(value), estimator="tanaka")
 
 
+# Paths per block of ito_isometry_check: bounds the increments held at once.
+_ISOMETRY_BLOCK = 64
+
+
 def ito_isometry_check(
     f: Integrand,
     T: float,
@@ -235,8 +248,12 @@ def ito_isometry_check(
     """Monte Carlo estimates of E[(int_0^T f dB)^2] and E[int_0^T f^2 dt].
 
     Path i draws its increments from stream first_stream + i, so estimates
-    are reproducible and independent of batching. Returns (lhs, rhs) as
-    McEstimate values.
+    are reproducible and independent of batching. Paths run in blocks of
+    _ISOMETRY_BLOCK: one normal_matrix call per block, the integrand
+    evaluated path by path on the block's grid values, and both sums taken
+    for the whole block at once. A non-finite integrand value raises
+    EvaluationFault with its grid step and the path's index i. Returns
+    (lhs, rhs) as McEstimate values.
     """
     from .stats import McEstimate  # local import to keep module layering simple
 
@@ -248,12 +265,16 @@ def ito_isometry_check(
     dt = grid.deltas
     lhs_samples = np.empty(n_paths)
     rhs_samples = np.empty(n_paths)
-    for i in range(n_paths):
-        gen = rng.with_stream(first_stream + i).generator()
-        dB = standard_normals(gen, n_steps) * sqrt_dt
-        x = np.concatenate(([0.0], np.cumsum(dB)))
-        vals = integrand_grid_values(f, times, x)
-        lhs_samples[i] = vals[:-1] @ dB
-        rhs_samples[i] = (vals[:-1] ** 2) @ dt
+    for start in range(0, n_paths, _ISOMETRY_BLOCK):
+        m = min(_ISOMETRY_BLOCK, n_paths - start)
+        dB = normal_matrix(rng, m, n_steps, first_stream=first_stream + start)
+        dB *= sqrt_dt
+        x = np.zeros((m, n_steps + 1))
+        np.cumsum(dB, axis=1, out=x[:, 1:])
+        left = np.empty((m, n_steps))
+        for j in range(m):
+            left[j] = integrand_grid_values(f, times, x[j], path_index=start + j)[:-1]
+        lhs_samples[start : start + m] = np.vecdot(left, dB)
+        rhs_samples[start : start + m] = np.vecdot(left**2, dt)
     lhs_samples **= 2
     return McEstimate.from_samples(lhs_samples), McEstimate.from_samples(rhs_samples)

@@ -45,13 +45,27 @@ def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
 
 
 def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0) -> np.ndarray:
-    """Row i holds the first n_cols normals of stream first_stream + i."""
-    raw = np.empty((n_rows, n_cols), dtype=np.uint64)
+    """Row i holds the first n_cols normals of stream first_stream + i.
+
+    Row i equals ``standard_normals(rng.with_stream(first_stream + i).generator(),
+    n_cols)`` bit for bit. One Philox bit generator is re-keyed per row (a
+    Philox stream is just its key, with the counter at 0), and its raw 64-bit
+    words are shifted right by 11: that is exactly the bounded draw
+    ``integers(0, 2**53)``, whose Lemire rejection threshold is 0 for a
+    power-of-two range. The uniform and inverse-CDF steps run in place.
+    """
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    state = bits.state  # fresh: counter 0, output buffer empty
+    seed = rng.seed % (1 << 64)
+    u = np.empty((n_rows, n_cols))
     for i in range(n_rows):
-        gen = rng.with_stream(first_stream + i).generator()
-        raw[i] = gen.integers(0, _U53, size=n_cols, dtype=np.uint64)
-    u = (raw.astype(np.float64) + 0.5) / float(_U53)
-    return ndtri(u)
+        stream = (first_stream + i) % (1 << 64)
+        state["state"]["key"] = np.array([seed, stream], dtype=np.uint64)
+        bits.state = state
+        u[i] = bits.random_raw(n_cols) >> np.uint64(11)
+    u += 0.5
+    u /= float(_U53)
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .domains import (
     DEFAULT_PROJECT_MAX_ITER,
@@ -438,6 +437,8 @@ def check_condition_b(domain: ConvexDomain) -> DomainConditionReport:
     direction bounded as a linear program) or when the dimension is 2;
     otherwise unknown (no general decision procedure is attempted).
     """
+    from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
+
     if domain.centers.shape[0] > 0:
         return DomainConditionReport(
             condition_b=ConditionBResult(status="holds", reason="bounded: contained in a ball")
@@ -491,6 +492,8 @@ def nd_solution_diagnostics(
     between pushing directions and the local normal cone, and the defect of
     |phi| against its increment norms.
     """
+    from scipy.optimize import nnls  # deferred: scipy.optimize is slow to import
+
     X = sol.X.values
     phi = sol.phi.values
     wv = w.values

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skorokhod_kit
 from skorokhod_kit import (
     InitialLaw,
     RngSeed,
@@ -22,6 +27,20 @@ def small_1d_config(tmp_path, **overrides):
     params = {"n_paths": 50, "n_steps": 200}
     params.update(overrides)
     return default_config("skorokhod-1d-props", out_dir=str(tmp_path / "run"), **params)
+
+
+# --- package import ---------------------------------------------------------
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # linprog and nnls are imported where they are used, not at package import
+    src = str(Path(skorokhod_kit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, skorokhod_kit; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # --- emit_plot_data ---------------------------------------------------------

@@ -21,6 +21,9 @@ from skorokhod_kit import (
     local_time_tanaka,
     quadratic_variation,
 )
+from skorokhod_kit.itocalc import integrand_grid_values
+from skorokhod_kit.randomness import standard_normals
+from skorokhod_kit.stats import McEstimate
 
 
 def make_brownian(n_steps=1000, seed=3, stream=0, T=1.0):
@@ -131,6 +134,85 @@ def test_isometry_square_integrand_fourth_moment():
     assert err < 1e-10
     _, rhs = ito_isometry_check(f, 1.0, 4000, RngSeed(16), n_steps=500)
     assert abs(rhs.mean - oracle) <= 4.0 * rhs.std_error
+
+
+def isometry_oracle(f, T, n_paths, rng, n_steps=1000, first_stream=0):
+    # the per-path loop ito_isometry_check ran before it was batched
+    grid = TimeGrid.uniform(T, n_steps)
+    times = grid.times
+    sqrt_dt = np.sqrt(grid.deltas)
+    dt = grid.deltas
+    lhs_samples = np.empty(n_paths)
+    rhs_samples = np.empty(n_paths)
+    for i in range(n_paths):
+        gen = rng.with_stream(first_stream + i).generator()
+        dB = standard_normals(gen, n_steps) * sqrt_dt
+        x = np.concatenate(([0.0], np.cumsum(dB)))
+        vals = integrand_grid_values(f, times, x)
+        lhs_samples[i] = vals[:-1] @ dB
+        rhs_samples[i] = (vals[:-1] ** 2) @ dt
+    lhs_samples **= 2
+    return McEstimate.from_samples(lhs_samples), McEstimate.from_samples(rhs_samples)
+
+
+ORACLE_INTEGRANDS = {
+    "constant": Integrand.constant(1.5),
+    "of_time": Integrand.of_time(lambda t: np.sin(3.0 * t)),
+    "of_state": Integrand.of_state(lambda t, x: x * np.cos(t) + 0.25 * x**2),
+    "evaluate_only": Integrand(evaluate=lambda t, ts, xs: float(xs[-1] - 0.5 * xs.mean())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INTEGRANDS))
+@pytest.mark.parametrize("n_paths", [2, 64, 65, 200])
+def test_isometry_matches_per_path_oracle(name, n_paths):
+    f = ORACLE_INTEGRANDS[name]
+    args = (f, 1.3, n_paths, RngSeed(41))
+    assert ito_isometry_check(*args, n_steps=60) == isometry_oracle(*args, n_steps=60)
+
+
+@pytest.mark.parametrize("name", ["constant", "of_state"])
+def test_isometry_matches_oracle_at_default_steps_and_offset_streams(name):
+    f = ORACLE_INTEGRANDS[name]
+    args = (f, 0.8, 130, RngSeed(-3))
+    got = ito_isometry_check(*args, first_stream=2**32 + 5)
+    assert got == isometry_oracle(*args, first_stream=2**32 + 5)
+    assert got != ito_isometry_check(*args)
+
+
+def _nan_at(path, step):
+    # counts evaluate_path calls, which ito_isometry_check makes in path order
+    calls = []
+
+    def evaluate_path(ts, xs):
+        calls.append(None)
+        out = xs.copy()
+        if len(calls) == path + 1:
+            out[step] = np.nan
+        return out
+
+    return Integrand(evaluate=lambda t, ts, xs: float(xs[-1]), evaluate_path=evaluate_path)
+
+
+def _nan_at_scalar(path, step):
+    # counts paths by their first-step evaluations
+    paths = []
+
+    def evaluate(t, ts, xs):
+        if len(ts) == 1:
+            paths.append(None)
+        return np.nan if (len(paths) == path + 1 and len(ts) == step + 1) else float(xs[-1])
+
+    return Integrand(evaluate=evaluate)
+
+
+@pytest.mark.parametrize("make", [_nan_at, _nan_at_scalar])
+def test_isometry_fault_names_path_and_step(make):
+    # path 70 lies in the second block of paths
+    with pytest.raises(EvaluationFault) as err:
+        ito_isometry_check(make(70, 17), 1.0, 100, RngSeed(2), n_steps=30, first_stream=9)
+    assert err.value.step_index == 17
+    assert err.value.path_index == 70
 
 
 def test_isometry_rejects_tiny_samples():

@@ -103,6 +103,18 @@ def test_standard_normals_prefix_and_range():
     assert np.all(np.isfinite(b))
 
 
+@pytest.mark.parametrize("seed", [0, -5, 2**63, 2**64 + 3])
+@pytest.mark.parametrize("first_stream", [0, 2**32, 2**64 - 2])
+@pytest.mark.parametrize("n_cols", [0, 1, 7, 1001])
+def test_normal_matrix_rows_match_per_stream_draws(seed, first_stream, n_cols):
+    # the last first_stream makes row 2 wrap the stream key to 0
+    z = normal_matrix(RngSeed(seed), 3, n_cols, first_stream=first_stream)
+    assert z.shape == (3, n_cols)
+    for i in range(3):
+        gen = RngSeed(seed, first_stream + i).generator()
+        assert np.array_equal(z[i], standard_normals(gen, n_cols))
+
+
 def test_gaussian_kernel_values():
     assert gaussian_kernel(1.0, 0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), abs=1e-12)
     assert gaussian_kernel(0.5, [0.0, 0.0]) == pytest.approx(1.0 / np.pi, abs=1e-12)
