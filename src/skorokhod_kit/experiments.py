@@ -73,7 +73,12 @@ class Check:
 def worker_count() -> int:
     env = os.environ.get("SKOROKHOD_KIT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(
+                f"SKOROKHOD_KIT_THREADS must be an integer worker count, got {env!r}"
+            ) from None
     return min(2, os.cpu_count() or 1)
 
 
@@ -85,6 +90,15 @@ def map_chunks(fn, n_items: int, chunk: int = CHUNK) -> list:
         return [fn(s, e) for s, e in ranges]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda se: fn(*se), ranges))
+
+
+def _row_chunk(n_cols: int) -> int:
+    """Rows per chunk so that one float64 chunk array is about 1 MiB.
+
+    Such a chunk fits in L2. Narrow chunks also give the pool enough of them
+    to balance when paths are long: one row per chunk past 65,536 points.
+    """
+    return max(1, min(CHUNK, (1 << 17) // n_cols))
 
 
 def _increment_matrix(seed: int, first_stream: int, n_paths: int, grid: TimeGrid):
@@ -125,7 +139,7 @@ def _run_skorokhod_1d_props(config: ExperimentConfig):
             "min_g": float(np.min(g)),
         }
 
-    parts = map_chunks(chunk_stats, n_paths)
+    parts = map_chunks(chunk_stats, n_paths, chunk=_row_chunk(len(grid)))
     agg = {
         "max_decomposition": max(p["max_decomposition"] for p in parts),
         "min_h_increment": min(p["min_h_increment"] for p in parts),
@@ -180,11 +194,15 @@ def _rbm_terminals(config: ExperimentConfig, block: int) -> np.ndarray:
 
     def chunk_terminals(start, stop):
         dB = _increment_matrix(config.seed, block * STREAM_BLOCK + start, stop - start, grid)
-        cum = np.cumsum(dB, axis=1)
+        # in place: with a second chunk-sized temporary, glibc trims the
+        # worker's heap when a chunk frees it and faults the pages back in
+        # for the next chunk
+        cum = np.cumsum(dB, axis=1, out=dB)
         running = np.minimum(np.min(cum, axis=1), 0.0)
         return cum[:, -1] - running
 
-    return np.concatenate(map_chunks(chunk_terminals, config.n_paths))
+    parts = map_chunks(chunk_terminals, config.n_paths, chunk=_row_chunk(len(grid)))
+    return np.concatenate(parts)
 
 
 def _run_rbm_density(config: ExperimentConfig):
@@ -333,21 +351,25 @@ def _run_ito_formula(config: ExperimentConfig):
 def _local_time_pass(
     seed: int, first_stream: int, n_paths: int, grid: TimeGrid, level: float, eps_list
 ):
-    """One sweep of paths, returning occupation estimates per eps plus Tanaka."""
+    """One sweep of paths, returning occupation estimates per eps plus Tanaka.
+
+    The occupation time is a numpy row sum, not a BLAS product: BLAS would
+    start its own threads inside each pool worker, and a threaded reduction
+    splits the sum, so the result would depend on the BLAS thread count.
+    """
     deltas = grid.deltas
-    chunk = max(1, min(CHUNK, (1 << 21) // len(grid)))
 
     def chunk_pair(start, stop):
         dB = _increment_matrix(seed, first_stream + start, stop - start, grid)
-        x = np.hstack([np.zeros((stop - start, 1)), np.cumsum(dB, axis=1)])
+        x = np.zeros((stop - start, len(grid)))
+        np.cumsum(dB, axis=1, out=x[:, 1:])
         left = x[:, :-1]
-        occs = [
-            ((np.abs(left - level) < eps) @ deltas) / (4.0 * eps) for eps in eps_list
-        ]
+        dist = np.abs(left - level)
+        occs = [np.where(dist < eps, deltas, 0.0).sum(axis=1) / (4.0 * eps) for eps in eps_list]
         tan = np.maximum(x[:, -1] - level, 0.0) - np.sum((left > level) * dB, axis=1)
         return occs, tan
 
-    parts = map_chunks(chunk_pair, n_paths, chunk=chunk)
+    parts = map_chunks(chunk_pair, n_paths, chunk=_row_chunk(len(grid)))
     occ = [np.concatenate([p[0][j] for p in parts]) for j in range(len(eps_list))]
     tan = np.concatenate([p[1] for p in parts])
     return occ, tan

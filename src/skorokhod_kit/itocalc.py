@@ -213,7 +213,7 @@ def local_time_occupation(X: SampledPath, a: float, eps: float) -> LocalTimeEsti
         raise ValueError("path must be one-dimensional")
     x = X.scalar_values
     inside = np.abs(x[:-1] - a) < eps
-    value = float(X.grid.deltas @ inside) / (4.0 * eps)
+    value = float(np.where(inside, X.grid.deltas, 0.0).sum()) / (4.0 * eps)
     return LocalTimeEstimate(level=a, value=value, estimator="occupation", epsilon=eps)
 
 

@@ -17,10 +17,20 @@ from skorokhod_kit import (
     skorokhod_map_1d,
     solve_skorokhod_step,
 )
+from skorokhod_kit import experiments
 from skorokhod_kit.cli import main
 from skorokhod_kit.config import ExperimentConfig
-from skorokhod_kit.experiments import EXPERIMENTS, UsageError, default_config, run_experiment
+from skorokhod_kit.experiments import (
+    EXPERIMENTS,
+    STREAM_BLOCK,
+    UsageError,
+    _local_time_pass,
+    default_config,
+    run_experiment,
+)
+from skorokhod_kit.itocalc import local_time_occupation
 from skorokhod_kit.pathio import emit_plot_data
+from skorokhod_kit.randomness import standard_normals
 
 
 def small_1d_config(tmp_path, **overrides):
@@ -208,6 +218,15 @@ def test_cli_failing_check_exits_1(tmp_path, capsys):
     assert "failed checks" in captured.err
 
 
+def test_cli_non_integer_thread_cap_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", "x")
+    with pytest.raises(UsageError, match="SKOROKHOD_KIT_THREADS"):
+        experiments.worker_count()
+    assert main(["skorokhod-1d-props", "--out", str(tmp_path / "bad")]) == 2
+    assert "SKOROKHOD_KIT_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "bad" / "summary.json").exists()
+
+
 def _write_cfg(tmp_path):
     cfg = tmp_path / "fail.cfg"
     cfg.write_text("experiment = ito-formula\nn_paths = 10\nN = 100\n")
@@ -284,6 +303,105 @@ def test_thread_cap_env_and_determinism(tmp_path, monkeypatch):
     assert worker_count() == 3
     multi = run_experiment(small_1d_config(tmp_path / "w3", n_paths=600))
     assert single.artifacts.summary.read_bytes() == multi.artifacts.summary.read_bytes()
+
+    # local-time at a size where both of its passes span several chunks
+    def local_time(out):
+        return run_experiment(
+            default_config(
+                "local-time",
+                n_paths=600,
+                n_steps=500,
+                out_dir=str(out),
+                options={"fine_steps": 5000, "fine_paths": 60},
+            )
+        ).artifacts.summary.read_bytes()
+
+    many = local_time(tmp_path / "lt3")
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", "1")
+    assert local_time(tmp_path / "lt1") == many
+
+
+# --- 1-d chunk kernels ------------------------------------------------------
+
+LT_EPS = [0.08, 0.01]
+
+
+def _local_time_oracle(seed, first_stream, n_paths, grid, level, eps_list):
+    """Per-path reference for _local_time_pass: one 1-D stream draw per path."""
+    occ = np.empty((len(eps_list), n_paths))
+    tan = np.empty(n_paths)
+    for i in range(n_paths):
+        z = standard_normals(RngSeed(seed, first_stream + i).generator(), len(grid) - 1)
+        dB = z * np.sqrt(grid.deltas)
+        x = np.concatenate(([0.0], np.cumsum(dB)))
+        left = x[:-1]
+        for j, eps in enumerate(eps_list):
+            inside = np.abs(left - level) < eps
+            occ[j, i] = np.where(inside, grid.deltas, 0.0).sum() / (4.0 * eps)
+        tan[i] = max(x[-1] - level, 0.0) - np.sum((left > level) * dB)
+    return occ, tan
+
+
+@pytest.mark.parametrize("workers, rows", [("1", None), ("3", None), ("2", 7)])
+def test_local_time_pass_matches_per_path_oracle(monkeypatch, workers, rows):
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    if rows is not None:
+        monkeypatch.setattr(experiments, "_row_chunk", lambda n_cols: rows)
+    grid = TimeGrid.uniform(1.0, 5000)  # 26 rows per chunk: 60 paths make 3 chunks
+    occ, tan = _local_time_pass(5, STREAM_BLOCK, 60, grid, 0.1, LT_EPS)
+    ref_occ, ref_tan = _local_time_oracle(5, STREAM_BLOCK, 60, grid, 0.1, LT_EPS)
+    assert np.array_equal(np.array(occ), ref_occ)
+    assert np.array_equal(tan, ref_tan)
+
+
+@pytest.mark.parametrize("n_steps", [200, 5000, 20_000])
+def test_local_time_pass_rows_equal_library_occupation(n_steps):
+    grid = TimeGrid.uniform(1.0, n_steps)
+    occ, _ = _local_time_pass(3, 0, 8, grid, 0.0, LT_EPS)
+    law = InitialLaw.point_mass(0.0)
+    for i in range(8):
+        B = brownian_sample(grid, 1, law, RngSeed(3, i))
+        for j, eps in enumerate(LT_EPS):
+            assert occ[j][i] == local_time_occupation(B, 0.0, eps).value
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_rbm_terminals_equal_library_map(monkeypatch, workers):
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    config = default_config("rbm-density", n_paths=60, n_steps=5000)
+    terminals = experiments._rbm_terminals(config, block=0)
+    grid = TimeGrid.uniform(config.horizon, config.n_steps)
+    law = InitialLaw.point_mass(0.0)
+    paths = [brownian_sample(grid, 1, law, RngSeed(config.seed, i)) for i in range(60)]
+    expected = [skorokhod_map_1d(B, 0.0).g.scalar_values[-1] for B in paths]
+    assert np.array_equal(terminals, expected)
+
+
+def test_local_time_pass_independent_of_blas_threads():
+    # a BLAS product would split its long reduction across BLAS threads
+    src = str(Path(skorokhod_kit.__file__).resolve().parents[1])
+    code = (
+        "import sys, numpy as np\n"
+        "from skorokhod_kit import TimeGrid\n"
+        "from skorokhod_kit.experiments import _local_time_pass\n"
+        "grid = TimeGrid.uniform(1.0, 100_000)\n"
+        "occ, tan = _local_time_pass(5, 0, 20, grid, 0.0, [0.08, 0.01])\n"
+        "sys.stdout.write(np.concatenate(occ + [tan]).tobytes().hex())\n"
+    )
+    outputs = []
+    for blas_threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=src,
+            OPENBLAS_NUM_THREADS=blas_threads,
+            SKOROKHOD_KIT_THREADS="2",
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(out.stdout)
+    assert len(outputs[0]) == 2 * 8 * 3 * 20
+    assert outputs[0] == outputs[1]
 
 
 def test_all_experiments_registered():
