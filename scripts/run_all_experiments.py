@@ -2,14 +2,23 @@
 """Run every named experiment with its default configuration.
 
 Writes artifacts under results/<experiment>/ and prints a one-line verdict
-per experiment. Exits nonzero if any configured check fails.
+per experiment, ending in the first 16 hex digits of the sha256 of its
+summary.json, so two runs' summaries can be compared from their output.
+Exits nonzero if any configured check fails.
 """
 
 import argparse
+import hashlib
 import sys
 import time
+from pathlib import Path
 
 from skorokhod_kit.experiments import EXPERIMENTS, default_config, run_experiment
+
+
+def summary_digest(path) -> str:
+    """First 16 hex digits of the sha256 of a summary.json file."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 def main() -> int:
@@ -29,7 +38,11 @@ def main() -> int:
         elapsed = time.perf_counter() - t0
         n_pass = sum(c.passed for c in result.checks)
         verdict = "PASS" if result.exit_code == 0 else "FAIL"
-        print(f"{name:22s} {verdict}  {n_pass}/{len(result.checks)} checks  {elapsed:7.1f} s")
+        digest = summary_digest(result.artifacts.summary)
+        print(
+            f"{name:22s} {verdict}  {n_pass}/{len(result.checks)} checks  {elapsed:7.1f} s"
+            f"  sha256 {digest}"
+        )
         if result.exit_code != 0:
             failures.append(name)
             for check in result.checks:

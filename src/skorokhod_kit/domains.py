@@ -4,11 +4,15 @@ Membership rules: <n_i, x> >= b_i for each halfspace (n_i a unit inward
 normal) and |x - c_j| <= r_j for each ball. The constructor demands a
 strictly interior witness point, so the intersection always has interior.
 
-Projection onto the closure is exact when at most one constraint is
-violated and falls back to Dykstra's cyclic scheme otherwise. Margins and
-closed-form steps use one dot product per (point, constraint) pair, the same
-arithmetic for a single point as for a row of a batch, so ``project_batch``
-agrees with ``project`` bit for bit, row by row.
+The constructor classifies the domain once. A box (no balls, every normal
++-e_i, redundant faces on one axis folded into one lower and one upper bound
+per coordinate) projects by the exact coordinate-wise clip, which is also
+the identity, signed zeros included, on the closure. Every other domain
+projects in closed form when at most one constraint is violated and falls
+back to Dykstra's cyclic scheme otherwise. Margins and closed-form steps use
+one dot product per (point, constraint) pair, the same arithmetic for a
+single point as for a row of a batch, so ``project_batch`` agrees with
+``project`` bit for bit, row by row.
 """
 
 from __future__ import annotations
@@ -22,6 +26,28 @@ from .errors import ProjectionIterationError
 DEFAULT_PROJECT_TOL = 1e-10
 DEFAULT_PROJECT_MAX_ITER = 10_000
 _UNIT_NORM_TOL = 1e-12
+
+
+def _box_bounds(normals: np.ndarray, offsets: np.ndarray, d: int):
+    """Per-coordinate (lo, hi) when every normal is +-e_i, else None.
+
+    A face with normal e_i and offset b is x_i >= b; one with normal -e_i is
+    x_i <= -b. Missing bounds are infinite; a side with no finite bound at
+    all is None, so the clip skips it.
+    """
+    nonzero = normals != 0.0
+    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+        return None
+    axis = np.argmax(nonzero, axis=1)
+    sign = normals[np.arange(axis.size), axis]
+    if not np.all(np.abs(sign) == 1.0):
+        return None
+    lo = np.full(d, -np.inf)
+    hi = np.full(d, np.inf)
+    up = sign > 0.0
+    np.maximum.at(lo, axis[up], offsets[up])
+    np.minimum.at(hi, axis[~up], -offsets[~up])
+    return (lo if up.any() else None), (hi if not up.all() else None)
 
 
 def boundary_tolerance(x: np.ndarray) -> float | np.ndarray:
@@ -41,6 +67,8 @@ class ConvexDomain:
     centers: np.ndarray = field(default=None)  # (p, d)
     radii: np.ndarray = field(default=None)  # (p,)
     interior_point: np.ndarray = field(default=None)
+    # (lo, hi) bounds when the domain is an axis-aligned box, else None
+    _box: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         d = self.dimension
@@ -81,6 +109,8 @@ class ConvexDomain:
         object.__setattr__(self, "interior_point", witness)
         if np.min(self.slacks(witness), initial=np.inf) <= 0.0:
             raise ValueError("witness point is not strictly interior")
+        if not radii.size:
+            object.__setattr__(self, "_box", _box_bounds(normals, offsets, d))
 
     @property
     def n_constraints(self) -> int:
@@ -115,6 +145,19 @@ class ConvexDomain:
             parts.append(self.radii - np.sqrt(np.add.reduce(diff * diff, axis=2)))
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
+    def _clip(self, x: np.ndarray) -> np.ndarray:
+        """Exact projection onto the box, as a new array (one side is always finite).
+
+        ``np.where`` rather than ``np.maximum``/``np.minimum`` keeps -0.0 on
+        a bound of 0.0: x is returned unchanged wherever it lies in the box.
+        """
+        lo, hi = self._box
+        if lo is not None:
+            x = np.where(x < lo, lo, x)
+        if hi is not None:
+            x = np.where(x > hi, hi, x)
+        return x
+
     def _project_single(self, x: np.ndarray, idx: int) -> np.ndarray:
         """Exact projection onto constraint idx (halfspace first, then balls)."""
         m = self.normals.shape[0]
@@ -140,6 +183,8 @@ class ConvexDomain:
     ) -> np.ndarray:
         """Nearest point of the closure; identity (bit-exact) on the closure."""
         x = np.asarray(x, dtype=np.float64).reshape(self.dimension)
+        if self._box is not None:
+            return self._clip(x)
         slacks = self.slacks(x)
         violated = np.flatnonzero(slacks < 0.0)
         if violated.size == 0:
@@ -181,11 +226,14 @@ class ConvexDomain:
     ) -> np.ndarray:
         """Row-wise projection, each row bit-identical to :meth:`project`.
 
-        Interior rows and rows violating a single constraint are handled in
-        closed form for the whole batch; only rows whose one-constraint
-        projection exposes another constraint, or that violate several, fall
-        back to Dykstra one row at a time.
+        A box is clipped in one pass. Otherwise interior rows and rows
+        violating a single constraint are handled in closed form for the
+        whole batch; only rows whose one-constraint projection exposes
+        another constraint, or that violate several, fall back to Dykstra one
+        row at a time.
         """
+        if self._box is not None:
+            return self._clip(np.asarray(points, dtype=np.float64))
         pts = np.array(points, dtype=np.float64)
         slacks = self.slack_matrix(pts)
         bad = slacks < 0.0

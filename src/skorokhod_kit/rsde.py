@@ -21,7 +21,7 @@ from .randomness import RngSeed, normal_matrix, standard_normals
 from .reflectnd import SkorokhodNdSolution, solve_skorokhod_continuous
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class SdeCoefficients:
     """Diffusion sigma(t, x) in R^{d x r} and drift b(t, x) in R^d.
 
@@ -30,21 +30,42 @@ class SdeCoefficients:
     random samples. Evaluators must be pure functions of (t, x). The optional
     ``sigma_batch`` and ``b_batch`` evaluate whole batches of states at once,
     shapes (m, d) -> (m, d, r) and (m, d) -> (m, d).
+
+    A diffusion that does not depend on (t, x) may be given instead as the
+    finite matrix ``constant_sigma``, shape (d, r); ``sigma`` and
+    ``sigma_batch`` are then derived from it and must not be passed. The
+    batched stepper then forms the noise term without evaluating sigma.
     """
 
-    sigma: Callable[[float, np.ndarray], np.ndarray]
+    sigma: Callable[[float, np.ndarray], np.ndarray] | None = None
     b: Callable[[float, np.ndarray], np.ndarray]
     lipschitz_K: float
     r: int
     name: str = "custom"
     sigma_batch: Callable[[float, np.ndarray], np.ndarray] | None = None
     b_batch: Callable[[float, np.ndarray], np.ndarray] | None = None
+    constant_sigma: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.lipschitz_K > 0.0:
             raise ValueError("lipschitz_K must be positive")
         if self.r < 1:
             raise ValueError("driving dimension r must be >= 1")
+        if self.constant_sigma is None:
+            if self.sigma is None:
+                raise ValueError("give sigma or constant_sigma")
+            return
+        if self.sigma is not None or self.sigma_batch is not None:
+            raise ValueError("constant_sigma replaces sigma and sigma_batch; give one or the other")
+        S = np.array(self.constant_sigma, dtype=np.float64)
+        if S.ndim != 2 or S.shape[1] != self.r or not np.all(np.isfinite(S)):
+            raise ValueError(f"constant_sigma must be a finite (d, {self.r}) matrix")
+        S.setflags(write=False)
+        object.__setattr__(self, "constant_sigma", S)
+        object.__setattr__(self, "sigma", lambda t, x: S)
+        object.__setattr__(
+            self, "sigma_batch", lambda t, X: np.broadcast_to(S, (X.shape[0],) + S.shape)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,17 +131,26 @@ def _euler_batch(
     The state has shape (m, d). Step k evaluates the coefficients at
     (times[k], state) for all rows at once, through the batch evaluators
     when both exist and row by row otherwise, and makes one project_batch
-    call. A non-finite row raises EvaluationFault at the first such row in
-    path order, numbered from ``first_path``. Returns the terminal states.
+    call. With ``constant_sigma`` the noise term skips sigma: it is the
+    increments themselves for the identity and one contraction with the
+    matrix otherwise. A non-finite row raises EvaluationFault at the first
+    such row in path order, numbered from ``first_path``. Returns the
+    terminal states.
     """
     m, d = dB.shape[0], x0.size
+    S = coeffs.constant_sigma
+    if S is not None and S.shape[0] != d:
+        raise ValueError(f"constant_sigma has {S.shape[0]} rows for a state of dimension {d}")
+    identity = S is not None and np.array_equal(S, np.eye(d))
     state = np.tile(x0, (m, 1))
     batched = coeffs.b_batch is not None and coeffs.sigma_batch is not None
     for k in range(dB.shape[1]):
         t = float(times[k])
+        dB_k = dB[:, k, :]
         if batched:
             drift = np.asarray(coeffs.b_batch(t, state), dtype=np.float64)
-            sig = np.asarray(coeffs.sigma_batch(t, state), dtype=np.float64)
+            if S is None:
+                sig = np.asarray(coeffs.sigma_batch(t, state), dtype=np.float64)
         else:
             rows = [
                 _eval_drift_diffusion(coeffs, t, state[i], d, k, first_path + i)
@@ -128,7 +158,11 @@ def _euler_batch(
             ]
             drift = np.stack([row[0] for row in rows])
             sig = np.stack([row[1] for row in rows])
-        free = state + drift * dt[k] + np.einsum("mdr,mr->md", sig, dB[:, k, :])
+        if S is None:
+            noise = np.einsum("mdr,mr->md", sig, dB_k)
+        else:
+            noise = dB_k if identity else dB_k @ S.T
+        free = state + drift * dt[k] + noise
         if not np.all(np.isfinite(free)):
             bad = int(np.argmin(np.all(np.isfinite(free), axis=1)))
             raise EvaluationFault(
@@ -385,18 +419,6 @@ def strong_error_estimate(
 
 # Named coefficient presets addressable from the CLI and config files.
 
-def _identity_sigma(d: int):
-    eye = np.eye(d)
-
-    def sigma(t, x):
-        return eye
-
-    def sigma_batch(t, X):
-        return np.broadcast_to(eye, (X.shape[0], d, d))
-
-    return sigma, sigma_batch
-
-
 def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoefficients:
     """Build a named preset: unit-diffusion, constant-drift(v), linear-drift(a),
     sin-diffusion. ``K`` overrides the documented constant (used to exercise
@@ -409,12 +431,10 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
         inner = name[name.index("(") + 1 : -1]
         args = [float(p) for p in inner.split(",")] if inner.strip() else []
     if base == "unit-diffusion":
-        sigma, sigma_batch = _identity_sigma(d)
         return SdeCoefficients(
-            sigma=sigma,
+            constant_sigma=np.eye(d),
             b=lambda t, x: np.zeros(d),
             b_batch=lambda t, X: np.zeros_like(X),
-            sigma_batch=sigma_batch,
             lipschitz_K=K if K is not None else 1.0,
             r=d,
             name=name,
@@ -425,12 +445,10 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
         v = np.full(d, args[0]) if len(args) == 1 else np.asarray(args, dtype=np.float64)
         if v.size != d:
             raise ValueError("constant-drift dimension mismatch")
-        sigma, sigma_batch = _identity_sigma(d)
         return SdeCoefficients(
-            sigma=sigma,
+            constant_sigma=np.eye(d),
             b=lambda t, x: v,
             b_batch=lambda t, X: np.broadcast_to(v, X.shape),
-            sigma_batch=sigma_batch,
             lipschitz_K=K if K is not None else max(1.0, float(np.linalg.norm(v))),
             r=d,
             name=name,
@@ -439,12 +457,10 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
         if len(args) != 1:
             raise ValueError("linear-drift needs one value, e.g. linear-drift(2)")
         a = args[0]
-        sigma, sigma_batch = _identity_sigma(d)
         return SdeCoefficients(
-            sigma=sigma,
+            constant_sigma=np.eye(d),
             b=lambda t, x: a * x,
             b_batch=lambda t, X: a * X,
-            sigma_batch=sigma_batch,
             lipschitz_K=K if K is not None else max(1.0, abs(a)),
             r=d,
             name=name,
@@ -500,8 +516,9 @@ def simulate_reflected_terminal_batch(
     out = np.empty((n_paths, d))
     for start in range(0, n_paths, chunk):
         m = min(chunk, n_paths - start)
-        z = normal_matrix(rng, m, n_steps * coeffs.r, first_stream=first_stream + start)
-        dB = z.reshape(m, n_steps, coeffs.r) * sqdt[None, :, None]
+        dB = normal_matrix(rng, m, n_steps * coeffs.r, first_stream=first_stream + start)
+        dB = dB.reshape(m, n_steps, coeffs.r)
+        dB *= sqdt[None, :, None]
         out[start : start + m] = _euler_batch(
             coeffs,
             domain,

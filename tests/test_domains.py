@@ -51,8 +51,14 @@ def test_orthant_corner_projection_with_brute_force_oracle():
 
 def test_identity_on_closure_is_exact():
     dom = orthant(2)
-    for x in ([0.0, 0.0], [0.0, 2.0], [1.5, 0.5]):
-        assert np.array_equal(dom.project(np.array(x)), x)
+    for x in ([0.0, 0.0], [0.0, 2.0], [1.5, 0.5], [-0.0, 2.0], [1.5, -0.0]):
+        x = np.array(x)
+        # bytes, not values: -0.0 on a face must come back as -0.0
+        assert dom.project(x).tobytes() == x.tobytes()
+        assert dom.project_batch(x[None, :])[0].tobytes() == x.tobytes()
+    x = np.array([-0.0])
+    assert half_line().project(x).tobytes() == x.tobytes()
+    assert half_line().project_batch(x[None, :])[0].tobytes() == x.tobytes()
 
 
 def test_projection_onto_intersection_with_ball():
@@ -279,3 +285,173 @@ def test_batched_boundary_helpers_match_pointwise_oracle(dom):
         assert np.array_equal(cone, _cone_oracle(x, dom, 1e-8 * (1.0 + np.linalg.norm(x))))
     with pytest.raises(ValueError):
         active_normal_cones(np.vstack([near, dom.interior_point]), dom)
+
+
+# --- axis-aligned boxes --------------------------------------------------------
+
+WIDE_LINE = ConvexDomain(1, normals=[[1.0]], offsets=[-1e6], interior_point=[0.0])
+
+
+def _box_domain(bounds, extra_faces=()):
+    """Box from per-coordinate (lo, hi) pairs, None for a missing side.
+
+    ``extra_faces`` adds redundant (axis, sign, offset) faces that must not
+    tighten the box.
+    """
+    d = len(bounds)
+    normals, offsets, witness = [], [], []
+    for i, (lo, hi) in enumerate(bounds):
+        e = np.eye(d)[i]
+        if lo is not None:
+            normals.append(e)
+            offsets.append(lo)
+        if hi is not None:
+            normals.append(-e)
+            offsets.append(-hi)
+        if lo is not None and hi is not None:
+            witness.append(0.5 * (lo + hi))
+        else:
+            witness.append(lo + 1.0 if lo is not None else (hi - 1.0 if hi is not None else 0.0))
+    for axis, sign, offset in extra_faces:
+        normals.append(sign * np.eye(d)[axis])
+        offsets.append(offset)
+    return ConvexDomain(d, normals=normals, offsets=offsets, interior_point=witness)
+
+
+def _clip_oracle(x, bounds):
+    """Nearest point of the box, one coordinate at a time in plain Python."""
+    out = []
+    for xi, (lo, hi) in zip(x.tolist(), bounds):
+        if lo is not None and xi < lo:
+            xi = lo
+        elif hi is not None and xi > hi:
+            xi = hi
+        out.append(xi)
+    return np.array(out)
+
+
+coord = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@st.composite
+def boxes_and_points(draw):
+    d = draw(st.integers(1, 3))
+    bounds, extra = [], []
+    for i in range(d):
+        lo = draw(st.one_of(st.none(), st.floats(-10.0, 10.0)))
+        hi = draw(st.one_of(st.none(), st.floats(-10.0, 10.0)))
+        if lo is not None and hi is not None:
+            lo, hi = min(lo, hi), max(lo, hi) + draw(st.floats(0.01, 5.0))
+        bounds.append((lo, hi))
+        if lo is not None and draw(st.booleans()):
+            extra.append((i, 1.0, lo - draw(st.floats(0.0, 3.0))))
+        if hi is not None and draw(st.booleans()):
+            extra.append((i, -1.0, -hi - draw(st.floats(0.0, 3.0))))
+    if all(b == (None, None) for b in bounds):
+        bounds[0] = (0.0, None)
+    points = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=12))
+    return bounds, extra, np.array(points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(boxes_and_points())
+def test_box_projection_is_exact_clip(case):
+    bounds, extra, pts = case
+    dom = _box_domain(bounds, extra)
+    assert dom._box is not None
+    batch = dom.project_batch(pts)
+    for row, x in zip(batch, pts):
+        p = dom.project(x)
+        assert p.tobytes() == _clip_oracle(x, bounds).tobytes()
+        assert row.tobytes() == p.tobytes()
+
+
+NAMED_BOXES = {
+    "half_line": (half_line(), [(0.0, None)]),
+    "wide_line": (WIDE_LINE, [(-1e6, None)]),
+    "halfplane": (halfplane(), [(None, None), (0.0, None)]),
+    "orthant3": (orthant(3), [(0.0, None)] * 3),
+    "strip": (strip(), [(None, None), (0.0, 1.0)]),
+    "strip_offset": (strip(0.25, 1.5), [(None, None), (0.25, 1.5)]),
+    "quarter_plane": (
+        load_domain_file(DOMAIN_FILES[1]),
+        [(0.0, None), (0.0, None)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_BOXES))
+def test_named_boxes_clip_exactly(name):
+    dom, bounds = NAMED_BOXES[name]
+    pts = np.vstack([_probe_points(dom), [np.full(dom.dimension, -0.0)]])
+    batch = dom.project_batch(pts)
+    for row, x in zip(batch, pts):
+        assert dom.project(x).tobytes() == _clip_oracle(x, bounds).tobytes()
+        assert row.tobytes() == _clip_oracle(x, bounds).tobytes()
+
+
+def test_box_corner_rows_never_reach_dykstra(monkeypatch):
+    def no_dykstra(self, x, tol, max_iter):
+        raise AssertionError("box rows must not reach _dykstra")
+
+    monkeypatch.setattr(ConvexDomain, "_dykstra", no_dykstra)
+    dom = orthant(3)
+    gen = np.random.Generator(np.random.Philox(key=np.array([5, 6], dtype=np.uint64)))
+    corners = -np.abs(gen.normal(size=(200, 3)))  # every row violates all three faces
+    corners[:, 2] += 2.0 * (np.arange(200) % 2)  # half of them only two
+    out = dom.project_batch(corners)
+    assert np.array_equal(out, np.maximum(corners, 0.0))
+    for x in corners[:5]:
+        assert np.array_equal(dom.project(x), np.maximum(x, 0.0))
+
+
+NOT_BOXES = {
+    "tilted": TILTED,
+    "tilted_polyhedron": ConvexDomain(
+        2, normals=[[1.0, 0.0], [0.6, 0.8]], offsets=[0.0, 0.0], interior_point=[1.0, 1.0]
+    ),
+    # unit norm within tolerance, yet not exactly e_2
+    "nearly_axis": ConvexDomain(
+        2,
+        normals=[[1.0, 0.0], [1e-7, 1.0]],
+        offsets=[0.0, 0.0],
+        interior_point=[1.0, 1.0],
+    ),
+    # one nonzero entry, but 1 + 4e-13 rather than 1: not the face x_2 >= 0
+    "scaled_axis": ConvexDomain(
+        2,
+        normals=[[1.0, 0.0], [0.0, 1.0 + 4e-13]],
+        offsets=[0.0, 0.0],
+        interior_point=[1.0, 1.0],
+    ),
+    "orthant_and_ball": ConvexDomain(
+        2,
+        normals=np.eye(2),
+        offsets=[0.0, 0.0],
+        centers=[[0.0, 0.0]],
+        radii=[3.0],
+        interior_point=[1.0, 1.0],
+    ),
+    "unit_disc": unit_disc(),
+    "capped_halfplane": load_domain_file(DOMAIN_FILES[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_BOXES))
+def test_other_domains_keep_the_general_route(name, monkeypatch):
+    dom = NOT_BOXES[name]
+    assert dom._box is None
+    calls = []
+    real = ConvexDomain._dykstra
+
+    def counting(self, x, tol, max_iter):
+        calls.append(1)
+        return real(self, x, tol, max_iter)
+
+    monkeypatch.setattr(ConvexDomain, "_dykstra", counting)
+    pts = _probe_points(dom)
+    batch = dom.project_batch(pts)
+    for row, x in zip(batch, pts):
+        assert np.array_equal(row, dom.project(x))
+    if dom.normals.shape[0] >= 2:
+        assert calls  # rows past a polyhedral corner still take Dykstra

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -141,6 +143,33 @@ def test_rerun_is_byte_identical(tmp_path):
     a = run_experiment(small_1d_config(tmp_path / "a"))
     b = run_experiment(small_1d_config(tmp_path / "b"))
     assert a.artifacts.summary.read_bytes() == b.artifacts.summary.read_bytes()
+
+
+def _load_run_all():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_all_experiments", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_all_prints_summary_digest(tmp_path, monkeypatch, capsys):
+    run_all = _load_run_all()
+    name = "skorokhod-1d-props"
+    monkeypatch.setattr(run_all, "EXPERIMENTS", {name: EXPERIMENTS[name]})
+    monkeypatch.setattr(
+        run_all, "default_config", lambda n, **kw: default_config(n, n_paths=50, n_steps=200, **kw)
+    )
+    monkeypatch.setattr(sys, "argv", ["run_all_experiments.py", "--out", str(tmp_path)])
+    assert run_all.main() == 0
+    summary = tmp_path / name / "summary.json"
+    digest = hashlib.sha256(summary.read_bytes()).hexdigest()[:16]
+    assert run_all.summary_digest(summary) == digest
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(name) and line.endswith(f"sha256 {digest}")
+    # the same config reruns to the same digest
+    rerun = run_experiment(small_1d_config(tmp_path / "again"))
+    assert run_all.summary_digest(rerun.artifacts.summary) == digest
 
 
 def test_emit_paths_writes_csv(tmp_path):

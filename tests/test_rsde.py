@@ -420,6 +420,148 @@ def test_level_terminals_of_leading_paths_ignore_path_count():
         assert np.array_equal(many[n][:520], few[n])
 
 
+# --- constant diffusion -------------------------------------------------------
+
+
+def _without_constant_sigma(coeffs):
+    """The same coefficients on the generic route: sigma as evaluators."""
+    S = coeffs.constant_sigma
+    return SdeCoefficients(
+        sigma=lambda t, x: S,
+        sigma_batch=lambda t, X: np.broadcast_to(S, (X.shape[0],) + S.shape),
+        b=coeffs.b,
+        b_batch=coeffs.b_batch,
+        lipschitz_K=coeffs.lipschitz_K,
+        r=coeffs.r,
+    )
+
+
+def _no_sigma_batch(coeffs):
+    """A copy whose sigma_batch raises, to show the stepper never calls it."""
+
+    def refuse(t, X):
+        raise AssertionError("constant_sigma route evaluated sigma_batch")
+
+    fast = SdeCoefficients(
+        constant_sigma=coeffs.constant_sigma,
+        b=coeffs.b,
+        b_batch=coeffs.b_batch,
+        lipschitz_K=coeffs.lipschitz_K,
+        r=coeffs.r,
+    )
+    object.__setattr__(fast, "sigma_batch", refuse)
+    return fast
+
+
+CONSTANT_SIGMA_CASES = [
+    (preset, domain, x0)
+    for preset in ("unit-diffusion", "constant-drift(0.5)", "linear-drift(-2)")
+    for domain, x0 in ((half_line(), [0.0]), (orthant(2), [0.1, 0.2]), (unit_disc(), [0.1, 0.2]))
+] + [
+    (
+        SdeCoefficients(
+            constant_sigma=[[1.0], [0.5]],
+            b=lambda t, x: -x,
+            b_batch=lambda t, X: -X,
+            lipschitz_K=1.2,
+            r=1,
+        ),
+        domain,
+        [0.1, 0.2],
+    )
+    for domain in (orthant(2), unit_disc())
+] + [
+    (
+        # no batch evaluators: drift row by row, noise still from the matrix
+        SdeCoefficients(
+            constant_sigma=[[1.0], [0.5]], b=lambda t, x: -x, lipschitz_K=1.2, r=1
+        ),
+        orthant(2),
+        [0.1, 0.2],
+    )
+]
+
+
+@pytest.mark.parametrize("preset, domain, x0", CONSTANT_SIGMA_CASES)
+def test_constant_sigma_route_matches_generic_route(preset, domain, x0):
+    if isinstance(preset, str):
+        coeffs = preset_coefficients(preset, d=domain.dimension)
+    else:
+        coeffs = preset
+    assert coeffs.constant_sigma is not None
+    generic = _without_constant_sigma(coeffs)
+    fast = _no_sigma_batch(coeffs)
+    grid = TimeGrid.uniform(1.0, 100)
+    args = (domain, x0, grid, RngSeed(21), 20)
+    a = simulate_reflected_terminal_batch(fast, *args, chunk=8)
+    b = simulate_reflected_terminal_batch(generic, *args, chunk=8)
+    assert a.tobytes() == b.tobytes()
+    levels = [1 / 8, 1 / 32]
+    a = strong_error_estimate(fast, domain, x0, 1.0, levels, 12, RngSeed(22))
+    b = strong_error_estimate(generic, domain, x0, 1.0, levels, 12, RngSeed(22))
+    assert a == b
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_constant_sigma_nan_drift_names_step_and_path(d):
+    # drift turns NaN on path 13 at step 17 only; paths run in chunks of 8
+    n_steps, chunk, step, path = 50, 8, 17, 13
+    calls = []
+
+    def b_batch(t, X):
+        k = len(calls) % n_steps
+        block = len(calls) // n_steps
+        calls.append(t)
+        out = np.zeros_like(X)
+        if k == step and block == path // chunk:
+            out[path % chunk, d - 1] = np.nan
+        return out
+
+    coeffs = SdeCoefficients(
+        constant_sigma=np.eye(d) if d == 1 else [[1.0], [0.5]],
+        b=lambda t, x: np.zeros(d),
+        b_batch=b_batch,
+        lipschitz_K=1.2,
+        r=1,
+    )
+    domain = WIDE_LINE if d == 1 else orthant(2)
+    with pytest.raises(EvaluationFault) as err:
+        simulate_reflected_terminal_batch(
+            coeffs, domain, [0.5] * d, TimeGrid.uniform(1.0, n_steps), RngSeed(4), 20, chunk=chunk
+        )
+    assert (err.value.step_index, err.value.path_index) == (step, path)
+
+
+def test_constant_sigma_validation():
+    kwargs = dict(b=lambda t, x: np.zeros(2), lipschitz_K=1.0, r=1)
+    for bad in ([[np.nan], [1.0]], [1.0, 0.5], [[1.0, 0.0], [0.0, 1.0]], [[[1.0]]]):
+        with pytest.raises(ValueError):
+            SdeCoefficients(constant_sigma=bad, **kwargs)
+    # a user sigma beside constant_sigma could disagree with it: rejected
+    with pytest.raises(ValueError):
+        SdeCoefficients(constant_sigma=[[1.0], [0.5]], sigma=lambda t, x: np.ones((2, 1)), **kwargs)
+    with pytest.raises(ValueError):
+        SdeCoefficients(
+            constant_sigma=[[1.0], [0.5]],
+            sigma_batch=lambda t, X: np.ones((X.shape[0], 2, 1)),
+            **kwargs,
+        )
+    with pytest.raises(ValueError):
+        SdeCoefficients(**kwargs)  # no diffusion at all
+    # alone, constant_sigma yields the evaluators
+    coeffs = SdeCoefficients(constant_sigma=[[1.0], [0.5]], **kwargs)
+    S = np.array([[1.0], [0.5]])
+    assert np.array_equal(coeffs.constant_sigma, S)
+    assert not coeffs.constant_sigma.flags.writeable
+    assert np.array_equal(coeffs.sigma(0.3, np.zeros(2)), S)
+    assert np.array_equal(coeffs.sigma_batch(0.3, np.zeros((4, 2))), np.broadcast_to(S, (4, 2, 1)))
+    # its row count must match the state's dimension
+    with pytest.raises(ValueError):
+        simulate_reflected_terminal_batch(
+            coeffs, half_line(), [0.5], TimeGrid.uniform(1.0, 10), RngSeed(0), 3
+        )
+
+
 def test_strong_error_zero_coefficients():
     rows = strong_error_estimate(
         zero_coefficients(1), half_line(), [1.0], 1.0, [1 / 4, 1 / 8, 1 / 16], 16, RngSeed(9)
