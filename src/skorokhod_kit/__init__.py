@@ -61,7 +61,6 @@ from .reflectnd import (
     tanaka_inequality_gap,
 )
 from .rsde import (
-    ReflectedSdePath,
     SdeCoefficients,
     coefficient_contract_check,
     euler_reflected,
@@ -86,7 +85,6 @@ __all__ = [
     "PathKind",
     "ProjectionIterationError",
     "QuadraticVariationPath",
-    "ReflectedSdePath",
     "RefinementLimitError",
     "RngSeed",
     "SampledPath",

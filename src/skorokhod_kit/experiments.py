@@ -647,8 +647,9 @@ def _run_rsde_consistency(config: ExperimentConfig):
     plane = halfplane()
     grid = TimeGrid.uniform(config.horizon, route_steps)
     pushdown = SdeCoefficients(
-        sigma=lambda t, x: np.zeros((2, 1)),
+        constant_sigma=np.zeros((2, 1)),
         b=lambda t, x: np.array([0.0, -1.0]),
+        b_batch=lambda t, X: np.broadcast_to([0.0, -1.0], X.shape),
         lipschitz_K=1.0,
         r=1,
         name="pushdown",

@@ -18,7 +18,6 @@ from . import __version__
 from .paths import SampledPath
 from .reflect1d import Skorokhod1dSolution
 from .reflectnd import SkorokhodNdSolution
-from .rsde import ReflectedSdePath
 
 
 def _fmt(x: float) -> str:
@@ -53,7 +52,7 @@ def emit_plot_data(path_like, out) -> Path:
 
     Accepts a SampledPath (t plus one column per coordinate), a
     (driver, reflected) pair of scalar paths (t, B, Xplus), a 1-d reflection
-    solution (t, g, h), or an n-d solution / reflected SDE path
+    solution (t, g, h), or an n-d solution, projected-Euler paths included
     (t, state, pushing term, its total variation).
     """
     if isinstance(path_like, SampledPath):
@@ -77,7 +76,7 @@ def emit_plot_data(path_like, out) -> Path:
             ["t", "g", "h"],
             [path_like.g.grid.times, path_like.g.scalar_values, path_like.h.scalar_values],
         )
-    if isinstance(path_like, (SkorokhodNdSolution, ReflectedSdePath)):
+    if isinstance(path_like, SkorokhodNdSolution):
         header, columns = _solution_columns(
             path_like.X.grid.times,
             path_like.X.values,

@@ -39,7 +39,8 @@ class SkorokhodNdSolution:
 
     ``directions[k]`` is the unit direction of the phi increment arriving at
     grid index k; rows are NaN where the increment is zero (the direction is
-    only defined where pushing happens).
+    only defined where pushing happens). ``driver`` is the Brownian path that
+    drove a projected-Euler solution; its dimension may differ from X's.
     """
 
     X: SampledPath
@@ -48,8 +49,13 @@ class SkorokhodNdSolution:
     directions: np.ndarray
     refine_gaps: tuple = ()
     tv_by_level: tuple = ()
+    driver: SampledPath | None = None
 
     def __post_init__(self):
+        if not self.phi.grid.same_as(self.X.grid) or self.phi.values.shape != self.X.values.shape:
+            raise ValueError("phi must have X's grid and shape")
+        if self.driver is not None and not self.driver.grid.same_as(self.X.grid):
+            raise ValueError("driver must share X's grid")
         tv = np.array(self.total_variation, dtype=np.float64).reshape(-1)
         dirs = np.array(self.directions, dtype=np.float64)
         if tv.size != len(self.X.grid) or dirs.shape != self.X.values.shape:

@@ -4,7 +4,8 @@ The scheme is projected Euler: advance with the drift and diffusion over one
 step, then project back into the closure; the projection displacement is the
 pushing increment, kept explicit so the association conditions (pushing only
 at the boundary, along inward normals) can be tested instead of assumed.
-Coefficients are evaluated at left endpoints only.
+Coefficients are evaluated at left endpoints only. One stepper advances a
+batch of paths; euler_reflected runs it as a batch of one and records phi.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .domains import DEFAULT_PROJECT_MAX_ITER, DEFAULT_PROJECT_TOL, ConvexDomain
 from .errors import EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .randomness import RngSeed, normal_matrix, standard_normals
+from .randomness import RngSeed, normal_matrix
 from .reflectnd import SkorokhodNdSolution, solve_skorokhod_continuous
 
 
@@ -68,43 +69,12 @@ class SdeCoefficients:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ReflectedSdePath:
-    """State path confined to the domain, its pushing term, and the driver."""
-
-    X: SampledPath
-    phi: SampledPath
-    total_variation: np.ndarray
-    directions: np.ndarray
-    driver: SampledPath
-
-    def __post_init__(self):
-        tv = np.array(self.total_variation, dtype=np.float64).reshape(-1)
-        dirs = np.array(self.directions, dtype=np.float64)
-        if tv.size != len(self.X.grid) or dirs.shape != self.X.values.shape:
-            raise ValueError("total_variation and directions must match the grid")
-        if tv[0] != 0.0 or np.any(np.diff(tv) < 0.0):
-            raise ValueError("total variation must be nondecreasing from 0")
-        tv.setflags(write=False)
-        dirs.setflags(write=False)
-        object.__setattr__(self, "total_variation", tv)
-        object.__setattr__(self, "directions", dirs)
-
-    def as_nd_solution(self) -> SkorokhodNdSolution:
-        return SkorokhodNdSolution(
-            X=self.X,
-            phi=self.phi,
-            total_variation=self.total_variation,
-            directions=self.directions,
-        )
-
-
 # Paths per block of the batched stepper: bounds the increments held at once.
 _PATH_BLOCK = 512
 
 
 def _eval_drift_diffusion(
-    coeffs: SdeCoefficients, t: float, x: np.ndarray, d: int, k: int, path: int | None = None
+    coeffs: SdeCoefficients, t: float, x: np.ndarray, d: int, k: int, path: int
 ):
     drift = np.asarray(coeffs.b(t, x), dtype=np.float64).reshape(d)
     sig = np.asarray(coeffs.sigma(t, x), dtype=np.float64).reshape(d, coeffs.r)
@@ -125,6 +95,8 @@ def _euler_batch(
     tol: float,
     max_iter: int,
     first_path: int = 0,
+    free_out: np.ndarray | None = None,
+    state_out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Projected Euler for a batch: from x0 through increments (m, steps, r).
 
@@ -135,7 +107,8 @@ def _euler_batch(
     increments themselves for the identity and one contraction with the
     matrix otherwise. A non-finite row raises EvaluationFault at the first
     such row in path order, numbered from ``first_path``. Returns the
-    terminal states.
+    terminal states; buffers ``free_out`` and ``state_out`` shaped
+    (m, steps, d), when given, receive every step's free and projected state.
     """
     m, d = dB.shape[0], x0.size
     S = coeffs.constant_sigma
@@ -171,6 +144,9 @@ def _euler_batch(
                 path_index=first_path + bad,
             )
         state = domain.project_batch(free, tol=tol, max_iter=max_iter)
+        if free_out is not None:
+            free_out[:, k] = free
+            state_out[:, k] = state
     return state
 
 
@@ -182,44 +158,40 @@ def euler_reflected(
     rng: RngSeed,
     tol: float = DEFAULT_PROJECT_TOL,
     max_iter: int = DEFAULT_PROJECT_MAX_ITER,
-) -> ReflectedSdePath:
-    """Projected Euler path: Y <- project(Y + b dt + sigma dB) each step."""
+) -> SkorokhodNdSolution:
+    """Projected Euler path: Y <- project(Y + b dt + sigma dB) each step.
+
+    A batch of one on the stepper behind simulate_reflected_terminal_batch,
+    whose increments are row ``rng.stream`` of ``normal_matrix``. phi sums
+    the projection displacements in step order and ``driver`` is the
+    Brownian path (dimension r) built from the increments.
+    """
     d = domain.dimension
     x0 = np.asarray(x0, dtype=np.float64).reshape(d)
     if not domain.contains(x0):
         raise ValueError("x0 must lie in the closed domain")
-    n_steps = len(grid) - 1
-    gen = rng.generator()
-    dB = standard_normals(gen, n_steps * coeffs.r).reshape(n_steps, coeffs.r)
-    dB *= np.sqrt(grid.deltas)[:, None]
-    times = grid.times
-    dt = grid.deltas
+    n_steps, r = len(grid) - 1, coeffs.r
+    dB = normal_matrix(RngSeed(rng.seed), 1, n_steps * r, first_stream=rng.stream)
+    dB = dB.reshape(1, n_steps, r) * np.sqrt(grid.deltas)[None, :, None]
     X = np.empty((n_steps + 1, d))
-    phi = np.zeros((n_steps + 1, d))
-    tv = np.zeros(n_steps + 1)
-    dirs = np.full((n_steps + 1, d), np.nan)
     X[0] = x0
-    acc = np.zeros(d)
-    acc_tv = 0.0
-    y = x0.copy()
-    for k in range(n_steps):
-        drift, sig = _eval_drift_diffusion(coeffs, float(times[k]), y, d, k)
-        free = y + drift * dt[k] + sig @ dB[k]
-        y = domain.project(free, tol=tol, max_iter=max_iter)
-        dphi = y - free
-        X[k + 1] = y
-        acc = acc + dphi
-        phi[k + 1] = acc
-        step_norm = float(np.linalg.norm(dphi))
-        acc_tv += step_norm
-        tv[k + 1] = acc_tv
-        if step_norm > 0.0:
-            dirs[k + 1] = dphi / step_norm
-    driver_values = np.vstack([np.zeros((1, coeffs.r)), np.cumsum(dB, axis=0)])
-    return ReflectedSdePath(
+    free = np.empty((n_steps, d))
+    _euler_batch(
+        coeffs, domain, x0, dB, grid.times, grid.deltas, tol, max_iter,
+        free_out=free[None], state_out=X[None, 1:],
+    )
+    # a leading zero row makes each cumsum add in step order from 0
+    dphi = np.zeros((n_steps + 1, d))
+    dphi[1:] = X[1:] - free
+    norms = np.sqrt(np.vecdot(dphi, dphi))
+    pushed = norms > 0.0
+    dirs = np.full((n_steps + 1, d), np.nan)
+    dirs[pushed] = dphi[pushed] / norms[pushed, None]
+    driver_values = np.vstack([np.zeros((1, r)), np.cumsum(dB[0], axis=0)])
+    return SkorokhodNdSolution(
         X=SampledPath.continuous(grid, X),
-        phi=SampledPath.continuous(grid, phi),
-        total_variation=tv,
+        phi=SampledPath.continuous(grid, np.cumsum(dphi, axis=0)),
+        total_variation=np.cumsum(norms),
         directions=dirs,
         driver=SampledPath.continuous(grid, driver_values),
     )
@@ -503,8 +475,9 @@ def simulate_reflected_terminal_batch(
 
     Paths run in chunks of ``chunk`` rows (512 by default) on the batched
     projected-Euler stepper shared with strong_error_estimate; coefficients
-    without batch evaluators are evaluated row by row. Increments per path
-    match euler_reflected on the same stream, so the two routes can be
+    without batch evaluators are evaluated row by row. Path i draws the
+    increments of euler_reflected on stream ``first_stream + i``, which runs
+    them as a batch of one on the same stepper, so the two routes can be
     cross-checked path for path.
     """
     d = domain.dimension

@@ -185,6 +185,27 @@ def test_emit_paths_writes_csv(tmp_path):
     assert names == {"rbm_pair.csv"}
 
 
+def test_emit_paths_writes_the_pushdown_path(tmp_path):
+    config = default_config(
+        "rsde-consistency",
+        n_paths=200,
+        n_steps=200,
+        options={"route_steps": 50},
+        out_dir=str(tmp_path / "rsde"),
+        emit_paths=True,
+    )
+    result = run_experiment(config)
+    (csv,) = result.artifacts.csv_files
+    assert csv.name == "rsde_path.csv"
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "t,x1,x2,phi1,phi2,phi_tv"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (51, 6)
+    assert np.array_equal(rows[:, 0], TimeGrid.uniform(1.0, 50).times)
+    assert np.all(rows[:, 1:3] == 0.0)
+    assert np.array_equal(rows[:, 4], rows[:, 0])
+
+
 def test_unresolvable_domain_fails_before_running(tmp_path):
     config = small_1d_config(tmp_path).replace(domain_file="/missing.domain")
     with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from skorokhod_kit import (
     unit_disc,
 )
 from skorokhod_kit.config import load_domain_file
-from skorokhod_kit.reflectnd import nd_solution_diagnostics
+from skorokhod_kit.reflectnd import SkorokhodNdSolution, nd_solution_diagnostics
 
 DOMAINS_DIR = Path(__file__).resolve().parents[1] / "configs" / "domains"
 
@@ -81,6 +81,39 @@ def test_step_solver_preconditions():
     w_cont = w_outside.with_kind(PathKind.CONTINUOUS)
     with pytest.raises(ValueError):
         solve_skorokhod_step(w_cont, orthant(2))
+
+
+def _solution_parts(n=5, d=2):
+    grid = TimeGrid.uniform(1.0, n - 1)
+    zeros = SampledPath.continuous(grid, np.zeros((n, d)))
+    return grid, zeros, dict(X=zeros, total_variation=np.zeros(n), directions=np.zeros((n, d)))
+
+
+def test_solution_accepts_a_driver_of_another_dimension():
+    grid, zeros, parts = _solution_parts()
+    driver = SampledPath.continuous(grid, np.zeros((5, 1)))
+    sol = SkorokhodNdSolution(phi=zeros, driver=driver, **parts)
+    assert sol.driver is driver
+
+
+def test_solution_rejects_phi_off_the_grid_of_X():
+    grid, zeros, parts = _solution_parts()
+    other = TimeGrid.uniform(2.0, 4)
+    with pytest.raises(ValueError, match="phi"):
+        SkorokhodNdSolution(phi=SampledPath.continuous(other, np.zeros((5, 2))), **parts)
+
+
+def test_solution_rejects_phi_of_another_shape():
+    grid, zeros, parts = _solution_parts()
+    with pytest.raises(ValueError, match="phi"):
+        SkorokhodNdSolution(phi=SampledPath.continuous(grid, np.zeros((5, 3))), **parts)
+
+
+def test_solution_rejects_driver_off_the_grid_of_X():
+    grid, zeros, parts = _solution_parts()
+    driver = SampledPath.continuous(TimeGrid.uniform(2.0, 4), np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="driver"):
+        SkorokhodNdSolution(phi=zeros, driver=driver, **parts)
 
 
 def test_step_solution_invariants_on_brownian_drivers():

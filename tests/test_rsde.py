@@ -45,16 +45,30 @@ def test_zero_coefficients_hold_still():
     assert path.total_variation[-1] == 0.0
 
 
-def test_pushdown_cancels_exactly():
-    grid = TimeGrid.uniform(1.0, 200)
-    coeffs = SdeCoefficients(
+def pushdown_coefficients():
+    # drift (0, -1) and no noise, without batch evaluators
+    return SdeCoefficients(
         sigma=lambda t, x: np.zeros((2, 1)),
         b=lambda t, x: np.array([0.0, -1.0]),
         lipschitz_K=1.0,
         r=1,
         name="pushdown",
     )
-    path = euler_reflected(coeffs, halfplane(), [0.0, 0.0], grid, RngSeed(2))
+
+
+def column_coefficients():
+    # d=2 driven by r=1: both coordinates move with the same noise
+    return SdeCoefficients(
+        sigma=lambda t, x: np.array([[1.0], [0.5]]),
+        b=lambda t, x: np.zeros(2),
+        lipschitz_K=2.0,
+        r=1,
+    )
+
+
+def test_pushdown_cancels_exactly():
+    grid = TimeGrid.uniform(1.0, 200)
+    path = euler_reflected(pushdown_coefficients(), halfplane(), [0.0, 0.0], grid, RngSeed(2))
     assert np.max(np.abs(path.X.values)) == 0.0
     expected_phi = np.column_stack([np.zeros(201), grid.times])
     assert np.max(np.abs(path.phi.values - expected_phi)) <= 1e-12
@@ -108,15 +122,8 @@ def test_monotone_in_start_with_shared_noise():
 
 
 def test_driver_dimension_can_differ_from_state():
-    # d=2 driven by r=1: both coordinates move with the same noise
     grid = TimeGrid.uniform(1.0, 50)
-    coeffs = SdeCoefficients(
-        sigma=lambda t, x: np.array([[1.0], [0.5]]),
-        b=lambda t, x: np.zeros(2),
-        lipschitz_K=2.0,
-        r=1,
-    )
-    path = euler_reflected(coeffs, halfplane(), [0.0, 1.0], grid, RngSeed(3))
+    path = euler_reflected(column_coefficients(), halfplane(), [0.0, 1.0], grid, RngSeed(3))
     assert path.driver.values.shape == (51, 1)
     assert path.X.values.shape == (51, 2)
 
@@ -231,9 +238,8 @@ def test_reflected_path_association_invariants():
     coeffs = preset_coefficients("constant-drift(0,-1)", d=2)
     for stream in range(5):
         path = euler_reflected(coeffs, unit_disc(), [0.0, 0.5], grid, RngSeed(19, stream))
-        sol = path.as_nd_solution()
-        w = SampledPath.continuous(grid, sol.driver_values)
-        diag = nd_solution_diagnostics(sol, w, unit_disc())
+        w = SampledPath.continuous(grid, path.driver_values)
+        diag = nd_solution_diagnostics(path, w, unit_disc())
         assert diag["containment_worst_slack"] >= -1e-9
         assert diag["interior_pushing_mass"] == 0.0
         assert diag["max_angular_gap"] <= 1e-6
@@ -329,6 +335,15 @@ def test_semimartingale_route_matches_euler():
 # --- strong error -----------------------------------------------------------
 
 
+def _oracle_step(coeffs, domain, t, y, dt, dB_k):
+    # one projected-Euler step with scalar coefficients and scalar projection
+    d = y.size
+    drift = np.asarray(coeffs.b(t, y), dtype=np.float64).reshape(d)
+    sig = np.asarray(coeffs.sigma(t, y), dtype=np.float64).reshape(d, coeffs.r)
+    free = y + drift * dt + sig @ dB_k
+    return free, domain.project(free)
+
+
 def _strong_error_oracle(coeffs, domain, x0, T, dt_levels, n_paths, rng):
     # one path at a time with scalar coefficients and scalar projection
     d = domain.dimension
@@ -345,9 +360,7 @@ def _strong_error_oracle(coeffs, domain, x0, T, dt_levels, n_paths, rng):
             dt = T / n
             y = x0.copy()
             for k in range(n):
-                drift = np.asarray(coeffs.b(k * dt, y), dtype=np.float64).reshape(d)
-                sig = np.asarray(coeffs.sigma(k * dt, y), dtype=np.float64).reshape(d, coeffs.r)
-                y = domain.project(y + drift * dt + sig @ dB[k])
+                _, y = _oracle_step(coeffs, domain, k * dt, y, dt, dB[k])
             terminals[n][i] = y
     finest = terminals[n_fine]
     return [
@@ -418,6 +431,78 @@ def test_level_terminals_of_leading_paths_ignore_path_count():
     many, few = run(600), run(520)
     for n in steps:
         assert np.array_equal(many[n][:520], few[n])
+
+
+# --- projected-Euler path oracle ----------------------------------------------
+
+
+def _euler_path_oracle(coeffs, domain, x0, grid, rng):
+    # the scalar per-step loop: one project call per step, phi and TV accumulated
+    d = domain.dimension
+    x0 = np.asarray(x0, dtype=np.float64).reshape(d)
+    n_steps = len(grid) - 1
+    gen = rng.generator()
+    dB = standard_normals(gen, n_steps * coeffs.r).reshape(n_steps, coeffs.r)
+    dB *= np.sqrt(grid.deltas)[:, None]
+    times = grid.times
+    dt = grid.deltas
+    X = np.empty((n_steps + 1, d))
+    phi = np.zeros((n_steps + 1, d))
+    tv = np.zeros(n_steps + 1)
+    dirs = np.full((n_steps + 1, d), np.nan)
+    X[0] = x0
+    acc = np.zeros(d)
+    acc_tv = 0.0
+    y = x0.copy()
+    for k in range(n_steps):
+        free, y = _oracle_step(coeffs, domain, float(times[k]), y, dt[k], dB[k])
+        dphi = y - free
+        X[k + 1] = y
+        acc = acc + dphi
+        phi[k + 1] = acc
+        step_norm = float(np.linalg.norm(dphi))
+        acc_tv += step_norm
+        tv[k + 1] = acc_tv
+        if step_norm > 0.0:
+            dirs[k + 1] = dphi / step_norm
+    driver = np.vstack([np.zeros((1, coeffs.r)), np.cumsum(dB, axis=0)])
+    return X, phi, tv, dirs, driver
+
+
+EULER_PATH_CASES = {
+    "unit-half_line": (lambda: preset_coefficients("unit-diffusion", d=1), half_line(), [0.0]),
+    "pushdown-halfplane": (pushdown_coefficients, halfplane(), [0.0, 0.0]),
+    "drift-disc": (
+        lambda: preset_coefficients("constant-drift(1,0)", d=2),
+        unit_disc(),
+        [0.0, 0.0],
+    ),
+    "sin-disc": (lambda: preset_coefficients("sin-diffusion", d=2), unit_disc(), [0.3, -0.2]),
+    "drift-orthant": (
+        lambda: preset_coefficients("constant-drift(0.5,-1)", d=2),
+        orthant(2),
+        [0.1, 0.2],
+    ),
+    "column-halfplane": (column_coefficients, halfplane(), [0.0, 1.0]),
+    "skewed-half_line": (_skewed_coefficients, half_line(), [0.2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EULER_PATH_CASES))
+def test_euler_reflected_matches_scalar_oracle(case):
+    make, domain, x0 = EULER_PATH_CASES[case]
+    coeffs = make()
+    grid = TimeGrid.uniform(1.0, 300)
+    path = euler_reflected(coeffs, domain, x0, grid, RngSeed(23, 4))
+    X, phi, tv, dirs, driver = _euler_path_oracle(coeffs, domain, x0, grid, RngSeed(23, 4))
+    assert path.X.values.tobytes() == X.tobytes()
+    assert path.phi.values.tobytes() == phi.tobytes()
+    assert path.total_variation.tobytes() == tv.tobytes()
+    assert np.array_equal(path.directions, dirs, equal_nan=True)
+    assert path.driver.values.tobytes() == driver.tobytes()
+    if case == "drift-orthant":
+        # the corner is hit: both coordinates pushed at once
+        assert np.any(np.all(np.abs(path.directions) > 0.0, axis=1))
 
 
 # --- constant diffusion -------------------------------------------------------
