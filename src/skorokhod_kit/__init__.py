@@ -16,6 +16,7 @@ from .domains import (
     ball_domain,
     half_line,
     halfplane,
+    normal_cone_residuals,
     orthant,
     project,
     strip,
@@ -54,11 +55,13 @@ from .reflectnd import (
     check_condition_a,
     check_condition_b,
     modulus_gap,
+    modulus_gap_many,
     solve_skorokhod_continuous,
     solve_skorokhod_continuous_many,
     solve_skorokhod_step,
     solve_skorokhod_step_many,
     tanaka_inequality_gap,
+    tanaka_inequality_gap_many,
 )
 from .rsde import (
     SdeCoefficients,
@@ -112,6 +115,8 @@ __all__ = [
     "local_time_occupation",
     "local_time_tanaka",
     "modulus_gap",
+    "modulus_gap_many",
+    "normal_cone_residuals",
     "orthant",
     "preset_coefficients",
     "project",
@@ -128,5 +133,6 @@ __all__ = [
     "strip",
     "strong_error_estimate",
     "tanaka_inequality_gap",
+    "tanaka_inequality_gap_many",
     "unit_disc",
 ]

@@ -300,14 +300,13 @@ def active_normal_cone(x, domain: ConvexDomain, tol_bd: float | None = None) -> 
     return active_normal_cones(x, domain, tol_bd)[0]
 
 
-def active_normal_cones(points, domain: ConvexDomain, tol_bd=None) -> list[np.ndarray]:
-    """:func:`active_normal_cone` for each row of points.
+def _active_generators(pts: np.ndarray, domain: ConvexDomain, tol_bd):
+    """Unit inward normals of every constraint at each row, and which are active.
 
-    ``tol_bd`` is one tolerance for all rows or one per row; by default each
-    row gets its own :func:`boundary_tolerance`. Generators come halfspaces
-    first, then balls, each in constraint order.
+    Returns ``(normals, active)`` of shapes (rows, n_constraints, d) and
+    (rows, n_constraints), halfspaces first, then balls. Raises if a row is
+    farther than its tolerance from the boundary (on either side).
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, domain.dimension)
     if tol_bd is None:
         tol_bd = boundary_tolerance(pts)
     tol_bd = np.broadcast_to(np.asarray(tol_bd, dtype=np.float64), (pts.shape[0],))
@@ -319,8 +318,88 @@ def active_normal_cones(points, domain: ConvexDomain, tol_bd=None) -> list[np.nd
     with np.errstate(divide="ignore", invalid="ignore"):  # inactive balls are never read
         ball_normals = to_center / np.sqrt(np.vecdot(to_center, to_center))[:, :, None]
     face_normals = np.broadcast_to(domain.normals, (pts.shape[0],) + domain.normals.shape)
-    normals = np.concatenate([face_normals, ball_normals], axis=1)
+    return np.concatenate([face_normals, ball_normals], axis=1), active
+
+
+def active_normal_cones(points, domain: ConvexDomain, tol_bd=None) -> list[np.ndarray]:
+    """:func:`active_normal_cone` for each row of points.
+
+    ``tol_bd`` is one tolerance for all rows or one per row; by default each
+    row gets its own :func:`boundary_tolerance`. Generators come halfspaces
+    first, then balls, each in constraint order.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, domain.dimension)
+    normals, active = _active_generators(pts, domain, tol_bd)
     return [normals[i][active[i]] for i in range(pts.shape[0])]
+
+
+# a subset of unit generators whose QR factor has a diagonal entry this small
+# is treated as dependent (duplicate faces, more than d active constraints):
+# rounding leaves ~1e-16 there for exact duplicates
+_DEPENDENT_TOL = 1e-14
+
+
+def normal_cone_residuals(points, directions, domain: ConvexDomain, tol_bd=None):
+    """Distance from each unit direction to the normal cone at its boundary point.
+
+    Row i gives min over lam >= 0 of |u_i - sum_j lam_j g_j| over the active
+    generators g_j of :func:`active_normal_cones`, with ``tol_bd`` as there.
+    Returns ``(residuals, weights)``: weights has one column per constraint
+    and holds the minimizing lam (zero off its support), so r = u - G^T lam
+    certifies the result by KKT: lam >= 0 and <r, g> <= 0 for each active g.
+
+    Computed by active-set enumeration, all rows sharing a support at once.
+    The optimum has a Caratheodory support S of independent generators with
+    lam_S > 0, and there r is orthogonal to span(G_S), so the least-squares
+    solution on S is the optimum; every other subset with a nonnegative
+    least-squares solution gives a feasible lam, so no smaller residual. The
+    residual is the least over the empty set (|u|) and every independent
+    subset of a row's active generators whose least-squares weights are
+    nonnegative. Subsets whose residuals agree to rounding are told apart by
+    the KKT test: the one with the least max <r, g> over active g wins, so
+    the certificate holds where a tiny lam leaves |r| unchanged in floating
+    point.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, domain.dimension)
+    u = np.asarray(directions, dtype=np.float64).reshape(pts.shape)
+    normals, active = _active_generators(pts, domain, tol_bd)
+
+    def dual_gap(rows, resid):
+        # max <r, g> over each row's active generators; inactive balls may be NaN
+        dots = np.vecdot(normals[rows], resid[:, None, :])
+        return np.max(np.where(active[rows], dots, -np.inf), axis=1)
+
+    residuals = np.sqrt(np.vecdot(u, u))
+    tie = 4.0 * np.finfo(np.float64).eps * residuals  # rounding of a residual norm
+    gaps = dual_gap(np.arange(len(u)), u)
+    weights = np.zeros(active.shape)
+    n_gens = active.shape[1]
+    # supports by size, each extended only while some row has it all active
+    supports = [[j] for j in range(n_gens)]
+    for cols in supports:
+        rows = np.flatnonzero(np.all(active[:, cols], axis=1))
+        if not rows.size:
+            continue
+        if len(cols) < domain.dimension:
+            supports += [cols + [j] for j in range(cols[-1] + 1, n_gens)]
+        gens = normals[rows][:, cols]  # (rows, k, d)
+        q, r = np.linalg.qr(np.swapaxes(gens, 1, 2))
+        independent = np.all(np.abs(np.diagonal(r, axis1=1, axis2=2)) > _DEPENDENT_TOL, axis=1)
+        rows, gens, q, r = rows[independent], gens[independent], q[independent], r[independent]
+        lam = np.linalg.solve(r, np.vecdot(np.swapaxes(q, 1, 2), u[rows, None, :])[..., None])[..., 0]
+        resid = u[rows] - np.vecdot(np.swapaxes(gens, 1, 2), lam[:, None, :])
+        dist = np.sqrt(np.vecdot(resid, resid))
+        gap = dual_gap(rows, resid)
+        best, near = residuals[rows], tie[rows]
+        better = np.all(lam >= 0.0, axis=1) & (
+            (dist < best - near) | ((dist <= best + near) & (gap < gaps[rows]))
+        )
+        rows = rows[better]
+        residuals[rows] = dist[better]
+        gaps[rows] = gap[better]
+        weights[rows] = 0.0
+        weights[rows[:, None], cols] = lam[better]
+    return residuals, weights
 
 
 # Ready-made domains used throughout the tests and experiments.

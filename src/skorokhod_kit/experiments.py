@@ -33,11 +33,11 @@ from .reflect1d import rbm_from_skorokhod, skorokhod_map_1d
 from .reflectnd import (
     check_condition_a,
     check_condition_b,
-    modulus_gap,
-    nd_solution_diagnostics,
+    modulus_gap_many,
+    nd_solution_diagnostics_many,
     solve_skorokhod_continuous_many,
     solve_skorokhod_step_many,
-    tanaka_inequality_gap,
+    tanaka_inequality_gap_many,
 )
 from .rsde import (
     SdeCoefficients,
@@ -457,16 +457,6 @@ def _nd_domain_batch(config: ExperimentConfig, domain: ConvexDomain, start_point
     n_steps = config.n_steps
     grid = TimeGrid.uniform(config.horizon, n_steps)
     law = InitialLaw.point_mass(start_point)
-    worst = {
-        "decomposition": 0.0,
-        "containment_slack": np.inf,
-        "interior_mass": 0.0,
-        "angular_gap": 0.0,
-        "tv_defect": 0.0,
-        "tanaka_gap": np.inf,
-        "modulus_gap": np.inf,
-    }
-    previous = None
     mod_indices = [(0, n_steps), (n_steps // 3, (2 * n_steps) // 3)]
     ws = [
         brownian_sample(
@@ -474,21 +464,22 @@ def _nd_domain_batch(config: ExperimentConfig, domain: ConvexDomain, start_point
         ).with_kind(PathKind.STEP)
         for i in range(n_paths)
     ]
-    for w, sol in zip(ws, solve_skorokhod_step_many(ws, domain)):
-        diag = nd_solution_diagnostics(sol, w, domain)
-        worst["decomposition"] = max(worst["decomposition"], diag["decomposition_max_abs"])
-        worst["containment_slack"] = min(worst["containment_slack"], diag["containment_worst_slack"])
-        worst["interior_mass"] += diag["interior_pushing_mass"]
-        worst["angular_gap"] = max(worst["angular_gap"], diag["max_angular_gap"])
-        worst["tv_defect"] = max(worst["tv_defect"], diag["tv_increment_defect"])
-        for a, b in mod_indices:
-            worst["modulus_gap"] = min(
-                worst["modulus_gap"], modulus_gap(sol, grid.times[a], grid.times[b])
-            )
-        if previous is not None:
-            worst["tanaka_gap"] = min(worst["tanaka_gap"], tanaka_inequality_gap(previous, sol))
-        previous = sol
-    return worst
+    sols = solve_skorokhod_step_many(ws, domain)
+    diags = nd_solution_diagnostics_many(sols, ws, domain)
+    column = {key: np.array([diag[key] for diag in diags]) for key in diags[0]}
+    modulus = [modulus_gap_many(sols, grid.times[a], grid.times[b]) for a, b in mod_indices]
+    # each path against the one before it
+    tanaka = tanaka_inequality_gap_many(sols[:-1], sols[1:]) if n_paths > 1 else [np.inf]
+    return {
+        "decomposition": float(np.max(column["decomposition_max_abs"])),
+        "containment_slack": float(np.min(column["containment_worst_slack"])),
+        # a running sum in path order, not np.sum's pairwise one
+        "interior_mass": float(np.cumsum(column["interior_pushing_mass"])[-1]),
+        "angular_gap": float(np.max(column["max_angular_gap"])),
+        "tv_defect": float(np.max(column["tv_increment_defect"])),
+        "tanaka_gap": float(np.min(tanaka)),
+        "modulus_gap": float(np.min(modulus)),
+    }
 
 
 def _nd_refinement_checks(config: ExperimentConfig, domain: ConvexDomain, start_point, block: int):

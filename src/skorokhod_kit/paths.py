@@ -63,6 +63,8 @@ class TimeGrid:
         return int(self.times.size)
 
     def same_as(self, other: "TimeGrid") -> bool:
+        if other is self:
+            return True
         return self.times.shape == other.times.shape and bool(
             np.array_equal(self.times, other.times)
         )

@@ -24,8 +24,8 @@ from .domains import (
     DEFAULT_PROJECT_MAX_ITER,
     DEFAULT_PROJECT_TOL,
     ConvexDomain,
-    active_normal_cones,
     boundary_tolerance,
+    normal_cone_residuals,
 )
 from .errors import RefinementLimitError
 from .paths import PathKind, SampledPath, TimeGrid
@@ -68,7 +68,7 @@ class SkorokhodNdSolution:
         object.__setattr__(self, "directions", dirs)
 
     @property
-    def driver_values(self) -> np.ndarray:
+    def input_values(self) -> np.ndarray:
         """The input path recovered from X - phi."""
         return self.X.values - self.phi.values
 
@@ -304,51 +304,80 @@ def _check_same_grid(a: SkorokhodNdSolution, b: SkorokhodNdSolution) -> None:
         raise ValueError("solutions must share a grid")
 
 
-def tanaka_inequality_gap(sol: SkorokhodNdSolution, other: SkorokhodNdSolution) -> float:
-    """Slack of the pairwise contraction inequality, minimized over grid times.
+def _stack_solutions(sols: list[SkorokhodNdSolution]):
+    """X and phi values, each (paths, grid, d), of solutions on one grid."""
+    if not sols:
+        raise ValueError("need at least one solution")
+    first = sols[0].X
+    for i, sol in enumerate(sols):
+        if not sol.X.grid.same_as(first.grid) or sol.X.dim != first.dim:
+            raise ValueError(f"solution {i} is not on the grid, or of the dimension, of solution 0")
+    return np.stack([s.X.values for s in sols]), np.stack([s.phi.values for s in sols])
+
+
+def tanaka_inequality_gap_many(sols, others) -> np.ndarray:
+    """Slack of the pairwise contraction inequality for each pair, minimized over grid times.
 
     For solutions (X, phi), (X~, phi~) of inputs w, w~ the bound
 
         |X - X~|^2 <= |w - w~|^2 + 2 int (w - w~ - w(s) + w~(s)) d(phi - phi~)
 
     holds with the integrand read at each atom of the pushing measure (the
-    grid point where the increment lands). Returns min_t RHS(t) - LHS(t);
-    a correct solver keeps this above -1e-9 times the path scale.
+    grid point where the increment lands). Returns min_t RHS(t) - LHS(t) for
+    each pair (sols[i], others[i]); a correct solver keeps this above -1e-9
+    times the path scale. All solutions must share one grid.
     """
-    _check_same_grid(sol, other)
-    u = sol.driver_values - other.driver_values
-    delta = sol.phi.values - other.phi.values
-    diff_x = sol.X.values - other.X.values
-    ddelta = np.diff(delta, axis=0)
-    atom_terms = np.einsum("ij,ij->i", u[1:], ddelta)
-    cum_atoms = np.concatenate(([0.0], np.cumsum(atom_terms)))
-    rhs = np.einsum("ij,ij->i", u, u) + 2.0 * (np.einsum("ij,ij->i", u, delta) - cum_atoms)
-    lhs = np.einsum("ij,ij->i", diff_x, diff_x)
-    return float(np.min(rhs - lhs))
+    sols, others = list(sols), list(others)
+    if len(others) != len(sols):
+        raise ValueError(f"need one other solution per solution, got {len(others)} for {len(sols)}")
+    X, phi = _stack_solutions(sols)
+    X_other, phi_other = _stack_solutions(others)
+    _check_same_grid(sols[0], others[0])
+    u = (X - phi) - (X_other - phi_other)
+    delta = phi - phi_other
+    diff_x = X - X_other
+    ddelta = np.diff(delta, axis=1)
+    atom_terms = np.einsum("pij,pij->pi", u[:, 1:], ddelta)
+    cum_atoms = np.concatenate([np.zeros((len(sols), 1)), np.cumsum(atom_terms, axis=1)], axis=1)
+    rhs = np.einsum("pij,pij->pi", u, u) + 2.0 * (np.einsum("pij,pij->pi", u, delta) - cum_atoms)
+    lhs = np.einsum("pij,pij->pi", diff_x, diff_x)
+    return np.min(rhs - lhs, axis=1)
 
 
-def modulus_gap(sol: SkorokhodNdSolution, s: float, t: float) -> float:
-    """Slack of the oscillation bound between two grid times s <= t.
+def tanaka_inequality_gap(sol: SkorokhodNdSolution, other: SkorokhodNdSolution) -> float:
+    """:func:`tanaka_inequality_gap_many` for one pair of solutions."""
+    return float(tanaka_inequality_gap_many([sol], [other])[0])
+
+
+def modulus_gap_many(sols, s: float, t: float) -> np.ndarray:
+    """Slack of the oscillation bound between two grid times s <= t, one per solution.
 
     Checks |X(t) - X(s)|^2 <= |w(t) - w(s)|^2 + 2 int_(s,t] (w(t) - w(tau))
     d phi(tau), with the integrand read at the atoms of the pushing measure.
+    All solutions must share one grid.
     """
     if s > t:
         raise ValueError("need s <= t")
-    times = sol.X.grid.times
+    sols = list(sols)
+    X, phi = _stack_solutions(sols)
+    times = sols[0].X.grid.times
     i = int(np.searchsorted(times, s))
     n = int(np.searchsorted(times, t))
     if i >= times.size or times[i] != s or n >= times.size or times[n] != t:
         raise ValueError("s and t must be grid times")
-    w = sol.driver_values
-    X = sol.X.values
-    phi = sol.phi.values
-    lhs = float(np.sum((X[n] - X[i]) ** 2))
-    rhs = float(np.sum((w[n] - w[i]) ** 2))
+    w = X - phi
+    lhs = np.sum((X[:, n] - X[:, i]) ** 2, axis=1)
+    rhs = np.sum((w[:, n] - w[:, i]) ** 2, axis=1)
     if n > i:
-        dphi = np.diff(phi[i : n + 1], axis=0)
-        rhs += 2.0 * float(np.einsum("ij,ij->i", w[n] - w[i + 1 : n + 1], dphi).sum())
+        dphi = np.diff(phi[:, i : n + 1], axis=1)
+        integrand = w[:, n, None] - w[:, i + 1 : n + 1]
+        rhs += 2.0 * np.einsum("pij,pij->pi", integrand, dphi).sum(axis=1)
     return rhs - lhs
+
+
+def modulus_gap(sol: SkorokhodNdSolution, s: float, t: float) -> float:
+    """:func:`modulus_gap_many` for one solution."""
+    return float(modulus_gap_many([sol], s, t)[0])
 
 
 @dataclass(frozen=True)
@@ -485,52 +514,75 @@ def check_condition_b(domain: ConvexDomain) -> DomainConditionReport:
     )
 
 
+def nd_solution_diagnostics_many(
+    sols,
+    ws,
+    domain: ConvexDomain,
+    containment_tol: float | None = None,
+) -> list[dict]:
+    """Quantitative check of the defining conditions of reflected solutions.
+
+    For each solution and its driver ``ws[i]`` (on the solution's grid, of
+    its dimension; else ValueError naming the first index that is not)
+    returns the max decomposition defect |X - w - phi|, the worst containment
+    violation, the pushing mass spent at interior points, the max distance
+    between pushing directions and the local normal cone, and the defect of
+    |phi| against its increment norms. All solutions must share one grid;
+    every path is checked in one vectorized pass.
+    """
+    sols, ws = list(sols), list(ws)
+    if len(ws) != len(sols):
+        raise ValueError(f"need one driver per solution, got {len(ws)} for {len(sols)}")
+    X, phi = _stack_solutions(sols)
+    n_paths, _, d = X.shape
+    for i, w in enumerate(ws):
+        if not w.grid.same_as(sols[i].X.grid):
+            raise ValueError(f"driver {i} is not on its solution's grid")
+        if w.dim != d:
+            raise ValueError(f"driver {i} has dimension {w.dim}, its solution {d}")
+    wv = np.stack([w.values for w in ws])
+    tv = np.stack([sol.total_variation for sol in sols])
+    if containment_tol is None:
+        containment_tol = 1e-9 * np.maximum(1.0, np.max(np.abs(wv), axis=(1, 2)))
+    containment_tol = np.broadcast_to(np.asarray(containment_tol, dtype=np.float64), (n_paths,))
+    decomposition = np.max(np.linalg.norm(X - (wv + phi), axis=2), axis=1)
+    slack_min = np.min(domain.slack_matrix(X.reshape(-1, d)).reshape(n_paths, -1), axis=1)
+    dphi = np.diff(phi, axis=1)
+    dphi_norms = np.linalg.norm(dphi, axis=2)
+    tv_defect = np.max(np.abs(np.diff(tv, axis=1) - dphi_norms), axis=1)
+    # every landing of a pushing increment, path by path in grid order
+    path, step = np.nonzero(dphi_norms > 0.0)
+    landings = X[path, step + 1]
+    tol_bd = boundary_tolerance(landings)
+    interior = domain.distance_to_boundary_batch(landings) > tol_bd
+    interior_mass = np.zeros(n_paths)
+    # unbuffered, in landing order: each path's mass is its running sum
+    np.add.at(interior_mass, path[interior], dphi_norms[path[interior], step[interior]])
+    edge = ~interior
+    units = dphi[path[edge], step[edge]] / dphi_norms[path[edge], step[edge], None]
+    residuals, _ = normal_cone_residuals(landings[edge], units, domain, tol_bd[edge])
+    angular_gap = np.zeros(n_paths)
+    np.maximum.at(angular_gap, path[edge], residuals)
+    phi_start = np.linalg.norm(phi[:, 0], axis=1)
+    return [
+        {
+            "decomposition_max_abs": float(decomposition[i]),
+            "containment_worst_slack": float(slack_min[i]),
+            "containment_tol": float(containment_tol[i]),
+            "interior_pushing_mass": float(interior_mass[i]),
+            "max_angular_gap": float(angular_gap[i]),
+            "tv_increment_defect": float(tv_defect[i]),
+            "phi_start_norm": float(phi_start[i]),
+        }
+        for i in range(n_paths)
+    ]
+
+
 def nd_solution_diagnostics(
     sol: SkorokhodNdSolution,
     w: SampledPath,
     domain: ConvexDomain,
     containment_tol: float | None = None,
 ) -> dict:
-    """Quantitative check of the defining conditions of a reflected solution.
-
-    Returns the max decomposition defect |X - w - phi|, the worst containment
-    violation, the pushing mass spent at interior points, the max angle
-    between pushing directions and the local normal cone, and the defect of
-    |phi| against its increment norms.
-    """
-    from scipy.optimize import nnls  # deferred: scipy.optimize is slow to import
-
-    X = sol.X.values
-    phi = sol.phi.values
-    wv = w.values
-    scale = max(1.0, float(np.max(np.abs(wv))))
-    if containment_tol is None:
-        containment_tol = 1e-9 * scale
-    decomposition = float(np.max(np.linalg.norm(X - (wv + phi), axis=1)))
-    slack_min = float(np.min(domain.slack_matrix(X)))
-    dphi = np.diff(phi, axis=0)
-    dphi_norms = np.linalg.norm(dphi, axis=1)
-    tv_defect = float(np.max(np.abs(np.diff(sol.total_variation) - dphi_norms)))
-    pushed = np.flatnonzero(dphi_norms > 0.0)
-    landings = X[pushed + 1]
-    tol_bd = boundary_tolerance(landings)
-    interior = domain.distance_to_boundary_batch(landings) > tol_bd
-    interior_mass = 0.0
-    for mass in dphi_norms[pushed[interior]]:
-        interior_mass += float(mass)
-    on_boundary = pushed[~interior]
-    units = dphi[on_boundary] / dphi_norms[on_boundary, None]
-    cones = active_normal_cones(landings[~interior], domain, tol_bd[~interior])
-    max_angular_gap = 0.0
-    for unit, generators in zip(units, cones):
-        _, residual = nnls(generators.T, unit)
-        max_angular_gap = max(max_angular_gap, float(residual))
-    return {
-        "decomposition_max_abs": decomposition,
-        "containment_worst_slack": slack_min,
-        "containment_tol": containment_tol,
-        "interior_pushing_mass": interior_mass,
-        "max_angular_gap": max_angular_gap,
-        "tv_increment_defect": tv_defect,
-        "phi_start_norm": float(np.linalg.norm(phi[0])),
-    }
+    """:func:`nd_solution_diagnostics_many` for one solution and its driver."""
+    return nd_solution_diagnostics_many([sol], [w], domain, containment_tol)[0]

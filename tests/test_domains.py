@@ -1,8 +1,9 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skorokhod_kit import (
@@ -13,12 +14,14 @@ from skorokhod_kit import (
     ball_domain,
     half_line,
     halfplane,
+    normal_cone_residuals,
     orthant,
     project,
     strip,
     unit_disc,
 )
 from skorokhod_kit.config import load_domain_file
+from skorokhod_kit.domains import _active_generators
 
 DOMAIN_FILES = sorted((Path(__file__).resolve().parents[1] / "configs" / "domains").glob("*.domain"))
 
@@ -455,3 +458,127 @@ def test_other_domains_keep_the_general_route(name, monkeypatch):
         assert np.array_equal(row, dom.project(x))
     if dom.normals.shape[0] >= 2:
         assert calls  # rows past a polyhedral corner still take Dykstra
+
+
+# --- normal-cone residuals -------------------------------------------------------
+
+
+def _check_cone_residuals(dom, pts, dirs):
+    """normal_cone_residuals against per-row nnls, with its KKT certificate."""
+    from scipy.optimize import nnls
+
+    residuals, weights = normal_cone_residuals(pts, dirs, dom)
+    assert weights.shape == (len(pts), dom.n_constraints)
+    _, active = _active_generators(pts, dom, None)
+    for i, (x, u) in enumerate(zip(pts, dirs)):
+        gens = active_normal_cone(x, dom)
+        _, oracle = nnls(gens.T, u)
+        assert abs(residuals[i] - oracle) <= 1e-14
+        # certificate: lam >= 0 on active generators only, and the residual
+        # vector r = u - G^T lam lies in the polar cone
+        assert np.all(weights[i] >= 0.0)
+        assert np.all(weights[i][~active[i]] == 0.0)
+        r = u - weights[i][active[i]] @ gens
+        assert abs(np.linalg.norm(r) - residuals[i]) <= 1e-14
+        assert np.all(gens @ r <= 1e-12)
+
+
+def _directions(draw, gens, n):
+    """Unit directions: uniform ones, and ones in or near the cone of gens."""
+    d = gens.shape[1]
+    out = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        else:
+            lam = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(gens), max_size=len(gens))))
+            tilt = np.array(draw(st.lists(st.floats(-1e-6, 1e-6), min_size=d, max_size=d)))
+            v = lam @ gens + tilt
+        norm = np.linalg.norm(v)
+        out.append(v / norm if norm > 1e-3 else gens[0])
+    return np.array(out)
+
+
+@st.composite
+def polytope_corners(draw):
+    """A pointed polyhedral cone's apex with 3-6 faces, some active and some duplicated.
+
+    Every normal has a positive last coordinate, so the last basis vector is
+    a strictly interior witness. Offsets are 0 (active at the origin), a few
+    times below the boundary tolerance (still active) or 0.5 (inactive).
+    """
+    d = draw(st.integers(2, 3))
+    m = draw(st.integers(3, 6))
+    normals, offsets = [], []
+    for i in range(m):
+        if i and draw(st.integers(0, 4)) == 0:
+            j = draw(st.integers(0, i - 1))  # an exact duplicate of an earlier face
+            normals.append(normals[j])
+        else:
+            tilt = draw(st.lists(st.floats(-2.0, 2.0), min_size=d - 1, max_size=d - 1))
+            n = np.array(tilt + [1.0])
+            normals.append(n / np.linalg.norm(n))
+        offsets.append(0.0 if i == 0 else -draw(st.sampled_from([0.0, 0.0, 3e-9, 0.5])))
+    normals = np.array(normals)
+    # distinct faces are far from dependent: the comparison with nnls at 1e-14
+    # holds for well-conditioned subsets (exact duplicates are fine)
+    distinct = np.unique(normals, axis=0)
+    for k in range(2, d + 1):
+        for subset in itertools.combinations(distinct, k):
+            assume(np.linalg.svd(np.array(subset), compute_uv=False)[-1] >= 1e-9)
+    dom = ConvexDomain(d, normals=normals, offsets=offsets, interior_point=np.eye(d)[-1])
+    pts = np.zeros((1, d))
+    dirs = _directions(draw, active_normal_cone(pts[0], dom), draw(st.integers(1, 6)))
+    return dom, np.repeat(pts, len(dirs), axis=0), dirs
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytope_corners())
+def test_cone_residuals_match_nnls_on_random_polytopes(case):
+    _check_cone_residuals(*case)
+
+
+DUPLICATED_FACE = ConvexDomain(
+    2,
+    normals=[[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+    offsets=[0.0, 0.0, 0.0],
+    interior_point=[1.0, 1.0],
+)
+
+CONE_CASES = {
+    # the face, the disc, and the two points where both are active
+    "capped_halfplane": (
+        load_domain_file(DOMAIN_FILES[0].with_name("capped-halfplane.domain")),
+        [[5.0, 0.0], [-5.0, 0.0], [1.5, 0.0], [3.0, 4.0]],
+    ),
+    "duplicated_face": (DUPLICATED_FACE, [[0.0, 0.0], [0.0, 2.0], [2.0, 0.0]]),
+    "orthant3": (
+        orthant(3),
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [1.0, 2.0, 0.0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONE_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cone_residuals_match_nnls_on_named_domains(name, data):
+    dom, corners = CONE_CASES[name]
+    pts, dirs = [], []
+    for x in np.array(corners):
+        u = _directions(data.draw, active_normal_cone(x, dom), 3)
+        pts += [x] * len(u)
+        dirs += list(u)
+    _check_cone_residuals(dom, np.array(pts), np.array(dirs))
+
+
+def test_cone_residuals_known_values():
+    dom = orthant(2)
+    pts = np.zeros((3, 2))
+    dirs = np.array([[0.6, 0.8], [-1.0, 0.0], [-0.6, 0.8]])
+    residuals, weights = normal_cone_residuals(pts, dirs, dom)
+    # inside the cone; opposite it (only lam = 0 is feasible); beside one face
+    assert residuals.tolist() == [0.0, 1.0, 0.6]
+    assert weights.tolist() == [[0.6, 0.8], [0.0, 0.0], [0.0, 0.8]]
+    with pytest.raises(ValueError, match="tol_bd"):
+        normal_cone_residuals(np.ones((1, 2)), dirs[:1], dom)

@@ -55,6 +55,29 @@ def test_package_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+
+def test_nd_diagnostics_leave_scipy_optimize_unloaded():
+    # the normal-cone residual is computed in-house, without nnls
+    src = str(Path(skorokhod_kit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from skorokhod_kit import InitialLaw, PathKind, RngSeed, TimeGrid, brownian_sample\n"
+        "from skorokhod_kit import solve_skorokhod_step, unit_disc\n"
+        "from skorokhod_kit.reflectnd import nd_solution_diagnostics\n"
+        "grid = TimeGrid.uniform(1.0, 64)\n"
+        "law = InitialLaw.point_mass([0.0, 0.0])\n"
+        "w = brownian_sample(grid, 2, law, RngSeed(5)).with_kind(PathKind.STEP)\n"
+        "sol = solve_skorokhod_step(w, unit_disc())\n"
+        "assert sol.total_variation[-1] > 0.0\n"
+        "diag = nd_solution_diagnostics(sol, w, unit_disc())\n"
+        "print(diag['max_angular_gap'] <= 1e-6, 'scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "True False"
+
 # --- emit_plot_data ---------------------------------------------------------
 
 

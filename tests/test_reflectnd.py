@@ -19,6 +19,7 @@ from skorokhod_kit import (
     half_line,
     halfplane,
     modulus_gap,
+    modulus_gap_many,
     orthant,
     skorokhod_map_1d,
     solve_skorokhod_continuous,
@@ -27,10 +28,15 @@ from skorokhod_kit import (
     solve_skorokhod_step_many,
     strip,
     tanaka_inequality_gap,
+    tanaka_inequality_gap_many,
     unit_disc,
 )
 from skorokhod_kit.config import load_domain_file
-from skorokhod_kit.reflectnd import SkorokhodNdSolution, nd_solution_diagnostics
+from skorokhod_kit.reflectnd import (
+    SkorokhodNdSolution,
+    nd_solution_diagnostics,
+    nd_solution_diagnostics_many,
+)
 
 DOMAINS_DIR = Path(__file__).resolve().parents[1] / "configs" / "domains"
 
@@ -481,6 +487,13 @@ def test_refinement_check_reports_the_failure_a_per_driver_loop_meets_first(refi
     assert err.value.gaps == expected
 
 
+def bits(values):
+    """Exact bit patterns of a dict or sequence of floats (-0.0 and 0.0 differ)."""
+    if isinstance(values, dict):
+        return {key: float(v).hex() for key, v in values.items()}
+    return [float(v).hex() for v in values]
+
+
 def per_landing_diagnostics(sol, domain):
     """Interior mass and angular gap, evaluated one landing at a time."""
     X = sol.X.values
@@ -512,12 +525,121 @@ def per_landing_diagnostics(sol, domain):
 def test_diagnostics_match_per_landing_evaluation(domain, start):
     ws = [brownian_step(start, seed=74, stream=i, n_steps=128) for i in range(6)]
     ws = [SampledPath.step(w.grid, 3.0 * (w.values - w.values[0]) + w.values[0]) for w in ws]
-    for w, sol in zip(ws, solve_skorokhod_step_many(ws, domain)):
-        diag = nd_solution_diagnostics(sol, w, domain)
+    sols = solve_skorokhod_step_many(ws, domain)
+    for diag, w, sol in zip(nd_solution_diagnostics_many(sols, ws, domain), ws, sols):
+        assert bits(diag) == bits(nd_solution_diagnostics(sol, w, domain))
         interior_mass, angular_gap = per_landing_diagnostics(sol, domain)
         assert diag["interior_pushing_mass"] == interior_mass
-        assert diag["max_angular_gap"] == angular_gap
+        assert abs(diag["max_angular_gap"] - angular_gap) <= 1e-14
         assert diag["max_angular_gap"] <= 1e-6
+    tols = nd_solution_diagnostics_many(sols, ws, domain, containment_tol=1e-7)
+    assert [diag["containment_tol"] for diag in tols] == [1e-7] * len(ws)
+
+
+def interior_pushing_solution():
+    """Hand-built orthant solution: two pushes at interior points, then two on x = 0.
+
+    The last boundary push points along the face, a unit angular gap.
+    """
+    X = np.array([[1.0, 1.0], [1.5, 1.0], [2.0, 2.0], [2.5, 2.25], [0.0, 1.5], [0.0, 1.2]])
+    phi = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.5, 0.75], [1.0, 0.75], [1.0, 1.05]])
+    grid = TimeGrid.uniform(1.0, 5)
+    norms = np.linalg.norm(np.diff(phi, axis=0), axis=1)
+    dirs = np.full_like(X, np.nan)
+    dirs[1:][norms > 0.0] = np.diff(phi, axis=0)[norms > 0.0] / norms[norms > 0.0, None]
+    sol = SkorokhodNdSolution(
+        X=SampledPath.step(grid, X),
+        phi=SampledPath.step(grid, phi),
+        total_variation=np.concatenate([[0.0], np.cumsum(norms)]),
+        directions=dirs,
+    )
+    return sol, SampledPath.step(grid, X - phi)
+
+
+def test_diagnostics_many_with_interior_pushing_match_batches_of_one():
+    hand, hand_w = interior_pushing_solution()
+    ws = [brownian_step([0.25, 0.25], seed=76, stream=i, n_steps=5) for i in range(4)]
+    ws = [SampledPath.step(w.grid, 4.0 * (w.values - w.values[0]) + w.values[0]) for w in ws]
+    sols = solve_skorokhod_step_many(ws, orthant(2))
+    sols[1:1], ws[1:1] = [hand], [hand_w]
+    sols.append(hand)
+    ws.append(hand_w)
+    many = nd_solution_diagnostics_many(sols, ws, orthant(2))
+    for diag, sol, w in zip(many, sols, ws):
+        assert bits(diag) == bits(nd_solution_diagnostics(sol, w, orthant(2)))
+    assert many[1]["interior_pushing_mass"] == float(np.sqrt(0.5)) + 0.25
+    assert many[1]["max_angular_gap"] == 1.0
+    assert many[1]["decomposition_max_abs"] == 0.0
+    assert bits(many[1]) == bits(many[-1])
+
+
+def test_diagnostics_many_rejects_mismatched_drivers():
+    ws = [brownian_step([0.0, 0.0], seed=77, stream=i, n_steps=16) for i in range(3)]
+    sols = solve_skorokhod_step_many(ws, unit_disc())
+    # same length, another grid
+    off_grid = SampledPath.step(TimeGrid.uniform(2.0, 16), ws[1].values)
+    with pytest.raises(ValueError, match="driver 1 is not on its solution's grid"):
+        nd_solution_diagnostics_many(sols, [ws[0], off_grid, off_grid], unit_disc())
+    # another length
+    short = brownian_step([0.0, 0.0], seed=77, n_steps=8)
+    with pytest.raises(ValueError, match="driver 2 is not on its solution's grid"):
+        nd_solution_diagnostics_many(sols, [ws[0], ws[1], short], unit_disc())
+    with pytest.raises(ValueError, match="driver 0 is not on its solution's grid"):
+        nd_solution_diagnostics(sols[0], short, unit_disc())
+    # another dimension
+    wide = SampledPath.step(ws[0].grid, np.zeros((17, 3)))
+    with pytest.raises(ValueError, match="driver 1 has dimension 3, its solution 2"):
+        nd_solution_diagnostics_many(sols, [ws[0], wide, ws[2]], unit_disc())
+    with pytest.raises(ValueError, match="one driver per solution"):
+        nd_solution_diagnostics_many(sols, ws[:2], unit_disc())
+
+
+def per_path_tanaka_gap(sol, other):
+    """The per-path form of the pairwise slack, one solution pair at a time."""
+    u = sol.input_values - other.input_values
+    delta = sol.phi.values - other.phi.values
+    diff_x = sol.X.values - other.X.values
+    atom_terms = np.einsum("ij,ij->i", u[1:], np.diff(delta, axis=0))
+    cum_atoms = np.concatenate(([0.0], np.cumsum(atom_terms)))
+    rhs = np.einsum("ij,ij->i", u, u) + 2.0 * (np.einsum("ij,ij->i", u, delta) - cum_atoms)
+    return float(np.min(rhs - np.einsum("ij,ij->i", diff_x, diff_x)))
+
+
+def per_path_modulus_gap(sol, i, n):
+    """The per-path form of the oscillation slack between grid indices i <= n."""
+    w, X, phi = sol.input_values, sol.X.values, sol.phi.values
+    rhs = float(np.sum((w[n] - w[i]) ** 2))
+    if n > i:
+        dphi = np.diff(phi[i : n + 1], axis=0)
+        rhs += 2.0 * float(np.einsum("ij,ij->i", w[n] - w[i + 1 : n + 1], dphi).sum())
+    return rhs - float(np.sum((X[n] - X[i]) ** 2))
+
+
+@pytest.mark.parametrize("domain,start,quiet_start", MIXED_CASES, ids=["disc", "orthant", "strip"])
+def test_gaps_many_match_batches_of_one_and_per_path_forms(domain, start, quiet_start):
+    sols = solve_skorokhod_step_many(mixed_batch(domain, start, quiet_start), domain)
+    times = sols[0].X.grid.times
+    tanaka = tanaka_inequality_gap_many(sols[:-1], sols[1:])
+    assert tanaka.shape == (len(sols) - 1,)
+    for gap, a, b in zip(tanaka, sols[:-1], sols[1:]):
+        assert bits([gap, gap]) == bits([tanaka_inequality_gap(a, b), per_path_tanaka_gap(a, b)])
+    for i, n in ((0, 96), (32, 64), (20, 21), (40, 40)):
+        mod = modulus_gap_many(sols, times[i], times[n])
+        for gap, sol in zip(mod, sols):
+            assert bits([gap, gap]) == bits(
+                [modulus_gap(sol, times[i], times[n]), per_path_modulus_gap(sol, i, n)]
+            )
+
+
+def test_gaps_many_input_validation():
+    a = solve_skorokhod_step(brownian_step([0.0, 0.0], seed=78, n_steps=32), halfplane())
+    b = solve_skorokhod_step(brownian_step([0.0, 0.0], seed=78, n_steps=64), halfplane())
+    with pytest.raises(ValueError, match="solution 1 is not on the grid"):
+        modulus_gap_many([a, b], 0.0, 1.0)
+    with pytest.raises(ValueError, match="share a grid"):
+        tanaka_inequality_gap_many([a], [b])
+    with pytest.raises(ValueError, match="one other solution per solution"):
+        tanaka_inequality_gap_many([a, a], [a])
 
 
 # --- geometric conditions ---------------------------------------------------

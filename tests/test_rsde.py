@@ -238,7 +238,7 @@ def test_reflected_path_association_invariants():
     coeffs = preset_coefficients("constant-drift(0,-1)", d=2)
     for stream in range(5):
         path = euler_reflected(coeffs, unit_disc(), [0.0, 0.5], grid, RngSeed(19, stream))
-        w = SampledPath.continuous(grid, path.driver_values)
+        w = SampledPath.continuous(grid, path.input_values)
         diag = nd_solution_diagnostics(path, w, unit_disc())
         assert diag["containment_worst_slack"] >= -1e-9
         assert diag["interior_pushing_mass"] == 0.0
