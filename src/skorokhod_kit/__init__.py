@@ -36,6 +36,7 @@ from .itocalc import (
     ito_formula_residual,
     ito_integral,
     ito_isometry_check,
+    ito_isometry_samples,
     local_time_occupation,
     local_time_tanaka,
     quadratic_variation,
@@ -110,6 +111,7 @@ __all__ = [
     "ito_formula_residual",
     "ito_integral",
     "ito_isometry_check",
+    "ito_isometry_samples",
     "ks_test_against_cdf",
     "ks_test_two_sample",
     "local_time_occupation",

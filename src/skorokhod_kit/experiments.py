@@ -17,16 +17,17 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .domains import ConvexDomain, half_line, orthant, unit_disc, halfplane, strip
-from .errors import RefinementLimitError
+from .errors import EvaluationFault, GenerationError, RefinementLimitError
 from .itocalc import (
+    _ISOMETRY_BLOCK,
     Integrand,
     QuadraticVariationPath,
     ito_formula_residual,
-    ito_isometry_check,
+    ito_isometry_samples,
     local_time_occupation,
     local_time_tanaka,
 )
-from .paths import PathKind, SampledPath, TimeGrid
+from .paths import SampledPath, TimeGrid
 from .pathio import RunArtifacts, write_run_artifacts
 from .randomness import InitialLaw, RngSeed, brownian_sample, normal_matrix, standard_normals
 from .reflect1d import rbm_from_skorokhod, skorokhod_map_1d
@@ -249,17 +250,36 @@ def _run_rbm_density(config: ExperimentConfig):
 # ito-isometry
 
 
+# Paths per isometry chunk: a fixed 16 blocks, so the chunk layout depends
+# on n_paths alone and never on the worker count.
+ISOMETRY_CHUNK = 16 * _ISOMETRY_BLOCK
+
+
+def _pooled_isometry(
+    f: Integrand, T: float, n_paths: int, rng: RngSeed, n_steps: int, first_stream: int = 0
+):
+    """ito_isometry_check's estimates, with the stream ranges run on the pool."""
+
+    def chunk(start, stop):
+        try:
+            return ito_isometry_samples(f, T, stop - start, rng, n_steps, first_stream + start)
+        except EvaluationFault as err:
+            # name the path by its index in the whole run, not in its chunk
+            raise EvaluationFault(str(err), err.step_index, start + err.path_index) from err
+
+    parts = map_chunks(chunk, n_paths, chunk=ISOMETRY_CHUNK)
+    lhs = np.concatenate([part[0] for part in parts])
+    rhs = np.concatenate([part[1] for part in parts])
+    return McEstimate.from_samples(lhs), McEstimate.from_samples(rhs)
+
+
 def _run_ito_isometry(config: ExperimentConfig):
     rng = RngSeed(config.seed)
     f_state = Integrand.of_state(lambda t, x: x, m2_bound=0.5)
-    lhs, rhs = ito_isometry_check(
-        f_state, config.horizon, config.n_paths, rng, n_steps=config.n_steps
-    )
+    lhs, rhs = _pooled_isometry(f_state, config.horizon, config.n_paths, rng, config.n_steps)
     joint_se = float(np.hypot(lhs.std_error, rhs.std_error))
     const = Integrand.constant(1.0)
-    lhs1, rhs1 = ito_isometry_check(
-        const, config.horizon, 2000, rng, n_steps=200, first_stream=STREAM_BLOCK
-    )
+    lhs1, rhs1 = _pooled_isometry(const, config.horizon, 2000, rng, 200, STREAM_BLOCK)
     target = 0.5
     checks = [
         Check(
@@ -452,17 +472,38 @@ def _run_local_time(config: ExperimentConfig):
 # nd-skorokhod-props
 
 
+def _brownian_drivers(seed: int, first_stream: int, n_paths: int, grid: TimeGrid, d: int, x0):
+    """d-dimensional Brownian paths from x0, shaped (paths, grid, d).
+
+    Path i equals ``brownian_sample(grid, d, InitialLaw.point_mass(x0),
+    RngSeed(seed, first_stream + i)).values`` bit for bit: one normal_matrix
+    row per path, the same scaling and the same running sum, without a
+    Philox generator and a SampledPath built per path.
+    """
+    n_steps = len(grid) - 1
+    x0 = InitialLaw.point_mass(x0).draw(None, d)
+    z = normal_matrix(RngSeed(seed), n_paths, n_steps * d, first_stream=first_stream)
+    increments = z.reshape(n_paths, n_steps, d)
+    increments *= np.sqrt(grid.deltas)[None, :, None]
+    values = np.empty((n_paths, len(grid), d))
+    values[:, 0] = x0
+    np.cumsum(increments, axis=1, out=values[:, 1:])
+    values[:, 1:] += x0
+    if not np.all(np.isfinite(values)):
+        raise GenerationError("_brownian_drivers produced a non-finite value")
+    return values
+
+
 def _nd_domain_batch(config: ExperimentConfig, domain: ConvexDomain, start_point, block: int):
     n_paths = config.n_paths
     n_steps = config.n_steps
     grid = TimeGrid.uniform(config.horizon, n_steps)
-    law = InitialLaw.point_mass(start_point)
     mod_indices = [(0, n_steps), (n_steps // 3, (2 * n_steps) // 3)]
     ws = [
-        brownian_sample(
-            grid, domain.dimension, law, RngSeed(config.seed, block * STREAM_BLOCK + i)
-        ).with_kind(PathKind.STEP)
-        for i in range(n_paths)
+        SampledPath.step(grid, values)
+        for values in _brownian_drivers(
+            config.seed, block * STREAM_BLOCK, n_paths, grid, domain.dimension, start_point
+        )
     ]
     sols = solve_skorokhod_step_many(ws, domain)
     diags = nd_solution_diagnostics_many(sols, ws, domain)
@@ -487,10 +528,11 @@ def _nd_refinement_checks(config: ExperimentConfig, domain: ConvexDomain, start_
     n0 = int(config.option("refine_n0", 128))
     n_drivers = int(config.option("refine_drivers", 12))
     grid = TimeGrid.uniform(config.horizon, n0)
-    law = InitialLaw.point_mass(start_point)
     ws = [
-        brownian_sample(grid, domain.dimension, law, RngSeed(config.seed, block * STREAM_BLOCK + i))
-        for i in range(n_drivers)
+        SampledPath.continuous(grid, values)
+        for values in _brownian_drivers(
+            config.seed, block * STREAM_BLOCK, n_drivers, grid, domain.dimension, start_point
+        )
     ]
     schedules = []
     failures = []
@@ -527,13 +569,8 @@ def _nd_1d_crosscheck(config: ExperimentConfig, block: int):
     worst = 0.0
     achieved_tol = 0.0
     ws = [
-        SampledPath.continuous(
-            grid,
-            brownian_sample(
-                grid, 1, InitialLaw.point_mass(0.5), RngSeed(config.seed, block * STREAM_BLOCK + i)
-            ).values,
-        )
-        for i in range(n_drivers)
+        SampledPath.continuous(grid, values)
+        for values in _brownian_drivers(config.seed, block * STREAM_BLOCK, n_drivers, grid, 1, 0.5)
     ]
     for w, sol in zip(ws, solve_skorokhod_continuous_many(ws, domain, refine_tol=refine_tol)):
         fine_grid = sol.X.grid

@@ -28,6 +28,11 @@ class Integrand:
     to and including t, never beyond: causality is structural. The optional
     ``evaluate_path`` computes all grid values in one vectorized call and
     must agree with ``evaluate``; it exists so Monte Carlo loops stay fast.
+    ``pointwise`` declares that ``evaluate_path`` is an elementwise function
+    of (t, X_t) that broadcasts: given times shaped (grid,) and values shaped
+    (paths, grid), one call returns every path's values, each row equal bit
+    for bit to that path's own call. ``constant``, ``of_time`` and
+    ``of_state`` declare it; other integrands are evaluated path by path.
     ``m2_bound`` records a declared square-integrability witness; it is a
     contract, not something checked here (ito_isometry_check gives a
     Monte Carlo spot check of E int f^2 dt).
@@ -36,6 +41,11 @@ class Integrand:
     evaluate: Callable[[float, np.ndarray, np.ndarray], float]
     m2_bound: float | str = "unverified"
     evaluate_path: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    pointwise: bool = False
+
+    def __post_init__(self):
+        if self.pointwise and self.evaluate_path is None:
+            raise ValueError("a pointwise integrand needs evaluate_path")
 
     @classmethod
     def constant(cls, c: float) -> "Integrand":
@@ -43,6 +53,7 @@ class Integrand:
             evaluate=lambda t, ts, xs: c,
             m2_bound=abs(c),
             evaluate_path=lambda ts, xs: np.full_like(xs, c),
+            pointwise=True,
         )
 
     @classmethod
@@ -52,25 +63,42 @@ class Integrand:
             evaluate=lambda t, ts, xs: float(fn(t)),
             m2_bound=m2_bound,
             evaluate_path=lambda ts, xs: np.broadcast_to(fn(ts), xs.shape).copy(),
+            pointwise=True,
         )
 
     @classmethod
     def of_state(cls, fn: Callable, m2_bound: float | str = "unverified") -> "Integrand":
-        """Markov integrand t -> fn(t, X_t), causal by construction."""
+        """Markov integrand t -> fn(t, X_t), causal by construction.
+
+        fn must act elementwise on arrays of times and states (numpy ufunc
+        arithmetic does), as the vectorized and block evaluations rely on it.
+        """
         return cls(
             evaluate=lambda t, ts, xs: float(fn(t, xs[-1])),
             m2_bound=m2_bound,
             evaluate_path=lambda ts, xs: fn(ts, xs),
+            pointwise=True,
         )
 
 
 def integrand_grid_values(
     f: Integrand, times: np.ndarray, values: np.ndarray, path_index: int | None = None
 ) -> np.ndarray:
-    """f at every grid point, using the vectorized form when available.
+    """f at every grid point of one path, or of a block of paths.
 
-    ``path_index`` is passed on to any EvaluationFault raised here.
+    ``values`` is one path shaped (grid,) or a block shaped (paths, grid) on
+    the same times. A pointwise integrand takes a block in one call; any
+    other is evaluated row by row, and a custom ``evaluate_path`` always
+    receives one 1-D path. ``path_index`` is passed on to any EvaluationFault
+    raised here; in a block it is the index of row 0 (default 0), and a fault
+    names the first non-finite (path, step) in path order.
     """
+    if values.ndim == 2 and not f.pointwise:
+        first = path_index or 0
+        vals = np.empty_like(values)
+        for j, row in enumerate(values):
+            vals[j] = integrand_grid_values(f, times, row, path_index=first + j)
+        return vals
     if f.evaluate_path is not None:
         vals = np.asarray(f.evaluate_path(times, values), dtype=np.float64)
         if vals.shape != values.shape:
@@ -81,10 +109,13 @@ def integrand_grid_values(
         vals = np.empty_like(values)
         for k in range(values.size):
             vals[k] = f.evaluate(times[k], times[: k + 1], values[: k + 1])
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+    finite = np.isfinite(vals)
+    if not finite.all():
+        row, step = divmod(int(np.flatnonzero(~finite)[0]), vals.shape[-1])
+        if vals.ndim == 2:
+            path_index = (path_index or 0) + row
         raise EvaluationFault(
-            "integrand produced a non-finite value", step_index=bad, path_index=path_index
+            "integrand produced a non-finite value", step_index=step, path_index=path_index
         )
     return vals
 
@@ -233,32 +264,32 @@ def local_time_tanaka(X: SampledPath, a: float) -> LocalTimeEstimate:
     return LocalTimeEstimate(level=a, value=float(value), estimator="tanaka")
 
 
-# Paths per block of ito_isometry_check: bounds the increments held at once.
+# Paths per block of ito_isometry_samples: bounds the increments held at once.
 _ISOMETRY_BLOCK = 64
 
 
-def ito_isometry_check(
+def ito_isometry_samples(
     f: Integrand,
     T: float,
     n_paths: int,
     rng: RngSeed,
     n_steps: int = 1000,
     first_stream: int = 0,
-):
-    """Monte Carlo estimates of E[(int_0^T f dB)^2] and E[int_0^T f^2 dt].
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path samples of (int_0^T f dB)^2 and of int_0^T f^2 dt.
 
-    Path i draws its increments from stream first_stream + i, so estimates
-    are reproducible and independent of batching. Paths run in blocks of
-    _ISOMETRY_BLOCK: one normal_matrix call per block, the integrand
-    evaluated path by path on the block's grid values, and both sums taken
-    for the whole block at once. A non-finite integrand value raises
-    EvaluationFault with its grid step and the path's index i. Returns
-    (lhs, rhs) as McEstimate values.
+    Path i draws its increments from stream first_stream + i, so a path's
+    samples do not depend on which other paths share the call: a run split
+    into stream ranges and concatenated in order gives the same arrays.
+    Paths run in blocks of _ISOMETRY_BLOCK: one normal_matrix call per
+    block, the integrand evaluated on the block's grid values (in one call
+    when it is pointwise), and both sums taken for the whole block at once
+    as pairwise numpy row sums, which call no BLAS and give every row the
+    same bits whatever the block's shape. A non-finite integrand value
+    raises EvaluationFault with its grid step and the path's index i.
     """
-    from .stats import McEstimate  # local import to keep module layering simple
-
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
+    if n_paths < 1:
+        raise ValueError("need at least 1 path")
     grid = TimeGrid.uniform(T, n_steps)
     times = grid.times
     sqrt_dt = np.sqrt(grid.deltas)
@@ -271,10 +302,29 @@ def ito_isometry_check(
         dB *= sqrt_dt
         x = np.zeros((m, n_steps + 1))
         np.cumsum(dB, axis=1, out=x[:, 1:])
-        left = np.empty((m, n_steps))
-        for j in range(m):
-            left[j] = integrand_grid_values(f, times, x[j], path_index=start + j)[:-1]
-        lhs_samples[start : start + m] = np.vecdot(left, dB)
-        rhs_samples[start : start + m] = np.vecdot(left**2, dt)
+        left = integrand_grid_values(f, times, x, path_index=start)[:, :-1]
+        lhs_samples[start : start + m] = (left * dB).sum(axis=1)
+        rhs_samples[start : start + m] = (left**2 * dt).sum(axis=1)
     lhs_samples **= 2
+    return lhs_samples, rhs_samples
+
+
+def ito_isometry_check(
+    f: Integrand,
+    T: float,
+    n_paths: int,
+    rng: RngSeed,
+    n_steps: int = 1000,
+    first_stream: int = 0,
+):
+    """Monte Carlo estimates of E[(int_0^T f dB)^2] and E[int_0^T f^2 dt].
+
+    The McEstimate values (lhs, rhs) of ito_isometry_samples' output, so
+    estimates are reproducible and independent of batching.
+    """
+    from .stats import McEstimate  # local import to keep module layering simple
+
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths")
+    lhs_samples, rhs_samples = ito_isometry_samples(f, T, n_paths, rng, n_steps, first_stream)
     return McEstimate.from_samples(lhs_samples), McEstimate.from_samples(rhs_samples)

@@ -20,6 +20,7 @@ from .errors import GenerationError
 from .paths import SampledPath, TimeGrid
 
 _U53 = np.uint64(1) << np.uint64(53)
+_HALF_ULP = 2.0**-54  # half the spacing of the 53-bit uniform grid
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,17 @@ def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0)
 
     Row i equals ``standard_normals(rng.with_stream(first_stream + i).generator(),
     n_cols)`` bit for bit. One Philox bit generator is re-keyed per row (a
-    Philox stream is just its key, with the counter at 0), and its raw 64-bit
-    words are shifted right by 11: that is exactly the bounded draw
+    Philox stream is just its key, with the counter at 0), and
+    ``Generator.random`` fills the row with k * 2**-53, where k is the raw
+    64-bit word shifted right by 11: that k is exactly the bounded draw
     ``integers(0, 2**53)``, whose Lemire rejection threshold is 0 for a
-    power-of-two range. The uniform and inverse-CDF steps run in place.
+    power-of-two range. Adding 2**-54 then rounds exactly as
+    (k + 0.5) / 2**53 does, since both round the same real (2k + 1) * 2**-54.
+    The fill runs without the GIL, so it overlaps other pool workers' work.
+    The inverse-CDF step runs in place.
     """
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bits)
     state = bits.state  # fresh: counter 0, output buffer empty
     seed = rng.seed % (1 << 64)
     u = np.empty((n_rows, n_cols))
@@ -62,9 +68,8 @@ def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0)
         stream = (first_stream + i) % (1 << 64)
         state["state"]["key"] = np.array([seed, stream], dtype=np.uint64)
         bits.state = state
-        u[i] = bits.random_raw(n_cols) >> np.uint64(11)
-    u += 0.5
-    u /= float(_U53)
+        gen.random(out=u[i])
+    u += _HALF_ULP
     return ndtri(u, out=u)
 
 

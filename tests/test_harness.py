@@ -11,6 +11,7 @@ import pytest
 
 import skorokhod_kit
 from skorokhod_kit import (
+    GenerationError,
     InitialLaw,
     RngSeed,
     SampledPath,
@@ -394,6 +395,19 @@ def test_thread_cap_env_and_determinism(tmp_path, monkeypatch):
     assert local_time(tmp_path / "lt1") == many
 
 
+def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
+    # 2100 paths: three pool chunks of 1024 paths, the last one short, and a
+    # short last block of 64 paths within it
+    def isometry(workers):
+        monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+        config = default_config(
+            "ito-isometry", n_paths=2100, n_steps=50, out_dir=str(tmp_path / workers)
+        )
+        return run_experiment(config).artifacts.summary.read_bytes()
+
+    assert isometry("1") == isometry("3")
+
+
 # --- 1-d chunk kernels ------------------------------------------------------
 
 LT_EPS = [0.08, 0.01]
@@ -475,6 +489,40 @@ def test_local_time_pass_independent_of_blas_threads():
         outputs.append(out.stdout)
     assert len(outputs[0]) == 2 * 8 * 3 * 20
     assert outputs[0] == outputs[1]
+
+
+def test_isometry_samples_independent_of_blas_threads():
+    # OpenBLAS splits a dot product of more than about 10,000 terms across
+    # its threads, which changes the sum's bits; the isometry sums call no BLAS
+    src = str(Path(skorokhod_kit.__file__).resolve().parents[1])
+    code = (
+        "import sys, numpy as np\n"
+        "from skorokhod_kit import Integrand, RngSeed, ito_isometry_samples\n"
+        "f = Integrand.of_state(lambda t, x: x)\n"
+        "lhs, rhs = ito_isometry_samples(f, 1.0, 8, RngSeed(3), n_steps=50_000)\n"
+        "sys.stdout.write(np.concatenate([lhs, rhs]).tobytes().hex())\n"
+    )
+    outputs = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=blas_threads)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(out.stdout)
+    assert len(outputs[0]) == 2 * 8 * 2 * 8
+    assert outputs[0] == outputs[1]
+
+
+def test_brownian_drivers_match_per_path_samples():
+    grid = TimeGrid.uniform(0.7, 90)
+    x0 = [0.25, -1.5, 3.0]
+    values = experiments._brownian_drivers(6, 2**32 + 1, 5, grid, 3, x0)
+    assert values.shape == (5, 91, 3)
+    for i in range(5):
+        B = brownian_sample(grid, 3, InitialLaw.point_mass(x0), RngSeed(6, 2**32 + 1 + i))
+        assert np.array_equal(values[i], B.values)
+    with pytest.raises(GenerationError):
+        experiments._brownian_drivers(6, 0, 2, grid, 2, [np.inf, 0.0])
 
 
 def test_all_experiments_registered():

@@ -17,6 +17,7 @@ from skorokhod_kit import (
     ito_formula_residual,
     ito_integral,
     ito_isometry_check,
+    ito_isometry_samples,
     local_time_occupation,
     local_time_tanaka,
     quadratic_variation,
@@ -149,8 +150,9 @@ def isometry_oracle(f, T, n_paths, rng, n_steps=1000, first_stream=0):
         dB = standard_normals(gen, n_steps) * sqrt_dt
         x = np.concatenate(([0.0], np.cumsum(dB)))
         vals = integrand_grid_values(f, times, x)
-        lhs_samples[i] = vals[:-1] @ dB
-        rhs_samples[i] = (vals[:-1] ** 2) @ dt
+        # numpy's pairwise sums, BLAS-free like the batched route
+        lhs_samples[i] = (vals[:-1] * dB).sum()
+        rhs_samples[i] = (vals[:-1] ** 2 * dt).sum()
     lhs_samples **= 2
     return McEstimate.from_samples(lhs_samples), McEstimate.from_samples(rhs_samples)
 
@@ -213,6 +215,106 @@ def test_isometry_fault_names_path_and_step(make):
         ito_isometry_check(make(70, 17), 1.0, 100, RngSeed(2), n_steps=30, first_stream=9)
     assert err.value.step_index == 17
     assert err.value.path_index == 70
+
+
+POINTWISE_FACTORIES = {
+    "constant": Integrand.constant(-0.75),
+    "of_time": Integrand.of_time(lambda t: np.exp(-t) * np.sin(7.0 * t)),
+    "of_state": Integrand.of_state(lambda t, x: np.tanh(x) * np.cos(t) + x**3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE_FACTORIES))
+def test_pointwise_block_matches_rows_bit_for_bit(name):
+    f = POINTWISE_FACTORIES[name]
+    assert f.pointwise
+    grid = TimeGrid.uniform(1.7, 333)
+    x = np.cumsum(np.random.default_rng(8).standard_normal((37, len(grid))) * 0.07, axis=1)
+    block = integrand_grid_values(f, grid.times, x)
+    rows = np.array([integrand_grid_values(f, grid.times, row) for row in x])
+    assert block.shape == x.shape
+    assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
+
+
+def test_custom_evaluate_path_sees_one_path_at_a_time():
+    shapes = []
+
+    def evaluate_path(ts, xs):
+        shapes.append(xs.shape)
+        return xs - xs.mean()  # depends on the whole path: not pointwise
+
+    f = Integrand(evaluate=lambda t, ts, xs: float(xs[-1]), evaluate_path=evaluate_path)
+    assert not f.pointwise
+    x = np.arange(12.0).reshape(3, 4)
+    got = integrand_grid_values(f, np.arange(4.0), x)
+    assert shapes == [(4,)] * 3
+    assert np.array_equal(got, x - x.mean(axis=1, keepdims=True))
+
+
+def test_pointwise_needs_evaluate_path():
+    with pytest.raises(ValueError):
+        Integrand(evaluate=lambda t, ts, xs: 1.0, pointwise=True)
+
+
+def _pointwise_nan_at(rng, first_stream, n_steps, marks):
+    # a pointwise integrand that is NaN at grid step `step` of path `path` for
+    # each (path, step) in marks; each point is found by its path value,
+    # which no other grid point of the run shares
+    grid = TimeGrid.uniform(1.0, n_steps)
+    targets = []
+    for path, step in marks:
+        gen = rng.with_stream(first_stream + path).generator()
+        dB = standard_normals(gen, n_steps) * np.sqrt(grid.deltas)
+        targets.append((grid.times[step], np.cumsum(dB)[step - 1]))
+
+    def fn(t, x):
+        hit = np.zeros(np.broadcast(t, x).shape, dtype=bool)
+        for t_mark, x_mark in targets:
+            hit |= (t == t_mark) & (x == x_mark)
+        return np.where(hit, np.nan, x)
+
+    return Integrand.of_state(fn)
+
+
+@pytest.mark.parametrize(
+    "marks",
+    [[(70, 17)], [(71, 2), (70, 17)], [(70, 25), (99, 1), (70, 17)]],
+)
+def test_pointwise_fault_names_first_path_then_step(marks):
+    # path 70 lies in the second block of paths; a NaN at an earlier step of
+    # a later path in the same block does not hide it
+    f = _pointwise_nan_at(RngSeed(2), 9, 30, marks)
+    with pytest.raises(EvaluationFault) as err:
+        ito_isometry_check(f, 1.0, 100, RngSeed(2), n_steps=30, first_stream=9)
+    assert (err.value.path_index, err.value.step_index) == (70, 17)
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize(
+    "marks, first",
+    [([(1094, 2), (70, 17)], (70, 17)), ([(2050, 1), (1094, 17)], (1094, 17))],
+)
+def test_pooled_fault_names_run_path_across_chunks(monkeypatch, threads, marks, first):
+    # 2100 paths make three pool chunks of 1024; path 1094 is path 70 of the
+    # second chunk and is named by its index in the whole run
+    from skorokhod_kit.experiments import ISOMETRY_CHUNK, _pooled_isometry
+
+    assert ISOMETRY_CHUNK == 1024
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", threads)
+    f = _pointwise_nan_at(RngSeed(2), 9, 30, marks)
+    with pytest.raises(EvaluationFault) as err:
+        _pooled_isometry(f, 1.0, 2100, RngSeed(2), 30, first_stream=9)
+    assert (err.value.path_index, err.value.step_index) == first
+
+
+def test_isometry_samples_do_not_depend_on_the_split():
+    # past 8,192 steps a one-row block is where einsum's row sums would differ
+    f = ORACLE_INTEGRANDS["of_state"]
+    whole = ito_isometry_samples(f, 1.0, 3, RngSeed(4), n_steps=9000, first_stream=11)
+    one = ito_isometry_samples(f, 1.0, 1, RngSeed(4), n_steps=9000, first_stream=11)
+    two = ito_isometry_samples(f, 1.0, 2, RngSeed(4), n_steps=9000, first_stream=12)
+    for got, parts in zip(whole, zip(one, two)):
+        assert np.array_equal(got, np.concatenate(parts))
 
 
 def test_isometry_rejects_tiny_samples():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from skorokhod_kit import GenerationError, InitialLaw, RngSeed, TimeGrid, brownian_sample
 from skorokhod_kit import gaussian_kernel
@@ -113,6 +115,20 @@ def test_normal_matrix_rows_match_per_stream_draws(seed, first_stream, n_cols):
     for i in range(3):
         gen = RngSeed(seed, first_stream + i).generator()
         assert np.array_equal(z[i], standard_normals(gen, n_cols))
+
+
+@given(st.integers(min_value=0, max_value=2**53 - 1))
+@example(0)
+@example(1)
+@example(2**52 - 1)
+@example(2**52)
+@example(2**53 - 1)
+def test_uniform_fill_plus_half_ulp_is_the_midpoint_map(k):
+    # normal_matrix adds 2**-54 to Generator.random's k * 2**-53, where
+    # standard_normals takes (k + 0.5) / 2**53: both round (2k + 1) * 2**-54
+    assert float(k) * 2.0**-53 + 2.0**-54 == (float(k) + 0.5) / 2.0**53
+    u = np.array([k], dtype=np.uint64).astype(np.float64)
+    assert np.array_equal(u * 2.0**-53 + 2.0**-54, (u + 0.5) / 2.0**53)
 
 
 def test_gaussian_kernel_values():
