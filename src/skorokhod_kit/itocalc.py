@@ -5,7 +5,9 @@ local-time estimators.
 Every sum here evaluates integrands at the left endpoint of each step. That
 convention is fixed at the interface: it is what makes the discrete integral
 a martingale transform, and the isometry and zero-mean properties hold for
-it exactly in expectation.
+it exactly in expectation. Sums are numpy pairwise sums, never BLAS, so their
+bits do not depend on the BLAS thread count. The local-time estimators run
+on blocks of paths shaped (paths, grid); the SampledPath forms are batches of one.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import ContractError, EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .randomness import RngSeed, normal_matrix
+from .randomness import RngSeed, brownian_increments, path_values
 
 
 @dataclass(frozen=True)
@@ -122,11 +125,11 @@ def integrand_grid_values(
 
 def ito_integral(f: Integrand, B: SampledPath) -> float:
     """Left-point integral sum_k f(t_k) * (B(t_{k+1}) - B(t_k))."""
-    if B.dim != 1:
-        raise ValueError("driver must be one-dimensional")
     x = B.scalar_values
     vals = integrand_grid_values(f, B.grid.times, x)
-    return float(vals[:-1] @ np.diff(x))
+    dx = np.diff(x)
+    dx *= vals[:-1]
+    return float(dx.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,11 +158,8 @@ class QuadraticVariationPath:
 
 def quadratic_variation(X: SampledPath) -> QuadraticVariationPath:
     """Realized quadratic variation: cumulative sum of squared increments."""
-    if X.dim != 1:
-        raise ValueError("path must be one-dimensional")
     sq = np.diff(X.scalar_values) ** 2
-    values = np.concatenate(([0.0], np.cumsum(sq)))
-    return QuadraticVariationPath(X.grid, values)
+    return QuadraticVariationPath(X.grid, path_values(0.0, sq[:, None])[:, 0])
 
 
 def _spot_check_partials(F, F_t, F_x, F_xx, times, values) -> None:
@@ -200,22 +200,20 @@ def ito_formula_residual(
     (realized or model bracket). Partials are spot-checked against finite
     differences before use.
     """
-    if X.dim != 1:
-        raise ValueError("path must be one-dimensional")
     if not X.grid.same_as(qv.grid):
         raise ValueError("path and quadratic variation must share a grid")
     times = X.grid.times
     x = X.scalar_values
     _spot_check_partials(F, F_t, F_x, F_xx, times, x)
     tl, xl = times[:-1], x[:-1]
+    # each term's products overwrite its own increments, then a pairwise sum
     dt = np.diff(times)
+    dt *= F_t(tl, xl)
     dx = np.diff(x)
+    dx *= F_x(tl, xl)
     dqv = np.diff(qv.values)
-    increment_sum = float(
-        np.asarray(F_t(tl, xl)) @ dt
-        + np.asarray(F_x(tl, xl)) @ dx
-        + 0.5 * np.asarray(F_xx(tl, xl)) @ dqv
-    )
+    dqv *= 0.5 * np.asarray(F_xx(tl, xl))
+    increment_sum = float(dt.sum() + dx.sum() + dqv.sum())
     return float(F(times[-1], x[-1]) - F(times[0], x[0]) - increment_sum)
 
 
@@ -233,34 +231,60 @@ class LocalTimeEstimate:
             raise ValueError("occupation estimate cannot be negative")
 
 
-def local_time_occupation(X: SampledPath, a: float, eps: float) -> LocalTimeEstimate:
-    """Occupation estimate: time spent in (a-eps, a+eps), scaled by 1/(4 eps).
+def brownian_local_time_mean(a: float, T: float) -> float:
+    """E[(B_T - a)^+ - (B_0 - a)^+] = E[L^a_T] / 2 for Brownian motion B from 0.
 
-    The indicator is sampled at left endpoints, matching the other sums here.
+    Both estimators target it: sqrt(T) phi(a / sqrt(T)) - |a| Phi(-|a| / sqrt(T)).
     """
-    if not eps > 0.0:
+    if not T > 0.0:
+        raise ValueError("T must be positive")
+    root_t = np.sqrt(T)
+    phi = np.exp(-0.5 * a * a / T) / np.sqrt(2.0 * np.pi)
+    return float(root_t * phi - abs(a) * ndtr(-abs(a) / root_t))
+
+
+def local_time_occupation_batch(
+    values: np.ndarray, grid: TimeGrid, a: float, eps_list
+) -> np.ndarray:
+    """Occupation estimates, shaped (len(eps_list), paths), of values (paths, grid).
+
+    Entry (j, i) is the time path i spends in (a - eps, a + eps), eps =
+    eps_list[j], scaled by 1/(4 eps), with indicators at left endpoints; one
+    distance array serves every bandwidth.
+    """
+    if not all(eps > 0.0 for eps in eps_list):
         raise ValueError("eps must be positive")
-    if X.dim != 1:
-        raise ValueError("path must be one-dimensional")
-    x = X.scalar_values
-    inside = np.abs(x[:-1] - a) < eps
-    value = float(np.where(inside, X.grid.deltas, 0.0).sum()) / (4.0 * eps)
-    return LocalTimeEstimate(level=a, value=value, estimator="occupation", epsilon=eps)
+    dist = values[..., :-1] - a
+    np.abs(dist, out=dist)
+    occupation = []
+    for inside, eps in zip([dist < eps for eps in eps_list], eps_list):
+        np.multiply(inside, grid.deltas, out=dist)  # spent distances take the sojourns
+        occupation.append(dist.sum(axis=-1) / (4.0 * eps))
+    return np.stack(occupation)
+
+
+def local_time_tanaka_batch(values: np.ndarray, a: float) -> np.ndarray:
+    """Tanaka estimates (X_T - a)^+ - (X_0 - a)^+ - int 1{X > a} dX per row.
+
+    The integral is the left-point sum of ito_integral over the row's own
+    increments, so the discretization convention cannot drift from the rest
+    of the module.
+    """
+    dx = np.diff(values, axis=-1)
+    dx *= values[..., :-1] > a
+    crossing = dx.sum(axis=-1)
+    return np.maximum(values[..., -1] - a, 0.0) - np.maximum(values[..., 0] - a, 0.0) - crossing
+
+
+def local_time_occupation(X: SampledPath, a: float, eps: float) -> LocalTimeEstimate:
+    """Occupation estimate of one path: local_time_occupation_batch at one eps."""
+    value = local_time_occupation_batch(X.scalar_values[None], X.grid, a, [eps])[0, 0]
+    return LocalTimeEstimate(level=a, value=float(value), estimator="occupation", epsilon=eps)
 
 
 def local_time_tanaka(X: SampledPath, a: float) -> LocalTimeEstimate:
-    """Tanaka estimate: (X_T - a)^+ - (X_0 - a)^+ - int 1{X > a} dX.
-
-    The integral term reuses ito_integral so the discretization convention
-    cannot drift from the rest of the module.
-    """
-    if X.dim != 1:
-        raise ValueError("path must be one-dimensional")
-    x = X.scalar_values
-    indicator = Integrand.of_state(
-        lambda t, xs: (xs > a).astype(np.float64), m2_bound=1.0
-    )
-    value = max(x[-1] - a, 0.0) - max(x[0] - a, 0.0) - ito_integral(indicator, X)
+    """Tanaka estimate of one path: local_time_tanaka_batch as a batch of one."""
+    value = local_time_tanaka_batch(X.scalar_values[None], a)[0]
     return LocalTimeEstimate(level=a, value=float(value), estimator="tanaka")
 
 
@@ -278,28 +302,27 @@ def ito_isometry_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path samples of (int_0^T f dB)^2 and of int_0^T f^2 dt.
 
-    Path i draws its increments from stream first_stream + i, so a path's
-    samples do not depend on which other paths share the call: a run split
-    into stream ranges and concatenated in order gives the same arrays.
-    Paths run in blocks of _ISOMETRY_BLOCK: one normal_matrix call per
-    block, the integrand evaluated on the block's grid values (in one call
-    when it is pointwise), and both sums taken for the whole block at once
-    as pairwise numpy row sums, which call no BLAS and give every row the
-    same bits whatever the block's shape. A non-finite integrand value
+    Path i draws its increments from stream rng.stream + first_stream + i,
+    so a path's samples do not depend on which other paths share the call: a
+    run split into stream ranges and concatenated in order gives the same
+    arrays. Paths run in blocks of _ISOMETRY_BLOCK: one brownian_increments
+    call per block, the integrand evaluated on the block's grid values (in
+    one call when it is pointwise), and both sums taken for the whole block
+    at once as pairwise numpy row sums, which call no BLAS and give every
+    row the same bits whatever the block's shape. A non-finite integrand value
     raises EvaluationFault with its grid step and the path's index i.
     """
     if n_paths < 1:
         raise ValueError("need at least 1 path")
     grid = TimeGrid.uniform(T, n_steps)
     times = grid.times
-    sqrt_dt = np.sqrt(grid.deltas)
     dt = grid.deltas
     lhs_samples = np.empty(n_paths)
     rhs_samples = np.empty(n_paths)
     for start in range(0, n_paths, _ISOMETRY_BLOCK):
         m = min(_ISOMETRY_BLOCK, n_paths - start)
-        dB = normal_matrix(rng, m, n_steps, first_stream=first_stream + start)
-        dB *= sqrt_dt
+        dB = brownian_increments(rng, m, grid, first_stream=first_stream + start)
+        dB = dB[..., 0]
         x = np.zeros((m, n_steps + 1))
         np.cumsum(dB, axis=1, out=x[:, 1:])
         left = integrand_grid_values(f, times, x, path_index=start)[:, :-1]

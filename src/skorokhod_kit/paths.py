@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +56,10 @@ class TimeGrid:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    @property
+    @cached_property
     def deltas(self) -> np.ndarray:
-        return np.diff(self.times)
+        """Step lengths, computed once: chunk kernels read them per chunk."""
+        return _frozen(np.diff(self.times))
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -109,7 +111,7 @@ class SampledPath:
     @property
     def scalar_values(self) -> np.ndarray:
         if self.dim != 1:
-            raise ValueError("scalar_values requires d = 1")
+            raise ValueError(f"a one-dimensional path is required, got d = {self.dim}")
         return self.values[:, 0]
 
     def value_at(self, t: float) -> np.ndarray:

@@ -46,10 +46,11 @@ def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
 
 
 def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0) -> np.ndarray:
-    """Row i holds the first n_cols normals of stream first_stream + i.
+    """Row i holds the first n_cols normals of stream rng.stream + first_stream + i.
 
-    Row i equals ``standard_normals(rng.with_stream(first_stream + i).generator(),
-    n_cols)`` bit for bit. One Philox bit generator is re-keyed per row (a
+    Row i equals ``standard_normals(rng.with_stream(rng.stream + first_stream +
+    i).generator(), n_cols)`` bit for bit, so two stream blocks of one seed
+    never share rows. One Philox bit generator is re-keyed per row (a
     Philox stream is just its key, with the counter at 0), and
     ``Generator.random`` fills the row with k * 2**-53, where k is the raw
     64-bit word shifted right by 11: that k is exactly the bounded draw
@@ -63,9 +64,10 @@ def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0)
     gen = np.random.Generator(bits)
     state = bits.state  # fresh: counter 0, output buffer empty
     seed = rng.seed % (1 << 64)
+    first = rng.stream + first_stream
     u = np.empty((n_rows, n_cols))
     for i in range(n_rows):
-        stream = (first_stream + i) % (1 << 64)
+        stream = (first + i) % (1 << 64)
         state["state"]["key"] = np.array([seed, stream], dtype=np.uint64)
         bits.state = state
         gen.random(out=u[i])
@@ -112,6 +114,48 @@ class InitialLaw:
         return x0
 
 
+def path_values(x0, increments: np.ndarray, out=None) -> np.ndarray:
+    """x0, then x0 plus the running sums of increments (..., steps, d) along steps."""
+    shape = increments.shape
+    values = np.empty(shape[:-2] + (shape[-2] + 1, shape[-1])) if out is None else out
+    values[..., 0, :] = x0
+    np.cumsum(increments, axis=-2, out=values[..., 1:, :])
+    values[..., 1:, :] += x0
+    return values
+
+
+def brownian_increments(
+    rng: RngSeed, n_paths: int, grid: TimeGrid, d: int = 1, first_stream: int = 0
+) -> np.ndarray:
+    """Brownian increments shaped (paths, steps, d).
+
+    Path i is one normal_matrix row, from stream rng.stream + first_stream + i,
+    scaled by sqrt(grid.deltas): the increments of brownian_sample on that
+    stream from a point mass, bit for bit.
+    """
+    n_steps = len(grid) - 1
+    rows = normal_matrix(rng, n_paths, n_steps * d, first_stream)
+    scale = np.sqrt(grid.deltas)
+    rows *= np.repeat(scale, d) if d > 1 else scale  # along rows: numpy's fast inner loop
+    return rows.reshape(n_paths, n_steps, d)
+
+
+def brownian_paths(
+    rng: RngSeed, n_paths: int, grid: TimeGrid, d: int = 1, x0=0.0, first_stream: int = 0, out=None
+) -> np.ndarray:
+    """Brownian paths from the point x0, shaped (paths, grid, d), in ``out`` if given.
+
+    Path i equals ``brownian_sample(grid, d, InitialLaw.point_mass(x0),
+    RngSeed(rng.seed, rng.stream + first_stream + i)).values`` bit for bit.
+    """
+    x0 = InitialLaw.point_mass(x0).draw(None, d)
+    dB = brownian_increments(rng, n_paths, grid, d, first_stream)
+    values = path_values(x0, dB, out=out)
+    if not np.all(np.isfinite(values)):
+        raise GenerationError("brownian_paths produced a non-finite value")
+    return values
+
+
 def brownian_sample(grid: TimeGrid, d: int, law: InitialLaw, rng: RngSeed) -> SampledPath:
     """Brownian path on the grid: independent N(0, dt * I) increments.
 
@@ -123,12 +167,9 @@ def brownian_sample(grid: TimeGrid, d: int, law: InitialLaw, rng: RngSeed) -> Sa
     gen = rng.generator()
     x0 = law.draw(gen, d)
     n_steps = len(grid) - 1
-    z = standard_normals(gen, n_steps * d).reshape(n_steps, d)
-    increments = z * np.sqrt(grid.deltas)[:, None]
-    values = np.empty((len(grid), d))
-    values[0] = x0
-    np.cumsum(increments, axis=0, out=values[1:])
-    values[1:] += x0
+    increments = standard_normals(gen, n_steps * d).reshape(n_steps, d)
+    increments *= np.sqrt(grid.deltas)[:, None]
+    values = path_values(x0, increments)
     if not np.all(np.isfinite(values)):
         raise GenerationError("brownian_sample produced a non-finite value")
     return SampledPath.continuous(grid, values)

@@ -9,7 +9,9 @@ g > 0, is given by the running-minimum formula
 
 On a grid this is one pass of a running minimum. When a new minimum is
 attained the subtraction cancels bit-exactly, so g hits 0 exactly and the
-complementarity condition can be asserted without tolerances.
+complementarity condition can be asserted without tolerances. The map, its
+terminal value and the diagnostics run on blocks of paths shaped
+(paths, grid); the SampledPath forms are batches of one.
 """
 
 from __future__ import annotations
@@ -31,22 +33,37 @@ class Skorokhod1dSolution:
     x0: float
 
 
+def skorokhod_map_1d_batch(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reflect each row of free paths v = x0 + f, shaped (paths, grid), at 0.
+
+    Returns (g, h) shaped like v: h = -running min of min(v, 0) along each
+    row and g = v + h.
+    """
+    h = np.minimum(v, 0.0)
+    np.minimum.accumulate(h, axis=-1, out=h)
+    np.subtract(0.0, h, out=h)  # 0.0 - avoids a cosmetic -0.0 at flat starts
+    return v + h, h
+
+
+def skorokhod_terminal_1d_batch(v: np.ndarray) -> np.ndarray:
+    """g(T) = v(T) - min(min v, 0) for each row of free paths v.
+
+    The column v(0) = x0 >= 0 may be left out, as it never lowers the min.
+    """
+    return v[..., -1] - np.minimum(np.min(v, axis=-1), 0.0)
+
+
 def skorokhod_map_1d(f: SampledPath, x0: float) -> Skorokhod1dSolution:
-    """Solve the reflection problem at 0 for a scalar driver with f(0) = 0."""
-    if f.dim != 1:
-        raise ValueError("driver must be one-dimensional")
+    """Reflection at 0 of a scalar driver with f(0) = 0: a batch of one."""
     if x0 < 0.0:
         raise ValueError("x0 must be nonnegative")
     fv = f.scalar_values
     if fv[0] != 0.0:
         raise ValueError("driver must start at 0")
-    v = x0 + fv
-    running_min = np.minimum.accumulate(np.minimum(v, 0.0))
-    h = 0.0 - running_min  # 0.0 - avoids a cosmetic -0.0 at flat starts
-    g = v + h
+    g, h = skorokhod_map_1d_batch((x0 + fv)[None])
     return Skorokhod1dSolution(
-        g=SampledPath(f.grid, g, f.kind),
-        h=SampledPath(f.grid, h, f.kind),
+        g=SampledPath(f.grid, g[0], f.kind),
+        h=SampledPath(f.grid, h[0], f.kind),
         x0=float(x0),
     )
 
@@ -55,23 +72,14 @@ def rbm_from_skorokhod(
     B: SampledPath, law: InitialLaw, rng: RngSeed | None = None
 ) -> Skorokhod1dSolution:
     """Reflecting Brownian motion X = X(0) + B + phi via the Skorokhod map."""
-    if B.dim != 1:
-        raise ValueError("driver must be one-dimensional")
-    if law.point is not None:
-        x0 = float(law.point[0])
-    else:
-        if rng is None:
-            raise ValueError("a custom initial law needs an rng")
-        x0 = float(law.draw(rng.generator(), 1)[0])
-    if x0 < 0.0:
-        raise ValueError("initial value must be nonnegative")
-    return skorokhod_map_1d(B, x0)
+    if law.point is None and rng is None:
+        raise ValueError("a custom initial law needs an rng")
+    x0 = law.point[0] if law.point is not None else law.draw(rng.generator(), 1)[0]
+    return skorokhod_map_1d(B, float(x0))
 
 
 def rbm_abs(B: SampledPath) -> SampledPath:
     """Pointwise absolute value of a scalar path."""
-    if B.dim != 1:
-        raise ValueError("path must be one-dimensional")
     return SampledPath(B.grid, np.abs(B.scalar_values), B.kind)
 
 
@@ -89,21 +97,25 @@ def reflected_density(t: float, x: float, y: float) -> float:
     return float(c * (np.exp(-((x - y) ** 2) / (2.0 * t)) + np.exp(-((x + y) ** 2) / (2.0 * t))))
 
 
-def skorokhod_1d_diagnostics(sol: Skorokhod1dSolution, f: SampledPath) -> dict:
-    """Grid-level checks of the three defining conditions.
+def skorokhod_1d_diagnostics_batch(g: np.ndarray, h: np.ndarray, v: np.ndarray) -> dict:
+    """Grid-level checks of the defining conditions for g, h and v = x0 + f (paths, grid).
 
-    Returns the max decomposition defect, the most negative h increment, the
-    total h mass spent while g > 0 (exactly 0 for a correct map), and the
-    most negative g value.
+    Per row: the max decomposition defect |g - (v + h)|, the most negative h
+    increment, h at time 0, the h mass spent while g > 0 (exactly 0 for a
+    correct map), and the most negative g value.
     """
-    g = sol.g.scalar_values
-    h = sol.h.scalar_values
-    fv = f.scalar_values
-    dh = np.diff(h)
+    dh = np.diff(h, axis=-1)
     return {
-        "decomposition_max_abs": float(np.max(np.abs(g - ((sol.x0 + fv) + h)))),
-        "min_h_increment": float(np.min(dh)) if dh.size else 0.0,
-        "h_start": float(h[0]),
-        "complementarity_mass": float(np.sum(dh * (g[1:] > 0.0))),
-        "min_g": float(np.min(g)),
+        "decomposition_max_abs": np.max(np.abs(g - (v + h)), axis=-1),
+        "min_h_increment": np.min(dh, axis=-1),
+        "h_start": h[..., 0].copy(),
+        "complementarity_mass": np.sum(dh * (g[..., 1:] > 0.0), axis=-1),
+        "min_g": np.min(g, axis=-1),
     }
+
+
+def skorokhod_1d_diagnostics(sol: Skorokhod1dSolution, f: SampledPath) -> dict:
+    """skorokhod_1d_diagnostics_batch for one solution, as floats."""
+    g, h, v = sol.g.scalar_values, sol.h.scalar_values, sol.x0 + f.scalar_values
+    diag = skorokhod_1d_diagnostics_batch(g[None], h[None], v[None])
+    return {key: float(value[0]) for key, value in diag.items()}

@@ -18,7 +18,7 @@ import numpy as np
 from .domains import DEFAULT_PROJECT_MAX_ITER, DEFAULT_PROJECT_TOL, ConvexDomain
 from .errors import EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .randomness import RngSeed, normal_matrix
+from .randomness import RngSeed, brownian_increments, normal_matrix, path_values
 from .reflectnd import SkorokhodNdSolution, solve_skorokhod_continuous
 
 
@@ -162,7 +162,7 @@ def euler_reflected(
     """Projected Euler path: Y <- project(Y + b dt + sigma dB) each step.
 
     A batch of one on the stepper behind simulate_reflected_terminal_batch,
-    whose increments are row ``rng.stream`` of ``normal_matrix``. phi sums
+    on the increments ``brownian_increments(rng, 1, grid, r)``. phi sums
     the projection displacements in step order and ``driver`` is the
     Brownian path (dimension r) built from the increments.
     """
@@ -171,8 +171,7 @@ def euler_reflected(
     if not domain.contains(x0):
         raise ValueError("x0 must lie in the closed domain")
     n_steps, r = len(grid) - 1, coeffs.r
-    dB = normal_matrix(RngSeed(rng.seed), 1, n_steps * r, first_stream=rng.stream)
-    dB = dB.reshape(1, n_steps, r) * np.sqrt(grid.deltas)[None, :, None]
+    dB = brownian_increments(rng, 1, grid, r)
     X = np.empty((n_steps + 1, d))
     X[0] = x0
     free = np.empty((n_steps, d))
@@ -187,13 +186,12 @@ def euler_reflected(
     pushed = norms > 0.0
     dirs = np.full((n_steps + 1, d), np.nan)
     dirs[pushed] = dphi[pushed] / norms[pushed, None]
-    driver_values = np.vstack([np.zeros((1, r)), np.cumsum(dB[0], axis=0)])
     return SkorokhodNdSolution(
         X=SampledPath.continuous(grid, X),
         phi=SampledPath.continuous(grid, np.cumsum(dphi, axis=0)),
         total_variation=np.cumsum(norms),
         directions=dirs,
-        driver=SampledPath.continuous(grid, driver_values),
+        driver=SampledPath.continuous(grid, path_values(0.0, dB[0])),
     )
 
 
@@ -316,8 +314,9 @@ def _level_terminals(
 ) -> dict[int, np.ndarray]:
     """Terminal states (n_paths, d) per step count, all levels on one driver per path.
 
-    Path i draws its finest increments from stream i; coarse increments are
-    sums of consecutive fine ones. Paths run in blocks of _PATH_BLOCK.
+    Path i draws its finest increments from stream rng.stream + i; coarse
+    increments are sums of consecutive fine ones. Paths run in blocks of
+    _PATH_BLOCK.
     """
     d, r = x0.size, coeffs.r
     n_fine = steps[-1]
@@ -359,8 +358,8 @@ def strong_error_estimate(
     All levels of one path share a driver: coarse increments are sums of
     consecutive fine increments, so levels must be dyadically nested (each
     step count divides the finest by a power of 2). Path i draws its fine
-    increments from stream i of ``rng``. Every level runs all paths at once
-    on the batched projected-Euler stepper shared with
+    increments from stream ``rng.stream + i``. Every level runs all paths at
+    once on the batched projected-Euler stepper shared with
     simulate_reflected_terminal_batch, in blocks of 512 paths. Returns
     (dt, rms) rows, coarsest first; the finest level closes the table with
     rms 0.
@@ -476,22 +475,18 @@ def simulate_reflected_terminal_batch(
     Paths run in chunks of ``chunk`` rows (512 by default) on the batched
     projected-Euler stepper shared with strong_error_estimate; coefficients
     without batch evaluators are evaluated row by row. Path i draws the
-    increments of euler_reflected on stream ``first_stream + i``, which runs
-    them as a batch of one on the same stepper, so the two routes can be
-    cross-checked path for path.
+    increments of euler_reflected on stream ``rng.stream + first_stream + i``
+    (brownian_increments), which runs them as a batch of one on the same
+    stepper, so the two routes can be cross-checked path for path.
     """
     d = domain.dimension
     x0 = np.asarray(x0, dtype=np.float64).reshape(d)
     if not domain.contains(x0):
         raise ValueError("x0 must lie in the closed domain")
-    n_steps = len(grid) - 1
-    sqdt = np.sqrt(grid.deltas)
     out = np.empty((n_paths, d))
     for start in range(0, n_paths, chunk):
         m = min(chunk, n_paths - start)
-        dB = normal_matrix(rng, m, n_steps * coeffs.r, first_stream=first_stream + start)
-        dB = dB.reshape(m, n_steps, coeffs.r)
-        dB *= sqdt[None, :, None]
+        dB = brownian_increments(rng, m, grid, coeffs.r, first_stream + start)
         out[start : start + m] = _euler_batch(
             coeffs,
             domain,

@@ -11,7 +11,6 @@ import pytest
 
 import skorokhod_kit
 from skorokhod_kit import (
-    GenerationError,
     InitialLaw,
     RngSeed,
     SampledPath,
@@ -31,7 +30,7 @@ from skorokhod_kit.experiments import (
     default_config,
     run_experiment,
 )
-from skorokhod_kit.itocalc import local_time_occupation
+from skorokhod_kit.itocalc import local_time_occupation, local_time_tanaka
 from skorokhod_kit.pathio import emit_plot_data
 from skorokhod_kit.randomness import standard_normals
 
@@ -414,7 +413,10 @@ LT_EPS = [0.08, 0.01]
 
 
 def _local_time_oracle(seed, first_stream, n_paths, grid, level, eps_list):
-    """Per-path reference for _local_time_pass: one 1-D stream draw per path."""
+    """Per-path reference for _local_time_pass: one 1-D stream draw per path.
+
+    The Tanaka sum runs over the path's own increments, np.diff of its values.
+    """
     occ = np.empty((len(eps_list), n_paths))
     tan = np.empty(n_paths)
     for i in range(n_paths):
@@ -425,7 +427,8 @@ def _local_time_oracle(seed, first_stream, n_paths, grid, level, eps_list):
         for j, eps in enumerate(eps_list):
             inside = np.abs(left - level) < eps
             occ[j, i] = np.where(inside, grid.deltas, 0.0).sum() / (4.0 * eps)
-        tan[i] = max(x[-1] - level, 0.0) - np.sum((left > level) * dB)
+        crossing = np.sum((left > level) * np.diff(x))
+        tan[i] = max(x[-1] - level, 0.0) - max(x[0] - level, 0.0) - crossing
     return occ, tan
 
 
@@ -450,6 +453,36 @@ def test_local_time_pass_rows_equal_library_occupation(n_steps):
         B = brownian_sample(grid, 1, law, RngSeed(3, i))
         for j, eps in enumerate(LT_EPS):
             assert occ[j][i] == local_time_occupation(B, 0.0, eps).value
+
+
+@pytest.mark.parametrize("level", [0.0, 0.1, -0.3])
+def test_local_time_pass_rows_match_per_path_estimators(level):
+    # the batch kernel against the per-path library estimators, at the 1e-10
+    # tolerance of the former in-experiment check; a level below the start
+    # needs Tanaka's -(X_0 - a)^+ term
+    grid = TimeGrid.uniform(1.0, 2000)
+    eps = 0.01
+    (occ,), tan = _local_time_pass(5, 0, 6, grid, level, [eps])
+    law = InitialLaw.point_mass(0.0)
+    for i in range(6):
+        B = brownian_sample(grid, 1, law, RngSeed(5, i))
+        assert abs(occ[i] - local_time_occupation(B, level, eps).value) <= 1e-10
+        assert abs(tan[i] - local_time_tanaka(B, level).value) <= 1e-10
+
+
+def test_local_time_means_at_a_negative_level(tmp_path):
+    # both estimators center on E(B_T - a)^+ - (-a)^+, not on 1/sqrt(2 pi)
+    config = default_config(
+        "local-time",
+        n_paths=2000,
+        n_steps=2000,
+        out_dir=str(tmp_path / "run"),
+        options={"level": -0.3, "fine_steps": 400, "fine_paths": 20},
+    )
+    result = run_experiment(config)
+    verdicts = {c.name: c.passed for c in result.checks}
+    assert verdicts["occupation_within_3se"]
+    assert verdicts["tanaka_within_3se"]
 
 
 @pytest.mark.parametrize("workers", ["1", "3"])
@@ -511,18 +544,6 @@ def test_isometry_samples_independent_of_blas_threads():
         outputs.append(out.stdout)
     assert len(outputs[0]) == 2 * 8 * 2 * 8
     assert outputs[0] == outputs[1]
-
-
-def test_brownian_drivers_match_per_path_samples():
-    grid = TimeGrid.uniform(0.7, 90)
-    x0 = [0.25, -1.5, 3.0]
-    values = experiments._brownian_drivers(6, 2**32 + 1, 5, grid, 3, x0)
-    assert values.shape == (5, 91, 3)
-    for i in range(5):
-        B = brownian_sample(grid, 3, InitialLaw.point_mass(x0), RngSeed(6, 2**32 + 1 + i))
-        assert np.array_equal(values[i], B.values)
-    with pytest.raises(GenerationError):
-        experiments._brownian_drivers(6, 0, 2, grid, 2, [np.inf, 0.0])
 
 
 def test_all_experiments_registered():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +27,7 @@ from skorokhod_kit import (
     local_time_tanaka,
     quadratic_variation,
 )
-from skorokhod_kit.itocalc import integrand_grid_values
+from skorokhod_kit.itocalc import brownian_local_time_mean, integrand_grid_values
 from skorokhod_kit.randomness import standard_normals
 from skorokhod_kit.stats import McEstimate
 
@@ -496,3 +501,50 @@ def test_local_time_means_match_quadrature_oracle():
     for sample in (occ, tan):
         se = sample.std(ddof=1) / np.sqrt(n)
         assert abs(sample.mean() - oracle) <= 4.0 * se
+
+
+@pytest.mark.parametrize("a, T", [(0.0, 1.0), (-0.3, 1.0), (0.3, 1.0), (0.5, 2.0), (-1.2, 0.4)])
+def test_local_time_mean_matches_quadrature(a, T):
+    # E(B_T - a)^+ - (-a)^+ against quadrature of the Gaussian density
+    density = lambda x: np.exp(-x * x / (2.0 * T)) / np.sqrt(2.0 * np.pi * T)  # noqa: E731
+    # the mass past 12 standard deviations is below 1e-30
+    top = max(a, 0.0) + 12.0 * np.sqrt(T)
+    upper, err = quad(lambda x: (x - a) * density(x), a, top, epsabs=1e-13, limit=200)
+    assert err < 1e-10
+    assert brownian_local_time_mean(a, T) == pytest.approx(upper - max(-a, 0.0), rel=1e-9)
+
+
+def test_local_time_mean_is_even_and_exact_at_zero():
+    assert brownian_local_time_mean(0.0, 1.0) == float(1.0 / np.sqrt(2.0 * np.pi))
+    assert brownian_local_time_mean(0.3, 1.0) == brownian_local_time_mean(-0.3, 1.0)
+    assert brownian_local_time_mean(0.3, 1.0) == pytest.approx(0.2668, abs=5e-5)
+    with pytest.raises(ValueError):
+        brownian_local_time_mean(0.0, 0.0)
+
+
+def test_path_sums_independent_of_blas_threads():
+    # OpenBLAS splits a long dot product across its threads; the sums here
+    # are numpy pairwise sums, so their bits do not depend on the thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import numpy as np\n"
+        "from skorokhod_kit import (InitialLaw, Integrand, QuadraticVariationPath, RngSeed,\n"
+        "    TimeGrid, brownian_sample, ito_formula_residual, ito_integral, local_time_tanaka)\n"
+        "grid = TimeGrid.uniform(1.0, 200_000)\n"
+        "B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(3))\n"
+        "f = Integrand.of_state(lambda t, x: np.sin(x))\n"
+        "res = ito_formula_residual(lambda t, x: x**3, lambda t, x: 0.0 * np.asarray(x),\n"
+        "    lambda t, x: 3.0 * np.asarray(x) ** 2, lambda t, x: 6.0 * np.asarray(x), B,\n"
+        "    QuadraticVariationPath.brownian(grid))\n"
+        "vals = [ito_integral(f, B), local_time_tanaka(B, 0.1).value, res]\n"
+        "print(' '.join(v.hex() for v in vals))\n"
+    )
+    outputs = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=blas_threads)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(out.stdout)
+    assert len(outputs[0].split()) == 3
+    assert outputs[0] == outputs[1]

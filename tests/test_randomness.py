@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from skorokhod_kit import GenerationError, InitialLaw, RngSeed, TimeGrid, brownian_sample
 from skorokhod_kit import gaussian_kernel
-from skorokhod_kit.randomness import normal_matrix, standard_normals
+from skorokhod_kit.randomness import (
+    brownian_increments,
+    brownian_paths,
+    normal_matrix,
+    standard_normals,
+)
 
 
 def test_identical_seed_bit_identical():
@@ -129,6 +134,44 @@ def test_uniform_fill_plus_half_ulp_is_the_midpoint_map(k):
     assert float(k) * 2.0**-53 + 2.0**-54 == (float(k) + 0.5) / 2.0**53
     u = np.array([k], dtype=np.uint64).astype(np.float64)
     assert np.array_equal(u * 2.0**-53 + 2.0**-54, (u + 0.5) / 2.0**53)
+
+
+def test_brownian_paths_match_per_path_samples():
+    grid = TimeGrid.uniform(0.7, 90)
+    x0 = [0.25, -1.5, 3.0]
+    values = brownian_paths(RngSeed(6, 2**32), 5, grid, 3, x0, first_stream=1)
+    assert values.shape == (5, 91, 3)
+    for i in range(5):
+        B = brownian_sample(grid, 3, InitialLaw.point_mass(x0), RngSeed(6, 2**32 + 1 + i))
+        assert np.array_equal(values[i], B.values)
+    with pytest.raises(GenerationError):
+        brownian_paths(RngSeed(6), 2, grid, 2, [np.inf, 0.0])
+
+
+def test_brownian_increments_are_the_sample_increments():
+    # the rows' running sums are brownian_sample from 0, bit for bit, on a
+    # nonuniform grid
+    grid = TimeGrid(np.array([0.0, 0.1, 0.15, 0.6, 1.0, 1.7]))
+    dB = brownian_increments(RngSeed(11, 3), 4, grid, 2)
+    assert dB.shape == (4, 5, 2)
+    for i in range(4):
+        B = brownian_sample(grid, 2, InitialLaw.point_mass([0.0, 0.0]), RngSeed(11, 3 + i))
+        assert np.array_equal(np.cumsum(dB[i], axis=0), B.values[1:])
+
+
+def test_stream_blocks_draw_distinct_rows():
+    # row i comes from stream rng.stream + first_stream + i, so a second
+    # stream block of one seed shares no row with the first
+    grid = TimeGrid.uniform(1.0, 16)
+    block0 = brownian_increments(RngSeed(13, 0), 3, grid)
+    block1 = brownian_increments(RngSeed(13, 2**32), 3, grid)
+    assert not np.any(np.all(block0 == block1, axis=(1, 2)))
+    shifted = brownian_increments(RngSeed(13), 3, grid, first_stream=2**32)
+    assert np.array_equal(block1, shifted)
+    z = normal_matrix(RngSeed(13, 2**32), 2, 8, first_stream=5)
+    for i in range(2):
+        gen = RngSeed(13, 2**32 + 5 + i).generator()
+        assert np.array_equal(z[i], standard_normals(gen, 8))
 
 
 def test_gaussian_kernel_values():

@@ -15,7 +15,13 @@ from skorokhod_kit import (
     reflected_density,
     skorokhod_map_1d,
 )
-from skorokhod_kit.reflect1d import skorokhod_1d_diagnostics
+from skorokhod_kit.randomness import brownian_paths
+from skorokhod_kit.reflect1d import (
+    skorokhod_1d_diagnostics,
+    skorokhod_1d_diagnostics_batch,
+    skorokhod_map_1d_batch,
+    skorokhod_terminal_1d_batch,
+)
 from skorokhod_kit.stats import ks_test_two_sample
 
 
@@ -210,3 +216,28 @@ def test_reflected_density_domain_errors():
         reflected_density(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         reflected_density(1.0, -0.1, 0.0)
+
+
+def test_batch_map_rows_equal_map_of_brownian_sample():
+    # exact, as the former in-experiment check asked: each batch row is the
+    # library map of brownian_sample on the row's stream
+    grid = TimeGrid.uniform(1.0, 3000)
+    v = brownian_paths(RngSeed(1001), 4, grid)[..., 0]
+    g, h = skorokhod_map_1d_batch(v)
+    diag = skorokhod_1d_diagnostics_batch(g, h, v)
+    terminal = skorokhod_terminal_1d_batch(v)
+    for i in range(4):
+        B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(1001, i))
+        sol = skorokhod_map_1d(B, 0.0)
+        assert np.max(np.abs(sol.g.scalar_values - g[i])) == 0.0
+        assert np.max(np.abs(sol.h.scalar_values - h[i])) == 0.0
+        assert terminal[i] == sol.g.scalar_values[-1]
+        one = skorokhod_1d_diagnostics(sol, B)
+        assert one == {key: float(val[i]) for key, val in diag.items()}
+
+
+def test_terminal_batch_ignores_a_left_out_start():
+    # v(0) = x0 >= 0 never lowers min(min v, 0), so it may be dropped
+    v = brownian_paths(RngSeed(3), 6, TimeGrid.uniform(1.0, 500), x0=0.2)[..., 0]
+    assert np.array_equal(skorokhod_terminal_1d_batch(v), skorokhod_terminal_1d_batch(v[:, 1:]))
+    assert np.array_equal(skorokhod_terminal_1d_batch(v), skorokhod_map_1d_batch(v)[0][:, -1])
