@@ -56,13 +56,10 @@ from .reflectnd import (
     check_condition_a,
     check_condition_b,
     modulus_gap,
-    modulus_gap_many,
     solve_skorokhod_continuous,
     solve_skorokhod_continuous_many,
     solve_skorokhod_step,
-    solve_skorokhod_step_many,
     tanaka_inequality_gap,
-    tanaka_inequality_gap_many,
 )
 from .rsde import (
     SdeCoefficients,
@@ -117,7 +114,6 @@ __all__ = [
     "local_time_occupation",
     "local_time_tanaka",
     "modulus_gap",
-    "modulus_gap_many",
     "normal_cone_residuals",
     "orthant",
     "preset_coefficients",
@@ -131,10 +127,8 @@ __all__ = [
     "solve_skorokhod_continuous",
     "solve_skorokhod_continuous_many",
     "solve_skorokhod_step",
-    "solve_skorokhod_step_many",
     "strip",
     "strong_error_estimate",
     "tanaka_inequality_gap",
-    "tanaka_inequality_gap_many",
     "unit_disc",
 ]

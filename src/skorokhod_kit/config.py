@@ -174,6 +174,11 @@ class ExperimentConfig:
         "alpha": ("alpha", float),
     }
 
+    def __post_init__(self):
+        for key, value in (("n_paths", self.n_paths), ("N", self.n_steps)):
+            if value < 1:
+                raise ValueError(f"config key {key} must be at least 1, got {value}")
+
     @classmethod
     def from_mapping(cls, doc: dict, defaults: dict | None = None) -> "ExperimentConfig":
         """Build from a parsed document (last occurrence wins for scalars)."""

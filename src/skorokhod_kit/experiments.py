@@ -49,11 +49,11 @@ from .reflect1d import (
 from .reflectnd import (
     check_condition_a,
     check_condition_b,
-    modulus_gap_many,
-    nd_solution_diagnostics_many,
+    modulus_gap,
+    nd_solution_diagnostics,
     solve_skorokhod_continuous_many,
-    solve_skorokhod_step_many,
-    tanaka_inequality_gap_many,
+    solve_skorokhod_step,
+    tanaka_inequality_gap,
 )
 from .rsde import (
     SdeCoefficients,
@@ -145,9 +145,12 @@ def _run_skorokhod_1d_props(config: ExperimentConfig):
     n_paths, n_steps = config.n_paths, config.n_steps
     grid = TimeGrid.uniform(config.horizon, n_steps)
     tol_decomp = config.tolerance("decomposition", 1e-12)
+    rng = RngSeed(config.seed)
+    buffers = threading.local()
 
     def chunk_stats(start, stop):
-        v = brownian_paths(RngSeed(config.seed), stop - start, grid, first_stream=start)[..., 0]
+        rows = _thread_rows(buffers, (stop - start, len(grid), 1))
+        v = brownian_paths(rng, stop - start, grid, first_stream=start, out=rows)[..., 0]
         g, h = skorokhod_map_1d_batch(v)
         diag = skorokhod_1d_diagnostics_batch(g, h, v)
         diag["decomposition_max_abs"] /= np.maximum(1.0, np.max(np.abs(v), axis=1))
@@ -439,14 +442,12 @@ def _nd_domain_batch(config: ExperimentConfig, domain: ConvexDomain, start_point
     grid = TimeGrid.uniform(config.horizon, n_steps)
     mod_indices = [(0, n_steps), (n_steps // 3, (2 * n_steps) // 3)]
     rng = RngSeed(config.seed, block * STREAM_BLOCK)
-    drivers = brownian_paths(rng, n_paths, grid, domain.dimension, start_point)
-    ws = [SampledPath.step(grid, values) for values in drivers]
-    sols = solve_skorokhod_step_many(ws, domain)
-    diags = nd_solution_diagnostics_many(sols, ws, domain)
-    column = {key: np.array([diag[key] for diag in diags]) for key in diags[0]}
-    modulus = [modulus_gap_many(sols, grid.times[a], grid.times[b]) for a, b in mod_indices]
+    w = SampledPath.step(grid, brownian_paths(rng, n_paths, grid, domain.dimension, start_point))
+    sol = solve_skorokhod_step(w, domain)
+    column = nd_solution_diagnostics(sol, w, domain)
+    modulus = [modulus_gap(sol, grid.times[a], grid.times[b]) for a, b in mod_indices]
     # each path against the one before it
-    tanaka = tanaka_inequality_gap_many(sols[:-1], sols[1:]) if n_paths > 1 else [np.inf]
+    tanaka = tanaka_inequality_gap(sol[:-1], sol[1:]) if n_paths > 1 else [np.inf]
     return {
         "decomposition": float(np.max(column["decomposition_max_abs"])),
         "containment_slack": float(np.min(column["containment_worst_slack"])),
@@ -465,15 +466,16 @@ def _nd_refinement_checks(config: ExperimentConfig, domain: ConvexDomain, start_
     n_drivers = int(config.option("refine_drivers", 12))
     grid = TimeGrid.uniform(config.horizon, n0)
     rng = RngSeed(config.seed, block * STREAM_BLOCK)
-    drivers = brownian_paths(rng, n_drivers, grid, domain.dimension, start_point)
-    ws = [SampledPath.continuous(grid, values) for values in drivers]
+    w = SampledPath.continuous(
+        grid, brownian_paths(rng, n_drivers, grid, domain.dimension, start_point)
+    )
     schedules = []
     failures = []
     for max_levels, factor in ((6, 2), (4, 3)):
         try:
             schedules.append(
                 solve_skorokhod_continuous_many(
-                    ws, domain, refine_tol=refine_tol, max_levels=max_levels, refine_factor=factor
+                    w, domain, refine_tol=refine_tol, max_levels=max_levels, refine_factor=factor
                 )
             )
         except RefinementLimitError as err:
@@ -487,7 +489,7 @@ def _nd_refinement_checks(config: ExperimentConfig, domain: ConvexDomain, start_
     for dyadic, triadic in zip(*schedules):
         stride_d = (len(dyadic.X.grid) - 1) // n0
         stride_t = (len(triadic.X.grid) - 1) // n0
-        diff = dyadic.X.values[::stride_d] - triadic.X.values[::stride_t]
+        diff = dyadic.X.values[0, ::stride_d] - triadic.X.values[0, ::stride_t]
         worst = max(worst, float(np.max(np.linalg.norm(diff, axis=1))))
         gap_tail = max(gap_tail, dyadic.refine_gaps[-1], triadic.refine_gaps[-1])
     return worst, gap_tail, refine_tol
@@ -500,17 +502,15 @@ def _nd_1d_crosscheck(config: ExperimentConfig, block: int):
     domain = half_line()
     refine_tol = None  # solver default: 1e-4 * path scale
     worst = 0.0
-    achieved_tol = 0.0
     drivers = brownian_paths(RngSeed(config.seed, block * STREAM_BLOCK), n_drivers, grid, 1, 0.5)
-    ws = [SampledPath.continuous(grid, values) for values in drivers]
-    for w, sol in zip(ws, solve_skorokhod_continuous_many(ws, domain, refine_tol=refine_tol)):
+    w = SampledPath.continuous(grid, drivers)
+    for values, sol in zip(drivers[..., 0], solve_skorokhod_continuous_many(w, domain, refine_tol)):
         fine_grid = sol.X.grid
-        fine_w = np.interp(fine_grid.times, grid.times, w.scalar_values)
+        fine_w = np.interp(fine_grid.times, grid.times, values)
         f = SampledPath.continuous(fine_grid, fine_w - fine_w[0])
         explicit = skorokhod_map_1d(f, float(fine_w[0]))
         worst = max(worst, float(np.max(np.abs(sol.X.scalar_values - explicit.g.scalar_values))))
-        achieved_tol = max(achieved_tol, 1e-4 * w.scale())
-    return worst, achieved_tol
+    return worst, float(np.max(1e-4 * w.scale()))
 
 
 def _run_nd_skorokhod_props(config: ExperimentConfig):
@@ -685,7 +685,7 @@ def _run_rsde_consistency(config: ExperimentConfig):
     euler_route = euler_reflected(drift_coeffs, disc, [0.0, 0.0], route_grid, stream)
     stride = (len(semi.X.grid) - 1) // (len(route_grid) - 1)
     route_gap = float(
-        np.max(np.linalg.norm(semi.X.values[::stride] - euler_route.X.values, axis=1))
+        np.max(np.linalg.norm(semi.X.values[0, ::stride] - euler_route.X.values[0], axis=1))
     )
     route_tol = config.tolerance("route_agreement", 0.1)
     checks.append(

@@ -37,14 +37,9 @@ def write_csv(out, header: list[str], columns: list[np.ndarray]) -> Path:
     return out
 
 
-def _solution_columns(t: np.ndarray, X: np.ndarray, phi: np.ndarray, tv: np.ndarray):
-    d = X.shape[1]
-    header = ["t"]
-    header += [f"x{i + 1}" for i in range(d)]
-    header += [f"phi{i + 1}" for i in range(d)]
-    header += ["phi_tv"]
-    columns = [t] + [X[:, i] for i in range(d)] + [phi[:, i] for i in range(d)] + [tv]
-    return header, columns
+def _one_path(n_paths: int) -> None:
+    if n_paths != 1:
+        raise ValueError(f"a CSV holds one path, got a batch of {n_paths}")
 
 
 def emit_plot_data(path_like, out) -> Path:
@@ -53,13 +48,15 @@ def emit_plot_data(path_like, out) -> Path:
     Accepts a SampledPath (t plus one column per coordinate), a
     (driver, reflected) pair of scalar paths (t, B, Xplus), a 1-d reflection
     solution (t, g, h), or an n-d solution, projected-Euler paths included
-    (t, state, pushing term, its total variation).
+    (t, state, pushing term, its total variation). Batched paths and
+    solutions must hold one path; a larger batch is a ValueError.
     """
     if isinstance(path_like, SampledPath):
+        _one_path(path_like.n_paths)
         t = path_like.grid.times
         d = path_like.dim
         header = ["t"] + ([f"x{i + 1}" for i in range(d)] if d > 1 else ["x"])
-        columns = [t] + [path_like.values[:, i] for i in range(d)]
+        columns = [t] + [path_like.values[0, :, i] for i in range(d)]
         return write_csv(out, header, columns)
     if isinstance(path_like, tuple) and len(path_like) == 2:
         driver, reflected = path_like
@@ -77,13 +74,12 @@ def emit_plot_data(path_like, out) -> Path:
             [path_like.g.grid.times, path_like.g.scalar_values, path_like.h.scalar_values],
         )
     if isinstance(path_like, SkorokhodNdSolution):
-        header, columns = _solution_columns(
-            path_like.X.grid.times,
-            path_like.X.values,
-            path_like.phi.values,
-            path_like.total_variation,
-        )
-        return write_csv(out, header, columns)
+        _one_path(path_like.X.n_paths)
+        d = path_like.X.dim
+        header = ["t", *(f"x{i + 1}" for i in range(d)), *(f"phi{i + 1}" for i in range(d))]
+        X, phi = path_like.X.values[0], path_like.phi.values[0]
+        columns = [path_like.X.grid.times, *X.T, *phi.T, path_like.total_variation[0]]
+        return write_csv(out, header + ["phi_tv"], columns)
     raise TypeError(f"cannot serialize {type(path_like).__name__}")
 
 

@@ -2,12 +2,15 @@
 
 A path is a finite sequence of R^d values on a strictly increasing time grid,
 tagged with how values between grid points are to be read: piecewise-linear
-("continuous") or right-continuous piecewise-constant ("step").
+("continuous") or right-continuous piecewise-constant ("step"). A
+SampledPath carries a batch of such paths on one grid, values shaped
+(paths, grid, d); a single path is a batch of one.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,12 +75,21 @@ class TimeGrid:
         )
 
 
+def row_slice(rows, n_paths: int) -> slice:
+    """``w[i]`` or ``w[a:b]`` as a slice of the paths axis; an int keeps the axis."""
+    if isinstance(rows, slice):
+        return rows
+    i = range(n_paths)[operator.index(rows)]  # IndexError out of range
+    return slice(i, i + 1)
+
+
 @dataclass(frozen=True, eq=False)
 class SampledPath:
-    """Values in R^d sampled on a grid, one row per grid time.
+    """A batch of paths in R^d on one grid: ``values`` shaped (paths, grid, d).
 
-    ``values`` is stored as an (n, d) array; scalar paths may be constructed
-    from 1-d input and read back via :attr:`scalar_values`.
+    (grid,) or (grid, d) input is read as a batch of one. ``w[i]`` and
+    ``w[a:b]`` select rows as batches that view the same values; the scalar
+    accessor reads a batch of one one-dimensional path.
     """
 
     grid: TimeGrid
@@ -85,16 +97,22 @@ class SampledPath:
     kind: PathKind
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        # frozen before reshaping, so that no writable array aliases the values
+        values = _frozen(np.asarray(self.values, dtype=np.float64))
         if values.ndim == 1:
-            values = values[:, None]
-        if values.ndim != 2 or values.shape[1] < 1:
-            raise ValueError("values must be an (n,) or (n, d) array with d >= 1")
-        if values.shape[0] != len(self.grid):
+            values = values[None, :, None]
+        elif values.ndim == 2:
+            values = values[None]
+        if values.ndim != 3 or values.shape[0] < 1 or values.shape[2] < 1:
+            raise ValueError(
+                "values must be a (grid,), (grid, d) or (paths, grid, d) array with "
+                f"at least one path and d >= 1, got shape {np.shape(self.values)}"
+            )
+        if values.shape[1] != len(self.grid):
             raise ValueError("values length must match the grid")
         if not np.all(np.isfinite(values)):
             raise ValueError("path values must be finite")
-        object.__setattr__(self, "values", _frozen(values))
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def continuous(cls, grid: TimeGrid, values: np.ndarray) -> "SampledPath":
@@ -104,32 +122,43 @@ class SampledPath:
     def step(cls, grid: TimeGrid, values: np.ndarray) -> "SampledPath":
         return cls(grid, values, PathKind.STEP)
 
+    def __getitem__(self, rows) -> "SampledPath":
+        return SampledPath(self.grid, self.values[row_slice(rows, self.n_paths)], self.kind)
+
+    @property
+    def n_paths(self) -> int:
+        return int(self.values.shape[0])
+
     @property
     def dim(self) -> int:
-        return int(self.values.shape[1])
+        return int(self.values.shape[2])
 
     @property
     def scalar_values(self) -> np.ndarray:
-        if self.dim != 1:
-            raise ValueError(f"a one-dimensional path is required, got d = {self.dim}")
-        return self.values[:, 0]
+        n_paths, _, d = self.values.shape
+        if (n_paths, d) != (1, 1):
+            raise ValueError(
+                "one one-dimensional path is required, got (paths, grid, d) = "
+                f"{self.values.shape}"
+            )
+        return self.values[0, :, 0]
 
     def value_at(self, t: float) -> np.ndarray:
-        """Value at time t under this path's interpolation rule."""
+        """Each path's value at time t under its interpolation rule, (paths, d)."""
         times = self.grid.times
         if t < times[0] or t > times[-1]:
             raise ValueError("t outside the grid span")
         k = int(np.searchsorted(times, t, side="right") - 1)
         if k >= len(times) - 1:
-            return self.values[-1].copy()
+            return self.values[:, -1].copy()
         if self.kind is PathKind.STEP:
-            return self.values[k].copy()
+            return self.values[:, k].copy()
         w = (t - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+        return (1.0 - w) * self.values[:, k] + w * self.values[:, k + 1]
 
     def with_kind(self, kind: PathKind) -> "SampledPath":
         return SampledPath(self.grid, self.values, kind)
 
-    def scale(self) -> float:
-        """Magnitude scale used for relative tolerances."""
-        return max(1.0, float(np.max(np.abs(self.values))))
+    def scale(self) -> np.ndarray:
+        """Each path's magnitude scale for relative tolerances, (paths,)."""
+        return np.maximum(1.0, np.max(np.abs(self.values), axis=(1, 2)))

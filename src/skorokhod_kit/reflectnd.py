@@ -4,9 +4,10 @@ The step-input construction projects the free motion back into the closure
 at every jump; the pushing term phi is the accumulated projection
 displacement, its total variation the accumulated displacement norms. For
 continuous inputs the same recursion runs on successively refined grids
-until successive solutions agree in sup norm. Both solvers take a batch of
-drivers on one grid and advance all paths together; the single-driver
-entry points are batches of one.
+until successive solutions agree in sup norm. Drivers travel as one batched
+SampledPath, values (paths, grid, d), and every path advances in the same
+recursion; solutions, diagnostics and inequality checks are batches too,
+with one row per driver.
 
 Two inequality checks (pairwise contraction and the modulus bound) and the
 two geometric solvability conditions round out the test apparatus.
@@ -15,7 +16,7 @@ two geometric solvability conditions round out the test apparatus.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -28,19 +29,21 @@ from .domains import (
     normal_cone_residuals,
 )
 from .errors import RefinementLimitError
-from .paths import PathKind, SampledPath, TimeGrid
-
-ANGULAR_TOL = 1e-6
+from .paths import PathKind, SampledPath, TimeGrid, row_slice
 
 
 @dataclass(frozen=True, eq=False)
 class SkorokhodNdSolution:
-    """Confined path X, pushing term phi, and its running total variation.
+    """Confined paths X, pushing terms phi, and their running total variation.
 
-    ``directions[k]`` is the unit direction of the phi increment arriving at
-    grid index k; rows are NaN where the increment is zero (the direction is
-    only defined where pushing happens). ``driver`` is the Brownian path that
-    drove a projected-Euler solution; its dimension may differ from X's.
+    A batch with one row per driver: X and phi are batched paths on one
+    grid, ``total_variation`` is (paths, grid) and ``directions`` is
+    (paths, grid, d); (grid,) and (grid, d) arrays are read as a batch of
+    one. ``directions[i, k]`` is the unit direction of path i's phi
+    increment arriving at grid index k; rows are NaN where the increment is
+    zero (the direction is only defined where pushing happens). ``driver``
+    is the Brownian path that drove a projected-Euler solution; its
+    dimension may differ from X's. ``sol[i]`` and ``sol[a:b]`` select rows.
     """
 
     X: SampledPath
@@ -54,22 +57,35 @@ class SkorokhodNdSolution:
     def __post_init__(self):
         if not self.phi.grid.same_as(self.X.grid) or self.phi.values.shape != self.X.values.shape:
             raise ValueError("phi must have X's grid and shape")
-        if self.driver is not None and not self.driver.grid.same_as(self.X.grid):
-            raise ValueError("driver must share X's grid")
-        tv = np.array(self.total_variation, dtype=np.float64).reshape(-1)
-        dirs = np.array(self.directions, dtype=np.float64)
-        if tv.size != len(self.X.grid) or dirs.shape != self.X.values.shape:
+        if self.driver is not None and (
+            not self.driver.grid.same_as(self.X.grid) or self.driver.n_paths != self.X.n_paths
+        ):
+            raise ValueError("driver must share X's grid and number of paths")
+        tv = np.array(self.total_variation, dtype=np.float64, ndmin=2)
+        dirs = np.array(self.directions, dtype=np.float64, ndmin=3)
+        if tv.shape != self.X.values.shape[:2] or dirs.shape != self.X.values.shape:
             raise ValueError("total_variation and directions must match the grid")
-        if tv[0] != 0.0 or np.any(np.diff(tv) < 0.0):
+        if np.any(tv[:, 0] != 0.0) or np.any(np.diff(tv, axis=1) < 0.0):
             raise ValueError("total variation must be nondecreasing from 0")
         tv.setflags(write=False)
         dirs.setflags(write=False)
         object.__setattr__(self, "total_variation", tv)
         object.__setattr__(self, "directions", dirs)
 
+    def __getitem__(self, rows) -> "SkorokhodNdSolution":
+        rows = row_slice(rows, self.X.n_paths)
+        return replace(
+            self,
+            X=self.X[rows],
+            phi=self.phi[rows],
+            total_variation=self.total_variation[rows],
+            directions=self.directions[rows],
+            driver=None if self.driver is None else self.driver[rows],
+        )
+
     @property
     def input_values(self) -> np.ndarray:
-        """The input path recovered from X - phi."""
+        """The input paths recovered from X - phi, (paths, grid, d)."""
         return self.X.values - self.phi.values
 
 
@@ -133,51 +149,27 @@ def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain, tol: float, max_iter:
     return X, phi, tv, dirs
 
 
-def _stack_drivers(ws: list[SampledPath], kind: PathKind, solver: str):
-    """Shared grid and (paths, grid, d) values of a list of drivers."""
-    if not ws:
-        raise ValueError(f"{solver} needs at least one driver")
-    if any(w.kind is not kind for w in ws):
-        raise ValueError(f"{solver} expects {kind.value} paths")
-    grid = ws[0].grid
-    if any(not w.grid.same_as(grid) or w.dim != ws[0].dim for w in ws[1:]):
-        raise ValueError(f"{solver} needs drivers on one grid and of one dimension")
-    return grid, np.stack([w.values for w in ws])
-
-
-def solve_skorokhod_step_many(
-    ws,
-    domain: ConvexDomain,
-    tol: float = DEFAULT_PROJECT_TOL,
-    max_iter: int = DEFAULT_PROJECT_MAX_ITER,
-) -> list[SkorokhodNdSolution]:
-    """Reflect cadlag step inputs sharing one grid, all paths in one recursion.
-
-    Returns one solution per driver, each the solution its driver gets on
-    its own. A driver starting outside the closure raises ValueError naming
-    its index.
-    """
-    grid, wv = _stack_drivers(list(ws), PathKind.STEP, "solve_skorokhod_step")
-    X, phi, tv, dirs = _reflect_on_grid(wv, domain, tol, max_iter)
-    return [
-        SkorokhodNdSolution(
-            X=SampledPath.step(grid, X[i]),
-            phi=SampledPath.step(grid, phi[i]),
-            total_variation=tv[i],
-            directions=dirs[i],
-        )
-        for i in range(len(wv))
-    ]
-
-
 def solve_skorokhod_step(
     w: SampledPath,
     domain: ConvexDomain,
     tol: float = DEFAULT_PROJECT_TOL,
     max_iter: int = DEFAULT_PROJECT_MAX_ITER,
 ) -> SkorokhodNdSolution:
-    """Reflect a cadlag step input: project after every jump of w."""
-    return solve_skorokhod_step_many([w], domain, tol=tol, max_iter=max_iter)[0]
+    """Reflect cadlag step inputs: project after every jump of each driver.
+
+    All drivers of the batch advance in one recursion; row i of the result
+    is the solution driver i gets on its own. A driver starting outside the
+    closure raises ValueError naming its index.
+    """
+    if w.kind is not PathKind.STEP:
+        raise ValueError("solve_skorokhod_step expects step paths")
+    X, phi, tv, dirs = _reflect_on_grid(w.values, domain, tol, max_iter)
+    return SkorokhodNdSolution(
+        X=SampledPath.step(w.grid, X),
+        phi=SampledPath.step(w.grid, phi),
+        total_variation=tv,
+        directions=dirs,
+    )
 
 
 def _refine_linear(times: np.ndarray, wv: np.ndarray, factor: int):
@@ -199,7 +191,7 @@ def _refine_linear(times: np.ndarray, wv: np.ndarray, factor: int):
 
 
 def solve_skorokhod_continuous_many(
-    ws,
+    w: SampledPath,
     domain: ConvexDomain,
     refine_tol: float | None = None,
     max_levels: int = 6,
@@ -207,25 +199,27 @@ def solve_skorokhod_continuous_many(
     tol: float = DEFAULT_PROJECT_TOL,
     max_iter: int = DEFAULT_PROJECT_MAX_ITER,
 ) -> list[SkorokhodNdSolution]:
-    """Reflect piecewise-linear inputs sharing one grid by joint refinement.
+    """Reflect a batch of piecewise-linear inputs by joint refinement.
 
     The drivers still refining run each level as one batch; a driver leaves
     the batch at the level where it converges, so it gets the levels, gaps
     and solution of :func:`solve_skorokhod_continuous` on its own (with the
-    default ``refine_tol`` taken from its own scale). If drivers exhaust
-    max_levels, raises RefinementLimitError for the first of them in driver
-    order, carrying its gaps and index.
+    default ``refine_tol`` taken from its own scale). Drivers converge on
+    different grids, so the result is one solution, a batch of one, per
+    driver. If drivers exhaust max_levels, raises RefinementLimitError for
+    the first of them in driver order, carrying its gaps and index.
     """
-    ws = list(ws)
-    grid, wv = _stack_drivers(ws, PathKind.CONTINUOUS, "solve_skorokhod_continuous")
+    if w.kind is not PathKind.CONTINUOUS:
+        raise ValueError("solve_skorokhod_continuous expects continuous paths")
     if refine_factor < 2:
         raise ValueError("refine_factor must be at least 2")
-    tols = [1e-4 * w.scale() if refine_tol is None else refine_tol for w in ws]
-    times = grid.times.copy()
-    live = np.arange(len(wv))  # drivers still refining, in driver order
+    n = w.n_paths
+    tols = 1e-4 * w.scale() if refine_tol is None else np.full(n, float(refine_tol))
+    times, wv = w.grid.times.copy(), w.values
+    live = np.arange(n)  # drivers still refining, in driver order
     gaps: list[list[float]] = [[] for _ in live]
     tvs: list[list[float]] = [[] for _ in live]
-    solutions: list[SkorokhodNdSolution | None] = [None] * len(live)
+    solutions: list[SkorokhodNdSolution | None] = [None] * n
     prev_X = None
     for level in range(max_levels + 1):
         X, phi, tv, dirs = _reflect_on_grid(wv, domain, tol, max_iter)
@@ -270,7 +264,7 @@ def solve_skorokhod_continuous_many(
             RuntimeWarning,
         )
     raise RefinementLimitError(
-        f"driver {i}: refinement gaps {gaps[i]} did not reach tol={tols[i]} "
+        f"driver {i}: refinement gaps {gaps[i]} did not reach tol={float(tols[i])} "
         f"within {max_levels} levels",
         gaps=tuple(gaps[i]),
         driver=i,
@@ -286,7 +280,7 @@ def solve_skorokhod_continuous(
     tol: float = DEFAULT_PROJECT_TOL,
     max_iter: int = DEFAULT_PROJECT_MAX_ITER,
 ) -> SkorokhodNdSolution:
-    """Reflect a piecewise-linear input by grid refinement.
+    """Reflect one piecewise-linear input, a batch of one, by grid refinement.
 
     Solves the step recursion on the input grid, then on grids refined by
     ``refine_factor`` (linear interpolation of w) until the sup distance
@@ -294,28 +288,28 @@ def solve_skorokhod_continuous(
     drops to ``refine_tol`` (default 1e-4 times the path scale). Raises
     RefinementLimitError with the gap sequence when max_levels is exhausted.
     """
+    if w.n_paths != 1:
+        raise ValueError(
+            f"solve_skorokhod_continuous reflects one driver, got {w.n_paths}; "
+            "solve_skorokhod_continuous_many takes a batch"
+        )
     return solve_skorokhod_continuous_many(
-        [w], domain, refine_tol, max_levels, refine_factor, tol, max_iter
+        w, domain, refine_tol, max_levels, refine_factor, tol, max_iter
     )[0]
 
 
-def _check_same_grid(a: SkorokhodNdSolution, b: SkorokhodNdSolution) -> None:
-    if not a.X.grid.same_as(b.X.grid):
-        raise ValueError("solutions must share a grid")
+def _check_paired(sol: SkorokhodNdSolution, path: SampledPath, noun: str) -> None:
+    """Raise unless ``path`` has one row per solution, on its grid and of its dimension."""
+    X = sol.X
+    if not path.grid.same_as(X.grid):
+        raise ValueError(f"the {noun}s are not on the solutions' grid")
+    if path.n_paths != X.n_paths:
+        raise ValueError(f"need one {noun} per solution, got {path.n_paths} for {X.n_paths}")
+    if path.dim != X.dim:
+        raise ValueError(f"the {noun}s have dimension {path.dim}, the solutions {X.dim}")
 
 
-def _stack_solutions(sols: list[SkorokhodNdSolution]):
-    """X and phi values, each (paths, grid, d), of solutions on one grid."""
-    if not sols:
-        raise ValueError("need at least one solution")
-    first = sols[0].X
-    for i, sol in enumerate(sols):
-        if not sol.X.grid.same_as(first.grid) or sol.X.dim != first.dim:
-            raise ValueError(f"solution {i} is not on the grid, or of the dimension, of solution 0")
-    return np.stack([s.X.values for s in sols]), np.stack([s.phi.values for s in sols])
-
-
-def tanaka_inequality_gap_many(sols, others) -> np.ndarray:
+def tanaka_inequality_gap(sol: SkorokhodNdSolution, other: SkorokhodNdSolution) -> np.ndarray:
     """Slack of the pairwise contraction inequality for each pair, minimized over grid times.
 
     For solutions (X, phi), (X~, phi~) of inputs w, w~ the bound
@@ -324,43 +318,33 @@ def tanaka_inequality_gap_many(sols, others) -> np.ndarray:
 
     holds with the integrand read at each atom of the pushing measure (the
     grid point where the increment lands). Returns min_t RHS(t) - LHS(t) for
-    each pair (sols[i], others[i]); a correct solver keeps this above -1e-9
-    times the path scale. All solutions must share one grid.
+    each pair of rows (sol[i], other[i]), shape (paths,); a correct solver
+    keeps this above -1e-9 times the path scale.
     """
-    sols, others = list(sols), list(others)
-    if len(others) != len(sols):
-        raise ValueError(f"need one other solution per solution, got {len(others)} for {len(sols)}")
-    X, phi = _stack_solutions(sols)
-    X_other, phi_other = _stack_solutions(others)
-    _check_same_grid(sols[0], others[0])
+    _check_paired(sol, other.X, "other solution")
+    X, phi = sol.X.values, sol.phi.values
+    X_other, phi_other = other.X.values, other.phi.values
     u = (X - phi) - (X_other - phi_other)
     delta = phi - phi_other
     diff_x = X - X_other
     ddelta = np.diff(delta, axis=1)
     atom_terms = np.einsum("pij,pij->pi", u[:, 1:], ddelta)
-    cum_atoms = np.concatenate([np.zeros((len(sols), 1)), np.cumsum(atom_terms, axis=1)], axis=1)
+    cum_atoms = np.concatenate([np.zeros((len(X), 1)), np.cumsum(atom_terms, axis=1)], axis=1)
     rhs = np.einsum("pij,pij->pi", u, u) + 2.0 * (np.einsum("pij,pij->pi", u, delta) - cum_atoms)
     lhs = np.einsum("pij,pij->pi", diff_x, diff_x)
     return np.min(rhs - lhs, axis=1)
 
 
-def tanaka_inequality_gap(sol: SkorokhodNdSolution, other: SkorokhodNdSolution) -> float:
-    """:func:`tanaka_inequality_gap_many` for one pair of solutions."""
-    return float(tanaka_inequality_gap_many([sol], [other])[0])
-
-
-def modulus_gap_many(sols, s: float, t: float) -> np.ndarray:
-    """Slack of the oscillation bound between two grid times s <= t, one per solution.
+def modulus_gap(sol: SkorokhodNdSolution, s: float, t: float) -> np.ndarray:
+    """Slack of the oscillation bound between two grid times s <= t, shape (paths,).
 
     Checks |X(t) - X(s)|^2 <= |w(t) - w(s)|^2 + 2 int_(s,t] (w(t) - w(tau))
     d phi(tau), with the integrand read at the atoms of the pushing measure.
-    All solutions must share one grid.
     """
     if s > t:
         raise ValueError("need s <= t")
-    sols = list(sols)
-    X, phi = _stack_solutions(sols)
-    times = sols[0].X.grid.times
+    X, phi = sol.X.values, sol.phi.values
+    times = sol.X.grid.times
     i = int(np.searchsorted(times, s))
     n = int(np.searchsorted(times, t))
     if i >= times.size or times[i] != s or n >= times.size or times[n] != t:
@@ -373,11 +357,6 @@ def modulus_gap_many(sols, s: float, t: float) -> np.ndarray:
         integrand = w[:, n, None] - w[:, i + 1 : n + 1]
         rhs += 2.0 * np.einsum("pij,pij->pi", integrand, dphi).sum(axis=1)
     return rhs - lhs
-
-
-def modulus_gap(sol: SkorokhodNdSolution, s: float, t: float) -> float:
-    """:func:`modulus_gap_many` for one solution."""
-    return float(modulus_gap_many([sol], s, t)[0])
 
 
 @dataclass(frozen=True)
@@ -514,34 +493,25 @@ def check_condition_b(domain: ConvexDomain) -> DomainConditionReport:
     )
 
 
-def nd_solution_diagnostics_many(
-    sols,
-    ws,
+def nd_solution_diagnostics(
+    sol: SkorokhodNdSolution,
+    w: SampledPath,
     domain: ConvexDomain,
     containment_tol: float | None = None,
-) -> list[dict]:
+) -> dict:
     """Quantitative check of the defining conditions of reflected solutions.
 
-    For each solution and its driver ``ws[i]`` (on the solution's grid, of
-    its dimension; else ValueError naming the first index that is not)
-    returns the max decomposition defect |X - w - phi|, the worst containment
-    violation, the pushing mass spent at interior points, the max distance
-    between pushing directions and the local normal cone, and the defect of
-    |phi| against its increment norms. All solutions must share one grid;
-    every path is checked in one vectorized pass.
+    For each row of ``sol`` and its driver, row i of ``w`` (on the
+    solutions' grid and of their dimension, else ValueError), returns the
+    max decomposition defect |X - w - phi|, the worst containment violation,
+    the pushing mass spent at interior points, the max distance between
+    pushing directions and the local normal cone, and the defect of |phi|
+    against its increment norms: a dict of (paths,) arrays. Every path is
+    checked in one vectorized pass.
     """
-    sols, ws = list(sols), list(ws)
-    if len(ws) != len(sols):
-        raise ValueError(f"need one driver per solution, got {len(ws)} for {len(sols)}")
-    X, phi = _stack_solutions(sols)
+    _check_paired(sol, w, "driver")
+    X, phi, wv, tv = sol.X.values, sol.phi.values, w.values, sol.total_variation
     n_paths, _, d = X.shape
-    for i, w in enumerate(ws):
-        if not w.grid.same_as(sols[i].X.grid):
-            raise ValueError(f"driver {i} is not on its solution's grid")
-        if w.dim != d:
-            raise ValueError(f"driver {i} has dimension {w.dim}, its solution {d}")
-    wv = np.stack([w.values for w in ws])
-    tv = np.stack([sol.total_variation for sol in sols])
     if containment_tol is None:
         containment_tol = 1e-9 * np.maximum(1.0, np.max(np.abs(wv), axis=(1, 2)))
     containment_tol = np.broadcast_to(np.asarray(containment_tol, dtype=np.float64), (n_paths,))
@@ -563,26 +533,12 @@ def nd_solution_diagnostics_many(
     residuals, _ = normal_cone_residuals(landings[edge], units, domain, tol_bd[edge])
     angular_gap = np.zeros(n_paths)
     np.maximum.at(angular_gap, path[edge], residuals)
-    phi_start = np.linalg.norm(phi[:, 0], axis=1)
-    return [
-        {
-            "decomposition_max_abs": float(decomposition[i]),
-            "containment_worst_slack": float(slack_min[i]),
-            "containment_tol": float(containment_tol[i]),
-            "interior_pushing_mass": float(interior_mass[i]),
-            "max_angular_gap": float(angular_gap[i]),
-            "tv_increment_defect": float(tv_defect[i]),
-            "phi_start_norm": float(phi_start[i]),
-        }
-        for i in range(n_paths)
-    ]
-
-
-def nd_solution_diagnostics(
-    sol: SkorokhodNdSolution,
-    w: SampledPath,
-    domain: ConvexDomain,
-    containment_tol: float | None = None,
-) -> dict:
-    """:func:`nd_solution_diagnostics_many` for one solution and its driver."""
-    return nd_solution_diagnostics_many([sol], [w], domain, containment_tol)[0]
+    return {
+        "decomposition_max_abs": decomposition,
+        "containment_worst_slack": slack_min,
+        "containment_tol": containment_tol,
+        "interior_pushing_mass": interior_mass,
+        "max_angular_gap": angular_gap,
+        "tv_increment_defect": tv_defect,
+        "phi_start_norm": np.linalg.norm(phi[:, 0], axis=1),
+    }

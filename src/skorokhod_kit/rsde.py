@@ -5,7 +5,8 @@ step, then project back into the closure; the projection displacement is the
 pushing increment, kept explicit so the association conditions (pushing only
 at the boundary, along inward normals) can be tested instead of assumed.
 Coefficients are evaluated at left endpoints only. One stepper advances a
-batch of paths; euler_reflected runs it as a batch of one and records phi.
+batch of paths. euler_reflected steps one path and returns the batched
+SkorokhodNdSolution carrier with that one row: X, phi and the driver.
 """
 
 from __future__ import annotations
@@ -210,9 +211,9 @@ def semimartingale_skorokhod(
     """
     if not M.grid.same_as(A.grid):
         raise ValueError("M and A must share a grid")
-    if np.any(A.values[0] != 0.0):
+    if np.any(A.values[:, 0] != 0.0):
         raise ValueError("A must start at 0")
-    if not domain.contains(M.values[0]):
+    if not all(domain.contains(x0) for x0 in M.values[:, 0]):
         raise ValueError("M must start inside the closed domain")
     w = SampledPath.continuous(M.grid, M.values + A.values)
     return solve_skorokhod_continuous(

@@ -137,3 +137,11 @@ def test_config_replace_and_as_dict():
     assert payload["experiment"] == "rbm-density"
     assert payload["seed"] == 9
     assert payload["out"] == "elsewhere"
+
+
+@pytest.mark.parametrize("sizes", [{"n_paths": 0}, {"n_steps": 0}, {"n_paths": -3}])
+def test_experiment_config_rejects_empty_sizes(sizes):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        ExperimentConfig(experiment="x", **sizes)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        ExperimentConfig(experiment="x").replace(**sizes)

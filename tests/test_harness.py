@@ -69,9 +69,9 @@ def test_nd_diagnostics_leave_scipy_optimize_unloaded():
         "law = InitialLaw.point_mass([0.0, 0.0])\n"
         "w = brownian_sample(grid, 2, law, RngSeed(5)).with_kind(PathKind.STEP)\n"
         "sol = solve_skorokhod_step(w, unit_disc())\n"
-        "assert sol.total_variation[-1] > 0.0\n"
+        "assert sol.total_variation[0, -1] > 0.0\n"
         "diag = nd_solution_diagnostics(sol, w, unit_disc())\n"
-        "print(diag['max_angular_gap'] <= 1e-6, 'scipy.optimize' in sys.modules)\n"
+        "print(diag['max_angular_gap'][0] <= 1e-6, 'scipy.optimize' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -113,6 +113,20 @@ def test_emit_nd_solution(tmp_path):
     out = emit_plot_data(sol, tmp_path / "nd.csv")
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x1,x2,phi1,phi2,phi_tv"
+
+
+def test_emit_refuses_a_batch_of_more_than_one_path(tmp_path):
+    grid = TimeGrid(np.array([0.0, 1.0]))
+    w = SampledPath.step(grid, np.array([[[0.0, 1.0], [1.0, -1.0]], [[0.0, 2.0], [0.5, 1.0]]]))
+    from skorokhod_kit import halfplane
+
+    sol = solve_skorokhod_step(w, halfplane())
+    for payload in (w, sol):
+        with pytest.raises(ValueError, match="batch of 2"):
+            emit_plot_data(payload, tmp_path / "batch.csv")
+    assert not (tmp_path / "batch.csv").exists()
+    one = emit_plot_data(sol[1], tmp_path / "row.csv").read_text().splitlines()
+    assert one[2] == "1,0.5,1,0,0,0"
 
 
 def test_emit_seventeen_digit_roundtrip(tmp_path):
@@ -298,6 +312,16 @@ def test_cli_non_integer_thread_cap_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["skorokhod-1d-props", "--out", str(tmp_path / "bad")]) == 2
     assert "SKOROKHOD_KIT_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "bad" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("experiment", ["skorokhod-1d-props", "strong-error", "ito-formula"])
+@pytest.mark.parametrize("line,key", [("n_paths = 0", "n_paths"), ("N = 0", "N")])
+def test_cli_empty_sizes_exit_2_naming_the_key(tmp_path, capsys, experiment, line, key):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"experiment = {experiment}\n{line}\n")
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
+    assert f"config key {key} must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "empty" / "summary.json").exists()
 
 
 def _write_cfg(tmp_path):

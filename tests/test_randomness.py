@@ -39,16 +39,16 @@ def test_truncated_grid_is_a_prefix():
 def test_point_mass_start_is_exact():
     grid = TimeGrid.uniform(1.0, 10)
     path = brownian_sample(grid, 3, InitialLaw.point_mass([1.0, -2.0, 0.25]), RngSeed(0))
-    assert np.array_equal(path.values[0], [1.0, -2.0, 0.25])
+    assert np.array_equal(path.values[0, 0], [1.0, -2.0, 0.25])
     scalar = brownian_sample(grid, 2, InitialLaw.point_mass(0.0), RngSeed(0))
-    assert np.array_equal(scalar.values[0], [0.0, 0.0])
+    assert np.array_equal(scalar.values[0, 0], [0.0, 0.0])
 
 
 def test_custom_law_draws_and_dimension_check():
     grid = TimeGrid.uniform(1.0, 4)
     law = InitialLaw.custom(lambda gen, d: gen.random(d))
     path = brownian_sample(grid, 2, law, RngSeed(11))
-    assert np.all(path.values[0] >= 0.0) and np.all(path.values[0] < 1.0)
+    assert np.all(path.values[0, 0] >= 0.0) and np.all(path.values[0, 0] < 1.0)
     bad = InitialLaw.custom(lambda gen, d: np.zeros(d + 1))
     with pytest.raises(ValueError):
         brownian_sample(grid, 2, bad, RngSeed(11))
@@ -143,7 +143,7 @@ def test_brownian_paths_match_per_path_samples():
     assert values.shape == (5, 91, 3)
     for i in range(5):
         B = brownian_sample(grid, 3, InitialLaw.point_mass(x0), RngSeed(6, 2**32 + 1 + i))
-        assert np.array_equal(values[i], B.values)
+        assert np.array_equal(values[i], B.values[0])
     with pytest.raises(GenerationError):
         brownian_paths(RngSeed(6), 2, grid, 2, [np.inf, 0.0])
 
@@ -156,7 +156,7 @@ def test_brownian_increments_are_the_sample_increments():
     assert dB.shape == (4, 5, 2)
     for i in range(4):
         B = brownian_sample(grid, 2, InitialLaw.point_mass([0.0, 0.0]), RngSeed(11, 3 + i))
-        assert np.array_equal(np.cumsum(dB[i], axis=0), B.values[1:])
+        assert np.array_equal(np.cumsum(dB[i], axis=0), B.values[0, 1:])
 
 
 def test_stream_blocks_draw_distinct_rows():

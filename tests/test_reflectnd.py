@@ -19,24 +19,17 @@ from skorokhod_kit import (
     half_line,
     halfplane,
     modulus_gap,
-    modulus_gap_many,
     orthant,
     skorokhod_map_1d,
     solve_skorokhod_continuous,
     solve_skorokhod_continuous_many,
     solve_skorokhod_step,
-    solve_skorokhod_step_many,
     strip,
     tanaka_inequality_gap,
-    tanaka_inequality_gap_many,
     unit_disc,
 )
 from skorokhod_kit.config import load_domain_file
-from skorokhod_kit.reflectnd import (
-    SkorokhodNdSolution,
-    nd_solution_diagnostics,
-    nd_solution_diagnostics_many,
-)
+from skorokhod_kit.reflectnd import SkorokhodNdSolution, nd_solution_diagnostics
 
 DOMAINS_DIR = Path(__file__).resolve().parents[1] / "configs" / "domains"
 
@@ -58,16 +51,16 @@ def test_interior_path_passes_through():
     w = step_path([0.0, 1.0, 2.0], [[0.3, 0.3], [0.5, 0.9], [0.1, 0.4]])
     sol = solve_skorokhod_step(w, orthant(2))
     assert np.array_equal(sol.X.values, w.values)
-    assert np.array_equal(sol.phi.values, np.zeros((3, 2)))
-    assert np.array_equal(sol.total_variation, np.zeros(3))
+    assert np.array_equal(sol.phi.values[0], np.zeros((3, 2)))
+    assert np.array_equal(sol.total_variation[0], np.zeros(3))
     assert np.all(np.isnan(sol.directions))
 
 
 def test_halfplane_single_jump():
     w = step_path([0.0, 1.0], [[0.0, 1.0], [1.0, -1.0]])
     sol = solve_skorokhod_step(w, halfplane())
-    assert np.allclose(sol.X.values[1], [1.0, 0.0], atol=0.0)
-    assert np.allclose(sol.phi.values[1], [0.0, 1.0], atol=0.0)
+    assert np.allclose(sol.X.values[0, 1], [1.0, 0.0], atol=0.0)
+    assert np.allclose(sol.phi.values[0, 1], [0.0, 1.0], atol=0.0)
 
 
 def test_orthant_recursion_hand_run():
@@ -76,8 +69,8 @@ def test_orthant_recursion_hand_run():
     w = step_path([0.0, 1.0, 2.0], [[1.0, 1.0], [-1.0, 2.0], [-1.0, -1.0]])
     sol = solve_skorokhod_step(w, orthant(2))
     assert np.allclose(sol.X.values, [[1.0, 1.0], [0.0, 2.0], [0.0, 0.0]], atol=0.0)
-    assert np.allclose(sol.phi.values[-1], [1.0, 1.0], atol=0.0)
-    assert sol.total_variation[-1] == pytest.approx(2.0)
+    assert np.allclose(sol.phi.values[0, -1], [1.0, 1.0], atol=0.0)
+    assert sol.total_variation[0, -1] == pytest.approx(2.0)
 
 
 def test_step_solver_preconditions():
@@ -141,9 +134,9 @@ def test_step_solution_invariants_on_brownian_drivers():
 
 def naive_tanaka_gap(sol_a, sol_b):
     """Direct double-loop evaluation of the pairwise inequality slack."""
-    u = (sol_a.X.values - sol_a.phi.values) - (sol_b.X.values - sol_b.phi.values)
-    delta = sol_a.phi.values - sol_b.phi.values
-    D = sol_a.X.values - sol_b.X.values
+    u = (sol_a.X.values[0] - sol_a.phi.values[0]) - (sol_b.X.values[0] - sol_b.phi.values[0])
+    delta = sol_a.phi.values[0] - sol_b.phi.values[0]
+    D = sol_a.X.values[0] - sol_b.X.values[0]
     n = u.shape[0]
     worst = np.inf
     for t in range(n):
@@ -156,9 +149,9 @@ def naive_tanaka_gap(sol_a, sol_b):
 
 
 def naive_modulus_gap(sol, i, n):
-    w = sol.X.values - sol.phi.values
-    X = sol.X.values
-    phi = sol.phi.values
+    w = sol.X.values[0] - sol.phi.values[0]
+    X = sol.X.values[0]
+    phi = sol.phi.values[0]
     integral = 0.0
     for j in range(i + 1, n + 1):
         integral += (w[n] - w[j]) @ (phi[j] - phi[j - 1])
@@ -261,11 +254,11 @@ def test_spiral_exits_disc_and_sticks_to_boundary():
     sol = solve_skorokhod_continuous(w, unit_disc(), refine_tol=1e-3, max_levels=6)
     gaps = np.array(sol.refine_gaps)
     assert np.all(np.diff(gaps) < 0.0)
-    radius_w = np.linalg.norm(w.values, axis=1)
+    radius_w = np.linalg.norm(w.values[0], axis=1)
     # once the input has left the disc for good, the solution rides the boundary
     exit_idx = np.argmax(radius_w > 1.0)
     stride = (len(sol.X.grid) - 1) // (len(grid) - 1)
-    radius_x = np.linalg.norm(sol.X.values[::stride], axis=1)
+    radius_x = np.linalg.norm(sol.X.values[0, ::stride], axis=1)
     assert np.all(radius_x[exit_idx + 5 :] >= 1.0 - 1e-6)
     assert np.all(radius_x <= 1.0 + 1e-9)
 
@@ -289,7 +282,7 @@ def test_dyadic_triadic_agreement():
     tr = solve_skorokhod_continuous(w, unit_disc(), refine_tol=tol, max_levels=4, refine_factor=3)
     sd = (len(dy.X.grid) - 1) // 64
     st_ = (len(tr.X.grid) - 1) // 64
-    gap = np.max(np.linalg.norm(dy.X.values[::sd] - tr.X.values[::st_], axis=1))
+    gap = np.max(np.linalg.norm(dy.X.values[0, ::sd] - tr.X.values[0, ::st_], axis=1))
     assert gap <= 2.0 * tol
 
 
@@ -300,7 +293,7 @@ def test_solution_jumps_shrink_under_refinement():
 
     grid = TimeGrid.uniform(1.0, 64)
     B = brownian_sample(grid, 2, InitialLaw.point_mass([0.0, 0.0]), RngSeed(61))
-    times, wv = grid.times.copy(), B.values.copy()
+    times, wv = grid.times.copy(), B.values[0].copy()
     max_jumps = []
     for _ in range(4):
         X = _reflect_on_grid(wv[None], unit_disc(), 1e-10, 10_000)[0][0]
@@ -348,31 +341,33 @@ MIXED_CASES = [
 
 
 def mixed_batch(domain, start, quiet_start, n_paths=9, n_steps=96):
-    """Brownian drivers plus one driver that never leaves the interior (index 3)."""
-    ws = [brownian_step(start, seed=70, stream=i, n_steps=n_steps) for i in range(n_paths)]
-    grid = ws[0].grid
+    """Brownian drivers plus one driver that never leaves the interior (row 3)."""
+    values = np.stack(
+        [brownian_step(start, seed=70, stream=i, n_steps=n_steps).values[0] for i in range(n_paths)]
+    )
+    grid = TimeGrid.uniform(1.0, n_steps)
     wiggle = 1e-3 * np.column_stack([np.sin(grid.times), np.cos(grid.times) - 1.0])
-    ws[3] = SampledPath.step(grid, np.asarray(quiet_start) + wiggle)
-    return ws
+    values[3] = np.asarray(quiet_start) + wiggle
+    return SampledPath.step(grid, values)
 
 
 @pytest.mark.parametrize("domain,start,quiet_start", MIXED_CASES, ids=["disc", "orthant", "strip"])
 def test_step_many_matches_per_path_recursion(domain, start, quiet_start):
-    ws = mixed_batch(domain, start, quiet_start)
-    sols = solve_skorokhod_step_many(ws, domain)
-    assert len(sols) == len(ws)
+    w = mixed_batch(domain, start, quiet_start)
+    sol = solve_skorokhod_step(w, domain)
+    assert sol.X.n_paths == w.n_paths
     pushed = 0
-    for w, sol in zip(ws, sols):
-        X, phi, tv, dirs = per_path_recursion(w.values, domain)
-        assert np.array_equal(sol.X.values, X)
-        assert np.array_equal(sol.phi.values, phi)
-        np.testing.assert_array_max_ulp(sol.total_variation, tv, maxulp=4)
-        assert np.array_equal(np.isnan(sol.directions), np.isnan(dirs))
+    for i in range(w.n_paths):
+        X, phi, tv, dirs = per_path_recursion(w.values[i], domain)
+        assert np.array_equal(sol.X.values[i], X)
+        assert np.array_equal(sol.phi.values[i], phi)
+        np.testing.assert_array_max_ulp(sol.total_variation[i], tv, maxulp=4)
+        assert np.array_equal(np.isnan(sol.directions[i]), np.isnan(dirs))
         finite = ~np.isnan(dirs)
-        np.testing.assert_array_max_ulp(sol.directions[finite], dirs[finite], maxulp=4)
-        pushed += int(sol.total_variation[-1] > 0.0)
+        np.testing.assert_array_max_ulp(sol.directions[i][finite], dirs[finite], maxulp=4)
+        pushed += int(sol.total_variation[i, -1] > 0.0)
     assert pushed >= 3
-    quiet = sols[3]
+    quiet = sol[3]
     assert np.array_equal(quiet.phi.values, np.zeros_like(quiet.phi.values))
     assert np.all(quiet.total_variation == 0.0)
     assert np.all(np.isnan(quiet.directions))
@@ -380,56 +375,56 @@ def test_step_many_matches_per_path_recursion(domain, start, quiet_start):
 
 @pytest.mark.parametrize("domain,start,quiet_start", MIXED_CASES, ids=["disc", "orthant", "strip"])
 def test_step_many_rows_match_batches_of_one(domain, start, quiet_start):
-    ws = mixed_batch(domain, start, quiet_start)
-    for w, sol in zip(ws, solve_skorokhod_step_many(ws, domain)):
-        solo = solve_skorokhod_step(w, domain)
-        (one,) = solve_skorokhod_step_many([w], domain)
-        for other in (solo, one):
-            assert np.array_equal(sol.X.values, other.X.values)
-            assert np.array_equal(sol.phi.values, other.phi.values)
-            assert np.array_equal(sol.total_variation, other.total_variation)
-            assert np.array_equal(sol.directions, other.directions, equal_nan=True)
+    w = mixed_batch(domain, start, quiet_start)
+    sol = solve_skorokhod_step(w, domain)
+    for i in range(w.n_paths):
+        row, solo = sol[i], solve_skorokhod_step(w[i], domain)
+        assert np.array_equal(row.X.values, solo.X.values)
+        assert np.array_equal(row.phi.values, solo.phi.values)
+        assert np.array_equal(row.total_variation, solo.total_variation)
+        assert np.array_equal(row.directions, solo.directions, equal_nan=True)
 
 
 def test_step_many_names_the_driver_starting_outside():
-    inside = step_path([0.0, 1.0], [[1.0, 1.0], [0.5, -0.5]])
-    outside = step_path([0.0, 1.0], [[-1.0, 1.0], [0.0, 0.0]])
+    inside = [[1.0, 1.0], [0.5, -0.5]]
+    outside = [[-1.0, 1.0], [0.0, 0.0]]
+    w = step_path([0.0, 1.0], np.array([inside, inside, outside, outside]))
     with pytest.raises(ValueError, match="driver 2 "):
-        solve_skorokhod_step_many([inside, inside, outside, outside], orthant(2))
+        solve_skorokhod_step(w, orthant(2))
     with pytest.raises(ValueError, match="driver 0 "):
-        solve_skorokhod_step(outside, orthant(2))
+        solve_skorokhod_step(w[3], orthant(2))
 
 
 def test_many_solvers_input_validation():
     a = brownian_step([0.0, 0.0], seed=71, n_steps=16)
-    b = brownian_step([0.0, 0.0], seed=71, n_steps=32)
+    with pytest.raises(ValueError, match="at least one path"):
+        solve_skorokhod_step(SampledPath.step(a.grid, np.zeros((0, 17, 2))), unit_disc())
     with pytest.raises(ValueError):
-        solve_skorokhod_step_many([a, b], unit_disc())  # grids differ
-    with pytest.raises(ValueError):
-        solve_skorokhod_step_many([], unit_disc())
-    with pytest.raises(ValueError):
-        solve_skorokhod_continuous_many([a], unit_disc())  # step kind
+        solve_skorokhod_continuous_many(a, unit_disc())  # step kind
+    two = SampledPath.continuous(a.grid, np.concatenate([a.values, a.values]))
+    with pytest.raises(ValueError, match="one driver, got 2"):
+        solve_skorokhod_continuous(two, unit_disc())
 
 
 def continuous_drivers(n, seed, start=(0.0, 0.0), n_steps=32):
+    """Values (n, grid, 2) of Brownian drivers on streams 0..n-1, and their grid."""
     grid = TimeGrid.uniform(1.0, n_steps)
     law = InitialLaw.point_mass(list(start))
-    return [
-        SampledPath.continuous(grid, brownian_sample(grid, 2, law, RngSeed(seed, i)).values)
-        for i in range(n)
-    ]
+    values = np.stack([brownian_sample(grid, 2, law, RngSeed(seed, i)).values[0] for i in range(n)])
+    return values, grid
 
 
 def test_continuous_many_matches_solo_runs():
-    ws = continuous_drivers(6, seed=72)
-    grid = ws[0].grid
+    values, grid = continuous_drivers(6, seed=72)
     # an input that stays inside converges at level 0 and leaves the batch first
-    ws[1] = SampledPath.continuous(grid, 0.1 * np.column_stack([np.sin(grid.times), grid.times]))
+    values[1] = 0.1 * np.column_stack([np.sin(grid.times), grid.times])
+    w = SampledPath.continuous(grid, values)
     for kwargs in ({"refine_tol": 0.02}, {"refine_tol": 0.005, "refine_factor": 3}, {"max_levels": 9}):
-        sols = solve_skorokhod_continuous_many(ws, unit_disc(), **kwargs)
+        sols = solve_skorokhod_continuous_many(w, unit_disc(), **kwargs)
+        assert len(sols) == w.n_paths
         levels = set()
-        for w, sol in zip(ws, sols):
-            solo = solve_skorokhod_continuous(w, unit_disc(), **kwargs)
+        for i, sol in enumerate(sols):
+            solo = solve_skorokhod_continuous(w[i], unit_disc(), **kwargs)
             assert sol.refine_gaps == solo.refine_gaps
             assert sol.tv_by_level == solo.tv_by_level
             assert sol.X.grid.same_as(solo.X.grid)
@@ -441,20 +436,20 @@ def test_continuous_many_matches_solo_runs():
 
 
 def test_continuous_many_reports_first_failing_driver():
-    ws = continuous_drivers(5, seed=73)
-    grid = ws[0].grid
-    ws[0] = SampledPath.continuous(grid, 0.1 * np.column_stack([grid.times, grid.times]))
+    values, grid = continuous_drivers(5, seed=73)
+    values[0] = 0.1 * np.column_stack([grid.times, grid.times])
+    w = SampledPath.continuous(grid, values)
     kwargs = {"refine_tol": 1e-12, "max_levels": 2}
     solo_failures = []
-    for i, w in enumerate(ws):
+    for i in range(w.n_paths):
         try:
-            solve_skorokhod_continuous(w, unit_disc(), **kwargs)
+            solve_skorokhod_continuous(w[i], unit_disc(), **kwargs)
         except RefinementLimitError as err:
             solo_failures.append((i, err.gaps))
     first, gaps = solo_failures[0]
     assert first > 0
     with pytest.raises(RefinementLimitError) as err:
-        solve_skorokhod_continuous_many(ws, unit_disc(), **kwargs)
+        solve_skorokhod_continuous_many(w, unit_disc(), **kwargs)
     assert err.value.driver == first
     assert err.value.gaps == gaps
     assert f"driver {first}:" in str(err.value)
@@ -494,10 +489,15 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def row(diagnostics, i):
+    """Path i's entry of every key of a diagnostics dict."""
+    return {key: column[i] for key, column in diagnostics.items()}
+
+
 def per_landing_diagnostics(sol, domain):
-    """Interior mass and angular gap, evaluated one landing at a time."""
-    X = sol.X.values
-    dphi = np.diff(sol.phi.values, axis=0)
+    """Interior mass and angular gap of a one-path solution, one landing at a time."""
+    X = sol.X.values[0]
+    dphi = np.diff(sol.phi.values[0], axis=0)
     norms = np.linalg.norm(dphi, axis=1)
     interior_mass = 0.0
     angular_gap = 0.0
@@ -513,6 +513,15 @@ def per_landing_diagnostics(sol, domain):
     return interior_mass, angular_gap
 
 
+def scaled_drivers(start, seed, n_paths, n_steps, factor):
+    """Brownian step drivers with their excursions from the start scaled by factor."""
+    values = np.stack(
+        [brownian_step(start, seed=seed, stream=i, n_steps=n_steps).values[0] for i in range(n_paths)]
+    )
+    values = factor * (values - values[:, :1]) + values[:, :1]
+    return SampledPath.step(TimeGrid.uniform(1.0, n_steps), values)
+
+
 @pytest.mark.parametrize(
     "domain,start",
     [
@@ -523,17 +532,18 @@ def per_landing_diagnostics(sol, domain):
     ids=["disc", "orthant", "capped-halfplane"],
 )
 def test_diagnostics_match_per_landing_evaluation(domain, start):
-    ws = [brownian_step(start, seed=74, stream=i, n_steps=128) for i in range(6)]
-    ws = [SampledPath.step(w.grid, 3.0 * (w.values - w.values[0]) + w.values[0]) for w in ws]
-    sols = solve_skorokhod_step_many(ws, domain)
-    for diag, w, sol in zip(nd_solution_diagnostics_many(sols, ws, domain), ws, sols):
-        assert bits(diag) == bits(nd_solution_diagnostics(sol, w, domain))
-        interior_mass, angular_gap = per_landing_diagnostics(sol, domain)
+    w = scaled_drivers(start, seed=74, n_paths=6, n_steps=128, factor=3.0)
+    sol = solve_skorokhod_step(w, domain)
+    diags = nd_solution_diagnostics(sol, w, domain)
+    for i in range(w.n_paths):
+        diag = row(diags, i)
+        assert bits(diag) == bits(row(nd_solution_diagnostics(sol[i], w[i], domain), 0))
+        interior_mass, angular_gap = per_landing_diagnostics(sol[i], domain)
         assert diag["interior_pushing_mass"] == interior_mass
         assert abs(diag["max_angular_gap"] - angular_gap) <= 1e-14
         assert diag["max_angular_gap"] <= 1e-6
-    tols = nd_solution_diagnostics_many(sols, ws, domain, containment_tol=1e-7)
-    assert [diag["containment_tol"] for diag in tols] == [1e-7] * len(ws)
+    tols = nd_solution_diagnostics(sol, w, domain, containment_tol=1e-7)
+    assert list(tols["containment_tol"]) == [1e-7] * w.n_paths
 
 
 def interior_pushing_solution():
@@ -556,49 +566,56 @@ def interior_pushing_solution():
     return sol, SampledPath.step(grid, X - phi)
 
 
+def concatenated(sols):
+    """One step solution whose rows are the rows of sols, in order."""
+    grid = sols[0].X.grid
+    return SkorokhodNdSolution(
+        X=SampledPath.step(grid, np.concatenate([s.X.values for s in sols])),
+        phi=SampledPath.step(grid, np.concatenate([s.phi.values for s in sols])),
+        total_variation=np.concatenate([s.total_variation for s in sols]),
+        directions=np.concatenate([s.directions for s in sols]),
+    )
+
+
 def test_diagnostics_many_with_interior_pushing_match_batches_of_one():
     hand, hand_w = interior_pushing_solution()
-    ws = [brownian_step([0.25, 0.25], seed=76, stream=i, n_steps=5) for i in range(4)]
-    ws = [SampledPath.step(w.grid, 4.0 * (w.values - w.values[0]) + w.values[0]) for w in ws]
-    sols = solve_skorokhod_step_many(ws, orthant(2))
-    sols[1:1], ws[1:1] = [hand], [hand_w]
-    sols.append(hand)
-    ws.append(hand_w)
-    many = nd_solution_diagnostics_many(sols, ws, orthant(2))
-    for diag, sol, w in zip(many, sols, ws):
-        assert bits(diag) == bits(nd_solution_diagnostics(sol, w, orthant(2)))
-    assert many[1]["interior_pushing_mass"] == float(np.sqrt(0.5)) + 0.25
-    assert many[1]["max_angular_gap"] == 1.0
-    assert many[1]["decomposition_max_abs"] == 0.0
-    assert bits(many[1]) == bits(many[-1])
+    w = scaled_drivers([0.25, 0.25], seed=76, n_paths=4, n_steps=5, factor=4.0)
+    solved = solve_skorokhod_step(w, orthant(2))
+    sol = concatenated([solved[0], hand, solved[1:], hand])
+    ws = SampledPath.step(w.grid, np.concatenate([w[0].values, hand_w.values, w[1:].values, hand_w.values]))
+    many = nd_solution_diagnostics(sol, ws, orthant(2))
+    for i in range(ws.n_paths):
+        assert bits(row(many, i)) == bits(row(nd_solution_diagnostics(sol[i], ws[i], orthant(2)), 0))
+    assert many["interior_pushing_mass"][1] == float(np.sqrt(0.5)) + 0.25
+    assert many["max_angular_gap"][1] == 1.0
+    assert many["decomposition_max_abs"][1] == 0.0
+    assert bits(row(many, 1)) == bits(row(many, -1))
 
 
 def test_diagnostics_many_rejects_mismatched_drivers():
-    ws = [brownian_step([0.0, 0.0], seed=77, stream=i, n_steps=16) for i in range(3)]
-    sols = solve_skorokhod_step_many(ws, unit_disc())
+    w = scaled_drivers([0.0, 0.0], seed=77, n_paths=3, n_steps=16, factor=1.0)
+    sol = solve_skorokhod_step(w, unit_disc())
     # same length, another grid
-    off_grid = SampledPath.step(TimeGrid.uniform(2.0, 16), ws[1].values)
-    with pytest.raises(ValueError, match="driver 1 is not on its solution's grid"):
-        nd_solution_diagnostics_many(sols, [ws[0], off_grid, off_grid], unit_disc())
+    off_grid = SampledPath.step(TimeGrid.uniform(2.0, 16), w.values)
+    with pytest.raises(ValueError, match="drivers are not on the solutions' grid"):
+        nd_solution_diagnostics(sol, off_grid, unit_disc())
     # another length
     short = brownian_step([0.0, 0.0], seed=77, n_steps=8)
-    with pytest.raises(ValueError, match="driver 2 is not on its solution's grid"):
-        nd_solution_diagnostics_many(sols, [ws[0], ws[1], short], unit_disc())
-    with pytest.raises(ValueError, match="driver 0 is not on its solution's grid"):
-        nd_solution_diagnostics(sols[0], short, unit_disc())
+    with pytest.raises(ValueError, match="drivers are not on the solutions' grid"):
+        nd_solution_diagnostics(sol[0], short, unit_disc())
     # another dimension
-    wide = SampledPath.step(ws[0].grid, np.zeros((17, 3)))
-    with pytest.raises(ValueError, match="driver 1 has dimension 3, its solution 2"):
-        nd_solution_diagnostics_many(sols, [ws[0], wide, ws[2]], unit_disc())
-    with pytest.raises(ValueError, match="one driver per solution"):
-        nd_solution_diagnostics_many(sols, ws[:2], unit_disc())
+    wide = SampledPath.step(w.grid, np.zeros((3, 17, 3)))
+    with pytest.raises(ValueError, match="drivers have dimension 3, the solutions 2"):
+        nd_solution_diagnostics(sol, wide, unit_disc())
+    with pytest.raises(ValueError, match="need one driver per solution, got 2 for 3"):
+        nd_solution_diagnostics(sol, w[:2], unit_disc())
 
 
 def per_path_tanaka_gap(sol, other):
-    """The per-path form of the pairwise slack, one solution pair at a time."""
-    u = sol.input_values - other.input_values
-    delta = sol.phi.values - other.phi.values
-    diff_x = sol.X.values - other.X.values
+    """The per-path form of the pairwise slack, one pair of one-path solutions."""
+    u = sol.input_values[0] - other.input_values[0]
+    delta = sol.phi.values[0] - other.phi.values[0]
+    diff_x = sol.X.values[0] - other.X.values[0]
     atom_terms = np.einsum("ij,ij->i", u[1:], np.diff(delta, axis=0))
     cum_atoms = np.concatenate(([0.0], np.cumsum(atom_terms)))
     rhs = np.einsum("ij,ij->i", u, u) + 2.0 * (np.einsum("ij,ij->i", u, delta) - cum_atoms)
@@ -607,7 +624,7 @@ def per_path_tanaka_gap(sol, other):
 
 def per_path_modulus_gap(sol, i, n):
     """The per-path form of the oscillation slack between grid indices i <= n."""
-    w, X, phi = sol.input_values, sol.X.values, sol.phi.values
+    w, X, phi = sol.input_values[0], sol.X.values[0], sol.phi.values[0]
     rhs = float(np.sum((w[n] - w[i]) ** 2))
     if n > i:
         dphi = np.diff(phi[i : n + 1], axis=0)
@@ -617,29 +634,59 @@ def per_path_modulus_gap(sol, i, n):
 
 @pytest.mark.parametrize("domain,start,quiet_start", MIXED_CASES, ids=["disc", "orthant", "strip"])
 def test_gaps_many_match_batches_of_one_and_per_path_forms(domain, start, quiet_start):
-    sols = solve_skorokhod_step_many(mixed_batch(domain, start, quiet_start), domain)
-    times = sols[0].X.grid.times
-    tanaka = tanaka_inequality_gap_many(sols[:-1], sols[1:])
-    assert tanaka.shape == (len(sols) - 1,)
-    for gap, a, b in zip(tanaka, sols[:-1], sols[1:]):
-        assert bits([gap, gap]) == bits([tanaka_inequality_gap(a, b), per_path_tanaka_gap(a, b)])
+    sol = solve_skorokhod_step(mixed_batch(domain, start, quiet_start), domain)
+    times = sol.X.grid.times
+    tanaka = tanaka_inequality_gap(sol[:-1], sol[1:])
+    assert tanaka.shape == (sol.X.n_paths - 1,)
+    for p, gap in enumerate(tanaka):
+        a, b = sol[p], sol[p + 1]
+        assert bits([gap, gap]) == bits([tanaka_inequality_gap(a, b)[0], per_path_tanaka_gap(a, b)])
     for i, n in ((0, 96), (32, 64), (20, 21), (40, 40)):
-        mod = modulus_gap_many(sols, times[i], times[n])
-        for gap, sol in zip(mod, sols):
+        mod = modulus_gap(sol, times[i], times[n])
+        assert mod.shape == (sol.X.n_paths,)
+        for p, gap in enumerate(mod):
             assert bits([gap, gap]) == bits(
-                [modulus_gap(sol, times[i], times[n]), per_path_modulus_gap(sol, i, n)]
+                [modulus_gap(sol[p], times[i], times[n])[0], per_path_modulus_gap(sol[p], i, n)]
             )
 
 
 def test_gaps_many_input_validation():
-    a = solve_skorokhod_step(brownian_step([0.0, 0.0], seed=78, n_steps=32), halfplane())
+    w = brownian_step([0.0, 0.0], seed=78, n_steps=32)
+    a = solve_skorokhod_step(w, halfplane())
     b = solve_skorokhod_step(brownian_step([0.0, 0.0], seed=78, n_steps=64), halfplane())
-    with pytest.raises(ValueError, match="solution 1 is not on the grid"):
-        modulus_gap_many([a, b], 0.0, 1.0)
-    with pytest.raises(ValueError, match="share a grid"):
-        tanaka_inequality_gap_many([a], [b])
-    with pytest.raises(ValueError, match="one other solution per solution"):
-        tanaka_inequality_gap_many([a, a], [a])
+    with pytest.raises(ValueError, match="other solutions are not on the solutions' grid"):
+        tanaka_inequality_gap(a, b)
+    two = solve_skorokhod_step(SampledPath.step(w.grid, np.concatenate([w.values, w.values])), halfplane())
+    with pytest.raises(ValueError, match="need one other solution per solution, got 1 for 2"):
+        tanaka_inequality_gap(two, a)
+
+
+def test_solution_rows_equal_batches_of_one_built_from_the_row():
+    w = mixed_batch(unit_disc(), [0.0, 0.0], [0.1, 0.1], n_paths=4, n_steps=24)
+    sol = solve_skorokhod_step(w, unit_disc())
+    for i in range(-4, 4):
+        built = SkorokhodNdSolution(
+            X=SampledPath.step(w.grid, sol.X.values[i]),
+            phi=SampledPath.step(w.grid, sol.phi.values[i]),
+            total_variation=sol.total_variation[i],
+            directions=sol.directions[i],
+        )
+        got = sol[i]
+        for name in ("total_variation", "directions"):
+            assert getattr(got, name).shape == getattr(built, name).shape
+            assert getattr(got, name).tobytes() == getattr(built, name).tobytes()
+        assert got.X.values.tobytes() == built.X.values.tobytes()
+        assert got.phi.values.tobytes() == built.phi.values.tobytes()
+    assert sol[1:3].total_variation.tobytes() == sol.total_variation[1:3].tobytes()
+    with pytest.raises(ValueError, match="at least one path"):
+        sol[4:]
+
+
+def test_solution_rejects_a_driver_with_another_number_of_paths():
+    grid, zeros, parts = _solution_parts()
+    driver = SampledPath.continuous(grid, np.zeros((2, 5, 1)))
+    with pytest.raises(ValueError, match="driver"):
+        SkorokhodNdSolution(phi=zeros, driver=driver, **parts)
 
 
 # --- geometric conditions ---------------------------------------------------

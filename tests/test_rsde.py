@@ -40,9 +40,9 @@ def zero_coefficients(d=1):
 def test_zero_coefficients_hold_still():
     grid = TimeGrid.uniform(1.0, 50)
     path = euler_reflected(zero_coefficients(2), halfplane(), [0.3, 0.7], grid, RngSeed(1))
-    assert np.array_equal(path.X.values, np.tile([0.3, 0.7], (51, 1)))
-    assert np.array_equal(path.phi.values, np.zeros((51, 2)))
-    assert path.total_variation[-1] == 0.0
+    assert np.array_equal(path.X.values[0], np.tile([0.3, 0.7], (51, 1)))
+    assert np.array_equal(path.phi.values[0], np.zeros((51, 2)))
+    assert path.total_variation[0, -1] == 0.0
 
 
 def pushdown_coefficients():
@@ -124,8 +124,8 @@ def test_monotone_in_start_with_shared_noise():
 def test_driver_dimension_can_differ_from_state():
     grid = TimeGrid.uniform(1.0, 50)
     path = euler_reflected(column_coefficients(), halfplane(), [0.0, 1.0], grid, RngSeed(3))
-    assert path.driver.values.shape == (51, 1)
-    assert path.X.values.shape == (51, 2)
+    assert path.driver.values.shape == (1, 51, 1)
+    assert path.X.values.shape == (1, 51, 2)
 
 
 def test_half_normal_law_at_fixed_seed():
@@ -151,7 +151,7 @@ def test_batch_simulator_matches_scheme():
         batch = simulate_reflected_terminal_batch(coeffs, domain, x0, grid, RngSeed(5), 8)
         for i in range(8):
             single = euler_reflected(coeffs, domain, x0, grid, RngSeed(5, i))
-            assert np.array_equal(batch[i], single.X.values[-1])
+            assert np.array_equal(batch[i], single.X.values[0, -1])
 
 
 def test_batch_simulator_falls_back_without_batch_evaluators():
@@ -243,7 +243,7 @@ def test_reflected_path_association_invariants():
         assert diag["containment_worst_slack"] >= -1e-9
         assert diag["interior_pushing_mass"] == 0.0
         assert diag["max_angular_gap"] <= 1e-6
-        assert np.all(np.linalg.norm(path.X.values, axis=1) <= 1.0 + 1e-9)
+        assert np.all(np.linalg.norm(path.X.values[0], axis=1) <= 1.0 + 1e-9)
 
 
 # --- coefficient contracts --------------------------------------------------
@@ -295,7 +295,7 @@ def test_semimartingale_interior_noise_is_identity():
     A = SampledPath.continuous(grid, np.zeros((129, 2)))
     sol = semimartingale_skorokhod(M, A, big)
     assert np.array_equal(sol.X.values, M.values)
-    assert sol.total_variation[-1] == 0.0
+    assert sol.total_variation[0, -1] == 0.0
 
 
 def test_semimartingale_deterministic_pin():
@@ -328,7 +328,7 @@ def test_semimartingale_route_matches_euler():
     semi = semimartingale_skorokhod(M, A, unit_disc(), refine_tol=0.02)
     euler = euler_reflected(preset_coefficients("constant-drift(1,0)", d=2), unit_disc(), [0.0, 0.0], grid, stream)
     stride = (len(semi.X.grid) - 1) // 500
-    gap = np.max(np.linalg.norm(semi.X.values[::stride] - euler.X.values, axis=1))
+    gap = np.max(np.linalg.norm(semi.X.values[0, ::stride] - euler.X.values[0], axis=1))
     assert gap <= 0.1
 
 
@@ -498,11 +498,11 @@ def test_euler_reflected_matches_scalar_oracle(case):
     assert path.X.values.tobytes() == X.tobytes()
     assert path.phi.values.tobytes() == phi.tobytes()
     assert path.total_variation.tobytes() == tv.tobytes()
-    assert np.array_equal(path.directions, dirs, equal_nan=True)
+    assert np.array_equal(path.directions[0], dirs, equal_nan=True)
     assert path.driver.values.tobytes() == driver.tobytes()
     if case == "drift-orthant":
         # the corner is hit: both coordinates pushed at once
-        assert np.any(np.all(np.abs(path.directions) > 0.0, axis=1))
+        assert np.any(np.all(np.abs(path.directions[0]) > 0.0, axis=1))
 
 
 # --- constant diffusion -------------------------------------------------------
