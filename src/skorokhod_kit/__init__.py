@@ -18,7 +18,6 @@ from .domains import (
     halfplane,
     normal_cone_residuals,
     orthant,
-    project,
     strip,
     unit_disc,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "normal_cone_residuals",
     "orthant",
     "preset_coefficients",
-    "project",
     "quadratic_variation",
     "rbm_abs",
     "rbm_from_skorokhod",

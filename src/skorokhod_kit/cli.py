@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .config import ExperimentConfig, parse_kv_file
-from .experiments import EXPERIMENTS, UsageError, run_experiment
+from .experiments import EXPERIMENTS, UsageError, experiment_defaults, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,13 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> ExperimentConfig:
-    if args.experiment not in EXPERIMENTS:
-        raise UsageError(
-            f"unknown experiment {args.experiment!r}; choose from {sorted(EXPERIMENTS)}"
-        )
-    defaults = dict(EXPERIMENTS[args.experiment][1])
-    defaults["experiment"] = args.experiment
-    defaults.setdefault("out_dir", f"results/{args.experiment}")
+    defaults = experiment_defaults(args.experiment)
+    defaults["out_dir"] = f"results/{args.experiment}"
     if args.config is not None:
         doc = parse_kv_file(args.config)
         config = ExperimentConfig.from_mapping(doc, defaults=defaults)

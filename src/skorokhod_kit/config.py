@@ -175,9 +175,8 @@ class ExperimentConfig:
     }
 
     def __post_init__(self):
-        for key, value in (("n_paths", self.n_paths), ("N", self.n_steps)):
-            if value < 1:
-                raise ValueError(f"config key {key} must be at least 1, got {value}")
+        _check_count("n_paths", self.n_paths)
+        _check_count("N", self.n_steps)
 
     @classmethod
     def from_mapping(cls, doc: dict, defaults: dict | None = None) -> "ExperimentConfig":
@@ -222,6 +221,10 @@ class ExperimentConfig:
     def option(self, name: str, default):
         return self.options.get(name, default)
 
+    def count_option(self, name: str, default: int) -> int:
+        """An option that counts paths, steps or drivers: an integer >= 1."""
+        return _check_count(name, int(self.options.get(name, default)))
+
     def replace(self, **changes) -> "ExperimentConfig":
         from dataclasses import replace as dc_replace
 
@@ -243,6 +246,12 @@ class ExperimentConfig:
             "tolerances": dict(sorted(self.tolerances.items())),
             "options": {k: _plain(v) for k, v in sorted(self.options.items())},
         }
+
+
+def _check_count(key: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"config key {key} must be at least 1, got {value}")
+    return value
 
 
 def _plain(value):

@@ -23,8 +23,12 @@ import numpy as np
 
 from .errors import ProjectionIterationError
 
+# Dykstra stops once a cycle moves and violates by at most the tolerance
 DEFAULT_PROJECT_TOL = 1e-10
 DEFAULT_PROJECT_MAX_ITER = 10_000
+# a one-constraint projection landing farther than this (relative) outside
+# another constraint is redone by Dykstra
+_LANDED_TOL = 1e-12
 _UNIT_NORM_TOL = 1e-12
 
 
@@ -127,8 +131,8 @@ class ConvexDomain:
             parts.append(self.radii - np.sqrt(np.add.reduce(diff * diff, axis=1)))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(np.min(self.slacks(x)) >= -tol)
+    def contains(self, x: np.ndarray) -> bool:
+        return bool(np.min(self.slacks(x)) >= 0.0)
 
     def slack_matrix(self, points: np.ndarray) -> np.ndarray:
         """Slacks for a batch of points, shape (m_points, n_constraints).
@@ -175,12 +179,7 @@ class ConvexDomain:
             return x
         return c + (self.radii[j] / dist) * v
 
-    def project(
-        self,
-        x: np.ndarray,
-        tol: float = DEFAULT_PROJECT_TOL,
-        max_iter: int = DEFAULT_PROJECT_MAX_ITER,
-    ) -> np.ndarray:
+    def project(self, x: np.ndarray) -> np.ndarray:
         """Nearest point of the closure; identity (bit-exact) on the closure."""
         x = np.asarray(x, dtype=np.float64).reshape(self.dimension)
         if self._box is not None:
@@ -192,9 +191,9 @@ class ConvexDomain:
         if violated.size == 1:
             p = self._project_single(x, int(violated[0]))
             # exact when no other constraint becomes active
-            if np.min(self.slacks(p)) >= -min(tol, 1e-12) * (1.0 + float(np.linalg.norm(p))):
+            if np.min(self.slacks(p)) >= -_LANDED_TOL * (1.0 + float(np.linalg.norm(p))):
                 return p
-        return self._dykstra(x, tol, max_iter)
+        return self._dykstra(x, DEFAULT_PROJECT_TOL, DEFAULT_PROJECT_MAX_ITER)
 
     def _dykstra(self, x: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         n_sets = self.n_constraints
@@ -218,12 +217,7 @@ class ConvexDomain:
             residual=(violation, move),
         )
 
-    def project_batch(
-        self,
-        points: np.ndarray,
-        tol: float = DEFAULT_PROJECT_TOL,
-        max_iter: int = DEFAULT_PROJECT_MAX_ITER,
-    ) -> np.ndarray:
+    def project_batch(self, points: np.ndarray) -> np.ndarray:
         """Row-wise projection, each row bit-identical to :meth:`project`.
 
         A box is clipped in one pass. Otherwise interior rows and rows
@@ -260,9 +254,9 @@ class ConvexDomain:
         rows = np.flatnonzero(single)
         landed = out[rows]
         scale = 1.0 + np.sqrt(np.vecdot(landed, landed))
-        redo = rows[np.min(self.slack_matrix(landed), axis=1) < -min(tol, 1e-12) * scale]
+        redo = rows[np.min(self.slack_matrix(landed), axis=1) < -_LANDED_TOL * scale]
         for row in np.concatenate([redo, np.flatnonzero(n_bad > 1)]):
-            out[row] = self._dykstra(pts[row], tol, max_iter)
+            out[row] = self._dykstra(pts[row], DEFAULT_PROJECT_TOL, DEFAULT_PROJECT_MAX_ITER)
         return out
 
     def distance_to_boundary(self, x: np.ndarray) -> float:
@@ -278,15 +272,6 @@ class ConvexDomain:
             shift = self.project_batch(pts[outside]) - pts[outside]
             dist[outside] = np.sqrt(np.vecdot(shift, shift))
         return dist
-
-
-def project(
-    x,
-    domain: ConvexDomain,
-    tol: float = DEFAULT_PROJECT_TOL,
-    max_iter: int = DEFAULT_PROJECT_MAX_ITER,
-) -> np.ndarray:
-    return domain.project(np.asarray(x, dtype=np.float64), tol=tol, max_iter=max_iter)
 
 
 def active_normal_cone(x, domain: ConvexDomain, tol_bd: float | None = None) -> np.ndarray:

@@ -378,6 +378,9 @@ def _local_time_pass(
 def _run_local_time(config: ExperimentConfig):
     level = float(config.option("level", 0.0))
     eps = float(config.option("eps", 0.01))
+    fine_steps = config.count_option("fine_steps", 100_000)
+    fine_paths = config.count_option("fine_paths", 400)
+    fine_eps = float(config.option("fine_eps", 0.005))
     target = brownian_local_time_mean(level, config.horizon)
 
     # estimator means at the coarse grid
@@ -390,9 +393,6 @@ def _run_local_time(config: ExperimentConfig):
     # cross-estimator agreement on a fine grid, where the left-point Tanaka sum
     # is accurate enough for a per-path comparison; the same sweep checks that
     # shrinking the bandwidth brings the two estimators together monotonically
-    fine_steps = int(config.option("fine_steps", 100_000))
-    fine_paths = int(config.option("fine_paths", 400))
-    fine_eps = float(config.option("fine_eps", 0.005))
     eps_ladder = [0.08, 0.04, 0.02, 0.01, fine_eps]
     fine_grid = TimeGrid.uniform(config.horizon, fine_steps)
     fine_occs, fine_tan = _local_time_pass(
@@ -462,8 +462,8 @@ def _nd_domain_batch(config: ExperimentConfig, domain: ConvexDomain, start_point
 
 def _nd_refinement_checks(config: ExperimentConfig, domain: ConvexDomain, start_point, block: int):
     refine_tol = config.tolerance("refine", 0.02)
-    n0 = int(config.option("refine_n0", 128))
-    n_drivers = int(config.option("refine_drivers", 12))
+    n0 = config.count_option("refine_n0", 128)
+    n_drivers = config.count_option("refine_drivers", 12)
     grid = TimeGrid.uniform(config.horizon, n0)
     rng = RngSeed(config.seed, block * STREAM_BLOCK)
     w = SampledPath.continuous(
@@ -600,15 +600,15 @@ def _run_rsde_consistency(config: ExperimentConfig):
     checks: list[Check] = []
     summary: dict = {}
 
-    route_steps = int(config.option("route_steps", 1000))
+    route_steps = config.count_option("route_steps", 1000)
 
     # deterministic pushdown against the wall: drift (0,-1), no noise
     plane = halfplane()
     grid = TimeGrid.uniform(config.horizon, route_steps)
+    down = np.array([[0.0, -1.0]])
     pushdown = SdeCoefficients(
         constant_sigma=np.zeros((2, 1)),
-        b=lambda t, x: np.array([0.0, -1.0]),
-        b_batch=lambda t, X: np.broadcast_to([0.0, -1.0], X.shape),
+        b=lambda t, X: down.repeat(len(X), axis=0),
         lipschitz_K=1.0,
         r=1,
         name="pushdown",
@@ -760,7 +760,11 @@ def _run_condition_checks(config: ExperimentConfig):
 
 
 def _run_strong_error(config: ExperimentConfig):
-    dt_levels = list(config.option("dt_levels", (1 / 32, 1 / 64, 1 / 128, 1 / 256, 1 / 512)))
+    dt_levels = config.option("dt_levels", (1 / 32, 1 / 64, 1 / 128, 1 / 256, 1 / 512))
+    dt_levels = list(dt_levels) if isinstance(dt_levels, tuple) else [dt_levels]
+    if len(dt_levels) < 2:
+        # the finest level is the reference, so the gaps need two levels
+        raise ValueError(f"config key dt_levels needs at least 2 step sizes, got {len(dt_levels)}")
     n_paths = config.n_paths
     unit = preset_coefficients("unit-diffusion", d=1)
     rows_reflected = strong_error_estimate(
@@ -810,13 +814,15 @@ EXPERIMENTS = {
 }
 
 
-def default_config(experiment: str, **overrides) -> ExperimentConfig:
+def experiment_defaults(experiment: str) -> dict:
+    """ExperimentConfig keywords of a named experiment's defaults; UsageError if unknown."""
     if experiment not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}")
-    defaults = dict(EXPERIMENTS[experiment][1])
-    defaults["experiment"] = experiment
-    defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+    return {**EXPERIMENTS[experiment][1], "experiment": experiment}
+
+
+def default_config(experiment: str, **overrides) -> ExperimentConfig:
+    return ExperimentConfig(**{**experiment_defaults(experiment), **overrides})
 
 
 @dataclass(frozen=True)
@@ -829,10 +835,7 @@ class RunResult:
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run one named experiment, write its artifacts, and report pass/fail."""
-    if config.experiment not in EXPERIMENTS:
-        raise UsageError(
-            f"unknown experiment {config.experiment!r}; choose from {sorted(EXPERIMENTS)}"
-        )
+    experiment_defaults(config.experiment)  # fail before running if the name is unknown
     config.resolve_domain()  # fail before running if a referenced file is bad
     if config.coefficients is not None:
         preset_coefficients(config.coefficients)  # same for presets

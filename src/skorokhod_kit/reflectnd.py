@@ -21,13 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .domains import (
-    DEFAULT_PROJECT_MAX_ITER,
-    DEFAULT_PROJECT_TOL,
-    ConvexDomain,
-    boundary_tolerance,
-    normal_cone_residuals,
-)
+from .domains import ConvexDomain, boundary_tolerance, normal_cone_residuals
 from .errors import RefinementLimitError
 from .paths import PathKind, SampledPath, TimeGrid, row_slice
 
@@ -94,7 +88,7 @@ class SkorokhodNdSolution:
 _MAX_SPAN = 256
 
 
-def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain, tol: float, max_iter: int):
+def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain):
     """Step recursion for drivers wv of shape (paths, grid, d) on one shared grid.
 
     A step where some path leaves the closure is one ``project_batch`` call
@@ -128,7 +122,7 @@ def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain, tol: float, max_iter:
             span = min(2 * span, _MAX_SPAN) if stay == step_leaves.size else 1
             continue
         free = wv[:, k] + acc
-        landed = domain.project_batch(free, tol=tol, max_iter=max_iter)
+        landed = domain.project_batch(free)
         X[:, k] = landed
         # rows with no pushing (landed == free) keep phi bitwise unchanged so
         # interior steps carry exactly zero mass
@@ -149,12 +143,7 @@ def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain, tol: float, max_iter:
     return X, phi, tv, dirs
 
 
-def solve_skorokhod_step(
-    w: SampledPath,
-    domain: ConvexDomain,
-    tol: float = DEFAULT_PROJECT_TOL,
-    max_iter: int = DEFAULT_PROJECT_MAX_ITER,
-) -> SkorokhodNdSolution:
+def solve_skorokhod_step(w: SampledPath, domain: ConvexDomain) -> SkorokhodNdSolution:
     """Reflect cadlag step inputs: project after every jump of each driver.
 
     All drivers of the batch advance in one recursion; row i of the result
@@ -163,7 +152,7 @@ def solve_skorokhod_step(
     """
     if w.kind is not PathKind.STEP:
         raise ValueError("solve_skorokhod_step expects step paths")
-    X, phi, tv, dirs = _reflect_on_grid(w.values, domain, tol, max_iter)
+    X, phi, tv, dirs = _reflect_on_grid(w.values, domain)
     return SkorokhodNdSolution(
         X=SampledPath.step(w.grid, X),
         phi=SampledPath.step(w.grid, phi),
@@ -196,8 +185,6 @@ def solve_skorokhod_continuous_many(
     refine_tol: float | None = None,
     max_levels: int = 6,
     refine_factor: int = 2,
-    tol: float = DEFAULT_PROJECT_TOL,
-    max_iter: int = DEFAULT_PROJECT_MAX_ITER,
 ) -> list[SkorokhodNdSolution]:
     """Reflect a batch of piecewise-linear inputs by joint refinement.
 
@@ -222,7 +209,7 @@ def solve_skorokhod_continuous_many(
     solutions: list[SkorokhodNdSolution | None] = [None] * n
     prev_X = None
     for level in range(max_levels + 1):
-        X, phi, tv, dirs = _reflect_on_grid(wv, domain, tol, max_iter)
+        X, phi, tv, dirs = _reflect_on_grid(wv, domain)
         if prev_X is not None:
             level_gaps = np.max(np.linalg.norm(X[:, ::refine_factor] - prev_X, axis=2), axis=1)
         level_grid = TimeGrid(times)
@@ -277,8 +264,6 @@ def solve_skorokhod_continuous(
     refine_tol: float | None = None,
     max_levels: int = 6,
     refine_factor: int = 2,
-    tol: float = DEFAULT_PROJECT_TOL,
-    max_iter: int = DEFAULT_PROJECT_MAX_ITER,
 ) -> SkorokhodNdSolution:
     """Reflect one piecewise-linear input, a batch of one, by grid refinement.
 
@@ -293,9 +278,7 @@ def solve_skorokhod_continuous(
             f"solve_skorokhod_continuous reflects one driver, got {w.n_paths}; "
             "solve_skorokhod_continuous_many takes a batch"
         )
-    return solve_skorokhod_continuous_many(
-        w, domain, refine_tol, max_levels, refine_factor, tol, max_iter
-    )[0]
+    return solve_skorokhod_continuous_many(w, domain, refine_tol, max_levels, refine_factor)[0]
 
 
 def _check_paired(sol: SkorokhodNdSolution, path: SampledPath, noun: str) -> None:

@@ -4,9 +4,10 @@ The scheme is projected Euler: advance with the drift and diffusion over one
 step, then project back into the closure; the projection displacement is the
 pushing increment, kept explicit so the association conditions (pushing only
 at the boundary, along inward normals) can be tested instead of assumed.
-Coefficients are evaluated at left endpoints only. One stepper advances a
-batch of paths. euler_reflected steps one path and returns the batched
-SkorokhodNdSolution carrier with that one row: X, phi and the driver.
+Coefficients come in one form: evaluators of a whole batch of states at
+once, read at left endpoints only. One stepper advances a batch of paths.
+euler_reflected steps one path and returns the batched SkorokhodNdSolution
+carrier with that one row: X, phi and the driver.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import DEFAULT_PROJECT_MAX_ITER, DEFAULT_PROJECT_TOL, ConvexDomain
+from .domains import ConvexDomain
 from .errors import EvaluationFault
 from .paths import SampledPath, TimeGrid
 from .randomness import RngSeed, brownian_increments, normal_matrix, path_values
@@ -25,28 +26,27 @@ from .reflectnd import SkorokhodNdSolution, solve_skorokhod_continuous
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class SdeCoefficients:
-    """Diffusion sigma(t, x) in R^{d x r} and drift b(t, x) in R^d.
+    """Drift b(t, X) and diffusion sigma(t, X) of a reflected SDE.
 
-    ``lipschitz_K`` declares one constant for the Lipschitz and linear-growth
-    bounds of both coefficients; coefficient_contract_check spot-checks it on
-    random samples. Evaluators must be pure functions of (t, x). The optional
-    ``sigma_batch`` and ``b_batch`` evaluate whole batches of states at once,
-    shapes (m, d) -> (m, d, r) and (m, d) -> (m, d).
+    Both evaluate a batch of states X, shape (m, d), at one time t: ``b``
+    returns the (m, d) drifts and ``sigma`` the (m, d, r) diffusion
+    matrices, row i for state X[i] alone. They must be pure functions of
+    (t, X). ``lipschitz_K`` declares one constant for the Lipschitz and
+    linear-growth bounds of both coefficients; coefficient_contract_check
+    spot-checks it on random samples.
 
     A diffusion that does not depend on (t, x) may be given instead as the
-    finite matrix ``constant_sigma``, shape (d, r); ``sigma`` and
-    ``sigma_batch`` are then derived from it and must not be passed. The
-    batched stepper then forms the noise term without evaluating sigma.
+    finite matrix ``constant_sigma``, shape (d, r); ``sigma`` is then
+    derived from it and must not be passed. The stepper then forms the
+    noise term without evaluating sigma.
     """
 
-    sigma: Callable[[float, np.ndarray], np.ndarray] | None = None
     b: Callable[[float, np.ndarray], np.ndarray]
+    sigma: Callable[[float, np.ndarray], np.ndarray] | None = None
+    constant_sigma: np.ndarray | None = None
     lipschitz_K: float
     r: int
     name: str = "custom"
-    sigma_batch: Callable[[float, np.ndarray], np.ndarray] | None = None
-    b_batch: Callable[[float, np.ndarray], np.ndarray] | None = None
-    constant_sigma: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.lipschitz_K > 0.0:
@@ -57,33 +57,26 @@ class SdeCoefficients:
             if self.sigma is None:
                 raise ValueError("give sigma or constant_sigma")
             return
-        if self.sigma is not None or self.sigma_batch is not None:
-            raise ValueError("constant_sigma replaces sigma and sigma_batch; give one or the other")
+        if self.sigma is not None:
+            raise ValueError("constant_sigma replaces sigma; give one or the other")
         S = np.array(self.constant_sigma, dtype=np.float64)
         if S.ndim != 2 or S.shape[1] != self.r or not np.all(np.isfinite(S)):
             raise ValueError(f"constant_sigma must be a finite (d, {self.r}) matrix")
         S.setflags(write=False)
         object.__setattr__(self, "constant_sigma", S)
-        object.__setattr__(self, "sigma", lambda t, x: S)
-        object.__setattr__(
-            self, "sigma_batch", lambda t, X: np.broadcast_to(S, (X.shape[0],) + S.shape)
-        )
+        # repeat, not broadcast_to: a C method, cheap for the contract check's pairs
+        object.__setattr__(self, "sigma", lambda t, X: S[None].repeat(len(X), axis=0))
 
 
 # Paths per block of the batched stepper: bounds the increments held at once.
 _PATH_BLOCK = 512
 
 
-def _eval_drift_diffusion(
-    coeffs: SdeCoefficients, t: float, x: np.ndarray, d: int, k: int, path: int
-):
-    drift = np.asarray(coeffs.b(t, x), dtype=np.float64).reshape(d)
-    sig = np.asarray(coeffs.sigma(t, x), dtype=np.float64).reshape(d, coeffs.r)
-    if not (np.all(np.isfinite(drift)) and np.all(np.isfinite(sig))):
-        raise EvaluationFault(
-            "coefficient evaluation was non-finite", step_index=k, path_index=path
-        )
-    return drift, sig
+def _shape_error(name: str, out: np.ndarray, X: np.ndarray, shape) -> ValueError:
+    """The error for evaluator ``name`` returning ``out`` at states X instead of ``shape``."""
+    return ValueError(
+        f"{name}(t, X) returned shape {out.shape} for states of shape {X.shape}; expected {shape}"
+    )
 
 
 def _euler_batch(
@@ -93,8 +86,6 @@ def _euler_batch(
     dB: np.ndarray,
     times: np.ndarray,
     dt: np.ndarray,
-    tol: float,
-    max_iter: int,
     first_path: int = 0,
     free_out: np.ndarray | None = None,
     state_out: np.ndarray | None = None,
@@ -102,9 +93,9 @@ def _euler_batch(
     """Projected Euler for a batch: from x0 through increments (m, steps, r).
 
     The state has shape (m, d). Step k evaluates the coefficients at
-    (times[k], state) for all rows at once, through the batch evaluators
-    when both exist and row by row otherwise, and makes one project_batch
-    call. With ``constant_sigma`` the noise term skips sigma: it is the
+    (times[k], state) for all rows at once, raising ValueError if an
+    evaluator returns another shape, and makes one project_batch call.
+    With ``constant_sigma`` the noise term skips sigma: it is the
     increments themselves for the identity and one contraction with the
     matrix otherwise. A non-finite row raises EvaluationFault at the first
     such row in path order, numbered from ``first_path``. Returns the
@@ -112,31 +103,26 @@ def _euler_batch(
     (m, steps, d), when given, receive every step's free and projected state.
     """
     m, d = dB.shape[0], x0.size
+    b_shape, sigma_shape = (m, d), (m, d, coeffs.r)
     S = coeffs.constant_sigma
     if S is not None and S.shape[0] != d:
         raise ValueError(f"constant_sigma has {S.shape[0]} rows for a state of dimension {d}")
     identity = S is not None and np.array_equal(S, np.eye(d))
     state = np.tile(x0, (m, 1))
-    batched = coeffs.b_batch is not None and coeffs.sigma_batch is not None
-    for k in range(dB.shape[1]):
-        t = float(times[k])
+    # Python floats: the same values as the array entries, read faster per step
+    for k, (t, h) in enumerate(zip(times.tolist(), dt.tolist())):
         dB_k = dB[:, k, :]
-        if batched:
-            drift = np.asarray(coeffs.b_batch(t, state), dtype=np.float64)
-            if S is None:
-                sig = np.asarray(coeffs.sigma_batch(t, state), dtype=np.float64)
-        else:
-            rows = [
-                _eval_drift_diffusion(coeffs, t, state[i], d, k, first_path + i)
-                for i in range(m)
-            ]
-            drift = np.stack([row[0] for row in rows])
-            sig = np.stack([row[1] for row in rows])
+        drift = np.asarray(coeffs.b(t, state), dtype=np.float64)
+        if drift.shape != b_shape:
+            raise _shape_error("b", drift, state, b_shape)
         if S is None:
+            sig = np.asarray(coeffs.sigma(t, state), dtype=np.float64)
+            if sig.shape != sigma_shape:
+                raise _shape_error("sigma", sig, state, sigma_shape)
             noise = np.einsum("mdr,mr->md", sig, dB_k)
         else:
             noise = dB_k if identity else dB_k @ S.T
-        free = state + drift * dt[k] + noise
+        free = state + drift * h + noise
         if not np.all(np.isfinite(free)):
             bad = int(np.argmin(np.all(np.isfinite(free), axis=1)))
             raise EvaluationFault(
@@ -144,7 +130,7 @@ def _euler_batch(
                 step_index=k,
                 path_index=first_path + bad,
             )
-        state = domain.project_batch(free, tol=tol, max_iter=max_iter)
+        state = domain.project_batch(free)
         if free_out is not None:
             free_out[:, k] = free
             state_out[:, k] = state
@@ -157,8 +143,6 @@ def euler_reflected(
     x0,
     grid: TimeGrid,
     rng: RngSeed,
-    tol: float = DEFAULT_PROJECT_TOL,
-    max_iter: int = DEFAULT_PROJECT_MAX_ITER,
 ) -> SkorokhodNdSolution:
     """Projected Euler path: Y <- project(Y + b dt + sigma dB) each step.
 
@@ -177,7 +161,7 @@ def euler_reflected(
     X[0] = x0
     free = np.empty((n_steps, d))
     _euler_batch(
-        coeffs, domain, x0, dB, grid.times, grid.deltas, tol, max_iter,
+        coeffs, domain, x0, dB, grid.times, grid.deltas,
         free_out=free[None], state_out=X[None, 1:],
     )
     # a leading zero row makes each cumsum add in step order from 0
@@ -201,8 +185,6 @@ def semimartingale_skorokhod(
     A: SampledPath,
     domain: ConvexDomain,
     refine_tol: float | None = None,
-    max_levels: int = 6,
-    **solver_kwargs,
 ) -> SkorokhodNdSolution:
     """Reflect the sum of a noise path M and a bounded-variation path A.
 
@@ -216,9 +198,7 @@ def semimartingale_skorokhod(
     if not all(domain.contains(x0) for x0 in M.values[:, 0]):
         raise ValueError("M must start inside the closed domain")
     w = SampledPath.continuous(M.grid, M.values + A.values)
-    return solve_skorokhod_continuous(
-        w, domain, refine_tol=refine_tol, max_levels=max_levels, **solver_kwargs
-    )
+    return solve_skorokhod_continuous(w, domain, refine_tol=refine_tol)
 
 
 @dataclass(frozen=True)
@@ -255,10 +235,12 @@ def coefficient_contract_check(
 
     Sample points are Gaussian clouds around the interior witness at several
     scales, projected into the closure so unbounded domains get probed far
-    out. Matrix norms are spectral. Report-only: passes iff every observed
-    ratio is at most K (with a 1e-9 slack).
+    out. Each sample pair (x, y) is evaluated as one batch of two states.
+    Matrix norms are spectral. Report-only: passes iff every observed ratio
+    is at most K (with a 1e-9 slack).
     """
     d = domain.dimension
+    b_shape, sigma_shape = (2, d), (2, d, coeffs.r)
     gen = rng.generator()
     base = domain.interior_point
     max_lip_sigma = 0.0
@@ -271,10 +253,14 @@ def coefficient_contract_check(
         spread = scales[i % len(scales)]
         x = domain.project(base + spread * gen.standard_normal(d))
         y = domain.project(base + spread * gen.standard_normal(d))
-        bx = np.asarray(coeffs.b(t, x), dtype=np.float64).reshape(d)
-        by = np.asarray(coeffs.b(t, y), dtype=np.float64).reshape(d)
-        sx = np.asarray(coeffs.sigma(t, x), dtype=np.float64).reshape(d, coeffs.r)
-        sy = np.asarray(coeffs.sigma(t, y), dtype=np.float64).reshape(d, coeffs.r)
+        pair = np.array([x, y])
+        b = np.asarray(coeffs.b(t, pair), dtype=np.float64)
+        if b.shape != b_shape:
+            raise _shape_error("b", b, pair, b_shape)
+        sig = np.asarray(coeffs.sigma(t, pair), dtype=np.float64)
+        if sig.shape != sigma_shape:
+            raise _shape_error("sigma", sig, pair, sigma_shape)
+        bx, by, sx, sy = b[0], b[1], sig[0], sig[1]
         gap = float(np.linalg.norm(x - y))
         if gap > 0.0:
             max_lip_sigma = max(max_lip_sigma, float(np.linalg.norm(sx - sy, 2)) / gap)
@@ -310,8 +296,6 @@ def _level_terminals(
     steps: list[int],
     n_paths: int,
     rng: RngSeed,
-    tol: float,
-    max_iter: int,
 ) -> dict[int, np.ndarray]:
     """Terminal states (n_paths, d) per step count, all levels on one driver per path.
 
@@ -330,15 +314,7 @@ def _level_terminals(
             dB = fine.reshape(m, n, n_fine // n, r).sum(axis=2)
             dt = T / n
             terminals[n][start : start + m] = _euler_batch(
-                coeffs,
-                domain,
-                x0,
-                dB,
-                np.arange(n) * dt,
-                np.full(n, dt),
-                tol,
-                max_iter,
-                first_path=start,
+                coeffs, domain, x0, dB, np.arange(n) * dt, np.full(n, dt), first_path=start
             )
     return terminals
 
@@ -351,8 +327,6 @@ def strong_error_estimate(
     dt_levels,
     n_paths: int,
     rng: RngSeed,
-    tol: float = DEFAULT_PROJECT_TOL,
-    max_iter: int = DEFAULT_PROJECT_MAX_ITER,
 ) -> list[tuple[float, float]]:
     """RMS terminal gap of coarse step sizes against the finest one.
 
@@ -380,7 +354,7 @@ def strong_error_estimate(
         ratio = n_fine // n
         if n_fine != n * ratio or ratio & (ratio - 1):
             raise ValueError("dt levels must be dyadically nested")
-    terminals = _level_terminals(coeffs, domain, x0, T, steps, n_paths, rng, tol, max_iter)
+    terminals = _level_terminals(coeffs, domain, x0, T, steps, n_paths, rng)
     rows = []
     finest = terminals[n_fine]
     for n in steps:
@@ -405,8 +379,7 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
     if base == "unit-diffusion":
         return SdeCoefficients(
             constant_sigma=np.eye(d),
-            b=lambda t, x: np.zeros(d),
-            b_batch=lambda t, X: np.zeros_like(X),
+            b=lambda t, X: np.zeros(X.shape),
             lipschitz_K=K if K is not None else 1.0,
             r=d,
             name=name,
@@ -419,8 +392,7 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
             raise ValueError("constant-drift dimension mismatch")
         return SdeCoefficients(
             constant_sigma=np.eye(d),
-            b=lambda t, x: v,
-            b_batch=lambda t, X: np.broadcast_to(v, X.shape),
+            b=lambda t, X: v[None].repeat(len(X), axis=0),
             lipschitz_K=K if K is not None else max(1.0, float(np.linalg.norm(v))),
             r=d,
             name=name,
@@ -431,17 +403,13 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
         a = args[0]
         return SdeCoefficients(
             constant_sigma=np.eye(d),
-            b=lambda t, x: a * x,
-            b_batch=lambda t, X: a * X,
+            b=lambda t, X: a * X,
             lipschitz_K=K if K is not None else max(1.0, abs(a)),
             r=d,
             name=name,
         )
     if base == "sin-diffusion":
-        def sigma(t, x):
-            return np.diag(np.sin(x))
-
-        def sigma_batch(t, X):
+        def sigma(t, X):
             out = np.zeros((X.shape[0], d, d))
             idx = np.arange(d)
             out[:, idx, idx] = np.sin(X)
@@ -449,9 +417,7 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
 
         return SdeCoefficients(
             sigma=sigma,
-            b=lambda t, x: np.zeros(d),
-            b_batch=lambda t, X: np.zeros_like(X),
-            sigma_batch=sigma_batch,
+            b=lambda t, X: np.zeros(X.shape),
             lipschitz_K=K if K is not None else 1.0,
             r=d,
             name=name,
@@ -466,37 +432,24 @@ def simulate_reflected_terminal_batch(
     grid: TimeGrid,
     rng: RngSeed,
     n_paths: int,
-    first_stream: int = 0,
-    chunk: int = _PATH_BLOCK,
-    tol: float = DEFAULT_PROJECT_TOL,
-    max_iter: int = DEFAULT_PROJECT_MAX_ITER,
 ) -> np.ndarray:
     """Terminal states of many projected-Euler paths, one stream per path.
 
-    Paths run in chunks of ``chunk`` rows (512 by default) on the batched
-    projected-Euler stepper shared with strong_error_estimate; coefficients
-    without batch evaluators are evaluated row by row. Path i draws the
-    increments of euler_reflected on stream ``rng.stream + first_stream + i``
-    (brownian_increments), which runs them as a batch of one on the same
-    stepper, so the two routes can be cross-checked path for path.
+    Paths run in blocks of 512 on the batched projected-Euler stepper shared
+    with strong_error_estimate. Path i draws the increments of
+    euler_reflected on stream ``rng.stream + i`` (brownian_increments),
+    which runs them as a batch of one on the same stepper, so the two
+    routes can be cross-checked path for path.
     """
     d = domain.dimension
     x0 = np.asarray(x0, dtype=np.float64).reshape(d)
     if not domain.contains(x0):
         raise ValueError("x0 must lie in the closed domain")
     out = np.empty((n_paths, d))
-    for start in range(0, n_paths, chunk):
-        m = min(chunk, n_paths - start)
-        dB = brownian_increments(rng, m, grid, coeffs.r, first_stream + start)
+    for start in range(0, n_paths, _PATH_BLOCK):
+        m = min(_PATH_BLOCK, n_paths - start)
+        dB = brownian_increments(rng, m, grid, coeffs.r, start)
         out[start : start + m] = _euler_batch(
-            coeffs,
-            domain,
-            x0,
-            dB,
-            grid.times,
-            grid.deltas,
-            tol,
-            max_iter,
-            first_path=start,
+            coeffs, domain, x0, dB, grid.times, grid.deltas, first_path=start
         )
     return out

@@ -145,3 +145,15 @@ def test_experiment_config_rejects_empty_sizes(sizes):
         ExperimentConfig(experiment="x", **sizes)
     with pytest.raises(ValueError, match="must be at least 1"):
         ExperimentConfig(experiment="x").replace(**sizes)
+
+
+def test_count_option_reads_counts_and_rejects_empty_ones():
+    config = ExperimentConfig(experiment="x", options={"fine_paths": 7, "route_steps": 2.0})
+    assert config.count_option("fine_paths", 400) == 7
+    assert config.count_option("route_steps", 1000) == 2
+    assert config.count_option("refine_n0", 128) == 128
+    for value in (0, -3):
+        empty = ExperimentConfig(experiment="x", options={"refine_drivers": value})
+        message = f"config key refine_drivers must be at least 1, got {value}"
+        with pytest.raises(ValueError, match=message):
+            empty.count_option("refine_drivers", 12)

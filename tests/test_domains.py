@@ -16,7 +16,6 @@ from skorokhod_kit import (
     halfplane,
     normal_cone_residuals,
     orthant,
-    project,
     strip,
     unit_disc,
 )
@@ -33,13 +32,13 @@ def brute_force_nearest(x, candidates):
 
 
 def test_halfspace_projection_analytic():
-    assert np.allclose(project([1.0, -1.0], halfplane()), [1.0, 0.0], atol=0.0)
-    assert np.array_equal(project([1.0, 2.0], halfplane()), [1.0, 2.0])
+    assert np.allclose(halfplane().project([1.0, -1.0]), [1.0, 0.0], atol=0.0)
+    assert np.array_equal(halfplane().project([1.0, 2.0]), [1.0, 2.0])
 
 
 def test_ball_projection_radial():
-    assert np.allclose(project([2.0, 0.0], unit_disc()), [1.0, 0.0], atol=1e-15)
-    inside = project([0.3, 0.1], unit_disc())
+    assert np.allclose(unit_disc().project([2.0, 0.0]), [1.0, 0.0], atol=1e-15)
+    inside = unit_disc().project([0.3, 0.1])
     assert np.array_equal(inside, [0.3, 0.1])
 
 
@@ -49,7 +48,7 @@ def test_orthant_corner_projection_with_brute_force_oracle():
     grid_pts = np.array([[a, b] for a in xs for b in xs])
     oracle = brute_force_nearest([-1.0, -1.0], grid_pts)
     assert np.allclose(oracle, [0.0, 0.0], atol=1e-12)
-    assert np.allclose(project([-1.0, -1.0], orthant(2)), [0.0, 0.0], atol=1e-12)
+    assert np.allclose(orthant(2).project([-1.0, -1.0]), [0.0, 0.0], atol=1e-12)
 
 
 def test_identity_on_closure_is_exact():

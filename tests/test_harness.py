@@ -28,6 +28,7 @@ from skorokhod_kit.experiments import (
     UsageError,
     _local_time_pass,
     default_config,
+    experiment_defaults,
     run_experiment,
 )
 from skorokhod_kit.itocalc import local_time_occupation, local_time_tanaka
@@ -160,6 +161,17 @@ def test_unknown_experiment_is_usage_error(tmp_path):
         run_experiment(ExperimentConfig(experiment="does-not-exist", out_dir=str(tmp_path)))
     with pytest.raises(UsageError):
         default_config("does-not-exist")
+    with pytest.raises(UsageError, match="unknown experiment 'does-not-exist'; choose from"):
+        experiment_defaults("does-not-exist")
+
+
+def test_experiment_defaults_name_the_experiment():
+    for name, (_, defaults) in EXPERIMENTS.items():
+        assert experiment_defaults(name) == {**defaults, "experiment": name}
+        assert default_config(name) == ExperimentConfig(**experiment_defaults(name))
+    # a fresh dict each call: the registry is not changed through it
+    experiment_defaults("strong-error")["n_paths"] = 1
+    assert experiment_defaults("strong-error")["n_paths"] == EXPERIMENTS["strong-error"][1]["n_paths"]
 
 
 def test_run_writes_manifest_and_summary(tmp_path):
@@ -322,6 +334,32 @@ def test_cli_empty_sizes_exit_2_naming_the_key(tmp_path, capsys, experiment, lin
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
     assert f"config key {key} must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "empty" / "summary.json").exists()
+
+
+COUNT_MESSAGE = "config key {} must be at least 1, got 0"
+# the finest strong-error level is the reference, so one level leaves no gap
+LEVELS_MESSAGE = "config key dt_levels needs at least 2 step sizes, got {}"
+
+
+@pytest.mark.parametrize(
+    "experiment,line,message",
+    [
+        ("local-time", "fine_paths = 0", COUNT_MESSAGE.format("fine_paths")),
+        ("local-time", "fine_steps = 0", COUNT_MESSAGE.format("fine_steps")),
+        ("nd-skorokhod-props", "refine_drivers = 0", COUNT_MESSAGE.format("refine_drivers")),
+        ("nd-skorokhod-props", "refine_n0 = 0", COUNT_MESSAGE.format("refine_n0")),
+        ("rsde-consistency", "route_steps = 0", COUNT_MESSAGE.format("route_steps")),
+        ("strong-error", "dt_levels = (0.5)", LEVELS_MESSAGE.format(1)),
+        ("strong-error", "dt_levels = 0.5", LEVELS_MESSAGE.format(1)),
+        ("strong-error", "dt_levels = ()", LEVELS_MESSAGE.format(0)),
+    ],
+)
+def test_cli_unusable_options_exit_2_naming_the_key(tmp_path, capsys, experiment, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"experiment = {experiment}\nn_paths = 20\nN = 16\n{line}\n")
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad" / "summary.json").exists()
 
 
 def _write_cfg(tmp_path):

@@ -296,7 +296,7 @@ def test_solution_jumps_shrink_under_refinement():
     times, wv = grid.times.copy(), B.values[0].copy()
     max_jumps = []
     for _ in range(4):
-        X = _reflect_on_grid(wv[None], unit_disc(), 1e-10, 10_000)[0][0]
+        X = _reflect_on_grid(wv[None], unit_disc())[0][0]
         max_jumps.append(float(np.max(np.linalg.norm(np.diff(X, axis=0), axis=1))))
         times, wv = _refine_linear(times, wv, 2)
     assert all(max_jumps[i] > max_jumps[i + 1] for i in range(3))

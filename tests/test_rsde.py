@@ -22,15 +22,16 @@ from skorokhod_kit import (
     strong_error_estimate,
     unit_disc,
 )
-from skorokhod_kit.domains import DEFAULT_PROJECT_MAX_ITER, DEFAULT_PROJECT_TOL, orthant
+from skorokhod_kit import rsde
+from skorokhod_kit.domains import orthant
 from skorokhod_kit.randomness import normal_matrix, standard_normals
 from skorokhod_kit.rsde import _level_terminals, simulate_reflected_terminal_batch
 
 
 def zero_coefficients(d=1):
     return SdeCoefficients(
-        sigma=lambda t, x: np.zeros((d, 1)),
-        b=lambda t, x: np.zeros(d),
+        sigma=lambda t, X: np.zeros((len(X), d, 1)),
+        b=lambda t, X: np.zeros_like(X),
         lipschitz_K=1.0,
         r=1,
         name="frozen",
@@ -46,10 +47,10 @@ def test_zero_coefficients_hold_still():
 
 
 def pushdown_coefficients():
-    # drift (0, -1) and no noise, without batch evaluators
+    # drift (0, -1) and no noise, the zero diffusion evaluated each step
     return SdeCoefficients(
-        sigma=lambda t, x: np.zeros((2, 1)),
-        b=lambda t, x: np.array([0.0, -1.0]),
+        sigma=lambda t, X: np.zeros((len(X), 2, 1)),
+        b=lambda t, X: np.broadcast_to([0.0, -1.0], X.shape),
         lipschitz_K=1.0,
         r=1,
         name="pushdown",
@@ -59,8 +60,8 @@ def pushdown_coefficients():
 def column_coefficients():
     # d=2 driven by r=1: both coordinates move with the same noise
     return SdeCoefficients(
-        sigma=lambda t, x: np.array([[1.0], [0.5]]),
-        b=lambda t, x: np.zeros(2),
+        sigma=lambda t, X: np.broadcast_to([[1.0], [0.5]], (len(X), 2, 1)),
+        b=lambda t, X: np.zeros_like(X),
         lipschitz_K=2.0,
         r=1,
     )
@@ -83,8 +84,8 @@ def test_start_outside_rejected():
 def test_non_finite_coefficients_fault_with_step_index():
     grid = TimeGrid.uniform(1.0, 10)
     coeffs = SdeCoefficients(
-        sigma=lambda t, x: np.full((1, 1), np.nan),
-        b=lambda t, x: np.zeros(1),
+        sigma=lambda t, X: np.full((len(X), 1, 1), np.nan),
+        b=lambda t, X: np.zeros_like(X),
         lipschitz_K=1.0,
         r=1,
     )
@@ -155,6 +156,7 @@ def test_batch_simulator_matches_scheme():
 
 
 def test_batch_simulator_falls_back_without_batch_evaluators():
+    # zero coefficients given as evaluators, sigma evaluated each step
     grid = TimeGrid.uniform(1.0, 50)
     coeffs = zero_coefficients(1)
     out = simulate_reflected_terminal_batch(coeffs, half_line(), [0.4], grid, RngSeed(5), 3)
@@ -168,16 +170,11 @@ def test_batch_simulator_rejects_start_outside():
             simulate_reflected_terminal_batch(coeffs, half_line(), [-0.5], grid, RngSeed(0), 3)
 
 
-def _threshold_drift(batched):
+def _threshold_drift():
     # unit diffusion whose drift turns NaN once the state reaches 1
-    def b(t, x):
-        return np.where(x >= 1.0, np.nan, 0.0)
-
     return SdeCoefficients(
-        sigma=lambda t, x: np.eye(1),
-        b=b,
-        sigma_batch=(lambda t, X: np.ones((X.shape[0], 1, 1))) if batched else None,
-        b_batch=b if batched else None,
+        sigma=lambda t, X: np.ones((len(X), 1, 1)),
+        b=lambda t, X: np.where(X >= 1.0, np.nan, 0.0),
         lipschitz_K=1.0,
         r=1,
     )
@@ -198,24 +195,23 @@ def _first_crossing(states, block):
 WIDE_LINE = ConvexDomain(1, normals=[[1.0]], offsets=[-1e6], interior_point=[0.0])
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_batch_simulator_fault_names_path_and_step(batched):
+def test_batch_simulator_fault_names_path_and_step(monkeypatch):
+    monkeypatch.setattr(rsde, "_PATH_BLOCK", 4)
     grid = TimeGrid.uniform(1.0, 200)
     n_paths = 20
-    # at this seed only paths 12, 14 and 17 reach 1, so the fault is in the fourth chunk
+    # at this seed only paths 12, 14 and 17 reach 1, so the fault is in the fourth block
     dB = normal_matrix(RngSeed(15), n_paths, 200) * np.sqrt(grid.deltas)
     states = np.hstack([np.zeros((n_paths, 1)), np.cumsum(dB, axis=1)])
     step, path = _first_crossing(states, 4)
     assert path >= 12
     with pytest.raises(EvaluationFault) as err:
         simulate_reflected_terminal_batch(
-            _threshold_drift(batched), WIDE_LINE, [0.0], grid, RngSeed(15), n_paths, chunk=4
+            _threshold_drift(), WIDE_LINE, [0.0], grid, RngSeed(15), n_paths
         )
     assert (err.value.step_index, err.value.path_index) == (step, path)
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_strong_error_fault_names_path_and_step(batched):
+def test_strong_error_fault_names_path_and_step():
     # the coarsest level (8 steps) runs first; its increments sum 8 fine ones
     n_paths = 40
     fine = normal_matrix(RngSeed(8), n_paths, 64) * np.sqrt(1.0 / 64)
@@ -224,9 +220,38 @@ def test_strong_error_fault_names_path_and_step(batched):
     step, path = _first_crossing(states, n_paths)
     with pytest.raises(EvaluationFault) as err:
         strong_error_estimate(
-            _threshold_drift(batched), WIDE_LINE, [0.0], 1.0, [1 / 8, 1 / 64], n_paths, RngSeed(8)
+            _threshold_drift(), WIDE_LINE, [0.0], 1.0, [1 / 8, 1 / 64], n_paths, RngSeed(8)
         )
     assert (err.value.step_index, err.value.path_index) == (step, path)
+
+
+def _misshapen(name):
+    # a drift for one state instead of a batch, or sigma with one column too many
+    good = {"b": lambda t, X: np.zeros_like(X), "sigma": lambda t, X: np.ones((len(X), 2, 1))}
+    bad = {"b": lambda t, X: np.zeros(2), "sigma": lambda t, X: np.ones((len(X), 2, 2))}
+    return SdeCoefficients(**{**good, name: bad[name]}, lipschitz_K=1.0, r=1)
+
+
+@pytest.mark.parametrize("name", ["b", "sigma"])
+def test_misshapen_evaluator_raises_naming_it(name):
+    coeffs = _misshapen(name)
+    grid = TimeGrid.uniform(1.0, 4)
+    x0 = [0.0, 1.0]
+    runs = [
+        lambda: euler_reflected(coeffs, halfplane(), x0, grid, RngSeed(0)),
+        lambda: simulate_reflected_terminal_batch(coeffs, halfplane(), x0, grid, RngSeed(0), 3),
+        lambda: strong_error_estimate(coeffs, halfplane(), x0, 1.0, [1 / 2, 1 / 4], 3, RngSeed(0)),
+        lambda: coefficient_contract_check(coeffs, halfplane(), n_samples=4),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=rf"^{name}\(t, X\) returned shape"):
+            run()
+    with pytest.raises(ValueError) as err:
+        runs[0]()
+    got, want = {"b": ("(2,)", "(1, 2)"), "sigma": ("(1, 2, 2)", "(1, 2, 1)")}[name]
+    assert str(err.value) == (
+        f"{name}(t, X) returned shape {got} for states of shape (1, 2); expected {want}"
+    )
 
 
 def test_reflected_path_association_invariants():
@@ -276,7 +301,7 @@ def test_contract_sin_diffusion_passes():
 
 def test_presets_parse_and_validate():
     cd = preset_coefficients("constant-drift(0.5, -1)", d=2)
-    assert np.array_equal(cd.b(0.0, np.zeros(2)), [0.5, -1.0])
+    assert np.array_equal(cd.b(0.0, np.zeros((3, 2))), np.tile([0.5, -1.0], (3, 1)))
     with pytest.raises(ValueError):
         preset_coefficients("constant-drift")
     with pytest.raises(ValueError):
@@ -336,16 +361,16 @@ def test_semimartingale_route_matches_euler():
 
 
 def _oracle_step(coeffs, domain, t, y, dt, dB_k):
-    # one projected-Euler step with scalar coefficients and scalar projection
-    d = y.size
-    drift = np.asarray(coeffs.b(t, y), dtype=np.float64).reshape(d)
-    sig = np.asarray(coeffs.sigma(t, y), dtype=np.float64).reshape(d, coeffs.r)
+    # one projected-Euler step: coefficients on a batch of one state, a
+    # matrix-vector noise term and scalar projection
+    drift = coeffs.b(t, y[None])[0]
+    sig = coeffs.sigma(t, y[None])[0]
     free = y + drift * dt + sig @ dB_k
     return free, domain.project(free)
 
 
 def _strong_error_oracle(coeffs, domain, x0, T, dt_levels, n_paths, rng):
-    # one path at a time with scalar coefficients and scalar projection
+    # one path at a time, one state per coefficient call, scalar projection
     d = domain.dimension
     x0 = np.asarray(x0, dtype=np.float64).reshape(d)
     steps = [round(T / dt) for dt in sorted(dt_levels, reverse=True)]
@@ -370,10 +395,10 @@ def _strong_error_oracle(coeffs, domain, x0, T, dt_levels, n_paths, rng):
 
 
 def _skewed_coefficients():
-    # no batch evaluators; state-dependent drift and diffusion in d = 1
+    # state-dependent drift and diffusion in d = 1
     return SdeCoefficients(
-        sigma=lambda t, x: np.array([[1.0 + 0.5 * np.cos(x[0] + t)]]),
-        b=lambda t, x: np.array([0.3 - x[0]]),
+        sigma=lambda t, X: (1.0 + 0.5 * np.cos(X + t))[:, :, None],
+        b=lambda t, X: 0.3 - X,
         lipschitz_K=1.0,
         r=1,
         name="skewed",
@@ -424,8 +449,6 @@ def test_level_terminals_of_leading_paths_ignore_path_count():
             steps,
             n_paths,
             RngSeed(14),
-            DEFAULT_PROJECT_TOL,
-            DEFAULT_PROJECT_MAX_ITER,
         )
 
     many, few = run(600), run(520)
@@ -509,32 +532,29 @@ def test_euler_reflected_matches_scalar_oracle(case):
 
 
 def _without_constant_sigma(coeffs):
-    """The same coefficients on the generic route: sigma as evaluators."""
+    """The same coefficients on the generic route: sigma as an evaluator."""
     S = coeffs.constant_sigma
     return SdeCoefficients(
-        sigma=lambda t, x: S,
-        sigma_batch=lambda t, X: np.broadcast_to(S, (X.shape[0],) + S.shape),
+        sigma=lambda t, X: np.broadcast_to(S, (len(X),) + S.shape),
         b=coeffs.b,
-        b_batch=coeffs.b_batch,
         lipschitz_K=coeffs.lipschitz_K,
         r=coeffs.r,
     )
 
 
-def _no_sigma_batch(coeffs):
-    """A copy whose sigma_batch raises, to show the stepper never calls it."""
+def _no_sigma(coeffs):
+    """A copy whose sigma raises, to show the stepper never calls it."""
 
     def refuse(t, X):
-        raise AssertionError("constant_sigma route evaluated sigma_batch")
+        raise AssertionError("constant_sigma route evaluated sigma")
 
     fast = SdeCoefficients(
         constant_sigma=coeffs.constant_sigma,
         b=coeffs.b,
-        b_batch=coeffs.b_batch,
         lipschitz_K=coeffs.lipschitz_K,
         r=coeffs.r,
     )
-    object.__setattr__(fast, "sigma_batch", refuse)
+    object.__setattr__(fast, "sigma", refuse)
     return fast
 
 
@@ -544,42 +564,28 @@ CONSTANT_SIGMA_CASES = [
     for domain, x0 in ((half_line(), [0.0]), (orthant(2), [0.1, 0.2]), (unit_disc(), [0.1, 0.2]))
 ] + [
     (
-        SdeCoefficients(
-            constant_sigma=[[1.0], [0.5]],
-            b=lambda t, x: -x,
-            b_batch=lambda t, X: -X,
-            lipschitz_K=1.2,
-            r=1,
-        ),
+        SdeCoefficients(constant_sigma=[[1.0], [0.5]], b=lambda t, X: -X, lipschitz_K=1.2, r=1),
         domain,
         [0.1, 0.2],
     )
     for domain in (orthant(2), unit_disc())
-] + [
-    (
-        # no batch evaluators: drift row by row, noise still from the matrix
-        SdeCoefficients(
-            constant_sigma=[[1.0], [0.5]], b=lambda t, x: -x, lipschitz_K=1.2, r=1
-        ),
-        orthant(2),
-        [0.1, 0.2],
-    )
 ]
 
 
 @pytest.mark.parametrize("preset, domain, x0", CONSTANT_SIGMA_CASES)
-def test_constant_sigma_route_matches_generic_route(preset, domain, x0):
+def test_constant_sigma_route_matches_generic_route(preset, domain, x0, monkeypatch):
+    monkeypatch.setattr(rsde, "_PATH_BLOCK", 8)
     if isinstance(preset, str):
         coeffs = preset_coefficients(preset, d=domain.dimension)
     else:
         coeffs = preset
     assert coeffs.constant_sigma is not None
     generic = _without_constant_sigma(coeffs)
-    fast = _no_sigma_batch(coeffs)
+    fast = _no_sigma(coeffs)
     grid = TimeGrid.uniform(1.0, 100)
     args = (domain, x0, grid, RngSeed(21), 20)
-    a = simulate_reflected_terminal_batch(fast, *args, chunk=8)
-    b = simulate_reflected_terminal_batch(generic, *args, chunk=8)
+    a = simulate_reflected_terminal_batch(fast, *args)
+    b = simulate_reflected_terminal_batch(generic, *args)
     assert a.tobytes() == b.tobytes()
     levels = [1 / 8, 1 / 32]
     a = strong_error_estimate(fast, domain, x0, 1.0, levels, 12, RngSeed(22))
@@ -588,12 +594,13 @@ def test_constant_sigma_route_matches_generic_route(preset, domain, x0):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_constant_sigma_nan_drift_names_step_and_path(d):
-    # drift turns NaN on path 13 at step 17 only; paths run in chunks of 8
+def test_constant_sigma_nan_drift_names_step_and_path(d, monkeypatch):
+    # drift turns NaN on path 13 at step 17 only; paths run in blocks of 8
     n_steps, chunk, step, path = 50, 8, 17, 13
+    monkeypatch.setattr(rsde, "_PATH_BLOCK", chunk)
     calls = []
 
-    def b_batch(t, X):
+    def b(t, X):
         k = len(calls) % n_steps
         block = len(calls) // n_steps
         calls.append(t)
@@ -604,42 +611,36 @@ def test_constant_sigma_nan_drift_names_step_and_path(d):
 
     coeffs = SdeCoefficients(
         constant_sigma=np.eye(d) if d == 1 else [[1.0], [0.5]],
-        b=lambda t, x: np.zeros(d),
-        b_batch=b_batch,
+        b=b,
         lipschitz_K=1.2,
         r=1,
     )
     domain = WIDE_LINE if d == 1 else orthant(2)
     with pytest.raises(EvaluationFault) as err:
         simulate_reflected_terminal_batch(
-            coeffs, domain, [0.5] * d, TimeGrid.uniform(1.0, n_steps), RngSeed(4), 20, chunk=chunk
+            coeffs, domain, [0.5] * d, TimeGrid.uniform(1.0, n_steps), RngSeed(4), 20
         )
     assert (err.value.step_index, err.value.path_index) == (step, path)
 
 
 def test_constant_sigma_validation():
-    kwargs = dict(b=lambda t, x: np.zeros(2), lipschitz_K=1.0, r=1)
+    kwargs = dict(b=lambda t, X: np.zeros_like(X), lipschitz_K=1.0, r=1)
     for bad in ([[np.nan], [1.0]], [1.0, 0.5], [[1.0, 0.0], [0.0, 1.0]], [[[1.0]]]):
         with pytest.raises(ValueError):
             SdeCoefficients(constant_sigma=bad, **kwargs)
     # a user sigma beside constant_sigma could disagree with it: rejected
     with pytest.raises(ValueError):
-        SdeCoefficients(constant_sigma=[[1.0], [0.5]], sigma=lambda t, x: np.ones((2, 1)), **kwargs)
-    with pytest.raises(ValueError):
         SdeCoefficients(
-            constant_sigma=[[1.0], [0.5]],
-            sigma_batch=lambda t, X: np.ones((X.shape[0], 2, 1)),
-            **kwargs,
+            constant_sigma=[[1.0], [0.5]], sigma=lambda t, X: np.ones((len(X), 2, 1)), **kwargs
         )
     with pytest.raises(ValueError):
         SdeCoefficients(**kwargs)  # no diffusion at all
-    # alone, constant_sigma yields the evaluators
+    # alone, constant_sigma yields the evaluator
     coeffs = SdeCoefficients(constant_sigma=[[1.0], [0.5]], **kwargs)
     S = np.array([[1.0], [0.5]])
     assert np.array_equal(coeffs.constant_sigma, S)
     assert not coeffs.constant_sigma.flags.writeable
-    assert np.array_equal(coeffs.sigma(0.3, np.zeros(2)), S)
-    assert np.array_equal(coeffs.sigma_batch(0.3, np.zeros((4, 2))), np.broadcast_to(S, (4, 2, 1)))
+    assert np.array_equal(coeffs.sigma(0.3, np.zeros((4, 2))), np.broadcast_to(S, (4, 2, 1)))
     # its row count must match the state's dimension
     with pytest.raises(ValueError):
         simulate_reflected_terminal_batch(
