@@ -31,7 +31,6 @@ from .errors import (
 from .itocalc import (
     Integrand,
     LocalTimeEstimate,
-    QuadraticVariationPath,
     ito_formula_residual,
     ito_integral,
     ito_isometry_check,
@@ -84,7 +83,6 @@ __all__ = [
     "McEstimate",
     "PathKind",
     "ProjectionIterationError",
-    "QuadraticVariationPath",
     "RefinementLimitError",
     "RngSeed",
     "SampledPath",

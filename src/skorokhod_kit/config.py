@@ -188,7 +188,7 @@ class ExperimentConfig:
             value = values[-1] if isinstance(values, list) else values
             if key in cls._KNOWN:
                 attr, conv = cls._KNOWN[key]
-                kwargs[attr] = conv(value)
+                kwargs[attr] = _whole_number(key, value) if conv is int else conv(value)
             elif key.startswith("tol_"):
                 tolerances[key[4:]] = float(value)
             else:
@@ -223,7 +223,7 @@ class ExperimentConfig:
 
     def count_option(self, name: str, default: int) -> int:
         """An option that counts paths, steps or drivers: an integer >= 1."""
-        return _check_count(name, int(self.options.get(name, default)))
+        return _check_count(name, _whole_number(name, self.options.get(name, default)))
 
     def replace(self, **changes) -> "ExperimentConfig":
         from dataclasses import replace as dc_replace
@@ -246,6 +246,15 @@ class ExperimentConfig:
             "tolerances": dict(sorted(self.tolerances.items())),
             "options": {k: _plain(v) for k, v in sorted(self.options.items())},
         }
+
+
+def _whole_number(key: str, value) -> int:
+    """A count or seed: an int or a whole float; bools, fractions and text are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"config key {key} must be a whole number, got {value!r}")
 
 
 def _check_count(key: str, value: int) -> int:

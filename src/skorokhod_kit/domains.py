@@ -9,10 +9,9 @@ The constructor classifies the domain once. A box (no balls, every normal
 per coordinate) projects by the exact coordinate-wise clip, which is also
 the identity, signed zeros included, on the closure. Every other domain
 projects in closed form when at most one constraint is violated and falls
-back to Dykstra's cyclic scheme otherwise. Margins and closed-form steps use
-one dot product per (point, constraint) pair, the same arithmetic for a
-single point as for a row of a batch, so ``project_batch`` agrees with
-``project`` bit for bit, row by row.
+back to Dykstra's cyclic scheme otherwise. Projection and slacks have one
+implementation each, on batches of points (``project_batch``,
+``slack_matrix``); ``project`` and ``slacks`` of one point are batches of one.
 """
 
 from __future__ import annotations
@@ -122,23 +121,13 @@ class ConvexDomain:
 
     def slacks(self, x: np.ndarray) -> np.ndarray:
         """Signed margins, one per constraint; nonnegative iff x is in the closure."""
-        x = np.asarray(x, dtype=np.float64)
-        parts = []
-        if self.normals.shape[0]:
-            parts.append(np.vecdot(self.normals, x) - self.offsets)
-        if self.centers.shape[0]:
-            diff = x - self.centers
-            parts.append(self.radii - np.sqrt(np.add.reduce(diff * diff, axis=1)))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return self.slack_matrix(np.reshape(x, (1, self.dimension)))[0]
 
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.min(self.slacks(x)) >= 0.0)
 
     def slack_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Slacks for a batch of points, shape (m_points, n_constraints).
-
-        Row i equals ``slacks(points[i])`` bit for bit.
-        """
+        """Slacks for a batch of points, shape (m_points, n_constraints)."""
         points = np.asarray(points, dtype=np.float64)
         parts = []
         if self.normals.shape[0]:
@@ -181,19 +170,7 @@ class ConvexDomain:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Nearest point of the closure; identity (bit-exact) on the closure."""
-        x = np.asarray(x, dtype=np.float64).reshape(self.dimension)
-        if self._box is not None:
-            return self._clip(x)
-        slacks = self.slacks(x)
-        violated = np.flatnonzero(slacks < 0.0)
-        if violated.size == 0:
-            return x.copy()
-        if violated.size == 1:
-            p = self._project_single(x, int(violated[0]))
-            # exact when no other constraint becomes active
-            if np.min(self.slacks(p)) >= -_LANDED_TOL * (1.0 + float(np.linalg.norm(p))):
-                return p
-        return self._dykstra(x, DEFAULT_PROJECT_TOL, DEFAULT_PROJECT_MAX_ITER)
+        return self.project_batch(np.reshape(x, (1, self.dimension)))[0]
 
     def _dykstra(self, x: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         n_sets = self.n_constraints
@@ -218,7 +195,7 @@ class ConvexDomain:
         )
 
     def project_batch(self, points: np.ndarray) -> np.ndarray:
-        """Row-wise projection, each row bit-identical to :meth:`project`.
+        """Nearest point of the closure for each row of points.
 
         A box is clipped in one pass. Otherwise interior rows and rows
         violating a single constraint are handled in closed form for the
@@ -245,7 +222,7 @@ class ConvexDomain:
             out[r] = pts[r] - slacks[r, i, None] * self.normals[i]
         if self.radii.size:
             # one violated ball: c + (r / |x - c|) (x - c), left alone where
-            # the norm of _project_single gives |x - c| <= r
+            # this norm rounds to |x - c| <= r although the slack was negative
             r, j = rows[~on_face], idx[~on_face] - m
             c, radius, x = self.centers[j], self.radii[j], pts[r]
             dist = np.sqrt(np.vecdot(x - c, x - c))

@@ -22,7 +22,6 @@ from .errors import EvaluationFault, RefinementLimitError
 from .itocalc import (
     _ISOMETRY_BLOCK,
     Integrand,
-    QuadraticVariationPath,
     brownian_local_time_mean,
     ito_formula_residual,
     ito_isometry_samples,
@@ -98,11 +97,14 @@ def worker_count() -> int:
     env = os.environ.get("SKOROKHOD_KIT_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
+            workers = 0
+        if workers < 1:
             raise UsageError(
-                f"SKOROKHOD_KIT_THREADS must be an integer worker count, got {env!r}"
-            ) from None
+                f"SKOROKHOD_KIT_THREADS must be an integer worker count of at least 1, got {env!r}"
+            )
+        return workers
     return min(2, os.cpu_count() or 1)
 
 
@@ -311,21 +313,23 @@ def _run_ito_isometry(config: ExperimentConfig):
 
 
 def _cubic_residuals(config: ExperimentConfig, n_steps: int, n_paths: int) -> np.ndarray:
+    """Residuals of F = x^3 against the model bracket, path i from stream i."""
     grid = TimeGrid.uniform(config.horizon, n_steps)
-    qv = QuadraticVariationPath.brownian(grid)
-    res = np.empty(n_paths)
-    law = InitialLaw.point_mass(0.0)
-    for i in range(n_paths):
-        B = brownian_sample(grid, 1, law, RngSeed(config.seed, i))
-        res[i] = ito_formula_residual(
+    qv = SampledPath.continuous(grid, grid.times)
+    rng = RngSeed(config.seed)
+
+    def chunk_residuals(start, stop):
+        B = brownian_paths(rng, stop - start, grid, first_stream=start)
+        return ito_formula_residual(
             lambda t, x: x**3,
-            lambda t, x: 0.0 * np.asarray(x, dtype=np.float64),
-            lambda t, x: 3.0 * np.asarray(x) ** 2,
-            lambda t, x: 6.0 * np.asarray(x),
-            B,
+            lambda t, x: 0.0 * x,
+            lambda t, x: 3.0 * x**2,
+            lambda t, x: 6.0 * x,
+            SampledPath.continuous(grid, B),
             qv,
         )
-    return res
+
+    return np.concatenate(map_chunks(chunk_residuals, n_paths, chunk=_row_chunk(len(grid))))
 
 
 def _run_ito_formula(config: ExperimentConfig):

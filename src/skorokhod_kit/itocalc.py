@@ -6,8 +6,11 @@ Every sum here evaluates integrands at the left endpoint of each step. That
 convention is fixed at the interface: it is what makes the discrete integral
 a martingale transform, and the isometry and zero-mean properties hold for
 it exactly in expectation. Sums are numpy pairwise sums, never BLAS, so their
-bits do not depend on the BLAS thread count. The local-time estimators run
-on blocks of paths shaped (paths, grid); the SampledPath forms are batches of one.
+bits do not depend on the BLAS thread count. The quadratic variation, the
+change-of-variables residual and the local-time estimators run on batches of
+paths, one row per path; a single path is a batch of one. A bracket [X] is a
+SampledPath like X itself: realized (quadratic_variation, one row per path)
+or the model bracket t of Brownian motion, one row shared by every path.
 """
 
 from __future__ import annotations
@@ -132,57 +135,49 @@ def ito_integral(f: Integrand, B: SampledPath) -> float:
     return float(dx.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticVariationPath:
-    """Nondecreasing quadratic-variation values on a grid, starting at 0."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64).reshape(-1)
-        if values.size != len(self.grid):
-            raise ValueError("values length must match the grid")
-        if values[0] != 0.0:
-            raise ValueError("quadratic variation starts at 0")
-        if np.any(np.diff(values) < 0.0):
-            raise ValueError("quadratic variation must be nondecreasing")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def brownian(cls, grid: TimeGrid) -> "QuadraticVariationPath":
-        """The deterministic bracket of Brownian motion: [B](t) = t."""
-        return cls(grid, grid.times.copy())
+def _rows(path: SampledPath, what: str) -> np.ndarray:
+    """The values of a batch of one-dimensional paths, shaped (paths, grid)."""
+    if path.dim != 1:
+        raise ValueError(f"{what} must be one-dimensional, got d = {path.dim}")
+    return path.values[..., 0]
 
 
-def quadratic_variation(X: SampledPath) -> QuadraticVariationPath:
-    """Realized quadratic variation: cumulative sum of squared increments."""
-    sq = np.diff(X.scalar_values) ** 2
-    return QuadraticVariationPath(X.grid, path_values(0.0, sq[:, None])[:, 0])
+def quadratic_variation(X: SampledPath) -> SampledPath:
+    """Running sums of squared increments from 0, one row per one-dimensional path.
+
+    The model bracket of Brownian motion, [B](t) = t, is
+    ``SampledPath.continuous(grid, grid.times)``.
+    """
+    sq = np.diff(_rows(X, "the path"), axis=1) ** 2
+    return SampledPath.continuous(X.grid, path_values(0.0, sq[..., None]))
 
 
 def _spot_check_partials(F, F_t, F_x, F_xx, times, values) -> None:
+    """Centered differences at 8 grid indices (Philox key [7, 7]) of every row."""
     gen = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
-    idx = gen.integers(0, values.size, size=8)
-    for k in idx:
-        t, x = float(times[k]), float(values[k])
-        ht = 1e-5 * (1.0 + abs(t))
-        hx = 1e-5 * (1.0 + abs(x))
-        s = t + ht  # keeps the centered t-difference inside t >= 0
-        fd_t = (F(s + ht, x) - F(s - ht, x)) / (2.0 * ht)
-        fd_x = (F(t, x + hx) - F(t, x - hx)) / (2.0 * hx)
-        fd_xx = (F_x(t, x + hx) - F_x(t, x - hx)) / (2.0 * hx)
-        for name, claimed, fd in (
-            ("F_t", F_t(s, x), fd_t),
-            ("F_x", F_x(t, x), fd_x),
-            ("F_xx", F_xx(t, x), fd_xx),
-        ):
-            scale = max(1.0, abs(claimed), abs(fd))
-            if abs(claimed - fd) > 1e-5 * scale:
-                raise ContractError(
-                    f"{name} near ({t}, {x}) = {claimed} disagrees with finite difference {fd}"
-                )
+    idx = gen.integers(0, values.shape[1], size=8)
+    t, x = times[idx], values[:, idx]
+    ht = 1e-5 * (1.0 + np.abs(t))
+    hx = 1e-5 * (1.0 + np.abs(x))
+    s = t + ht  # keeps the centered t-difference inside t >= 0
+    fd_t = (F(s + ht, x) - F(s - ht, x)) / (2.0 * ht)
+    fd_x = (F(t, x + hx) - F(t, x - hx)) / (2.0 * hx)
+    fd_xx = (F_x(t, x + hx) - F_x(t, x - hx)) / (2.0 * hx)
+    for name, claimed, fd in (
+        ("F_t", F_t(s, x), fd_t),
+        ("F_x", F_x(t, x), fd_x),
+        ("F_xx", F_xx(t, x), fd_xx),
+    ):
+        claimed = np.broadcast_to(np.asarray(claimed, dtype=np.float64), x.shape)
+        fd = np.broadcast_to(fd, x.shape)
+        scale = np.maximum(1.0, np.maximum(np.abs(claimed), np.abs(fd)))
+        bad = np.abs(claimed - fd) > 1e-5 * scale
+        if bad.any():
+            path, k = np.argwhere(bad)[0]
+            raise ContractError(
+                f"{name} on path {path} near ({t[k]}, {x[path, k]}) = {claimed[path, k]} "
+                f"disagrees with finite difference {fd[path, k]}"
+            )
 
 
 def ito_formula_residual(
@@ -191,30 +186,39 @@ def ito_formula_residual(
     F_x: Callable,
     F_xx: Callable,
     X: SampledPath,
-    qv: QuadraticVariationPath,
-) -> float:
-    """Defect of the discrete change-of-variables identity for F(t, X_t).
+    qv: SampledPath,
+) -> np.ndarray:
+    """Defect of the discrete change-of-variables identity for F(t, X_t), per path.
 
-    Returns F(T, X_T) - F(0, X_0) minus the left-point sum of
-    F_t dt + F_x dX + (1/2) F_xx d[X], with [X] supplied by the caller
-    (realized or model bracket). Partials are spot-checked against finite
-    differences before use.
+    Entry i of the (paths,) result is F(T, X_T) - F(0, X_0) minus the
+    left-point sum of F_t dt + F_x dX + (1/2) F_xx d[X] along path i of the
+    one-dimensional batch X. The bracket qv is on X's grid, nondecreasing
+    from 0, with one row shared by every path (the model bracket) or one row
+    per path (see quadratic_variation). F and its partials act elementwise on
+    arrays of times and states; they are spot-checked against finite
+    differences before use, and a mismatch raises ContractError naming the path.
     """
+    x = _rows(X, "the path")
+    bracket = _rows(qv, "quadratic variation")
     if not X.grid.same_as(qv.grid):
         raise ValueError("path and quadratic variation must share a grid")
+    if qv.n_paths not in (1, X.n_paths):
+        raise ValueError(
+            f"quadratic variation needs one row or one per path ({X.n_paths}), got {qv.n_paths}"
+        )
+    if np.any(bracket[:, 0] != 0.0):
+        raise ValueError("quadratic variation starts at 0")
+    if np.any(np.diff(bracket, axis=1) < 0.0):
+        raise ValueError("quadratic variation must be nondecreasing")
     times = X.grid.times
-    x = X.scalar_values
     _spot_check_partials(F, F_t, F_x, F_xx, times, x)
-    tl, xl = times[:-1], x[:-1]
-    # each term's products overwrite its own increments, then a pairwise sum
-    dt = np.diff(times)
-    dt *= F_t(tl, xl)
-    dx = np.diff(x)
-    dx *= F_x(tl, xl)
-    dqv = np.diff(qv.values)
-    dqv *= 0.5 * np.asarray(F_xx(tl, xl))
-    increment_sum = float(dt.sum() + dx.sum() + dqv.sum())
-    return float(F(times[-1], x[-1]) - F(times[0], x[0]) - increment_sum)
+    tl, xl = times[:-1], x[:, :-1]
+    # each term a product with its own increments, summed pairwise per row
+    # at once, so that only one (paths, steps) product is held at a time
+    sum_t = (np.diff(times) * F_t(tl, xl)).sum(axis=-1)
+    sum_x = (np.diff(x, axis=1) * F_x(tl, xl)).sum(axis=-1)
+    sum_qv = (np.diff(bracket, axis=1) * (0.5 * np.asarray(F_xx(tl, xl)))).sum(axis=-1)
+    return F(times[-1], x[:, -1]) - F(times[0], x[:, 0]) - (sum_t + sum_x + sum_qv)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from scipy.special import ndtri
 from .errors import GenerationError
 from .paths import SampledPath, TimeGrid
 
-_U53 = np.uint64(1) << np.uint64(53)
 _HALF_ULP = 2.0**-54  # half the spacing of the 53-bit uniform grid
 
 
@@ -38,11 +37,19 @@ class RngSeed:
         return RngSeed(self.seed, stream)
 
 
+def _normals(u: np.ndarray) -> np.ndarray:
+    """Normals, in place, from ``Generator.random``'s k * 2**-53 (k the raw word >> 11).
+
+    Adding 2**-54 rounds exactly as the cell midpoint (k + 0.5) / 2**53, since
+    both round (2k + 1) * 2**-54, so no uniform is 0 or 1.
+    """
+    u += _HALF_ULP
+    return ndtri(u, out=u)
+
+
 def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
     """n standard normals by inverse CDF, one 53-bit draw per value."""
-    raw = gen.integers(0, _U53, size=n, dtype=np.uint64)
-    u = (raw.astype(np.float64) + 0.5) / float(_U53)
-    return ndtri(u)
+    return _normals(gen.random(n))
 
 
 def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0) -> np.ndarray:
@@ -51,14 +58,9 @@ def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0)
     Row i equals ``standard_normals(rng.with_stream(rng.stream + first_stream +
     i).generator(), n_cols)`` bit for bit, so two stream blocks of one seed
     never share rows. One Philox bit generator is re-keyed per row (a
-    Philox stream is just its key, with the counter at 0), and
-    ``Generator.random`` fills the row with k * 2**-53, where k is the raw
-    64-bit word shifted right by 11: that k is exactly the bounded draw
-    ``integers(0, 2**53)``, whose Lemire rejection threshold is 0 for a
-    power-of-two range. Adding 2**-54 then rounds exactly as
-    (k + 0.5) / 2**53 does, since both round the same real (2k + 1) * 2**-54.
-    The fill runs without the GIL, so it overlaps other pool workers' work.
-    The inverse-CDF step runs in place.
+    Philox stream is just its key, with the counter at 0) and filled by
+    ``Generator.random``, which runs without the GIL, so it overlaps other
+    pool workers' work.
     """
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bits)
@@ -71,8 +73,7 @@ def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0)
         state["state"]["key"] = np.array([seed, stream], dtype=np.uint64)
         bits.state = state
         gen.random(out=u[i])
-    u += _HALF_ULP
-    return ndtri(u, out=u)
+    return _normals(u)
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ def semimartingale_skorokhod(
         raise ValueError("M and A must share a grid")
     if np.any(A.values[:, 0] != 0.0):
         raise ValueError("A must start at 0")
-    if not all(domain.contains(x0) for x0 in M.values[:, 0]):
+    if not np.all(domain.slack_matrix(M.values[:, 0]) >= 0.0):
         raise ValueError("M must start inside the closed domain")
     w = SampledPath.continuous(M.grid, M.values + A.values)
     return solve_skorokhod_continuous(w, domain, refine_tol=refine_tol)
@@ -234,8 +234,9 @@ def coefficient_contract_check(
     """Spot-check the declared Lipschitz and growth bounds on random samples.
 
     Sample points are Gaussian clouds around the interior witness at several
-    scales, projected into the closure so unbounded domains get probed far
-    out. Each sample pair (x, y) is evaluated as one batch of two states.
+    scales, drawn first and then projected into the closure in one batch, so
+    unbounded domains get probed far out. Each sample pair (x, y) is
+    evaluated as one batch of two states.
     Matrix norms are spectral. Report-only: passes iff every observed ratio
     is at most K (with a 1e-9 slack).
     """
@@ -248,12 +249,16 @@ def coefficient_contract_check(
     max_growth_sigma = 0.0
     max_growth_b = 0.0
     scales = (0.5, 2.0, 10.0, 50.0)
+    times = np.empty(n_samples)
+    raw = np.empty((n_samples, 2, d))
     for i in range(n_samples):
-        t = float(10.0 * gen.random())
+        times[i] = 10.0 * gen.random()
         spread = scales[i % len(scales)]
-        x = domain.project(base + spread * gen.standard_normal(d))
-        y = domain.project(base + spread * gen.standard_normal(d))
-        pair = np.array([x, y])
+        raw[i, 0] = base + spread * gen.standard_normal(d)
+        raw[i, 1] = base + spread * gen.standard_normal(d)
+    pairs = domain.project_batch(raw.reshape(2 * n_samples, d)).reshape(n_samples, 2, d)
+    for t, pair in zip(times.tolist(), pairs):
+        x, y = pair
         b = np.asarray(coeffs.b(t, pair), dtype=np.float64)
         if b.shape != b_shape:
             raise _shape_error("b", b, pair, b_shape)

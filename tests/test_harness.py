@@ -318,12 +318,13 @@ def test_cli_failing_check_exits_1(tmp_path, capsys):
 
 
 def test_cli_non_integer_thread_cap_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", "x")
-    with pytest.raises(UsageError, match="SKOROKHOD_KIT_THREADS"):
-        experiments.worker_count()
-    assert main(["skorokhod-1d-props", "--out", str(tmp_path / "bad")]) == 2
-    assert "SKOROKHOD_KIT_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "bad" / "summary.json").exists()
+    for env in ("x", "0", "-2", "1.5"):
+        monkeypatch.setenv("SKOROKHOD_KIT_THREADS", env)
+        with pytest.raises(UsageError, match=f"SKOROKHOD_KIT_THREADS .* got '{env}'"):
+            experiments.worker_count()
+        assert main(["skorokhod-1d-props", "--out", str(tmp_path / "bad")]) == 2
+        assert "SKOROKHOD_KIT_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("experiment", ["skorokhod-1d-props", "strong-error", "ito-formula"])
@@ -337,6 +338,7 @@ def test_cli_empty_sizes_exit_2_naming_the_key(tmp_path, capsys, experiment, lin
 
 
 COUNT_MESSAGE = "config key {} must be at least 1, got 0"
+WHOLE_MESSAGE = "config key {} must be a whole number, got {}"
 # the finest strong-error level is the reference, so one level leaves no gap
 LEVELS_MESSAGE = "config key dt_levels needs at least 2 step sizes, got {}"
 
@@ -352,6 +354,13 @@ LEVELS_MESSAGE = "config key dt_levels needs at least 2 step sizes, got {}"
         ("strong-error", "dt_levels = (0.5)", LEVELS_MESSAGE.format(1)),
         ("strong-error", "dt_levels = 0.5", LEVELS_MESSAGE.format(1)),
         ("strong-error", "dt_levels = ()", LEVELS_MESSAGE.format(0)),
+        # counts and seeds are whole numbers, never truncated
+        ("local-time", "n_paths = 2.5", WHOLE_MESSAGE.format("n_paths", 2.5)),
+        ("local-time", "N = true", WHOLE_MESSAGE.format("N", True)),
+        ("local-time", "seed = 3.7", WHOLE_MESSAGE.format("seed", 3.7)),
+        ("local-time", "fine_paths = 0.5", WHOLE_MESSAGE.format("fine_paths", 0.5)),
+        ("nd-skorokhod-props", "refine_n0 = yes", WHOLE_MESSAGE.format("refine_n0", True)),
+        ("rsde-consistency", "route_steps = many", WHOLE_MESSAGE.format("route_steps", "'many'")),
     ],
 )
 def test_cli_unusable_options_exit_2_naming_the_key(tmp_path, capsys, experiment, line, message):
@@ -457,16 +466,19 @@ def test_thread_cap_env_and_determinism(tmp_path, monkeypatch):
 
 
 def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
-    # 2100 paths: three pool chunks of 1024 paths, the last one short, and a
-    # short last block of 64 paths within it
-    def isometry(workers):
+    # ito-isometry, 2100 paths: three pool chunks of 1024 paths, the last one
+    # short, and a short last block of 64 paths within it. ito-formula, 70
+    # paths: row chunks of 65 paths on the 2000-step grid and of 16 on the
+    # 8000-step one, each with a short last chunk
+    def summary(name, n_paths, n_steps, workers):
         monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
         config = default_config(
-            "ito-isometry", n_paths=2100, n_steps=50, out_dir=str(tmp_path / workers)
+            name, n_paths=n_paths, n_steps=n_steps, out_dir=str(tmp_path / name / workers)
         )
         return run_experiment(config).artifacts.summary.read_bytes()
 
-    assert isometry("1") == isometry("3")
+    for case in (("ito-isometry", 2100, 50), ("ito-formula", 70, 2000)):
+        assert summary(*case, "1") == summary(*case, "3")
 
 
 # --- 1-d chunk kernels ------------------------------------------------------

@@ -14,7 +14,6 @@ from skorokhod_kit import (
     EvaluationFault,
     InitialLaw,
     Integrand,
-    QuadraticVariationPath,
     RngSeed,
     SampledPath,
     TimeGrid,
@@ -28,7 +27,7 @@ from skorokhod_kit import (
     quadratic_variation,
 )
 from skorokhod_kit.itocalc import brownian_local_time_mean, integrand_grid_values
-from skorokhod_kit.randomness import standard_normals
+from skorokhod_kit.randomness import brownian_paths, standard_normals
 from skorokhod_kit.stats import McEstimate
 
 
@@ -56,7 +55,7 @@ def test_identity_integrand_closed_form_per_path():
         B = make_brownian(10_000, seed=6, stream=i)
         x = B.scalar_values
         got = ito_integral(f, B)
-        exact_discrete = (x[-1] ** 2 - quadratic_variation(B).values[-1]) / 2.0
+        exact_discrete = (x[-1] ** 2 - quadratic_variation(B).scalar_values[-1]) / 2.0
         assert got == pytest.approx(exact_discrete, abs=1e-10)
         gaps.append(got - (x[-1] ** 2 - 1.0) / 2.0)
     rms = float(np.sqrt(np.mean(np.square(gaps))))
@@ -335,20 +334,20 @@ def test_qv_linear_path():
     grid = TimeGrid.uniform(1.0, n)
     X = SampledPath.continuous(grid, grid.times.copy())
     qv = quadratic_variation(X)
-    assert qv.values[-1] == pytest.approx(1.0 / n, rel=1e-12)
+    assert qv.scalar_values[-1] == pytest.approx(1.0 / n, rel=1e-12)
 
 
 def test_qv_constant_path():
     grid = TimeGrid.uniform(1.0, 10)
     X = SampledPath.continuous(grid, np.full(11, 3.3))
-    assert np.array_equal(quadratic_variation(X).values, np.zeros(11))
+    assert np.array_equal(quadratic_variation(X).scalar_values, np.zeros(11))
 
 
 def test_qv_brownian_mean():
     n_paths, n_steps = 100, 20_000
     vals = np.empty(n_paths)
     for i in range(n_paths):
-        vals[i] = quadratic_variation(make_brownian(n_steps, seed=21, stream=i)).values[-1]
+        vals[i] = quadratic_variation(make_brownian(n_steps, seed=21, stream=i)).scalar_values[-1]
     se = vals.std(ddof=1) / np.sqrt(n_paths)
     assert abs(vals.mean() - 1.0) <= 3.0 * se
 
@@ -361,16 +360,34 @@ def test_qv_additivity_exact():
         SampledPath.continuous(TimeGrid(B.grid.times[: k + 1]), B.scalar_values[: k + 1])
     )
     tail_increments = np.diff(B.scalar_values[k:]) ** 2
-    recombined = head.values[-1] + np.cumsum(tail_increments)
-    assert np.allclose(recombined, qv.values[k + 1 :], atol=1e-15)
+    recombined = head.scalar_values[-1] + np.cumsum(tail_increments)
+    assert np.allclose(recombined, qv.scalar_values[k + 1 :], atol=1e-15)
 
 
 def test_qv_validation():
     grid = TimeGrid.uniform(1.0, 2)
-    with pytest.raises(ValueError):
-        QuadraticVariationPath(grid, [0.0, 1.0, 0.5])
-    with pytest.raises(ValueError):
-        QuadraticVariationPath(grid, [0.5, 1.0, 1.5])
+    X = SampledPath.continuous(grid, np.zeros((2, 3, 1)))
+    F, F_t, F_x, F_xx = _cubic()
+    bad = [
+        ([0.0, 1.0, 0.5], "nondecreasing"),
+        ([0.5, 1.0, 1.5], "starts at 0"),
+        (np.zeros((3, 3, 1)), "one row or one per path"),
+        (np.zeros((1, 3, 2)), "one-dimensional"),
+    ]
+    for values, message in bad:
+        with pytest.raises(ValueError, match=message):
+            ito_formula_residual(F, F_t, F_x, F_xx, X, SampledPath.continuous(grid, values))
+    with pytest.raises(ValueError, match="share a grid"):
+        ito_formula_residual(
+            F, F_t, F_x, F_xx, X, SampledPath.continuous(TimeGrid.uniform(2.0, 2), np.zeros(3))
+        )
+    # one row for every path, or one per path (each row checked)
+    per_path = np.array([[0.0, 0.5, 1.0], [0.0, 1.0, 0.5]])[..., None]
+    with pytest.raises(ValueError, match="nondecreasing"):
+        ito_formula_residual(F, F_t, F_x, F_xx, X, SampledPath.continuous(grid, per_path))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ito_formula_residual(F, F_t, F_x, F_xx, SampledPath.continuous(grid, np.zeros((3, 2))),
+                             SampledPath.continuous(grid, grid.times))
 
 
 # --- change of variables ----------------------------------------------------
@@ -403,7 +420,7 @@ def test_residual_square_minus_t_equals_qv_defect():
     # F = x^2 - t with the model bracket leaves exactly the realized-vs-model
     # quadratic variation difference
     B = make_brownian(2000, seed=26)
-    model_qv = QuadraticVariationPath.brownian(B.grid)
+    model_qv = SampledPath.continuous(B.grid, B.grid.times)
     res = ito_formula_residual(
         lambda t, x: np.asarray(x) ** 2 - np.asarray(t),
         lambda t, x: -np.ones_like(np.asarray(x, dtype=np.float64)),
@@ -412,7 +429,7 @@ def test_residual_square_minus_t_equals_qv_defect():
         B,
         model_qv,
     )
-    realized = quadratic_variation(B).values[-1]
+    realized = quadratic_variation(B).scalar_values[-1]
     assert res == pytest.approx(realized - 1.0, abs=1e-10)
 
 
@@ -421,22 +438,49 @@ def test_residual_cubic_small_on_fine_grids():
     res = []
     for i in range(30):
         B = make_brownian(10_000, seed=27, stream=i)
-        res.append(ito_formula_residual(F, F_t, F_x, F_xx, B, QuadraticVariationPath.brownian(B.grid)))
+        model_qv = SampledPath.continuous(B.grid, B.grid.times)
+        res.append(ito_formula_residual(F, F_t, F_x, F_xx, B, model_qv))
     assert float(np.sqrt(np.mean(np.square(res)))) <= 0.05
 
 
 def test_residual_rejects_wrong_partials():
     B = make_brownian(100, seed=28)
-    qv = QuadraticVariationPath.brownian(B.grid)
+    qv = SampledPath.continuous(B.grid, B.grid.times)
     F, F_t, F_x, F_xx = _cubic()
     wrong_fx = lambda t, x: 2.9 * np.asarray(x) ** 2  # noqa: E731
     with pytest.raises(ContractError):
         ito_formula_residual(F, F_t, wrong_fx, F_xx, B, qv)
 
 
+@pytest.mark.parametrize("bracket", ["model", "realized"])
+def test_batched_residual_rows_equal_batches_of_one(bracket):
+    grid = TimeGrid.uniform(1.0, 3000)
+    X = SampledPath.continuous(grid, brownian_paths(RngSeed(30), 5, grid, x0=0.3))
+    qv = {"model": SampledPath.continuous(grid, grid.times), "realized": quadratic_variation(X)}
+    F, F_t, F_x, F_xx = _cubic()
+    batch = ito_formula_residual(F, F_t, F_x, F_xx, X, qv[bracket])
+    assert batch.shape == (5,)
+    for i in range(5):
+        one = qv[bracket][i] if bracket == "realized" else qv[bracket]
+        row = ito_formula_residual(F, F_t, F_x, F_xx, X[i], one)
+        assert row.shape == (1,) and row.tobytes() == batch[i : i + 1].tobytes()
+
+
+def test_wrong_partial_on_one_path_names_that_path():
+    grid = TimeGrid.uniform(1.0, 100)
+    values = brownian_paths(RngSeed(31), 4, grid)
+    values[2] += 10.0  # only path 2 reaches the region where F_x is wrong
+    X = SampledPath.continuous(grid, values)
+    F, F_t, F_x, F_xx = _cubic()
+    wrong_fx = lambda t, x: np.where(x > 5.0, 2.9, 3.0) * np.asarray(x) ** 2  # noqa: E731
+    with pytest.raises(ContractError, match="F_x on path 2 near"):
+        ito_formula_residual(F, F_t, wrong_fx, F_xx, X, SampledPath.continuous(grid, grid.times))
+
+
 def test_residual_requires_matching_grid():
     B = make_brownian(100, seed=29)
-    other = QuadraticVariationPath.brownian(TimeGrid.uniform(1.0, 50))
+    other_grid = TimeGrid.uniform(1.0, 50)
+    other = SampledPath.continuous(other_grid, other_grid.times)
     F, F_t, F_x, F_xx = _cubic()
     with pytest.raises(ValueError):
         ito_formula_residual(F, F_t, F_x, F_xx, B, other)
@@ -528,15 +572,15 @@ def test_path_sums_independent_of_blas_threads():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import numpy as np\n"
-        "from skorokhod_kit import (InitialLaw, Integrand, QuadraticVariationPath, RngSeed,\n"
+        "from skorokhod_kit import (InitialLaw, Integrand, RngSeed, SampledPath,\n"
         "    TimeGrid, brownian_sample, ito_formula_residual, ito_integral, local_time_tanaka)\n"
         "grid = TimeGrid.uniform(1.0, 200_000)\n"
         "B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(3))\n"
         "f = Integrand.of_state(lambda t, x: np.sin(x))\n"
         "res = ito_formula_residual(lambda t, x: x**3, lambda t, x: 0.0 * np.asarray(x),\n"
         "    lambda t, x: 3.0 * np.asarray(x) ** 2, lambda t, x: 6.0 * np.asarray(x), B,\n"
-        "    QuadraticVariationPath.brownian(grid))\n"
-        "vals = [ito_integral(f, B), local_time_tanaka(B, 0.1).value, res]\n"
+        "    SampledPath.continuous(grid, grid.times))\n"
+        "vals = [ito_integral(f, B), local_time_tanaka(B, 0.1).value, float(res[0])]\n"
         "print(' '.join(v.hex() for v in vals))\n"
     )
     outputs = []

@@ -122,6 +122,23 @@ def test_normal_matrix_rows_match_per_stream_draws(seed, first_stream, n_cols):
         assert np.array_equal(z[i], standard_normals(gen, n_cols))
 
 
+@pytest.mark.parametrize("prior", [0, 1, 2])
+@pytest.mark.parametrize("stream", [0, 1, 2**32 + 7, 2**64 - 1])
+def test_standard_normals_equal_the_integer_midpoint_route(prior, stream):
+    # reference: (k + 0.5) / 2**53 over 53-bit integers k, then ndtri;
+    # the same values and the same generator state afterwards
+    from scipy.special import ndtri
+
+    gen, ref = RngSeed(9, stream).generator(), RngSeed(9, stream).generator()
+    gen.random(prior)
+    ref.random(prior)
+    for n in (0, 1, 1000):
+        k = ref.integers(0, 2**53, size=n, dtype=np.uint64)
+        expected = ndtri((k.astype(np.float64) + 0.5) / 2.0**53)
+        assert standard_normals(gen, n).tobytes() == expected.tobytes()
+    assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)  # arrays inside
+
+
 @given(st.integers(min_value=0, max_value=2**53 - 1))
 @example(0)
 @example(1)
@@ -129,8 +146,8 @@ def test_normal_matrix_rows_match_per_stream_draws(seed, first_stream, n_cols):
 @example(2**52)
 @example(2**53 - 1)
 def test_uniform_fill_plus_half_ulp_is_the_midpoint_map(k):
-    # normal_matrix adds 2**-54 to Generator.random's k * 2**-53, where
-    # standard_normals takes (k + 0.5) / 2**53: both round (2k + 1) * 2**-54
+    # standard_normals adds 2**-54 to Generator.random's k * 2**-53, which
+    # rounds as the midpoint (k + 0.5) / 2**53: both round (2k + 1) * 2**-54
     assert float(k) * 2.0**-53 + 2.0**-54 == (float(k) + 0.5) / 2.0**53
     u = np.array([k], dtype=np.uint64).astype(np.float64)
     assert np.array_equal(u * 2.0**-53 + 2.0**-54, (u + 0.5) / 2.0**53)
