@@ -49,7 +49,6 @@ from .reflect1d import (
     skorokhod_map_1d,
 )
 from .reflectnd import (
-    DomainConditionReport,
     SkorokhodNdSolution,
     check_condition_a,
     check_condition_b,
@@ -73,7 +72,6 @@ __all__ = [
     "__version__",
     "ConvexDomain",
     "ContractError",
-    "DomainConditionReport",
     "EvaluationFault",
     "GenerationError",
     "InitialLaw",

@@ -113,7 +113,7 @@ def domain_from_mapping(doc: dict[str, list]) -> ConvexDomain:
     """Build a domain from a parsed domain document."""
     if "dimension" not in doc:
         raise ValueError("domain file needs a dimension")
-    d = int(doc["dimension"][-1])
+    d = _whole_number("dimension", doc["dimension"][-1])
     normals, offsets, centers, radii = [], [], [], []
     for group in doc.get("halfspace", []):
         if not isinstance(group, dict) or set(group) != {"normal", "offset"}:

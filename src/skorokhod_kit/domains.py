@@ -7,9 +7,10 @@ strictly interior witness point, so the intersection always has interior.
 The constructor classifies the domain once. A box (no balls, every normal
 +-e_i, redundant faces on one axis folded into one lower and one upper bound
 per coordinate) projects by the exact coordinate-wise clip, which is also
-the identity, signed zeros included, on the closure. Every other domain
-projects in closed form when at most one constraint is violated and falls
-back to Dykstra's cyclic scheme otherwise. Projection and slacks have one
+the identity, signed zeros included, on the closure. Other domains project
+in closed form when at most one constraint is violated; past that, a
+polyhedron (no balls) projects exactly by least distance, and a domain with
+a ball by Dykstra's cyclic scheme. Projection and slacks have one
 implementation each, on batches of points (``project_batch``,
 ``slack_matrix``); ``project`` and ``slacks`` of one point are batches of one.
 """
@@ -26,7 +27,7 @@ from .errors import ProjectionIterationError
 DEFAULT_PROJECT_TOL = 1e-10
 DEFAULT_PROJECT_MAX_ITER = 10_000
 # a one-constraint projection landing farther than this (relative) outside
-# another constraint is redone by Dykstra
+# another constraint is redone by the general route
 _LANDED_TOL = 1e-12
 _UNIT_NORM_TOL = 1e-12
 
@@ -95,21 +96,20 @@ class ConvexDomain:
             raise ValueError("centers and radii must pair up")
         if normals.shape[0] + centers.shape[0] == 0:
             raise ValueError("domain needs at least one constraint")
+        if self.interior_point is None:
+            raise ValueError("an interior witness point is required")
+        witness = np.array(self.interior_point, dtype=np.float64).reshape(d)
+        arrays = dict(normals=normals, offsets=offsets, centers=centers, radii=radii)
+        for name, a in {**arrays, "interior_point": witness}.items():
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         norms = np.linalg.norm(normals, axis=1)
         if normals.shape[0] and np.max(np.abs(norms - 1.0)) > _UNIT_NORM_TOL:
             raise ValueError("halfspace normals must have unit norm")
         if radii.size and np.any(radii <= 0.0):
             raise ValueError("ball radii must be positive")
-        if self.interior_point is None:
-            raise ValueError("an interior witness point is required")
-        witness = np.array(self.interior_point, dtype=np.float64).reshape(d)
-        for a in (normals, offsets, centers, radii, witness):
-            a.setflags(write=False)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "interior_point", witness)
         if np.min(self.slacks(witness), initial=np.inf) <= 0.0:
             raise ValueError("witness point is not strictly interior")
         if not radii.size:
@@ -199,9 +199,10 @@ class ConvexDomain:
 
         A box is clipped in one pass. Otherwise interior rows and rows
         violating a single constraint are handled in closed form for the
-        whole batch; only rows whose one-constraint projection exposes
-        another constraint, or that violate several, fall back to Dykstra one
-        row at a time.
+        whole batch. Rows whose one-constraint projection exposes another
+        constraint, or that violate several, are projected by least distance
+        as one batch on a polyhedron, and by Dykstra one row at a time on a
+        domain with a ball.
         """
         if self._box is not None:
             return self._clip(np.asarray(points, dtype=np.float64))
@@ -232,7 +233,15 @@ class ConvexDomain:
         landed = out[rows]
         scale = 1.0 + np.sqrt(np.vecdot(landed, landed))
         redo = rows[np.min(self.slack_matrix(landed), axis=1) < -_LANDED_TOL * scale]
-        for row in np.concatenate([redo, np.flatnonzero(n_bad > 1)]):
+        rest = np.concatenate([redo, np.flatnonzero(n_bad > 1)])
+        if rest.size and not self.radii.size:
+            _, weights = _least_distance_support(self.normals, self.offsets, pts[rest])
+            supports, group = np.unique(weights > 0.0, axis=0, return_inverse=True)
+            for s, faces in enumerate(supports):
+                rows = rest[group.reshape(-1) == s]
+                out[rows] = _onto_faces(pts[rows], self.normals[faces], self.offsets[faces])
+            return out
+        for row in rest:
             out[row] = self._dykstra(pts[row], DEFAULT_PROJECT_TOL, DEFAULT_PROJECT_MAX_ITER)
         return out
 
@@ -301,55 +310,49 @@ def active_normal_cones(points, domain: ConvexDomain, tol_bd=None) -> list[np.nd
 _DEPENDENT_TOL = 1e-14
 
 
-def normal_cone_residuals(points, directions, domain: ConvexDomain, tol_bd=None):
-    """Distance from each unit direction to the normal cone at its boundary point.
+def _least_distance(gens, active, u):
+    """Distance from each row of u to the cone of that row's active generators.
 
-    Row i gives min over lam >= 0 of |u_i - sum_j lam_j g_j| over the active
-    generators g_j of :func:`active_normal_cones`, with ``tol_bd`` as there.
-    Returns ``(residuals, weights)``: weights has one column per constraint
-    and holds the minimizing lam (zero off its support), so r = u - G^T lam
-    certifies the result by KKT: lam >= 0 and <r, g> <= 0 for each active g.
+    ``gens`` is (rows, n, m), ``active`` (rows, n), ``u`` (rows, m), for any
+    m. Row i gives min over lam >= 0 of |u_i - sum_j lam_j g_ij| over its
+    active j. Returns ``(residuals, weights)``, weights (rows, n) holding the
+    minimizing lam (zero off its support): r = u - G^T lam certifies the
+    result by KKT, lam >= 0 and <r, g> <= 0 for each active g.
 
-    Computed by active-set enumeration, all rows sharing a support at once.
-    The optimum has a Caratheodory support S of independent generators with
-    lam_S > 0, and there r is orthogonal to span(G_S), so the least-squares
-    solution on S is the optimum; every other subset with a nonnegative
-    least-squares solution gives a feasible lam, so no smaller residual. The
-    residual is the least over the empty set (|u|) and every independent
-    subset of a row's active generators whose least-squares weights are
-    nonnegative. Subsets whose residuals agree to rounding are told apart by
-    the KKT test: the one with the least max <r, g> over active g wins, so
-    the certificate holds where a tiny lam leaves |r| unchanged in floating
-    point.
+    Active-set enumeration, all rows sharing a support at once: the optimum
+    has a Caratheodory support S of at most m independent generators with
+    lam_S > 0, where r is orthogonal to span(G_S), so it is the least-squares
+    solution on S, and every subset with nonnegative least-squares weights is
+    feasible. The residual is thus the least over the empty set (|u|) and
+    those subsets. Residuals that agree to rounding are told apart by the KKT
+    test (least max <r, g> over active g wins), so the certificate holds
+    where a tiny lam leaves |r| unchanged in floating point.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, domain.dimension)
-    u = np.asarray(directions, dtype=np.float64).reshape(pts.shape)
-    normals, active = _active_generators(pts, domain, tol_bd)
 
     def dual_gap(rows, resid):
-        # max <r, g> over each row's active generators; inactive balls may be NaN
-        dots = np.vecdot(normals[rows], resid[:, None, :])
+        # max <r, g> over each row's active generators; inactive ones may be NaN
+        dots = np.vecdot(gens[rows], resid[:, None, :])
         return np.max(np.where(active[rows], dots, -np.inf), axis=1)
 
     residuals = np.sqrt(np.vecdot(u, u))
     tie = 4.0 * np.finfo(np.float64).eps * residuals  # rounding of a residual norm
     gaps = dual_gap(np.arange(len(u)), u)
     weights = np.zeros(active.shape)
-    n_gens = active.shape[1]
+    n_gens, dim = active.shape[1], u.shape[1]
     # supports by size, each extended only while some row has it all active
     supports = [[j] for j in range(n_gens)]
     for cols in supports:
         rows = np.flatnonzero(np.all(active[:, cols], axis=1))
         if not rows.size:
             continue
-        if len(cols) < domain.dimension:
+        if len(cols) < dim:
             supports += [cols + [j] for j in range(cols[-1] + 1, n_gens)]
-        gens = normals[rows][:, cols]  # (rows, k, d)
-        q, r = np.linalg.qr(np.swapaxes(gens, 1, 2))
+        sub = gens[rows][:, cols]  # (rows, k, m)
+        q, r = np.linalg.qr(np.swapaxes(sub, 1, 2))
         independent = np.all(np.abs(np.diagonal(r, axis1=1, axis2=2)) > _DEPENDENT_TOL, axis=1)
-        rows, gens, q, r = rows[independent], gens[independent], q[independent], r[independent]
+        rows, sub, q, r = rows[independent], sub[independent], q[independent], r[independent]
         lam = np.linalg.solve(r, np.vecdot(np.swapaxes(q, 1, 2), u[rows, None, :])[..., None])[..., 0]
-        resid = u[rows] - np.vecdot(np.swapaxes(gens, 1, 2), lam[:, None, :])
+        resid = u[rows] - np.vecdot(np.swapaxes(sub, 1, 2), lam[:, None, :])
         dist = np.sqrt(np.vecdot(resid, resid))
         gap = dual_gap(rows, resid)
         best, near = residuals[rows], tie[rows]
@@ -362,6 +365,48 @@ def normal_cone_residuals(points, directions, domain: ConvexDomain, tol_bd=None)
         weights[rows] = 0.0
         weights[rows[:, None], cols] = lam[better]
     return residuals, weights
+
+
+def normal_cone_residuals(points, directions, domain: ConvexDomain, tol_bd=None):
+    """Distance from each unit direction to the normal cone at its boundary point.
+
+    :func:`_least_distance` over the generators of :func:`active_normal_cones`
+    (``tol_bd`` as there); weights has one column per constraint.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, domain.dimension)
+    u = np.asarray(directions, dtype=np.float64).reshape(pts.shape)
+    normals, active = _active_generators(pts, domain, tol_bd)
+    return _least_distance(normals, active, u)
+
+
+def _least_distance_support(normals, offsets, pts):
+    """Faces of {y : N y >= b} active at the point nearest each row x of pts (x outside).
+
+    That point x + z minimizes |z| subject to N z >= b - N x, a least-distance
+    program (Lawson & Hanson 1974, ch. 23) whose dual is the distance from
+    e_{d+1} to the cone of the lifted generators (n_j, b_j - <n_j, x>). Returns
+    its ``(residuals, weights)``: a zero residual means the set is empty, and
+    otherwise the faces with positive weight are active at the nearest point.
+    """
+    rows, d = pts.shape
+    gap = offsets - np.vecdot(pts[:, None, :], normals)
+    # solve for z / s, s > 0 the row's largest violation: residuals of order 1
+    gap /= np.max(gap, axis=1, keepdims=True)
+    gens = np.broadcast_to(normals, (rows,) + normals.shape)
+    lifted = np.concatenate([gens, gap[..., None]], axis=2)
+    target = np.broadcast_to(np.eye(d + 1)[d], (rows, d + 1))
+    return _least_distance(lifted, np.ones(gap.shape, dtype=bool), target)
+
+
+def _onto_faces(x, normals, offsets):
+    """Projection of each row of x onto {N y = b}, N with independent rows.
+
+    x - Q Q^T x + Q R^-T b with N^T = QR, summed elementwise rather than by
+    BLAS so that a row does not depend on its batch.
+    """
+    q, r = np.linalg.qr(normals.T)
+    along = np.vecdot(np.vecdot(x[:, None, :], q.T)[:, None, :], q)
+    return (x - along) + q @ np.linalg.solve(r.T, offsets)
 
 
 # Ready-made domains used throughout the tests and experiments.

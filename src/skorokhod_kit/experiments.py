@@ -709,13 +709,13 @@ def _run_rsde_consistency(config: ExperimentConfig):
 
 def _run_condition_checks(config: ExperimentConfig):
     reports = {}
-    a_orthant = check_condition_a(orthant(2)).condition_a
-    a_plane = check_condition_a(halfplane()).condition_a
-    a_strip = check_condition_a(strip()).condition_a
-    a_disc = check_condition_a(unit_disc()).condition_a
-    b_disc = check_condition_b(unit_disc()).condition_b
-    b_plane = check_condition_b(halfplane()).condition_b
-    b_orthant3 = check_condition_b(orthant(3)).condition_b
+    a_orthant = check_condition_a(orthant(2))
+    a_plane = check_condition_a(halfplane())
+    a_strip = check_condition_a(strip())
+    a_disc = check_condition_a(unit_disc())
+    b_disc = check_condition_b(unit_disc())
+    b_plane = check_condition_b(halfplane())
+    b_orthant3 = check_condition_b(orthant(3))
     reports["condition_a"] = {
         "orthant2": {"status": a_orthant.status, "c": a_orthant.c},
         "halfplane": {"status": a_plane.status, "c": a_plane.c},
@@ -729,8 +729,8 @@ def _run_condition_checks(config: ExperimentConfig):
     }
     configured = config.resolve_domain()
     if configured is not None:
-        a_cfg = check_condition_a(configured).condition_a
-        b_cfg = check_condition_b(configured).condition_b
+        a_cfg = check_condition_a(configured)
+        b_cfg = check_condition_b(configured)
         reports["configured_domain"] = {
             "condition_a": {"status": a_cfg.status, "c": a_cfg.c, "detail": a_cfg.detail},
             "condition_b": {"status": b_cfg.status, "reason": b_cfg.reason},

@@ -22,6 +22,7 @@ from typing import Literal
 import numpy as np
 
 from .domains import ConvexDomain, boundary_tolerance, normal_cone_residuals
+from .domains import _least_distance_support, _onto_faces
 from .errors import RefinementLimitError
 from .paths import PathKind, SampledPath, TimeGrid, row_slice
 
@@ -357,77 +358,44 @@ class ConditionBResult:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class DomainConditionReport:
-    condition_a: ConditionAResult | None = None
-    condition_b: ConditionBResult | None = None
+# a least-distance residual this small is 0 up to rounding: {N z >= 1} is empty
+_EMPTY_TOL = 1e-14
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    mask = u - css / ind > 0.0
-    rho = ind[mask][-1]
-    theta = css[mask][-1] / rho
-    return np.maximum(v - theta, 0.0)
+def check_condition_a(domain: ConvexDomain) -> ConditionAResult:
+    """Find the unit vector making the largest least angle with the face normals.
 
-
-def check_condition_a(domain: ConvexDomain, grid_density: int = 32) -> DomainConditionReport:
-    """Search for a unit vector making a positive angle with every face normal.
-
-    The best such vector is the normalized minimum-norm point of the convex
-    hull of the halfspace normals; that point is found by projected gradient
-    on the simplex of hull weights, started from the centroid and refined
-    for a number of sweeps scaled by ``grid_density``. Ball boundaries
-    contribute a continuum of normals and are not analyzed: domains with
-    ball constraints report unknown.
+    Condition A asks for a unit e and c > 0 with <n_j, e> >= c for each inward
+    normal n_j. The best e is z/|z| for the point z of {N z >= 1} nearest 0,
+    found exactly as in polyhedral projection, and c = min(N e). If that set
+    is empty, the weighted faces have 0 in the convex hull of their normals
+    and condition A fails. Domains with balls (a continuum of boundary
+    normals) report unknown.
     """
     if domain.dimension > 8:
         raise ValueError("condition A search is not supported above dimension 8")
     if domain.centers.shape[0] > 0:
-        return DomainConditionReport(
-            condition_a=ConditionAResult(
-                status="unknown",
-                detail="ball constraints contribute a continuum of boundary normals",
-            )
+        return ConditionAResult(
+            status="unknown",
+            detail="ball constraints contribute a continuum of boundary normals",
         )
-    normals = domain.normals
-    m = normals.shape[0]
-    gram = normals @ normals.T
-    antipodal = np.min(gram) <= -1.0 + 1e-9
-    if antipodal:
-        return DomainConditionReport(
-            condition_a=ConditionAResult(
-                status="fails",
-                detail="two face normals are antipodal; no direction can make a "
-                "positive angle with both",
-            )
+    normals, origin = domain.normals, np.zeros((1, domain.dimension))
+    residual, weights = _least_distance_support(normals, np.ones(normals.shape[0]), origin)
+    faces = np.flatnonzero(weights[0] > 0.0)
+    if residual[0] <= _EMPTY_TOL:
+        detail = (
+            "two face normals are antipodal; no direction can make a positive angle with both"
+            if faces.size == 2
+            else f"the normals of faces {', '.join(map(str, faces))} have 0 in their convex "
+            "hull; no direction can make a positive angle with all of them"
         )
-    lam = np.full(m, 1.0 / m)
-    step = 0.5 / max(float(np.linalg.norm(gram, 2)), 1e-12)
-    for _ in range(max(200, 40 * grid_density)):
-        lam = _project_simplex(lam - step * 2.0 * (gram @ lam))
-    mu = normals.T @ lam
-    norm_mu = float(np.linalg.norm(mu))
-    if norm_mu <= 1e-7:
-        return DomainConditionReport(
-            condition_a=ConditionAResult(
-                status="unknown",
-                detail="origin appears to lie in the hull of the normals but no "
-                "antipodal certificate was found",
-            )
-        )
-    e = mu / norm_mu
-    c = float(np.min(normals @ e))
-    if c <= 0.0:
-        return DomainConditionReport(
-            condition_a=ConditionAResult(status="unknown", detail="search was inconclusive")
-        )
-    return DomainConditionReport(condition_a=ConditionAResult(status="holds", e=e, c=c))
+        return ConditionAResult(status="fails", detail=detail)
+    z = _onto_faces(origin, normals[faces], np.ones(faces.size))[0]
+    e = z / np.linalg.norm(z)
+    return ConditionAResult(status="holds", e=e, c=float(np.min(normals @ e)))
 
 
-def check_condition_b(domain: ConvexDomain) -> DomainConditionReport:
+def check_condition_b(domain: ConvexDomain) -> ConditionBResult:
     """Report the geometric interior-ball condition via its sufficient cases.
 
     Holds when the domain is bounded (a ball constraint, or every coordinate
@@ -437,9 +405,7 @@ def check_condition_b(domain: ConvexDomain) -> DomainConditionReport:
     from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
 
     if domain.centers.shape[0] > 0:
-        return DomainConditionReport(
-            condition_b=ConditionBResult(status="holds", reason="bounded: contained in a ball")
-        )
+        return ConditionBResult(status="holds", reason="bounded: contained in a ball")
     bounded = True
     A_ub = -domain.normals
     b_ub = -domain.offsets
@@ -452,27 +418,17 @@ def check_condition_b(domain: ConvexDomain) -> DomainConditionReport:
                 bounded = False
                 break
             if res.status != 0:
-                return DomainConditionReport(
-                    condition_b=ConditionBResult(
-                        status="unknown", reason=f"boundedness LP ended with {res.message}"
-                    )
+                return ConditionBResult(
+                    status="unknown", reason=f"boundedness LP ended with {res.message}"
                 )
         if not bounded:
             break
     if bounded:
-        return DomainConditionReport(
-            condition_b=ConditionBResult(
-                status="holds", reason="bounded: every coordinate is bounded"
-            )
-        )
+        return ConditionBResult(status="holds", reason="bounded: every coordinate is bounded")
     if domain.dimension == 2:
-        return DomainConditionReport(
-            condition_b=ConditionBResult(status="holds", reason="dimension 2")
-        )
-    return DomainConditionReport(
-        condition_b=ConditionBResult(
-            status="unknown", reason="unbounded with dimension > 2; no decision procedure"
-        )
+        return ConditionBResult(status="holds", reason="dimension 2")
+    return ConditionBResult(
+        status="unknown", reason="unbounded with dimension > 2; no decision procedure"
     )
 
 

@@ -135,6 +135,22 @@ def test_domain_constructor_validation():
         ball_domain([0.0], -1.0)
     with pytest.raises(ValueError):
         ConvexDomain(2, normals=[[1.0, 0.0]], offsets=[0.0], interior_point=None)
+    # non-finite data: a NaN normal once built a domain that "projected"
+    # (0, -1) to itself, and a NaN slack passed the witness test
+    face, disc = dict(normals=[[0.0, 1.0]], offsets=[0.0]), dict(centers=[[0.0, 0.0]], radii=[1.0])
+    for field, kwargs in [
+        ("normals", dict(face, normals=[[np.nan, 1.0]])),
+        ("normals", dict(face, normals=[[np.inf, 1.0]])),
+        ("offsets", dict(face, offsets=[np.nan])),
+        ("offsets", dict(face, offsets=[-np.inf])),
+        ("centers", dict(disc, centers=[[np.nan, 0.0]])),
+        ("radii", dict(disc, radii=[np.nan])),
+        ("radii", dict(disc, radii=[np.inf])),
+        ("interior_point", dict(face, interior_point=[0.0, np.nan])),
+    ]:
+        kwargs.setdefault("interior_point", [0.0, 0.5])
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ConvexDomain(2, **kwargs)
 
 
 def test_active_normal_cone_single_face():
@@ -455,8 +471,123 @@ def test_other_domains_keep_the_general_route(name, monkeypatch):
     batch = dom.project_batch(pts)
     for row, x in zip(batch, pts):
         assert np.array_equal(row, dom.project(x))
-    if dom.normals.shape[0] >= 2:
-        assert calls  # rows past a polyhedral corner still take Dykstra
+    if not dom.radii.size:
+        assert not calls  # polyhedra project by least distance
+    elif dom.normals.shape[0]:
+        assert calls  # rows past a face-and-ball corner still take Dykstra
+
+
+# --- polyhedral projection by least distance ---------------------------------------
+
+
+def _no_dykstra(self, x, tol, max_iter):
+    raise AssertionError("a domain without balls must not reach _dykstra")
+
+
+@pytest.mark.parametrize("name", sorted(n for n, d in NOT_BOXES.items() if not d.radii.size))
+def test_polyhedra_never_reach_dykstra(name, monkeypatch):
+    monkeypatch.setattr(ConvexDomain, "_dykstra", _no_dykstra)
+    dom = NOT_BOXES[name]
+    pts = _probe_points(dom)
+    batch = dom.project_batch(pts)
+    assert np.all(np.min(dom.slack_matrix(batch), axis=1) >= -1e-12 * (1.0 + np.linalg.norm(pts, axis=1)))
+
+
+def _nearest_point_oracle(x, dom):
+    """Brute-force primal enumeration for a domain without balls.
+
+    Tries every subset of at most d faces with independent normals, projects
+    x onto that subset's equality set, and keeps the feasible point nearest
+    to x (x itself when it is inside).
+    """
+    normals, offsets, d = dom.normals, dom.offsets, dom.dimension
+    tol = 1e-14 * (1.0 + np.linalg.norm(x))
+    best, best_dist = None, np.inf
+    for k in range(d + 1):
+        for faces in itertools.combinations(range(len(offsets)), k):
+            n, b = normals[list(faces)], offsets[list(faces)]
+            if k and np.linalg.svd(n, compute_uv=False)[-1] < 1e-9:
+                continue
+            p = x - n.T @ np.linalg.solve(n @ n.T, n @ x - b) if k else x
+            dist = np.linalg.norm(p - x)
+            if np.min(normals @ p - offsets) >= -tol and dist < best_dist:
+                best, best_dist = p, dist
+    return best
+
+
+def _cone(a):
+    """{x2 >= |x1| cot a}: a wedge of half-angle a around e_2, apex at 0."""
+    c, s = np.cos(a), np.sin(a)
+    return ConvexDomain(2, normals=[[-c, s], [c, s]], offsets=[0.0, 0.0], interior_point=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("a", [0.05, 0.01])
+def test_thin_cone_projects_to_its_apex(a, monkeypatch):
+    # the cyclic scheme stopped 9.9e-10 away at a = 0.05 and ran out of cycles at 0.01
+    monkeypatch.setattr(ConvexDomain, "_dykstra", _no_dykstra)
+    assert np.linalg.norm(_cone(a).project(np.array([0.0, -1.0]))) <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
+def test_far_points_reach_a_corner_with_redundant_faces(scale, monkeypatch):
+    # two redundant faces through the apex of the quadrant. The lifted
+    # residuals are ~1/|x| unless each row's offsets are rescaled; at
+    # |x| ~ 1e9 a redundant face alone then wins within rounding and its
+    # point lies 3e5 outside the quadrant
+    monkeypatch.setattr(ConvexDomain, "_dykstra", _no_dykstra)
+    dom = ConvexDomain(
+        2,
+        normals=[[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [0.8, 0.6]],
+        offsets=[0.0] * 4,
+        interior_point=[1.0, 1.0],
+    )
+    gen = np.random.Generator(np.random.Philox(key=np.array([7, 8], dtype=np.uint64)))
+    pts = -scale * np.abs(gen.normal(size=(500, 2)))
+    apex_gap = np.linalg.norm(dom.project_batch(pts), axis=1)
+    assert np.all(apex_gap <= 1e-14 * (1.0 + np.linalg.norm(pts, axis=1)))
+
+
+@st.composite
+def random_polytopes(draw):
+    """A 2-d/3-d polyhedron with 2-6 faces, some exact duplicates, and points around it.
+
+    Faces are placed at a positive distance from a witness point; distinct
+    faces are kept well apart from dependence, as in polytope_corners.
+    """
+    d = draw(st.integers(2, 3))
+    m = draw(st.integers(2, 6))
+    unit = st.floats(-1.0, 1.0)
+    normals, offsets = [], []
+    witness = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    for i in range(m):
+        if i and draw(st.integers(0, 3)) == 0:
+            j = draw(st.integers(0, i - 1))
+            normals.append(normals[j])
+            offsets.append(offsets[j])
+            continue
+        n = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+        assume(np.linalg.norm(n) >= 0.1)
+        normals.append(n / np.linalg.norm(n))
+        offsets.append(normals[-1] @ witness - draw(st.floats(0.1, 2.0)))
+    distinct = np.unique(np.array(normals), axis=0)
+    for k in range(2, d + 1):
+        for subset in itertools.combinations(distinct, k):
+            assume(np.linalg.svd(np.array(subset), compute_uv=False)[-1] >= 1e-3)
+    dom = ConvexDomain(d, normals=normals, offsets=offsets, interior_point=witness)
+    offsets_from_witness = st.lists(st.floats(-6.0, 6.0), min_size=d, max_size=d)
+    pts = witness + np.array(draw(st.lists(offsets_from_witness, min_size=1, max_size=12)))
+    return dom, pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_polytopes())
+def test_polytope_projection_matches_enumeration_oracle(case):
+    dom, pts = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ConvexDomain, "_dykstra", _no_dykstra)
+        batch = dom.project_batch(pts)
+    for x, p in zip(pts, batch):
+        assert np.linalg.norm(p - _nearest_point_oracle(x, dom)) <= 1e-14 * (1.0 + np.linalg.norm(x))
 
 
 # --- normal-cone residuals -------------------------------------------------------

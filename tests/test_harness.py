@@ -371,6 +371,26 @@ def test_cli_unusable_options_exit_2_naming_the_key(tmp_path, capsys, experiment
     assert not (tmp_path / "bad" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["dimension = 2.7"], WHOLE_MESSAGE.format("dimension", 2.7)),
+        (["dimension = true"], WHOLE_MESSAGE.format("dimension", True)),
+        (["dimension = 2", "halfspace = {normal = (nan, 1), offset = 0}"], "normals must be finite"),
+    ],
+)
+def test_cli_unusable_domain_file_exits_2(tmp_path, capsys, lines, message):
+    domain_file = tmp_path / "bad.domain"
+    body = lines + ["halfspace = {normal = (0, 1), offset = 0}", "interior_point = (0, 1)"]
+    domain_file.write_text("\n".join(body) + "\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"experiment = condition-checks\ndomain_file = {domain_file}\n")
+    out = tmp_path / "out"
+    assert main(["condition-checks", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def _write_cfg(tmp_path):
     cfg = tmp_path / "fail.cfg"
     cfg.write_text("experiment = ito-formula\nn_paths = 10\nN = 100\n")

@@ -693,14 +693,14 @@ def test_solution_rejects_a_driver_with_another_number_of_paths():
 
 
 def test_condition_a_halfplane():
-    rep = check_condition_a(halfplane()).condition_a
+    rep = check_condition_a(halfplane())
     assert rep.status == "holds"
     assert np.allclose(rep.e, [0.0, 1.0], atol=1e-9)
     assert rep.c == pytest.approx(1.0, abs=1e-12)
 
 
 def test_condition_a_orthant_symmetric_optimum():
-    rep = check_condition_a(orthant(2)).condition_a
+    rep = check_condition_a(orthant(2))
     assert rep.status == "holds"
     assert rep.c == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
     assert np.allclose(rep.e, np.full(2, 1.0 / np.sqrt(2.0)), atol=1e-5)
@@ -709,24 +709,48 @@ def test_condition_a_orthant_symmetric_optimum():
 
 
 def test_condition_a_strip_provable_failure():
-    rep = check_condition_a(strip()).condition_a
+    rep = check_condition_a(strip())
     assert rep.status == "fails"
     assert "antipodal" in rep.detail
 
 
+def test_condition_a_triangle_fails_naming_its_faces():
+    # three normals 120 degrees apart sum to 0; no pair of them is antipodal
+    angles = np.deg2rad([90.0, 210.0, 330.0])
+    triangle = ConvexDomain(
+        2,
+        normals=np.column_stack([np.cos(angles), np.sin(angles)]),
+        offsets=[-1.0, -1.0, -1.0],
+        interior_point=[0.0, 0.0],
+    )
+    rep = check_condition_a(triangle)
+    assert rep.status == "fails"
+    assert "faces 0, 1, 2" in rep.detail
+
+
+@pytest.mark.parametrize("a", [0.05, 0.01, 1e-4])
+def test_condition_a_thin_cone_margin_is_sin_a(a):
+    c, s = np.cos(a), np.sin(a)
+    cone = ConvexDomain(2, normals=[[-c, s], [c, s]], offsets=[0.0, 0.0], interior_point=[0.0, 1.0])
+    rep = check_condition_a(cone)
+    assert rep.status == "holds"
+    assert abs(rep.c - np.sin(a)) <= 4 * np.spacing(np.sin(a))
+    assert np.allclose(rep.e, [0.0, 1.0], atol=1e-15)
+
+
 def test_condition_a_ball_unknown_and_dimension_guard():
-    rep = check_condition_a(unit_disc()).condition_a
+    rep = check_condition_a(unit_disc())
     assert rep.status == "unknown"
     with pytest.raises(ValueError):
         check_condition_a(orthant(9))
 
 
 def test_condition_b_cases():
-    disc = check_condition_b(unit_disc()).condition_b
+    disc = check_condition_b(unit_disc())
     assert disc.status == "holds" and "bounded" in disc.reason
-    plane = check_condition_b(halfplane()).condition_b
+    plane = check_condition_b(halfplane())
     assert plane.status == "holds" and "2" in plane.reason
-    o3 = check_condition_b(orthant(3)).condition_b
+    o3 = check_condition_b(orthant(3))
     assert o3.status == "unknown"
     # bounded polytope without balls: a box in R^3
     box_domain = ConvexDomain(
@@ -735,5 +759,5 @@ def test_condition_b_cases():
         offsets=[0.0, 0.0, 0.0, -1.0, -1.0, -1.0],
         interior_point=[0.5, 0.5, 0.5],
     )
-    box = check_condition_b(box_domain).condition_b
+    box = check_condition_b(box_domain)
     assert box.status == "holds" and "bounded" in box.reason
