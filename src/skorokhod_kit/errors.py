@@ -5,6 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 
+class UsageError(ValueError):
+    """Bad experiment name or unusable configuration."""
+
+
 class GenerationError(RuntimeError):
     """A sampler produced a non-finite value."""
 

@@ -3,22 +3,21 @@
 Every experiment is a pure function of its ExperimentConfig: path i of
 component c always draws from stream c * 2^32 + i of the configured seed,
 and chunked fan-out combines per-chunk results in chunk order, so reruns
-are byte-identical no matter how many workers run (SKOROKHOD_KIT_THREADS
-caps the worker count).
+are byte-identical no matter how many workers run (the pool module's
+SKOROKHOD_KIT_THREADS caps the worker count).
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .config import ExperimentConfig
 from .domains import ConvexDomain, half_line, orthant, unit_disc, halfplane, strip
-from .errors import EvaluationFault, RefinementLimitError
+from .errors import EvaluationFault, RefinementLimitError, UsageError
 from .itocalc import (
     _ISOMETRY_BLOCK,
     Integrand,
@@ -30,6 +29,7 @@ from .itocalc import (
 )
 from .paths import SampledPath, TimeGrid
 from .pathio import RunArtifacts, write_run_artifacts
+from .pool import worker_count  # noqa: F401  the benchmark reads the policy from here
 from .randomness import (
     InitialLaw,
     RngSeed,
@@ -70,10 +70,6 @@ CHUNK = 256
 ROOT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 
-class UsageError(ValueError):
-    """Bad experiment name or unusable configuration."""
-
-
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -93,29 +89,13 @@ def _mean_check(name: str, est: McEstimate, target: float) -> Check:
     return Check(name, est.within(target, 3.0), detail)
 
 
-def worker_count() -> int:
-    env = os.environ.get("SKOROKHOD_KIT_THREADS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise UsageError(
-                f"SKOROKHOD_KIT_THREADS must be an integer worker count of at least 1, got {env!r}"
-            )
-        return workers
-    return min(2, os.cpu_count() or 1)
-
-
 def map_chunks(fn, n_items: int, chunk: int = CHUNK) -> list:
-    """fn(start, stop) over fixed-size ranges; results in range order."""
-    ranges = [(s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]
-    workers = worker_count()
-    if workers == 1 or len(ranges) == 1:
-        return [fn(s, e) for s, e in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda se: fn(*se), ranges))
+    """pool.map_chunks over chunks of CHUNK paths unless told otherwise.
+
+    Defined in this module, not re-exported, because the benchmark's tracer
+    hooks the experiments' fan-out by this function.
+    """
+    return pool.map_chunks(fn, n_items, chunk)
 
 
 def _thread_rows(buffers: threading.local, shape) -> np.ndarray:

@@ -5,7 +5,9 @@ each (seed, stream) pair a reproducible, independent source, so Monte Carlo
 runs can hand one stream to each path and stay deterministic under any
 worker layout. Normals come from the inverse CDF applied to 53-bit uniforms,
 one uniform per normal, so a prefix of a stream always yields a prefix of
-the same increment sequence.
+the same increment sequence, and any block of columns of a stream can be
+drawn on its own by setting the Philox counter (normal_tile): a long path
+can be generated in tiles of steps without drawing it whole.
 """
 
 from __future__ import annotations
@@ -52,28 +54,50 @@ def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
     return _normals(gen.random(n))
 
 
-def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0) -> np.ndarray:
-    """Row i holds the first n_cols normals of stream rng.stream + first_stream + i.
+def normal_tile(
+    rng: RngSeed,
+    n_rows: int,
+    col_start: int,
+    n_cols: int,
+    first_stream: int = 0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Columns col_start .. col_start + n_cols of normal_matrix's rows, in ``out`` if given.
 
-    Row i equals ``standard_normals(rng.with_stream(rng.stream + first_stream +
-    i).generator(), n_cols)`` bit for bit, so two stream blocks of one seed
-    never share rows. One Philox bit generator is re-keyed per row (a
-    Philox stream is just its key, with the counter at 0) and filled by
-    ``Generator.random``, which runs without the GIL, so it overlaps other
-    pool workers' work.
+    Philox is counter-based: its counter steps once per block of four
+    64-bit words, one word per normal, so setting the counter to
+    col_start // 4 with an empty output buffer starts the stream at column
+    col_start. The tile then equals that slice of ``normal_matrix(rng,
+    n_rows, col_start + n_cols, first_stream)`` bit for bit; col_start must
+    be a multiple of 4. One Philox bit generator is re-keyed per row and
+    filled by ``Generator.random``, which runs without the GIL, so it
+    overlaps other pool workers' work.
     """
+    if col_start % 4:
+        raise ValueError(f"col_start must be a multiple of 4, got {col_start}")
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bits)
-    state = bits.state  # fresh: counter 0, output buffer empty
+    state = bits.state  # fresh: output buffer empty
+    state["state"]["counter"] = np.array([col_start // 4, 0, 0, 0], dtype=np.uint64)
     seed = rng.seed % (1 << 64)
     first = rng.stream + first_stream
-    u = np.empty((n_rows, n_cols))
+    u = np.empty((n_rows, n_cols)) if out is None else out
     for i in range(n_rows):
         stream = (first + i) % (1 << 64)
         state["state"]["key"] = np.array([seed, stream], dtype=np.uint64)
         bits.state = state
         gen.random(out=u[i])
     return _normals(u)
+
+
+def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0) -> np.ndarray:
+    """Row i holds the first n_cols normals of stream rng.stream + first_stream + i.
+
+    Row i equals ``standard_normals(rng.with_stream(rng.stream + first_stream +
+    i).generator(), n_cols)`` bit for bit, so two stream blocks of one seed
+    never share rows. It is the tile of normal_tile at column 0.
+    """
+    return normal_tile(rng, n_rows, 0, n_cols, first_stream)
 
 
 @dataclass(frozen=True)

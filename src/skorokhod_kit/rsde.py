@@ -5,7 +5,11 @@ step, then project back into the closure; the projection displacement is the
 pushing increment, kept explicit so the association conditions (pushing only
 at the boundary, along inward normals) can be tested instead of assumed.
 Coefficients come in one form: evaluators of a whole batch of states at
-once, read at left endpoints only. One stepper advances a batch of paths.
+once, read at left endpoints only. One stepper advances a batch of paths
+through time-major increments (steps, paths, r). Many-path runs step all
+paths together over tiles of a few hundred steps, each drawn by
+counter-addressed Philox (randomness.normal_tile) on the worker pool before
+it is stepped, so a tile holds no more increments than 512 whole paths.
 euler_reflected steps one path and returns the batched SkorokhodNdSolution
 carrier with that one row: X, phi and the driver.
 """
@@ -20,7 +24,8 @@ import numpy as np
 from .domains import ConvexDomain
 from .errors import EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .randomness import RngSeed, brownian_increments, normal_matrix, path_values
+from .pool import map_chunks, worker_count
+from .randomness import RngSeed, brownian_increments, normal_matrix, normal_tile, path_values
 from .reflectnd import SkorokhodNdSolution, solve_skorokhod_continuous
 
 
@@ -31,9 +36,11 @@ class SdeCoefficients:
     Both evaluate a batch of states X, shape (m, d), at one time t: ``b``
     returns the (m, d) drifts and ``sigma`` the (m, d, r) diffusion
     matrices, row i for state X[i] alone. They must be pure functions of
-    (t, X). ``lipschitz_K`` declares one constant for the Lipschitz and
-    linear-growth bounds of both coefficients; coefficient_contract_check
-    spot-checks it on random samples.
+    (t, X): on a non-finite result the stepper reruns the steps since its
+    last check. ``b`` may be None for zero drift, which the stepper then
+    neither evaluates nor adds. ``lipschitz_K`` declares one constant for
+    the Lipschitz and linear-growth bounds of both coefficients;
+    coefficient_contract_check spot-checks it on random samples.
 
     A diffusion that does not depend on (t, x) may be given instead as the
     finite matrix ``constant_sigma``, shape (d, r); ``sigma`` is then
@@ -41,7 +48,7 @@ class SdeCoefficients:
     noise term without evaluating sigma.
     """
 
-    b: Callable[[float, np.ndarray], np.ndarray]
+    b: Callable[[float, np.ndarray], np.ndarray] | None
     sigma: Callable[[float, np.ndarray], np.ndarray] | None = None
     constant_sigma: np.ndarray | None = None
     lipschitz_K: float
@@ -68,8 +75,11 @@ class SdeCoefficients:
         object.__setattr__(self, "sigma", lambda t, X: S[None].repeat(len(X), axis=0))
 
 
-# Paths per block of the batched stepper: bounds the increments held at once.
+# Paths per block of strong_error_estimate, and the increments a tile of
+# simulate_reflected_terminal_batch may hold: as many as this many whole paths.
 _PATH_BLOCK = 512
+# Paths each draw thread fills at a time: one such scratch of a tile fits in L2.
+_DRAW_ROWS = 64
 
 
 def _shape_error(name: str, out: np.ndarray, X: np.ndarray, shape) -> ValueError:
@@ -79,42 +89,32 @@ def _shape_error(name: str, out: np.ndarray, X: np.ndarray, shape) -> ValueError
     )
 
 
-def _euler_batch(
-    coeffs: SdeCoefficients,
-    domain: ConvexDomain,
-    x0: np.ndarray,
-    dB: np.ndarray,
-    times: np.ndarray,
-    dt: np.ndarray,
-    first_path: int = 0,
-    free_out: np.ndarray | None = None,
-    state_out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Projected Euler for a batch: from x0 through increments (m, steps, r).
+def _check_paths(n_paths: int) -> None:
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
 
-    The state has shape (m, d). Step k evaluates the coefficients at
-    (times[k], state) for all rows at once, raising ValueError if an
-    evaluator returns another shape, and makes one project_batch call.
-    With ``constant_sigma`` the noise term skips sigma: it is the
-    increments themselves for the identity and one contraction with the
-    matrix otherwise. A non-finite row raises EvaluationFault at the first
-    such row in path order, numbered from ``first_path``. Returns the
-    terminal states; buffers ``free_out`` and ``state_out`` shaped
-    (m, steps, d), when given, receive every step's free and projected state.
+
+def _euler_steps(
+    coeffs, domain, state, dB, times, dt, free_out, state_out, total=None, first=(0, 0)
+):
+    """The steps of _euler_batch; returns the end states.
+
+    With ``total``, the free states are added into it unchecked. Without,
+    each step's free states are checked, and the first non-finite row raises
+    EvaluationFault, numbered from ``first`` = (first step, first path).
     """
-    m, d = dB.shape[0], x0.size
+    m, d = state.shape
     b_shape, sigma_shape = (m, d), (m, d, coeffs.r)
     S = coeffs.constant_sigma
     if S is not None and S.shape[0] != d:
         raise ValueError(f"constant_sigma has {S.shape[0]} rows for a state of dimension {d}")
     identity = S is not None and np.array_equal(S, np.eye(d))
-    state = np.tile(x0, (m, 1))
     # Python floats: the same values as the array entries, read faster per step
-    for k, (t, h) in enumerate(zip(times.tolist(), dt.tolist())):
-        dB_k = dB[:, k, :]
-        drift = np.asarray(coeffs.b(t, state), dtype=np.float64)
-        if drift.shape != b_shape:
-            raise _shape_error("b", drift, state, b_shape)
+    for k, (dB_k, t, h) in enumerate(zip(dB, times.tolist(), dt.tolist())):
+        if coeffs.b is not None:
+            drift = np.asarray(coeffs.b(t, state), dtype=np.float64)
+            if drift.shape != b_shape:
+                raise _shape_error("b", drift, state, b_shape)
         if S is None:
             sig = np.asarray(coeffs.sigma(t, state), dtype=np.float64)
             if sig.shape != sigma_shape:
@@ -122,19 +122,66 @@ def _euler_batch(
             noise = np.einsum("mdr,mr->md", sig, dB_k)
         else:
             noise = dB_k if identity else dB_k @ S.T
-        free = state + drift * h + noise
-        if not np.all(np.isfinite(free)):
+        free = state + noise if coeffs.b is None else state + drift * h + noise
+        if total is not None:
+            with np.errstate(over="ignore"):  # finite states may overflow the sum
+                total += free
+        elif not np.all(np.isfinite(free)):
             bad = int(np.argmin(np.all(np.isfinite(free), axis=1)))
             raise EvaluationFault(
                 "coefficient evaluation was non-finite",
-                step_index=k,
-                path_index=first_path + bad,
+                step_index=first[0] + k,
+                path_index=first[1] + bad,
             )
         state = domain.project_batch(free)
         if free_out is not None:
-            free_out[:, k] = free
-            state_out[:, k] = state
+            free_out[k] = free
+            state_out[k] = state
     return state
+
+
+def _euler_batch(
+    coeffs: SdeCoefficients,
+    domain: ConvexDomain,
+    state: np.ndarray,
+    dB: np.ndarray,
+    times: np.ndarray,
+    dt: np.ndarray,
+    first_step: int = 0,
+    first_path: int = 0,
+    free_out: np.ndarray | None = None,
+    state_out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Projected Euler for a batch: from states (m, d) through increments (steps, m, r).
+
+    The increments are time-major: dB[k] holds step k of every path. Step k
+    evaluates the coefficients at (times[k], state) for all rows at once,
+    raising ValueError if an evaluator returns another shape, and makes one
+    project_batch call. A drift of None is zero. With ``constant_sigma`` the
+    noise term skips sigma: it is the increments themselves for the identity
+    and one contraction with the matrix otherwise.
+
+    Finiteness is checked once per call, on the sum of the free states. If
+    it is non-finite, the steps are rerun from the start states with a check
+    after each, which the coefficients' purity makes exact: a non-finite row
+    raises EvaluationFault at the first such step, numbered from
+    ``first_step``, and its lowest path, numbered from ``first_path``. An
+    exception raised after a non-finite free state is taken as its effect
+    and rerun the same way. A rerun that finds no fault (the sum overflowed)
+    returns the same states. Buffers ``free_out`` and ``state_out`` shaped
+    (steps, m, d), when given, receive every step's free and projected state.
+    """
+    args = (coeffs, domain, state, dB, times, dt, free_out, state_out)
+    total = np.zeros(state.shape)
+    try:
+        end = _euler_steps(*args, total=total)
+    except Exception:
+        if np.all(np.isfinite(total)):
+            raise
+    else:
+        if np.all(np.isfinite(total)):
+            return end
+    return _euler_steps(*args, first=(first_step, first_path))
 
 
 def euler_reflected(
@@ -161,8 +208,8 @@ def euler_reflected(
     X[0] = x0
     free = np.empty((n_steps, d))
     _euler_batch(
-        coeffs, domain, x0, dB, grid.times, grid.deltas,
-        free_out=free[None], state_out=X[None, 1:],
+        coeffs, domain, x0[None], dB.transpose(1, 0, 2), grid.times, grid.deltas,
+        free_out=free[:, None], state_out=X[1:, None],
     )
     # a leading zero row makes each cumsum add in step order from 0
     dphi = np.zeros((n_steps + 1, d))
@@ -236,7 +283,7 @@ def coefficient_contract_check(
     Sample points are Gaussian clouds around the interior witness at several
     scales, drawn first and then projected into the closure in one batch, so
     unbounded domains get probed far out. Each sample pair (x, y) is
-    evaluated as one batch of two states.
+    evaluated as one batch of two states; a drift of None reads as zeros.
     Matrix norms are spectral. Report-only: passes iff every observed ratio
     is at most K (with a 1e-9 slack).
     """
@@ -259,7 +306,10 @@ def coefficient_contract_check(
     pairs = domain.project_batch(raw.reshape(2 * n_samples, d)).reshape(n_samples, 2, d)
     for t, pair in zip(times.tolist(), pairs):
         x, y = pair
-        b = np.asarray(coeffs.b(t, pair), dtype=np.float64)
+        if coeffs.b is None:
+            b = np.zeros(b_shape)
+        else:
+            b = np.asarray(coeffs.b(t, pair), dtype=np.float64)
         if b.shape != b_shape:
             raise _shape_error("b", b, pair, b_shape)
         sig = np.asarray(coeffs.sigma(t, pair), dtype=np.float64)
@@ -319,7 +369,8 @@ def _level_terminals(
             dB = fine.reshape(m, n, n_fine // n, r).sum(axis=2)
             dt = T / n
             terminals[n][start : start + m] = _euler_batch(
-                coeffs, domain, x0, dB, np.arange(n) * dt, np.full(n, dt), first_path=start
+                coeffs, domain, np.tile(x0, (m, 1)), dB.transpose(1, 0, 2),
+                np.arange(n) * dt, np.full(n, dt), first_path=start,
             )
     return terminals
 
@@ -342,8 +393,9 @@ def strong_error_estimate(
     once on the batched projected-Euler stepper shared with
     simulate_reflected_terminal_batch, in blocks of 512 paths. Returns
     (dt, rms) rows, coarsest first; the finest level closes the table with
-    rms 0.
+    rms 0. ``n_paths`` must be at least 1.
     """
+    _check_paths(n_paths)
     d = domain.dimension
     x0 = np.asarray(x0, dtype=np.float64).reshape(d)
     if not domain.contains(x0):
@@ -384,7 +436,7 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
     if base == "unit-diffusion":
         return SdeCoefficients(
             constant_sigma=np.eye(d),
-            b=lambda t, X: np.zeros(X.shape),
+            b=None,
             lipschitz_K=K if K is not None else 1.0,
             r=d,
             name=name,
@@ -422,12 +474,46 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
 
         return SdeCoefficients(
             sigma=sigma,
-            b=lambda t, X: np.zeros(X.shape),
+            b=None,
             lipschitz_K=K if K is not None else 1.0,
             r=d,
             name=name,
         )
     raise ValueError(f"unknown coefficient preset {name!r}")
+
+
+def _tile_width(n_steps: int, n_paths: int) -> int:
+    """Steps per tile: no more increments than _PATH_BLOCK whole paths.
+
+    A multiple of 4, so that every tile starts on a Philox counter block,
+    at least 4 and at most n_steps.
+    """
+    width = _PATH_BLOCK * n_steps // n_paths // 4 * 4
+    return min(max(width, 4), n_steps)
+
+
+def _draw_tile(rng: RngSeed, scale: np.ndarray, k0: int, tile: np.ndarray) -> None:
+    """Fill ``tile`` (w, m, r) with steps k0 .. k0 + w of paths 0 .. m - 1.
+
+    Path i's steps equal ``brownian_increments(rng, m, grid, r)[i, k0:k0 + w]``
+    bit for bit, ``scale`` being sqrt(grid.deltas). The paths are split
+    into one range of whole _DRAW_ROWS blocks per pool thread; each thread
+    draws a block at a time into a scratch (normal_tile, its inverse CDF,
+    the scale), all without the GIL, and writes it transposed into the tile.
+    """
+    w, m, r = tile.shape
+    step_scale = np.repeat(scale[k0 : k0 + w], r) if r > 1 else scale[k0 : k0 + w]
+
+    def fill(start, stop):
+        scratch = np.empty((_DRAW_ROWS, w * r))
+        for a in range(start, stop, _DRAW_ROWS):
+            n = min(_DRAW_ROWS, stop - a)
+            rows = normal_tile(rng, n, k0 * r, w * r, first_stream=a, out=scratch[:n])
+            rows *= step_scale
+            tile[:, a : a + n] = rows.reshape(n, w, r).transpose(1, 0, 2)
+
+    blocks = -(-m // _DRAW_ROWS)
+    map_chunks(fill, m, _DRAW_ROWS * -(-blocks // worker_count()))
 
 
 def simulate_reflected_terminal_batch(
@@ -440,21 +526,30 @@ def simulate_reflected_terminal_batch(
 ) -> np.ndarray:
     """Terminal states of many projected-Euler paths, one stream per path.
 
-    Paths run in blocks of 512 on the batched projected-Euler stepper shared
-    with strong_error_estimate. Path i draws the increments of
-    euler_reflected on stream ``rng.stream + i`` (brownian_increments),
-    which runs them as a batch of one on the same stepper, so the two
-    routes can be cross-checked path for path.
+    All paths step together on the batched projected-Euler stepper shared
+    with strong_error_estimate, over tiles of steps (_tile_width): each tile
+    is drawn on the worker pool, then stepped, so a non-finite coefficient
+    is reported at its first step over all paths, then its lowest path.
+    Path i draws the increments of euler_reflected on stream
+    ``rng.stream + i`` (brownian_increments), which runs them as a batch of
+    one on the same stepper, so the two routes can be cross-checked path
+    for path. ``n_paths`` must be at least 1.
     """
+    _check_paths(n_paths)
     d = domain.dimension
     x0 = np.asarray(x0, dtype=np.float64).reshape(d)
     if not domain.contains(x0):
         raise ValueError("x0 must lie in the closed domain")
-    out = np.empty((n_paths, d))
-    for start in range(0, n_paths, _PATH_BLOCK):
-        m = min(_PATH_BLOCK, n_paths - start)
-        dB = brownian_increments(rng, m, grid, coeffs.r, start)
-        out[start : start + m] = _euler_batch(
-            coeffs, domain, x0, dB, grid.times, grid.deltas, first_path=start
+    n_steps = len(grid) - 1
+    width = _tile_width(n_steps, n_paths)
+    tile = np.empty((width, n_paths, coeffs.r))
+    scale = np.sqrt(grid.deltas)
+    state = np.tile(x0, (n_paths, 1))
+    for k0 in range(0, n_steps, width):
+        dB = tile[: min(width, n_steps - k0)]
+        _draw_tile(rng, scale, k0, dB)
+        k1 = k0 + len(dB)
+        state = _euler_batch(
+            coeffs, domain, state, dB, grid.times[k0:k1], grid.deltas[k0:k1], first_step=k0
         )
-    return out
+    return state

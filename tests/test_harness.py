@@ -194,6 +194,21 @@ def test_rerun_is_byte_identical(tmp_path):
     assert a.artifacts.summary.read_bytes() == b.artifacts.summary.read_bytes()
 
 
+def test_rerun_into_the_same_directory_rewrites_each_file(tmp_path):
+    # emit_paths adds CSVs; each old file is unlinked and written anew
+    config = default_config(
+        "rsde-consistency", n_paths=200, n_steps=100, out_dir=str(tmp_path), emit_paths=True
+    )
+    first = run_experiment(config)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    before = {n: (tmp_path / n).read_bytes() for n in names if n != "manifest.json"}
+    second = run_experiment(config)
+    assert first.exit_code == second.exit_code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert {n: (tmp_path / n).read_bytes() for n in before} == before
+    assert len(before) >= 2  # summary.json and at least one CSV
+
+
 def _load_run_all():
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
     spec = importlib.util.spec_from_file_location("run_all_experiments", script)

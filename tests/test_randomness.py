@@ -9,6 +9,7 @@ from skorokhod_kit.randomness import (
     brownian_increments,
     brownian_paths,
     normal_matrix,
+    normal_tile,
     standard_normals,
 )
 
@@ -120,6 +121,24 @@ def test_normal_matrix_rows_match_per_stream_draws(seed, first_stream, n_cols):
     for i in range(3):
         gen = RngSeed(seed, first_stream + i).generator()
         assert np.array_equal(z[i], standard_normals(gen, n_cols))
+
+
+@pytest.mark.parametrize("col_start, n_cols", [(0, 16), (4, 100), (1024, 512), (2048, 3)])
+def test_normal_tile_is_a_slice_of_normal_matrix(col_start, n_cols):
+    # (2048, 3) is the odd-width end tile of a 2051-column matrix
+    rng = RngSeed(31, 2**32 + 7)
+    whole = normal_matrix(rng, 5, 2051, first_stream=9)
+    tile = normal_tile(rng, 5, col_start, n_cols, first_stream=9)
+    assert np.array_equal(tile, whole[:, col_start : col_start + n_cols])
+    out = np.empty((5, n_cols))
+    assert normal_tile(rng, 5, col_start, n_cols, first_stream=9, out=out) is out
+    assert np.array_equal(out, tile)
+
+
+@pytest.mark.parametrize("col_start", [1, 2, 3, 1026])
+def test_normal_tile_starts_on_a_philox_block(col_start):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        normal_tile(RngSeed(1), 2, col_start, 8)
 
 
 @pytest.mark.parametrize("prior", [0, 1, 2])

@@ -155,6 +155,80 @@ def test_batch_simulator_matches_scheme():
             assert np.array_equal(batch[i], single.X.values[0, -1])
 
 
+def test_tiles_match_single_paths_when_the_width_leaves_a_remainder(monkeypatch):
+    # tiles of 8 steps over 30 steps: three whole tiles and one of 6; 130
+    # paths are three draw blocks, split across two threads
+    monkeypatch.setattr(rsde, "_PATH_BLOCK", 36)
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", "2")
+    grid = TimeGrid.uniform(1.0, 30)
+    n_paths = 130
+    assert rsde._tile_width(30, n_paths) == 8
+    column = SdeCoefficients(
+        constant_sigma=[[1.0], [0.5]], b=lambda t, X: -X, lipschitz_K=1.2, r=1
+    )
+    for coeffs, domain, x0 in [
+        (preset_coefficients("sin-diffusion", d=2), unit_disc(), [0.3, -0.2]),
+        (preset_coefficients("linear-drift(-1)", d=2), orthant(2), [0.1, 0.2]),
+        (column, orthant(2), [0.1, 0.2]),
+    ]:
+        batch = simulate_reflected_terminal_batch(coeffs, domain, x0, grid, RngSeed(6), n_paths)
+        for i in range(n_paths):
+            single = euler_reflected(coeffs, domain, x0, grid, RngSeed(6, i))
+            assert np.array_equal(batch[i], single.X.values[0, -1])
+
+
+def test_tile_width():
+    # no more increments than 512 whole paths, a multiple of 4 in [4, n_steps]
+    assert rsde._tile_width(2000, 2000) == 512
+    assert rsde._tile_width(10_000, 10_000) == 512
+    assert rsde._tile_width(1000, 3000) == 168
+    assert rsde._tile_width(10, 1_000_000) == 4
+    assert rsde._tile_width(3, 1_000_000) == 3
+    assert rsde._tile_width(30, 1) == 30
+
+
+def test_terminal_batch_does_not_depend_on_the_worker_count(monkeypatch):
+    unit = preset_coefficients("unit-diffusion", d=2)
+    grid = TimeGrid.uniform(1.0, 300)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SKOROKHOD_KIT_THREADS", threads)
+        runs.append(
+            simulate_reflected_terminal_batch(unit, orthant(2), [0.0, 0.0], grid, RngSeed(8), 700)
+        )
+    assert runs[0].tobytes() == runs[1].tobytes()
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_path_count_must_be_positive(n_paths):
+    unit = preset_coefficients("unit-diffusion", d=1)
+    with pytest.raises(ValueError, match="n_paths"):
+        simulate_reflected_terminal_batch(
+            unit, half_line(), [0.0], TimeGrid.uniform(1.0, 8), RngSeed(0), n_paths
+        )
+    with pytest.raises(ValueError, match="n_paths"):
+        strong_error_estimate(unit, half_line(), [0.0], 1.0, [1 / 2, 1 / 4], n_paths, RngSeed(0))
+
+
+def test_zero_drift_presets_declare_no_drift():
+    # unit-diffusion and sin-diffusion declare b=None; the contract check reads zeros
+    for name in ("unit-diffusion", "sin-diffusion"):
+        coeffs = preset_coefficients(name, d=2)
+        assert coeffs.b is None
+        report = coefficient_contract_check(coeffs, orthant(2), n_samples=16)
+        assert report.max_b_lipschitz == 0.0 and report.max_b_growth == 0.0
+        assert report.passed
+
+
+def test_overflowing_check_sum_keeps_the_finite_run():
+    # states near 1e308 overflow the sum of free states though every state is
+    # finite: the checked rerun finds no fault and the run stands
+    huge = SdeCoefficients(constant_sigma=[[0.0]], b=None, lipschitz_K=1.0, r=1)
+    grid = TimeGrid.uniform(1.0, 8)
+    out = simulate_reflected_terminal_batch(huge, half_line(), [1e308], grid, RngSeed(0), 3)
+    assert np.array_equal(out, np.full((3, 1), 1e308))
+
+
 def test_batch_simulator_falls_back_without_batch_evaluators():
     # zero coefficients given as evaluators, sigma evaluated each step
     grid = TimeGrid.uniform(1.0, 50)
@@ -180,35 +254,58 @@ def _threshold_drift():
     )
 
 
-def _first_crossing(states, block):
-    # (step, path) of the first left endpoint at or above 1: blocks of paths
-    # in order, then steps, then paths within the block
+def _first_crossing(states):
+    # (step, path) of the first left endpoint at or above 1: the first step
+    # over all paths, then the lowest path at that step
     hit = states[:, :-1] >= 1.0
-    for start in range(0, len(hit), block):
-        rows = hit[start : start + block]
-        if rows.any():
-            k = int(np.argmax(rows.any(axis=0)))
-            return k, start + int(np.argmax(rows[:, k]))
-    raise AssertionError("no path reaches the threshold")
+    if not hit.any():
+        raise AssertionError("no path reaches the threshold")
+    k = int(np.argmax(hit.any(axis=0)))
+    return k, int(np.argmax(hit[:, k]))
 
 
 WIDE_LINE = ConvexDomain(1, normals=[[1.0]], offsets=[-1e6], interior_point=[0.0])
 
 
 def test_batch_simulator_fault_names_path_and_step(monkeypatch):
-    monkeypatch.setattr(rsde, "_PATH_BLOCK", 4)
+    # tiles of 28 steps; at this seed path 17 reaches 1 first, at step 37 in
+    # the second tile, and paths 12 and 14 only later
+    monkeypatch.setattr(rsde, "_PATH_BLOCK", 3)
     grid = TimeGrid.uniform(1.0, 200)
     n_paths = 20
-    # at this seed only paths 12, 14 and 17 reach 1, so the fault is in the fourth block
+    assert rsde._tile_width(200, n_paths) == 28
     dB = normal_matrix(RngSeed(15), n_paths, 200) * np.sqrt(grid.deltas)
     states = np.hstack([np.zeros((n_paths, 1)), np.cumsum(dB, axis=1)])
-    step, path = _first_crossing(states, 4)
-    assert path >= 12
+    step, path = _first_crossing(states)
+    assert (step, path) == (37, 17)
     with pytest.raises(EvaluationFault) as err:
         simulate_reflected_terminal_batch(
             _threshold_drift(), WIDE_LINE, [0.0], grid, RngSeed(15), n_paths
         )
     assert (err.value.step_index, err.value.path_index) == (step, path)
+
+
+def test_fault_that_upsets_an_evaluator_is_named_at_its_step():
+    # sigma refuses non-finite states, as a user evaluator may: the NaN drift
+    # of path 3 at step 5 is still the fault, not sigma's error at step 6
+    grid = TimeGrid.uniform(1.0, 20)
+    t5 = grid.times.tolist()[5]
+
+    def b(t, X):
+        out = np.zeros_like(X)
+        if t == t5:
+            out[3] = np.nan
+        return out
+
+    def sigma(t, X):
+        if not np.all(np.isfinite(X)):
+            raise ValueError("non-finite state")
+        return np.ones((len(X), 1, 1))
+
+    coeffs = SdeCoefficients(sigma=sigma, b=b, lipschitz_K=1.0, r=1)
+    with pytest.raises(EvaluationFault) as err:
+        simulate_reflected_terminal_batch(coeffs, WIDE_LINE, [0.0], grid, RngSeed(1), 8)
+    assert (err.value.step_index, err.value.path_index) == (5, 3)
 
 
 def test_strong_error_fault_names_path_and_step():
@@ -217,7 +314,7 @@ def test_strong_error_fault_names_path_and_step():
     fine = normal_matrix(RngSeed(8), n_paths, 64) * np.sqrt(1.0 / 64)
     coarse = fine.reshape(n_paths, 8, 8).sum(axis=2)
     states = np.hstack([np.zeros((n_paths, 1)), np.cumsum(coarse, axis=1)])
-    step, path = _first_crossing(states, n_paths)
+    step, path = _first_crossing(states)
     with pytest.raises(EvaluationFault) as err:
         strong_error_estimate(
             _threshold_drift(), WIDE_LINE, [0.0], 1.0, [1 / 8, 1 / 64], n_paths, RngSeed(8)
@@ -362,8 +459,8 @@ def test_semimartingale_route_matches_euler():
 
 def _oracle_step(coeffs, domain, t, y, dt, dB_k):
     # one projected-Euler step: coefficients on a batch of one state, a
-    # matrix-vector noise term and scalar projection
-    drift = coeffs.b(t, y[None])[0]
+    # matrix-vector noise term and scalar projection; a drift of None is zero
+    drift = np.zeros_like(y) if coeffs.b is None else coeffs.b(t, y[None])[0]
     sig = coeffs.sigma(t, y[None])[0]
     free = y + drift * dt + sig @ dB_k
     return free, domain.project(free)
@@ -595,18 +692,20 @@ def test_constant_sigma_route_matches_generic_route(preset, domain, x0, monkeypa
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_constant_sigma_nan_drift_names_step_and_path(d, monkeypatch):
-    # drift turns NaN on path 13 at step 17 only; paths run in blocks of 8
-    n_steps, chunk, step, path = 50, 8, 17, 13
-    monkeypatch.setattr(rsde, "_PATH_BLOCK", chunk)
-    calls = []
+    # all 20 paths step as one batch, so batch row i is path i: the drift
+    # turns NaN in rows 16 and 13 at step 17 and in row 2 at step 19, a pure
+    # function of (t, X). The fault is the first step over all paths (in the
+    # third tile of 8 steps), then its lowest path.
+    n_steps, n_paths = 50, 20
+    monkeypatch.setattr(rsde, "_PATH_BLOCK", 4)
+    assert rsde._tile_width(n_steps, n_paths) == 8
+    grid = TimeGrid.uniform(1.0, n_steps)
+    times = grid.times.tolist()
+    bad_rows = {times[17]: [16, 13], times[19]: [2]}
 
     def b(t, X):
-        k = len(calls) % n_steps
-        block = len(calls) // n_steps
-        calls.append(t)
         out = np.zeros_like(X)
-        if k == step and block == path // chunk:
-            out[path % chunk, d - 1] = np.nan
+        out[bad_rows.get(t, []), d - 1] = np.nan
         return out
 
     coeffs = SdeCoefficients(
@@ -617,10 +716,8 @@ def test_constant_sigma_nan_drift_names_step_and_path(d, monkeypatch):
     )
     domain = WIDE_LINE if d == 1 else orthant(2)
     with pytest.raises(EvaluationFault) as err:
-        simulate_reflected_terminal_batch(
-            coeffs, domain, [0.5] * d, TimeGrid.uniform(1.0, n_steps), RngSeed(4), 20
-        )
-    assert (err.value.step_index, err.value.path_index) == (step, path)
+        simulate_reflected_terminal_batch(coeffs, domain, [0.5] * d, grid, RngSeed(4), n_paths)
+    assert (err.value.step_index, err.value.path_index) == (17, 13)
 
 
 def test_constant_sigma_validation():
