@@ -25,7 +25,6 @@ from .errors import (
     ContractError,
     EvaluationFault,
     GenerationError,
-    ProjectionIterationError,
     RefinementLimitError,
 )
 from .itocalc import (
@@ -80,7 +79,6 @@ __all__ = [
     "LocalTimeEstimate",
     "McEstimate",
     "PathKind",
-    "ProjectionIterationError",
     "RefinementLimitError",
     "RngSeed",
     "SampledPath",

@@ -8,28 +8,25 @@ The constructor classifies the domain once. A box (no balls, every normal
 +-e_i, redundant faces on one axis folded into one lower and one upper bound
 per coordinate) projects by the exact coordinate-wise clip, which is also
 the identity, signed zeros included, on the closure. Other domains project
-in closed form when at most one constraint is violated; past that, a
-polyhedron (no balls) projects exactly by least distance, and a domain with
-a ball by Dykstra's cyclic scheme. Projection and slacks have one
-implementation each, on batches of points (``project_batch``,
-``slack_matrix``); ``project`` and ``slacks`` of one point are batches of one.
+in closed form when one constraint is violated and its projection lands in
+the closure; past that, every domain projects exactly by enumerating the
+supports (sets of at most d faces and balls) that can be active at the
+nearest point. Projection and slacks have one implementation each, on
+batches of points (``project_batch``, ``slack_matrix``); ``project`` and
+``slacks`` of one point are batches of one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProjectionIterationError
-
-# Dykstra stops once a cycle moves and violates by at most the tolerance
-DEFAULT_PROJECT_TOL = 1e-10
-DEFAULT_PROJECT_MAX_ITER = 10_000
-# a one-constraint projection landing farther than this (relative) outside
-# another constraint is redone by the general route
-_LANDED_TOL = 1e-12
 _UNIT_NORM_TOL = 1e-12
+# a point near x is in the closure when no slack is below -_FEASIBLE_TOL
+# (1 + size + |x|): a few ulps of the largest magnitude involved
+_FEASIBLE_TOL = 8.0 * np.finfo(np.float64).eps
 
 
 def _box_bounds(normals: np.ndarray, offsets: np.ndarray, d: int):
@@ -73,6 +70,8 @@ class ConvexDomain:
     interior_point: np.ndarray = field(default=None)
     # (lo, hi) bounds when the domain is an axis-aligned box, else None
     _box: tuple | None = field(default=None, init=False, repr=False)
+    # largest |b_i| or |c_j| + r_j, the scale of the domain's rounding
+    _size: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         d = self.dimension
@@ -114,6 +113,8 @@ class ConvexDomain:
             raise ValueError("witness point is not strictly interior")
         if not radii.size:
             object.__setattr__(self, "_box", _box_bounds(normals, offsets, d))
+        reach = np.sqrt(np.vecdot(centers, centers)) + radii
+        object.__setattr__(self, "_size", max(np.max(np.abs(offsets), initial=0.0), np.max(reach, initial=0.0)))
 
     @property
     def n_constraints(self) -> int:
@@ -151,58 +152,19 @@ class ConvexDomain:
             x = np.where(x > hi, hi, x)
         return x
 
-    def _project_single(self, x: np.ndarray, idx: int) -> np.ndarray:
-        """Exact projection onto constraint idx (halfspace first, then balls)."""
-        m = self.normals.shape[0]
-        if idx < m:
-            n = self.normals[idx]
-            gap = self.offsets[idx] - n @ x
-            if gap <= 0.0:
-                return x
-            return x + gap * n
-        j = idx - m
-        c = self.centers[j]
-        v = x - c
-        dist = np.linalg.norm(v)
-        if dist <= self.radii[j]:
-            return x
-        return c + (self.radii[j] / dist) * v
-
     def project(self, x: np.ndarray) -> np.ndarray:
         """Nearest point of the closure; identity (bit-exact) on the closure."""
         return self.project_batch(np.reshape(x, (1, self.dimension)))[0]
 
-    def _dykstra(self, x: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-        n_sets = self.n_constraints
-        y = x.copy()
-        corrections = np.zeros((n_sets, self.dimension))
-        prev = y.copy()
-        for _ in range(max_iter):
-            for i in range(n_sets):
-                z = y + corrections[i]
-                y_new = self._project_single(z, i)
-                corrections[i] = z - y_new
-                y = y_new
-            move = float(np.linalg.norm(y - prev))
-            violation = float(max(0.0, -np.min(self.slacks(y))))
-            if violation <= tol and move <= tol:
-                return y
-            prev = y.copy()
-        raise ProjectionIterationError(
-            f"cyclic projection did not reach tol={tol} in {max_iter} cycles",
-            last_iterate=y,
-            residual=(violation, move),
-        )
-
     def project_batch(self, points: np.ndarray) -> np.ndarray:
         """Nearest point of the closure for each row of points.
 
-        A box is clipped in one pass. Otherwise interior rows and rows
-        violating a single constraint are handled in closed form for the
-        whole batch. Rows whose one-constraint projection exposes another
-        constraint, or that violate several, are projected by least distance
-        as one batch on a polyhedron, and by Dykstra one row at a time on a
-        domain with a ball.
+        A box is clipped in one pass. Otherwise interior rows are returned as
+        they are, and rows violating a single constraint are projected onto it
+        in closed form for the whole batch. Rows whose one-constraint
+        projection leaves the closure, or that violate several constraints,
+        are projected by support enumeration (:meth:`_project_on_supports`),
+        all such rows at once.
         """
         if self._box is not None:
             return self._clip(np.asarray(points, dtype=np.float64))
@@ -218,9 +180,11 @@ class ConvexDomain:
         m = self.offsets.size
         on_face = idx < m
         if m:
-            # one violated face: x + gap * n with gap = b - <n, x> = -slack exactly
+            # one violated face: x + (gap / |n|^2) n with gap = b - <n, x> = -slack
+            # exactly; |n|^2 is 1 only to the constructor's tolerance
             r, i = rows[on_face], idx[on_face]
-            out[r] = pts[r] - slacks[r, i, None] * self.normals[i]
+            step = self.normals / np.vecdot(self.normals, self.normals)[:, None]
+            out[r] = pts[r] - slacks[r, i, None] * step[i]
         if self.radii.size:
             # one violated ball: c + (r / |x - c|) (x - c), left alone where
             # this norm rounds to |x - c| <= r although the slack was negative
@@ -228,22 +192,74 @@ class ConvexDomain:
             c, radius, x = self.centers[j], self.radii[j], pts[r]
             dist = np.sqrt(np.vecdot(x - c, x - c))
             out[r] = np.where((dist > radius)[:, None], c + (radius / dist)[:, None] * (x - c), x)
-        # rows whose single-constraint projection exposed another constraint
+        # rows whose single-constraint projection left the closure
         rows = np.flatnonzero(single)
         landed = out[rows]
-        scale = 1.0 + np.sqrt(np.vecdot(landed, landed))
-        redo = rows[np.min(self.slack_matrix(landed), axis=1) < -_LANDED_TOL * scale]
-        rest = np.concatenate([redo, np.flatnonzero(n_bad > 1)])
-        if rest.size and not self.radii.size:
-            _, weights = _least_distance_support(self.normals, self.offsets, pts[rest])
-            supports, group = np.unique(weights > 0.0, axis=0, return_inverse=True)
-            for s, faces in enumerate(supports):
-                rows = rest[group.reshape(-1) == s]
-                out[rows] = _onto_faces(pts[rows], self.normals[faces], self.offsets[faces])
-            return out
-        for row in rest:
-            out[row] = self._dykstra(pts[row], DEFAULT_PROJECT_TOL, DEFAULT_PROJECT_MAX_ITER)
+        outside = np.min(self.slack_matrix(landed), axis=1) < self._least_slack(landed)
+        rest = np.concatenate([rows[outside], np.flatnonzero(n_bad > 1)])
+        if rest.size:
+            out[rest] = self._project_on_supports(pts[rest])
         return out
+
+    def _least_slack(self, x: np.ndarray) -> np.ndarray:
+        """Least slack that rounding leaves a point of the closure near each row of x."""
+        return -_FEASIBLE_TOL * (1.0 + self._size + np.sqrt(np.vecdot(x, x)))
+
+    def _project_on_supports(self, x: np.ndarray) -> np.ndarray:
+        """Nearest point of the closure for each row of x, by support enumeration.
+
+        The nearest point p is the point nearest x on the boundaries of a
+        support S of at most d constraints with independent gradients. S's
+        faces and the radical hyperplanes of its balls (sphere equations
+        minus the first's) cut out an affine set A; x' and c' are the
+        projections onto A of x and of the first centre c. With a ball
+        (c, r), the candidate is c' + rho (x' - c') / |x' - c'|, rho^2 =
+        r^2 - |c - c'|^2 (no candidate if negative); otherwise x'. Every
+        candidate in the closure (slacks >= :meth:`_least_slack`) is at least
+        as far from x as p, so the nearest one is p. A row with none
+        (rounding on an ill-conditioned support) gets the least violating.
+        """
+        m, n, d = self.offsets.size, self.n_constraints, self.dimension
+        least = self._least_slack(x)
+        best = np.empty_like(x)
+        best_violation = np.full(len(x), np.inf)
+        best_dist = np.full(len(x), np.inf)
+        for support in [s for k in range(1, d + 1) for s in itertools.combinations(range(n), k)]:
+            faces = [i for i in support if i < m]
+            balls = [i - m for i in support if i >= m]
+            normals, offsets, rows = self.normals[faces], self.offsets[faces], x
+            if balls:
+                c, r = self.centers[balls], self.radii[balls]
+                # |y - c_j|^2 - r_j^2 = |y - c_0|^2 - r_0^2, i.e. <c_j - c_0, y> = h_j
+                gaps = c[1:] - c[0]
+                h = 0.5 * (np.vecdot(c[1:], c[1:]) - r[1:] ** 2 - c[0] @ c[0] + r[0] ** 2)
+                lengths = np.sqrt(np.vecdot(gaps, gaps))
+                if np.any(lengths == 0.0):
+                    continue  # concentric spheres: equal (a smaller support) or disjoint
+                normals = np.concatenate([normals, gaps / lengths[:, None]])
+                offsets = np.concatenate([offsets, h / lengths])
+                rows = np.vstack([c[0], x])  # c' is the first row of the projection
+            onto = _onto_faces(rows, normals, offsets)
+            if onto is None:
+                continue  # dependent: a smaller support has the same boundaries
+            if balls:
+                center, onto = onto[0], onto[1:]
+                rho2 = r[0] ** 2 - np.sum((c[0] - center) ** 2)
+                if rho2 < 0.0:
+                    continue
+                toward = onto - center
+                length = np.sqrt(np.vecdot(toward, toward))
+                scale = np.divide(np.sqrt(rho2), length, out=np.zeros_like(length), where=length > 0.0)
+                onto = center + scale[:, None] * toward
+            # a candidate off its own boundaries (x' - c' of rounding size gives
+            # the sphere point a direction of noise) fails here too
+            violation = np.max(least[:, None] - self.slack_matrix(onto), axis=1, initial=0.0)
+            dist = np.vecdot(onto - x, onto - x)
+            better = (violation < best_violation) | ((violation == best_violation) & (dist < best_dist))
+            best[better] = onto[better]
+            best_violation[better] = violation[better]
+            best_dist[better] = dist[better]
+        return best
 
     def distance_to_boundary(self, x: np.ndarray) -> float:
         """Distance to the boundary: min |slack| inside, distance to the set outside."""
@@ -379,32 +395,32 @@ def normal_cone_residuals(points, directions, domain: ConvexDomain, tol_bd=None)
     return _least_distance(normals, active, u)
 
 
-def _least_distance_support(normals, offsets, pts):
-    """Faces of {y : N y >= b} active at the point nearest each row x of pts (x outside).
+def _least_distance_support(normals, offsets):
+    """Faces of {z : N z >= b} active at its point nearest 0 (0 outside the set).
 
-    That point x + z minimizes |z| subject to N z >= b - N x, a least-distance
-    program (Lawson & Hanson 1974, ch. 23) whose dual is the distance from
-    e_{d+1} to the cone of the lifted generators (n_j, b_j - <n_j, x>). Returns
-    its ``(residuals, weights)``: a zero residual means the set is empty, and
-    otherwise the faces with positive weight are active at the nearest point.
+    That point minimizes |z| subject to N z >= b, a least-distance program
+    (Lawson & Hanson 1974, ch. 23) whose dual is the distance from e_{d+1} to
+    the cone of the lifted generators (n_j, b_j). Returns its ``(residual,
+    weights)``: a zero residual means the set is empty, and otherwise the
+    faces with positive weight are active at the nearest point.
     """
-    rows, d = pts.shape
-    gap = offsets - np.vecdot(pts[:, None, :], normals)
-    # solve for z / s, s > 0 the row's largest violation: residuals of order 1
-    gap /= np.max(gap, axis=1, keepdims=True)
-    gens = np.broadcast_to(normals, (rows,) + normals.shape)
-    lifted = np.concatenate([gens, gap[..., None]], axis=2)
-    target = np.broadcast_to(np.eye(d + 1)[d], (rows, d + 1))
-    return _least_distance(lifted, np.ones(gap.shape, dtype=bool), target)
+    lifted = np.concatenate([normals, offsets[:, None]], axis=1)[None]
+    target = np.eye(normals.shape[1] + 1)[-1:]
+    residuals, weights = _least_distance(lifted, np.ones((1, offsets.size), dtype=bool), target)
+    return residuals[0], weights[0]
 
 
 def _onto_faces(x, normals, offsets):
-    """Projection of each row of x onto {N y = b}, N with independent rows.
+    """Projection of each row of x onto {N y = b}, N with unit rows; None if they are dependent.
 
     x - Q Q^T x + Q R^-T b with N^T = QR, summed elementwise rather than by
-    BLAS so that a row does not depend on its batch.
+    BLAS so that a row does not depend on its batch. No rows: x itself.
     """
+    if not len(offsets):
+        return x
     q, r = np.linalg.qr(normals.T)
+    if np.min(np.abs(np.diagonal(r))) <= _DEPENDENT_TOL:
+        return None
     along = np.vecdot(np.vecdot(x[:, None, :], q.T)[:, None, :], q)
     return (x - along) + q @ np.linalg.solve(r.T, offsets)
 

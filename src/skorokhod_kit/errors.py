@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class UsageError(ValueError):
     """Bad experiment name or unusable configuration."""
@@ -30,19 +28,6 @@ class EvaluationFault(RuntimeError):
 
 class ContractError(ValueError):
     """A declared analytic contract (partial derivatives, bounds) failed a spot check."""
-
-
-class ProjectionIterationError(RuntimeError):
-    """Cyclic projection did not converge within the iteration budget.
-
-    Carries the last iterate and the residual (max constraint violation,
-    last cycle movement).
-    """
-
-    def __init__(self, message: str, last_iterate: np.ndarray, residual: tuple[float, float]):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
 
 
 class RefinementLimitError(RuntimeError):

@@ -367,7 +367,7 @@ def check_condition_a(domain: ConvexDomain) -> ConditionAResult:
 
     Condition A asks for a unit e and c > 0 with <n_j, e> >= c for each inward
     normal n_j. The best e is z/|z| for the point z of {N z >= 1} nearest 0,
-    found exactly as in polyhedral projection, and c = min(N e). If that set
+    found exactly by least distance, and c = min(N e). If that set
     is empty, the weighted faces have 0 in the convex hull of their normals
     and condition A fails. Domains with balls (a continuum of boundary
     normals) report unknown.
@@ -380,9 +380,9 @@ def check_condition_a(domain: ConvexDomain) -> ConditionAResult:
             detail="ball constraints contribute a continuum of boundary normals",
         )
     normals, origin = domain.normals, np.zeros((1, domain.dimension))
-    residual, weights = _least_distance_support(normals, np.ones(normals.shape[0]), origin)
-    faces = np.flatnonzero(weights[0] > 0.0)
-    if residual[0] <= _EMPTY_TOL:
+    residual, weights = _least_distance_support(normals, np.ones(normals.shape[0]))
+    faces = np.flatnonzero(weights > 0.0)
+    if residual <= _EMPTY_TOL:
         detail = (
             "two face normals are antipodal; no direction can make a positive angle with both"
             if faces.size == 2

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from skorokhod_kit import (
     ConvexDomain,
-    ProjectionIterationError,
     active_normal_cone,
     active_normal_cones,
     ball_domain,
@@ -23,6 +22,9 @@ from skorokhod_kit.config import load_domain_file
 from skorokhod_kit.domains import _active_generators
 
 DOMAIN_FILES = sorted((Path(__file__).resolve().parents[1] / "configs" / "domains").glob("*.domain"))
+CAPPED_HALFPLANE = load_domain_file(DOMAIN_FILES[0])
+# two unit discs whose boundaries cross at the corners (0, +-sqrt(3/4))
+LENS = ConvexDomain(2, centers=[[-0.5, 0.0], [0.5, 0.0]], radii=[1.0, 1.0], interior_point=[0.0, 0.0])
 
 
 def brute_force_nearest(x, candidates):
@@ -100,7 +102,7 @@ def test_projection_idempotent(x):
 @settings(max_examples=60, deadline=None)
 @given(point_2d, point_2d)
 def test_projection_nonexpansive(x, y):
-    for dom in (orthant(2), unit_disc(), strip()):
+    for dom in (orthant(2), unit_disc(), strip(), CAPPED_HALFPLANE, LENS):
         px, py = dom.project(x), dom.project(y)
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 2e-10
 
@@ -109,19 +111,11 @@ def test_projection_nonexpansive(x, y):
 @given(point_2d, point_2d)
 def test_projection_variational_inequality(x, q_raw):
     # <x - Px, q - Px> <= tol (1 + |q|) for q in the closure
-    for dom in (orthant(2), unit_disc()):
+    for dom in (orthant(2), unit_disc(), CAPPED_HALFPLANE, LENS):
         p = dom.project(x)
         q = dom.project(q_raw)
         inner = float((x - p) @ (q - p))
         assert inner <= 1e-10 * (1.0 + np.linalg.norm(q))
-
-
-def test_iteration_limit_error_carries_state():
-    dom = orthant(2)
-    with pytest.raises(ProjectionIterationError) as err:
-        dom._dykstra(np.array([-1.0, -1.0]), tol=1e-10, max_iter=1)
-    assert err.value.last_iterate.shape == (2,)
-    assert len(err.value.residual) == 2
 
 
 def test_domain_constructor_validation():
@@ -408,11 +402,11 @@ def test_named_boxes_clip_exactly(name):
         assert row.tobytes() == _clip_oracle(x, bounds).tobytes()
 
 
-def test_box_corner_rows_never_reach_dykstra(monkeypatch):
-    def no_dykstra(self, x, tol, max_iter):
-        raise AssertionError("box rows must not reach _dykstra")
+def test_box_corner_rows_never_reach_the_enumeration(monkeypatch):
+    def no_enumeration(self, x):
+        raise AssertionError("box rows must not reach _project_on_supports")
 
-    monkeypatch.setattr(ConvexDomain, "_dykstra", no_dykstra)
+    monkeypatch.setattr(ConvexDomain, "_project_on_supports", no_enumeration)
     dom = orthant(3)
     gen = np.random.Generator(np.random.Philox(key=np.array([5, 6], dtype=np.uint64)))
     corners = -np.abs(gen.normal(size=(200, 3)))  # every row violates all three faces
@@ -451,7 +445,8 @@ NOT_BOXES = {
         interior_point=[1.0, 1.0],
     ),
     "unit_disc": unit_disc(),
-    "capped_halfplane": load_domain_file(DOMAIN_FILES[0]),
+    "capped_halfplane": CAPPED_HALFPLANE,
+    "lens": LENS,
 }
 
 
@@ -460,57 +455,97 @@ def test_other_domains_keep_the_general_route(name, monkeypatch):
     dom = NOT_BOXES[name]
     assert dom._box is None
     calls = []
-    real = ConvexDomain._dykstra
+    real = ConvexDomain._project_on_supports
 
-    def counting(self, x, tol, max_iter):
+    def counting(self, x):
         calls.append(1)
-        return real(self, x, tol, max_iter)
+        return real(self, x)
 
-    monkeypatch.setattr(ConvexDomain, "_dykstra", counting)
+    monkeypatch.setattr(ConvexDomain, "_project_on_supports", counting)
     pts = _probe_points(dom)
     batch = dom.project_batch(pts)
     for row, x in zip(batch, pts):
         assert np.array_equal(row, dom.project(x))
-    if not dom.radii.size:
-        assert not calls  # polyhedra project by least distance
-    elif dom.normals.shape[0]:
-        assert calls  # rows past a face-and-ball corner still take Dykstra
-
-
-# --- polyhedral projection by least distance ---------------------------------------
-
-
-def _no_dykstra(self, x, tol, max_iter):
-    raise AssertionError("a domain without balls must not reach _dykstra")
-
-
-@pytest.mark.parametrize("name", sorted(n for n, d in NOT_BOXES.items() if not d.radii.size))
-def test_polyhedra_never_reach_dykstra(name, monkeypatch):
-    monkeypatch.setattr(ConvexDomain, "_dykstra", _no_dykstra)
-    dom = NOT_BOXES[name]
-    pts = _probe_points(dom)
-    batch = dom.project_batch(pts)
     assert np.all(np.min(dom.slack_matrix(batch), axis=1) >= -1e-12 * (1.0 + np.linalg.norm(pts, axis=1)))
+    # one constraint: always closed form; several: some probe leaves the closure past a corner
+    assert bool(calls) == (dom.n_constraints > 1)
+
+
+def test_single_face_projection_divides_by_the_normal_norm():
+    # |n| = 1 + 4e-13 is accepted as unit; x - slack n alone would land at (1, 4.0e-13)
+    p = NOT_BOXES["scaled_axis"].project(np.array([1.0, -0.5]))
+    assert np.max(np.abs(p - [1.0, 0.0])) <= 1e-15
+
+
+@pytest.mark.parametrize("a", [4.9, 4.99, 4.999])
+def test_thin_caps_project_to_their_corners(a):
+    # {y >= a} and B(0, 5) meet at (+-sqrt(25 - a^2), a) at an angle that
+    # closes as a -> 5; each point below lies in the normal cone of a corner
+    dom = ConvexDomain(
+        2, normals=[[0.0, 1.0]], offsets=[a], centers=[[0.0, 0.0]], radii=[5.0], interior_point=[0.0, 0.5 * (a + 5.0)]
+    )
+    pts = np.array([[10.0, a - 1.0], [7.0, 4.0], [100.0, -3.0], [3.0, -20.0], [0.5 * (1.0 + a), 5.5]])
+    pts = np.vstack([pts, pts * [-1.0, 1.0]])
+    corners = np.stack([np.copysign(np.sqrt(25.0 - a * a), pts[:, 0]), np.full(len(pts), a)], axis=1)
+    gap = np.max(np.abs(dom.project_batch(pts) - corners), axis=1)
+    assert np.all(gap <= 1e-15 * (1.0 + np.linalg.norm(pts, axis=1)))
+
+
+def test_lens_projects_to_its_corners():
+    # beyond a corner, inside the cone of the two outward ball normals (+-1/2, sqrt(3/4))
+    up = np.array([[0.0, 5.0], [0.4, 3.0], [-0.4, 3.0], [0.0, 0.9], [1e6, 2e6]])
+    pts = np.vstack([up, up * [1.0, -1.0]])
+    corners = np.stack([np.zeros(len(pts)), np.copysign(np.sqrt(0.75), pts[:, 1])], axis=1)
+    gap = np.max(np.abs(LENS.project_batch(pts) - corners), axis=1)
+    assert np.all(gap <= 1e-15 * (1.0 + np.linalg.norm(pts, axis=1)))
+
+
+# --- exact projection by support enumeration ---------------------------------------
 
 
 def _nearest_point_oracle(x, dom):
-    """Brute-force primal enumeration for a domain without balls.
+    """Brute-force primal enumeration, one point at a time.
 
-    Tries every subset of at most d faces with independent normals, projects
-    x onto that subset's equality set, and keeps the feasible point nearest
-    to x (x itself when it is inside).
+    Tries every subset of at most d constraints. Its faces and the radical
+    hyperplanes of its balls (each sphere's equation minus the first's) must
+    have independent normals; x and the first centre c are projected onto
+    that affine set by the normal equations, giving x' and c', and with a
+    ball the candidate is the point c' + rho (x' - c') / |x' - c'| of the
+    sphere of radius rho = sqrt(r^2 - |c - c'|^2) about c'. Keeps the feasible
+    candidate nearest to x (x itself when it is inside).
     """
-    normals, offsets, d = dom.normals, dom.offsets, dom.dimension
+    m, d = dom.offsets.size, dom.dimension
     tol = 1e-14 * (1.0 + np.linalg.norm(x))
-    best, best_dist = None, np.inf
-    for k in range(d + 1):
-        for faces in itertools.combinations(range(len(offsets)), k):
-            n, b = normals[list(faces)], offsets[list(faces)]
-            if k and np.linalg.svd(n, compute_uv=False)[-1] < 1e-9:
+    inside = np.min(dom.slacks(x)) >= 0.0
+    best, best_dist = (x, 0.0) if inside else (None, np.inf)
+    for k in range(1, d + 1):
+        for support in itertools.combinations(range(dom.n_constraints), k):
+            faces = [i for i in support if i < m]
+            balls = [i - m for i in support if i >= m]
+            n, b = list(dom.normals[faces]), list(dom.offsets[faces])
+            c, r = dom.centers[balls], dom.radii[balls]
+            for cj, rj in zip(c[1:], r[1:]):
+                g = 2.0 * (cj - c[0])
+                n.append(g / np.linalg.norm(g))
+                b.append((cj @ cj - c[0] @ c[0] - rj**2 + r[0] ** 2) / np.linalg.norm(g))
+            n, b = np.array(n).reshape(-1, d), np.array(b)
+            if len(b) and np.linalg.svd(n, compute_uv=False)[-1] < 1e-9:
                 continue
-            p = x - n.T @ np.linalg.solve(n @ n.T, n @ x - b) if k else x
+
+            def onto(y):
+                return y - n.T @ np.linalg.solve(n @ n.T, n @ y - b) if len(b) else y
+
+            p = onto(x)
+            if balls:
+                center = onto(c[0])
+                rho2 = r[0] ** 2 - np.sum((c[0] - center) ** 2)
+                if rho2 < 0.0:
+                    continue
+                toward = p - center
+                length = np.linalg.norm(toward)
+                p = center + (np.sqrt(rho2) / length) * toward if length else center
             dist = np.linalg.norm(p - x)
-            if np.min(normals @ p - offsets) >= -tol and dist < best_dist:
+            if np.min(dom.slacks(p)) >= -tol and dist < best_dist:
                 best, best_dist = p, dist
     return best
 
@@ -522,19 +557,23 @@ def _cone(a):
 
 
 @pytest.mark.parametrize("a", [0.05, 0.01])
-def test_thin_cone_projects_to_its_apex(a, monkeypatch):
-    # the cyclic scheme stopped 9.9e-10 away at a = 0.05 and ran out of cycles at 0.01
-    monkeypatch.setattr(ConvexDomain, "_dykstra", _no_dykstra)
+def test_thin_cone_projects_to_its_apex(a):
+    # a cyclic scheme stopped 9.9e-10 away at a = 0.05 and ran out of cycles at 0.01
     assert np.linalg.norm(_cone(a).project(np.array([0.0, -1.0]))) <= 1e-15
+    # violates only the face x2 >= x1 cot a, and its closed-form landing lies
+    # 1e-12 past the apex, outside the other face by 1e-12 sin 2a: a landing
+    # kept to a 1e-12 tolerance would stop there
+    c, s = np.cos(a), np.sin(a)
+    x = -1e-12 * np.array([s, c]) + np.array([c, -s])
+    assert np.linalg.norm(_cone(a).project(x)) <= 1e-15
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
-def test_far_points_reach_a_corner_with_redundant_faces(scale, monkeypatch):
+def test_far_points_reach_a_corner_with_redundant_faces(scale):
     # two redundant faces through the apex of the quadrant. The lifted
     # residuals are ~1/|x| unless each row's offsets are rescaled; at
     # |x| ~ 1e9 a redundant face alone then wins within rounding and its
     # point lies 3e5 outside the quadrant
-    monkeypatch.setattr(ConvexDomain, "_dykstra", _no_dykstra)
     dom = ConvexDomain(
         2,
         normals=[[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [0.8, 0.6]],
@@ -583,11 +622,70 @@ def random_polytopes(draw):
 @given(random_polytopes())
 def test_polytope_projection_matches_enumeration_oracle(case):
     dom, pts = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ConvexDomain, "_dykstra", _no_dykstra)
-        batch = dom.project_batch(pts)
+    batch = dom.project_batch(pts)
     for x, p in zip(pts, batch):
         assert np.linalg.norm(p - _nearest_point_oracle(x, dom)) <= 1e-14 * (1.0 + np.linalg.norm(x))
+
+
+@st.composite
+def random_face_ball_domains(draw):
+    """A 2-d/3-d domain of 0-3 faces and 1-2 balls around a witness, and points around it.
+
+    Each ball holds the witness at least a tenth of its radius inside; faces
+    are placed as in random_polytopes. The face normals and the radical
+    direction of two balls (their centres at least 0.1 apart) are kept well
+    apart from dependence, as in random_polytopes.
+    """
+    d = draw(st.integers(2, 3))
+    witness = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    vector = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d).map(np.array)
+    normals, offsets = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(vector)
+        assume(np.linalg.norm(n) >= 0.1)
+        normals.append(n / np.linalg.norm(n))
+        offsets.append(normals[-1] @ witness - draw(st.floats(0.1, 2.0)))
+    centers, radii = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        radius, shift = draw(st.floats(0.5, 3.0)), draw(vector)
+        assume(np.linalg.norm(shift) >= 1e-3)
+        centers.append(witness + draw(st.floats(0.0, 0.9)) * radius * shift / np.linalg.norm(shift))
+        radii.append(radius)
+    directions = list(normals)
+    if len(centers) == 2:
+        assume(np.linalg.norm(centers[1] - centers[0]) >= 0.1)
+        directions.append((centers[1] - centers[0]) / np.linalg.norm(centers[1] - centers[0]))
+    for k in range(2, min(len(directions), d) + 1):
+        for subset in itertools.combinations(directions, k):
+            assume(np.linalg.svd(np.array(subset), compute_uv=False)[-1] >= 1e-3)
+    dom = ConvexDomain(
+        d,
+        normals=np.array(normals).reshape(-1, d),
+        offsets=offsets,
+        centers=centers,
+        radii=radii,
+        interior_point=witness,
+    )
+    offsets_from_witness = st.lists(st.floats(-6.0, 6.0), min_size=d, max_size=d)
+    pts = witness + np.array(draw(st.lists(offsets_from_witness, min_size=1, max_size=12)))
+    return dom, pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_face_ball_domains())
+def test_face_and_ball_projection_matches_enumeration_oracle(case):
+    dom, pts = case
+    batch = dom.project_batch(pts)
+    for x, p in zip(pts, batch):
+        assert np.linalg.norm(p - _nearest_point_oracle(x, dom)) <= 1e-14 * (1.0 + np.linalg.norm(x))
+    # KKT certificate: the push direction lies in the normal cone at p. A
+    # shorter push's direction carries p's rounding divided by its length
+    push = np.linalg.norm(batch - pts, axis=1)
+    rows = push >= 1e-3
+    if rows.any():
+        directions = (batch[rows] - pts[rows]) / push[rows, None]
+        residuals, _ = normal_cone_residuals(batch[rows], directions, dom)
+        assert np.all(residuals <= 1e-12)
 
 
 # --- normal-cone residuals -------------------------------------------------------

@@ -458,6 +458,20 @@ def test_domain_file_drives_nd_props(tmp_path):
     assert "configured_domain" in result.summary
 
 
+DOMAIN_FILES = sorted((Path(__file__).resolve().parents[1] / "configs" / "domains").glob("*.domain"))
+
+
+@pytest.mark.parametrize("domain_file", DOMAIN_FILES, ids=[f.stem for f in DOMAIN_FILES])
+@pytest.mark.parametrize("experiment", ["nd-skorokhod-props", "condition-checks"])
+def test_shipped_domain_files_pass_every_check(tmp_path, experiment, domain_file):
+    sizes = {"n_paths": 40, "options": {"refine_drivers": 2}} if experiment == "nd-skorokhod-props" else {}
+    config = default_config(experiment, out_dir=str(tmp_path / "out"), domain_file=str(domain_file), **sizes)
+    result = run_experiment(config)
+    assert "configured_domain" in result.summary
+    failed = [c["name"] for c in result.summary["checks"] if not c["passed"]]
+    assert not failed and result.exit_code == 0
+
+
 def test_coefficient_preset_flows_into_contract_check(tmp_path):
     config = default_config(
         "rsde-consistency",
