@@ -550,6 +550,18 @@ def _nearest_point_oracle(x, dom):
     return best
 
 
+@pytest.mark.parametrize("name", sorted(n for n, d in NOT_BOXES.items() if not d.radii.size))
+def test_polyhedra_never_reach_dykstra(name):
+    # no iterative fallback is left: polyhedra project exactly, inside the closure
+    assert not hasattr(ConvexDomain, "_dykstra")
+    dom = NOT_BOXES[name]
+    pts = _probe_points(dom)
+    batch = dom.project_batch(pts)
+    assert np.all(np.min(dom.slack_matrix(batch), axis=1) >= -1e-12 * (1.0 + np.linalg.norm(pts, axis=1)))
+    for x, p in zip(pts, batch):
+        assert np.linalg.norm(p - _nearest_point_oracle(x, dom)) <= 1e-14 * (1.0 + np.linalg.norm(x))
+
+
 def _cone(a):
     """{x2 >= |x1| cot a}: a wedge of half-angle a around e_2, apex at 0."""
     c, s = np.cos(a), np.sin(a)
