@@ -395,19 +395,15 @@ def normal_cone_residuals(points, directions, domain: ConvexDomain, tol_bd=None)
     return _least_distance(normals, active, u)
 
 
-def _least_distance_support(normals, offsets):
-    """Faces of {z : N z >= b} active at its point nearest 0 (0 outside the set).
+def _cone_distance(gens, targets):
+    """Distance from each row of targets to the cone of the rows of gens.
 
-    That point minimizes |z| subject to N z >= b, a least-distance program
-    (Lawson & Hanson 1974, ch. 23) whose dual is the distance from e_{d+1} to
-    the cone of the lifted generators (n_j, b_j). Returns its ``(residual,
-    weights)``: a zero residual means the set is empty, and otherwise the
-    faces with positive weight are active at the nearest point.
+    :func:`_least_distance` with every generator active for every target;
+    returns its ``(residuals, weights)``.
     """
-    lifted = np.concatenate([normals, offsets[:, None]], axis=1)[None]
-    target = np.eye(normals.shape[1] + 1)[-1:]
-    residuals, weights = _least_distance(lifted, np.ones((1, offsets.size), dtype=bool), target)
-    return residuals[0], weights[0]
+    rows = len(targets)
+    every = np.ones((rows, len(gens)), dtype=bool)
+    return _least_distance(np.broadcast_to(gens, (rows,) + gens.shape), every, targets)
 
 
 def _onto_faces(x, normals, offsets):

@@ -22,7 +22,7 @@ from typing import Literal
 import numpy as np
 
 from .domains import ConvexDomain, boundary_tolerance, normal_cone_residuals
-from .domains import _least_distance_support, _onto_faces
+from .domains import _cone_distance, _onto_faces
 from .errors import RefinementLimitError
 from .paths import PathKind, SampledPath, TimeGrid, row_slice
 
@@ -84,6 +84,21 @@ class SkorokhodNdSolution:
         return self.X.values - self.phi.values
 
 
+def _pushing_record(dphi: np.ndarray):
+    """Running total variation and unit directions of pushing increments.
+
+    ``dphi`` is (..., grid, d), each path's increments in grid order with a
+    zero first row. Returns ``(tv, directions)`` shaped (..., grid) and
+    (..., grid, d): tv sums the increment norms in grid order from 0, and
+    directions are NaN where the increment is zero.
+    """
+    norms = np.sqrt(np.vecdot(dphi, dphi))  # np.linalg.norm of each row
+    pushed = norms > 0.0
+    dirs = np.full_like(dphi, np.nan)
+    dirs[pushed] = dphi[pushed] / norms[pushed, None]
+    return np.cumsum(norms, axis=-1), dirs
+
+
 # longest block of steps screened at once; bounds the slack work wasted when
 # a path leaves the closure early in a block
 _MAX_SPAN = 256
@@ -96,7 +111,8 @@ def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain):
     over all paths. After a step without pushing, the following steps are
     screened in blocks of doubling length: while every path stays in the
     closure, X = w + phi(t_k) needs no projection. Rows are independent, so
-    a path's result does not depend on the batch.
+    a path's result does not depend on the batch. Returns X, phi and their
+    :func:`_pushing_record`.
     """
     n_paths, n, d = wv.shape
     outside = np.flatnonzero(np.min(domain.slack_matrix(wv[:, 0]), axis=1) < 0.0)
@@ -104,11 +120,8 @@ def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain):
         raise ValueError(f"driver {outside[0]} must start inside the closed domain")
     X = np.empty_like(wv)
     phi = np.zeros_like(wv)
-    tv = np.zeros((n_paths, n))
-    dirs = np.full_like(wv, np.nan)
     X[:, 0] = wv[:, 0]
     acc = np.zeros((n_paths, d))  # phi(t_k), kept as X - w so the decomposition is exact
-    acc_tv = np.zeros(n_paths)
     k, span = 1, 1
     while k < n:
         if span > 1:
@@ -118,7 +131,6 @@ def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain):
             stay = int(np.argmax(step_leaves)) if step_leaves.any() else step_leaves.size
             X[:, k : k + stay] = ahead[:, :stay]
             phi[:, k : k + stay] = acc[:, None, :]
-            tv[:, k : k + stay] = acc_tv[:, None]
             k += stay
             span = min(2 * span, _MAX_SPAN) if stay == step_leaves.size else 1
             continue
@@ -129,19 +141,13 @@ def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain):
         # interior steps carry exactly zero mass
         moved = landed != free
         if moved.any():
-            new_acc = np.where(moved.any(axis=1)[:, None], landed - wv[:, k], acc)
-            dphi = new_acc - acc  # exactly 0 on rows without pushing
-            acc = new_acc
-            step_norm = np.sqrt(np.vecdot(dphi, dphi))  # np.linalg.norm of each row
-            acc_tv += step_norm
-            rows = np.flatnonzero(step_norm > 0.0)
-            dirs[rows, k] = dphi[rows] / step_norm[rows, None]
+            acc = np.where(moved.any(axis=1)[:, None], landed - wv[:, k], acc)
         else:
             span = 2
         phi[:, k] = acc
-        tv[:, k] = acc_tv
         k += 1
-    return X, phi, tv, dirs
+    # phi[:, 0] is 0, so the first increment is 0 too
+    return (X, phi) + _pushing_record(np.diff(phi, axis=1, prepend=0.0))
 
 
 def solve_skorokhod_step(w: SampledPath, domain: ConvexDomain) -> SkorokhodNdSolution:
@@ -354,12 +360,13 @@ class ConditionAResult:
 @dataclass(frozen=True)
 class ConditionBResult:
     status: Literal["holds", "unknown"]
-    delta: float | None = None
     reason: str = ""
 
 
 # a least-distance residual this small is 0 up to rounding: {N z >= 1} is empty
 _EMPTY_TOL = 1e-14
+# a target this near the cone is in it up to rounding, in units of 1 + sum(lam)
+_IN_CONE_TOL = 64.0 * np.finfo(np.float64).eps
 
 
 def check_condition_a(domain: ConvexDomain) -> ConditionAResult:
@@ -367,10 +374,13 @@ def check_condition_a(domain: ConvexDomain) -> ConditionAResult:
 
     Condition A asks for a unit e and c > 0 with <n_j, e> >= c for each inward
     normal n_j. The best e is z/|z| for the point z of {N z >= 1} nearest 0,
-    found exactly by least distance, and c = min(N e). If that set
-    is empty, the weighted faces have 0 in the convex hull of their normals
-    and condition A fails. Domains with balls (a continuum of boundary
-    normals) report unknown.
+    and c = min(N e). That point solves a least-distance program (Lawson &
+    Hanson 1974, ch. 23) whose dual is the distance from e_{d+1} to the cone
+    of the lifted normals (n_j, 1): a zero distance means the set is empty,
+    so the weighted faces have 0 in the convex hull of their normals and
+    condition A fails; otherwise the faces with positive weight are active
+    at z. Domains with balls (a continuum of boundary normals) report
+    unknown.
     """
     if domain.dimension > 8:
         raise ValueError("condition A search is not supported above dimension 8")
@@ -379,8 +389,9 @@ def check_condition_a(domain: ConvexDomain) -> ConditionAResult:
             status="unknown",
             detail="ball constraints contribute a continuum of boundary normals",
         )
-    normals, origin = domain.normals, np.zeros((1, domain.dimension))
-    residual, weights = _least_distance_support(normals, np.ones(normals.shape[0]))
+    normals, d = domain.normals, domain.dimension
+    lifted = np.column_stack([normals, np.ones(normals.shape[0])])
+    (residual,), (weights,) = _cone_distance(lifted, np.eye(d + 1)[-1:])
     faces = np.flatnonzero(weights > 0.0)
     if residual <= _EMPTY_TOL:
         detail = (
@@ -390,7 +401,7 @@ def check_condition_a(domain: ConvexDomain) -> ConditionAResult:
             "hull; no direction can make a positive angle with all of them"
         )
         return ConditionAResult(status="fails", detail=detail)
-    z = _onto_faces(origin, normals[faces], np.ones(faces.size))[0]
+    z = _onto_faces(np.zeros((1, d)), normals[faces], np.ones(faces.size))[0]
     e = z / np.linalg.norm(z)
     return ConditionAResult(status="holds", e=e, c=float(np.min(normals @ e)))
 
@@ -398,31 +409,22 @@ def check_condition_a(domain: ConvexDomain) -> ConditionAResult:
 def check_condition_b(domain: ConvexDomain) -> ConditionBResult:
     """Report the geometric interior-ball condition via its sufficient cases.
 
-    Holds when the domain is bounded (a ball constraint, or every coordinate
-    direction bounded as a linear program) or when the dimension is 2;
-    otherwise unknown (no general decision procedure is attempted).
+    Holds when the domain is bounded or when the dimension is 2; otherwise
+    unknown (no general decision procedure is attempted). A ball bounds the
+    domain, and a box is bounded when both bounds of every coordinate are
+    finite. Any other polytope has an interior point, so it is bounded
+    exactly when the cone of its face normals holds every +-e_i: when each
+    e_i's least distance to that cone is 0 up to rounding.
     """
-    from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
-
     if domain.centers.shape[0] > 0:
         return ConditionBResult(status="holds", reason="bounded: contained in a ball")
-    bounded = True
-    A_ub = -domain.normals
-    b_ub = -domain.offsets
-    for j in range(domain.dimension):
-        for sign in (1.0, -1.0):
-            c = np.zeros(domain.dimension)
-            c[j] = -sign  # maximize sign * x_j
-            res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs")
-            if res.status == 3:
-                bounded = False
-                break
-            if res.status != 0:
-                return ConditionBResult(
-                    status="unknown", reason=f"boundedness LP ended with {res.message}"
-                )
-        if not bounded:
-            break
+    if domain._box is not None:
+        lo, hi = domain._box
+        bounded = lo is not None and hi is not None and bool(np.all(np.isfinite([lo, hi])))
+    else:
+        d = domain.dimension
+        residuals, weights = _cone_distance(domain.normals, np.vstack([np.eye(d), -np.eye(d)]))
+        bounded = bool(np.all(residuals <= _IN_CONE_TOL * (1.0 + weights.sum(axis=1))))
     if bounded:
         return ConditionBResult(status="holds", reason="bounded: every coordinate is bounded")
     if domain.dimension == 2:

@@ -26,7 +26,7 @@ from .errors import EvaluationFault
 from .paths import SampledPath, TimeGrid
 from .pool import map_chunks, worker_count
 from .randomness import RngSeed, brownian_increments, normal_matrix, normal_tile, path_values
-from .reflectnd import SkorokhodNdSolution, solve_skorokhod_continuous
+from .reflectnd import SkorokhodNdSolution, _pushing_record, solve_skorokhod_continuous
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -87,6 +87,14 @@ def _shape_error(name: str, out: np.ndarray, X: np.ndarray, shape) -> ValueError
     return ValueError(
         f"{name}(t, X) returned shape {out.shape} for states of shape {X.shape}; expected {shape}"
     )
+
+
+def _start_point(domain: ConvexDomain, x0) -> np.ndarray:
+    """x0 as a (d,) array; ValueError unless it lies in the closed domain."""
+    x0 = np.asarray(x0, dtype=np.float64).reshape(domain.dimension)
+    if not domain.contains(x0):
+        raise ValueError("x0 must lie in the closed domain")
+    return x0
 
 
 def _check_paths(n_paths: int) -> None:
@@ -198,11 +206,8 @@ def euler_reflected(
     the projection displacements in step order and ``driver`` is the
     Brownian path (dimension r) built from the increments.
     """
-    d = domain.dimension
-    x0 = np.asarray(x0, dtype=np.float64).reshape(d)
-    if not domain.contains(x0):
-        raise ValueError("x0 must lie in the closed domain")
-    n_steps, r = len(grid) - 1, coeffs.r
+    x0 = _start_point(domain, x0)
+    n_steps, d, r = len(grid) - 1, x0.size, coeffs.r
     dB = brownian_increments(rng, 1, grid, r)
     X = np.empty((n_steps + 1, d))
     X[0] = x0
@@ -214,14 +219,11 @@ def euler_reflected(
     # a leading zero row makes each cumsum add in step order from 0
     dphi = np.zeros((n_steps + 1, d))
     dphi[1:] = X[1:] - free
-    norms = np.sqrt(np.vecdot(dphi, dphi))
-    pushed = norms > 0.0
-    dirs = np.full((n_steps + 1, d), np.nan)
-    dirs[pushed] = dphi[pushed] / norms[pushed, None]
+    tv, dirs = _pushing_record(dphi)
     return SkorokhodNdSolution(
         X=SampledPath.continuous(grid, X),
         phi=SampledPath.continuous(grid, np.cumsum(dphi, axis=0)),
-        total_variation=np.cumsum(norms),
+        total_variation=tv,
         directions=dirs,
         driver=SampledPath.continuous(grid, path_values(0.0, dB[0])),
     )
@@ -396,10 +398,7 @@ def strong_error_estimate(
     rms 0. ``n_paths`` must be at least 1.
     """
     _check_paths(n_paths)
-    d = domain.dimension
-    x0 = np.asarray(x0, dtype=np.float64).reshape(d)
-    if not domain.contains(x0):
-        raise ValueError("x0 must lie in the closed domain")
+    x0 = _start_point(domain, x0)
     steps = []
     for dt in sorted(dt_levels, reverse=True):
         n = round(T / dt)
@@ -536,10 +535,7 @@ def simulate_reflected_terminal_batch(
     for path. ``n_paths`` must be at least 1.
     """
     _check_paths(n_paths)
-    d = domain.dimension
-    x0 = np.asarray(x0, dtype=np.float64).reshape(d)
-    if not domain.contains(x0):
-        raise ValueError("x0 must lie in the closed domain")
+    x0 = _start_point(domain, x0)
     n_steps = len(grid) - 1
     width = _tile_width(n_steps, n_paths)
     tile = np.empty((width, n_paths, coeffs.r))

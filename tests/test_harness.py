@@ -46,7 +46,7 @@ def small_1d_config(tmp_path, **overrides):
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
-    # linprog and nnls are imported where they are used, not at package import
+    # scipy.optimize is slow to import, and no module of the package uses it
     src = str(Path(skorokhod_kit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, skorokhod_kit; print('scipy.optimize' in sys.modules)"
@@ -58,12 +58,15 @@ def test_package_import_leaves_scipy_optimize_unloaded():
 
 
 def test_nd_diagnostics_leave_scipy_optimize_unloaded():
-    # the normal-cone residual is computed in-house, without nnls
+    # the normal-cone residual and condition B's boundedness are computed
+    # in-house, without nnls or linprog
     src = str(Path(skorokhod_kit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys\n"
-        "from skorokhod_kit import InitialLaw, PathKind, RngSeed, TimeGrid, brownian_sample\n"
+        "import numpy as np\n"
+        "from skorokhod_kit import ConvexDomain, InitialLaw, PathKind, RngSeed, TimeGrid\n"
+        "from skorokhod_kit import brownian_sample, check_condition_b, orthant\n"
         "from skorokhod_kit import solve_skorokhod_step, unit_disc\n"
         "from skorokhod_kit.reflectnd import nd_solution_diagnostics\n"
         "grid = TimeGrid.uniform(1.0, 64)\n"
@@ -72,6 +75,10 @@ def test_nd_diagnostics_leave_scipy_optimize_unloaded():
         "sol = solve_skorokhod_step(w, unit_disc())\n"
         "assert sol.total_variation[0, -1] > 0.0\n"
         "diag = nd_solution_diagnostics(sol, w, unit_disc())\n"
+        "assert check_condition_b(orthant(3)).status == 'unknown'\n"
+        "simplex = ConvexDomain(3, normals=np.vstack([np.eye(3), -np.ones((1, 3)) / 3 ** 0.5]),\n"
+        "                       offsets=[0, 0, 0, -(3 ** -0.5)], interior_point=[0.25] * 3)\n"
+        "assert check_condition_b(simplex).status == 'holds'\n"
         "print(diag['max_angular_gap'][0] <= 1e-6, 'scipy.optimize' in sys.modules)\n"
     )
     out = subprocess.run(

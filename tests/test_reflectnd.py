@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 from skorokhod_kit import (
     ConvexDomain,
@@ -761,3 +761,68 @@ def test_condition_b_cases():
     )
     box = check_condition_b(box_domain)
     assert box.status == "holds" and "bounded" in box.reason
+    # a feasible unbounded wedge: z ~ (0.041, 0.990, -0.092) has N z >= 0
+    normals = np.array([[0.8, 0.3, 0.5], [-0.3, 0.1, -1.0], [0.4, -0.1, -0.9], [0.5, 0.8, -0.4]])
+    wedge = ConvexDomain(
+        3,
+        normals=normals / np.linalg.norm(normals, axis=1)[:, None],
+        offsets=[-1.0, -0.3, -0.7, -0.7],
+        interior_point=np.zeros(3),
+    )
+    rep = check_condition_b(wedge)
+    assert rep.status == "unknown" and rep.reason.startswith("unbounded with dimension > 2")
+    simplex = ConvexDomain(
+        3,
+        normals=np.vstack([np.eye(3), -np.ones((1, 3)) / np.sqrt(3.0)]),
+        offsets=[0.0, 0.0, 0.0, -1.0 / np.sqrt(3.0)],
+        interior_point=np.full(3, 0.25),
+    )
+    rep = check_condition_b(simplex)
+    assert rep.status == "holds" and "bounded" in rep.reason
+    # enumerating the supports of 24 faces in R^12 would try ~9.7M of them
+    cube = ConvexDomain(
+        12,
+        normals=np.vstack([np.eye(12), -np.eye(12)]),
+        offsets=np.concatenate([np.zeros(12), -np.ones(12)]),
+        interior_point=np.full(12, 0.5),
+    )
+    rep = check_condition_b(cube)
+    assert rep.status == "holds" and "bounded" in rep.reason
+
+
+def _lp_boundedness(normals, offsets):
+    """True/False when every coordinate LP over {N x >= b} ends bounded/unbounded, else None."""
+    statuses = set()
+    for c in np.vstack([np.eye(normals.shape[1]), -np.eye(normals.shape[1])]):
+        res = linprog(c, A_ub=-normals, b_ub=-offsets, bounds=(None, None), method="highs")
+        statuses.add(res.status)
+    if not statuses <= {0, 3}:
+        return None
+    return statuses == {0}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_condition_b_matches_lp_oracle_on_random_polytopes(d):
+    rng = np.random.default_rng(1700 + d)
+    verdicts = {True: 0, False: 0}
+    for _ in range(80):
+        m = int(rng.integers(d + 1, 2 * d + 4))
+        normals = rng.standard_normal((m, d))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        offsets = rng.uniform(-1.0, 0.0, m)  # < 0, so the witness 0 is interior
+        oracle = _lp_boundedness(normals, offsets)
+        if oracle is None:
+            continue
+        rep = check_condition_b(
+            ConvexDomain(d, normals=normals, offsets=offsets, interior_point=np.zeros(d))
+        )
+        bounded = rep.status == "holds"
+        assert bounded == oracle, (normals, offsets, rep)
+        assert rep.reason == (
+            "bounded: every coordinate is bounded"
+            if bounded
+            else "unbounded with dimension > 2; no decision procedure"
+        )
+        verdicts[bounded] += 1
+    # both verdicts are exercised
+    assert min(verdicts.values()) >= 10, verdicts
