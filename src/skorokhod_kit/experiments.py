@@ -131,11 +131,12 @@ def _run_skorokhod_1d_props(config: ExperimentConfig):
     buffers = threading.local()
 
     def chunk_stats(start, stop):
-        rows = _thread_rows(buffers, (stop - start, len(grid), 1))
-        v = brownian_paths(rng, stop - start, grid, first_stream=start, out=rows)[..., 0]
-        g, h = skorokhod_map_1d_batch(v)
-        diag = skorokhod_1d_diagnostics_batch(g, h, v)
-        diag["decomposition_max_abs"] /= np.maximum(1.0, np.max(np.abs(v), axis=1))
+        # v, g, h and the diagnostics' scratch, all in this thread's buffer
+        v, g, h, scratch = _thread_rows(buffers, (4, stop - start, len(grid)))
+        brownian_paths(rng, stop - start, grid, first_stream=start, out=v[..., None])
+        skorokhod_map_1d_batch(v, out=(g, h))
+        diag = skorokhod_1d_diagnostics_batch(g, h, v, scratch=scratch)
+        diag["decomposition_max_abs"] /= np.maximum(1.0, np.max(np.abs(v, out=scratch), axis=1))
         return diag
 
     parts = map_chunks(chunk_stats, n_paths, chunk=_row_chunk(len(grid)))
@@ -620,11 +621,9 @@ def _run_rsde_consistency(config: ExperimentConfig):
     summary["ks_half_normal"] = ks.as_dict()
 
     # the scheme against the explicit 1d map of its own driver
-    singles = [
-        euler_reflected(unit, line, [0.0], ks_grid, RngSeed(config.seed, i)) for i in range(3)
-    ]
-    g, _ = skorokhod_map_1d_batch(np.stack([s.driver.scalar_values for s in singles]))
-    map_gap = float(np.max(np.abs(np.stack([s.X.scalar_values for s in singles]) - g)))
+    paths = euler_reflected(unit, line, [0.0], ks_grid, RngSeed(config.seed), n_paths=3)
+    g, _ = skorokhod_map_1d_batch(paths.driver.values[..., 0])
+    map_gap = float(np.max(np.abs(paths.X.values[..., 0] - g)))
     checks.append(
         Check("scheme_matches_explicit_map", map_gap <= 1e-12, f"max gap {map_gap:.3e}")
     )

@@ -33,16 +33,17 @@ class Skorokhod1dSolution:
     x0: float
 
 
-def skorokhod_map_1d_batch(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def skorokhod_map_1d_batch(v: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Reflect each row of free paths v = x0 + f, shaped (paths, grid), at 0.
 
     Returns (g, h) shaped like v: h = -running min of min(v, 0) along each
-    row and g = v + h.
+    row and g = v + h, written into the arrays ``out`` = (g, h) if given.
     """
-    h = np.minimum(v, 0.0)
+    g, h = (None, None) if out is None else out
+    h = np.minimum(v, 0.0, out=h)
     np.minimum.accumulate(h, axis=-1, out=h)
     np.subtract(0.0, h, out=h)  # 0.0 - avoids a cosmetic -0.0 at flat starts
-    return v + h, h
+    return np.add(v, h, out=g), h
 
 
 def skorokhod_terminal_1d_batch(v: np.ndarray) -> np.ndarray:
@@ -97,19 +98,28 @@ def reflected_density(t: float, x: float, y: float) -> float:
     return float(c * (np.exp(-((x - y) ** 2) / (2.0 * t)) + np.exp(-((x + y) ** 2) / (2.0 * t))))
 
 
-def skorokhod_1d_diagnostics_batch(g: np.ndarray, h: np.ndarray, v: np.ndarray) -> dict:
+def skorokhod_1d_diagnostics_batch(
+    g: np.ndarray, h: np.ndarray, v: np.ndarray, scratch=None
+) -> dict:
     """Grid-level checks of the defining conditions for g, h and v = x0 + f (paths, grid).
 
     Per row: the max decomposition defect |g - (v + h)|, the most negative h
     increment, h at time 0, the h mass spent while g > 0 (exactly 0 for a
-    correct map), and the most negative g value.
+    correct map), and the most negative g value. The work arrays are views
+    of ``scratch``, an array shaped like v, if given.
     """
-    dh = np.diff(h, axis=-1)
+    s = np.empty_like(v) if scratch is None else scratch
+    np.add(v, h, out=s)
+    np.subtract(g, s, out=s)
+    decomposition = np.max(np.abs(s, out=s), axis=-1)
+    dh = np.subtract(h[..., 1:], h[..., :-1], out=s[..., 1:])  # np.diff along rows
+    min_dh = np.min(dh, axis=-1)
+    np.multiply(dh, g[..., 1:] > 0.0, out=dh)
     return {
-        "decomposition_max_abs": np.max(np.abs(g - (v + h)), axis=-1),
-        "min_h_increment": np.min(dh, axis=-1),
+        "decomposition_max_abs": decomposition,
+        "min_h_increment": min_dh,
         "h_start": h[..., 0].copy(),
-        "complementarity_mass": np.sum(dh * (g[..., 1:] > 0.0), axis=-1),
+        "complementarity_mass": np.sum(dh, axis=-1),
         "min_g": np.min(g, axis=-1),
     }
 

@@ -10,8 +10,8 @@ through time-major increments (steps, paths, r). Many-path runs step all
 paths together over tiles of a few hundred steps, each drawn by
 counter-addressed Philox (randomness.normal_tile) on the worker pool before
 it is stepped, so a tile holds no more increments than 512 whole paths.
-euler_reflected steps one path and returns the batched SkorokhodNdSolution
-carrier with that one row: X, phi and the driver.
+euler_reflected steps n whole paths together on the same stepper and returns
+them as the batched SkorokhodNdSolution carrier: X, phi and the driver.
 """
 
 from __future__ import annotations
@@ -107,9 +107,10 @@ def _euler_steps(
 ):
     """The steps of _euler_batch; returns the end states.
 
-    With ``total``, the free states are added into it unchecked. Without,
-    each step's free states are checked, and the first non-finite row raises
-    EvaluationFault, numbered from ``first`` = (first step, first path).
+    With ``total``, the free states are added into it unchecked, under the
+    caller's errstate. Without, each step's free states are checked, and the
+    first non-finite row raises EvaluationFault, numbered from ``first`` =
+    (first step, first path).
     """
     m, d = state.shape
     b_shape, sigma_shape = (m, d), (m, d, coeffs.r)
@@ -132,8 +133,7 @@ def _euler_steps(
             noise = dB_k if identity else dB_k @ S.T
         free = state + noise if coeffs.b is None else state + drift * h + noise
         if total is not None:
-            with np.errstate(over="ignore"):  # finite states may overflow the sum
-                total += free
+            total += free
         elif not np.all(np.isfinite(free)):
             bad = int(np.argmin(np.all(np.isfinite(free), axis=1)))
             raise EvaluationFault(
@@ -182,7 +182,8 @@ def _euler_batch(
     args = (coeffs, domain, state, dB, times, dt, free_out, state_out)
     total = np.zeros(state.shape)
     try:
-        end = _euler_steps(*args, total=total)
+        with np.errstate(over="ignore"):  # finite states may overflow the sum
+            end = _euler_steps(*args, total=total)
     except Exception:
         if np.all(np.isfinite(total)):
             raise
@@ -198,34 +199,41 @@ def euler_reflected(
     x0,
     grid: TimeGrid,
     rng: RngSeed,
+    n_paths: int = 1,
 ) -> SkorokhodNdSolution:
-    """Projected Euler path: Y <- project(Y + b dt + sigma dB) each step.
+    """Projected Euler paths: Y <- project(Y + b dt + sigma dB) each step.
 
-    A batch of one on the stepper behind simulate_reflected_terminal_batch,
-    on the increments ``brownian_increments(rng, 1, grid, r)``. phi sums
-    the projection displacements in step order and ``driver`` is the
-    Brownian path (dimension r) built from the increments.
+    Path i runs on the increments ``brownian_increments(rng, n_paths, grid,
+    r)[i]``, from stream ``rng.stream + i`` as in
+    simulate_reflected_terminal_batch, and all paths step together on the
+    same stepper. The result keeps every path whole: one row per path, with
+    phi the projection displacements summed in step order and ``driver``
+    the Brownian path (dimension r) built from the increments, so memory
+    grows with n_paths times the steps. ``n_paths`` must be at least 1.
     """
+    _check_paths(n_paths)
     x0 = _start_point(domain, x0)
     n_steps, d, r = len(grid) - 1, x0.size, coeffs.r
-    dB = brownian_increments(rng, 1, grid, r)
-    X = np.empty((n_steps + 1, d))
+    dB = brownian_increments(rng, n_paths, grid, r)
+    # time-major buffers, as the stepper writes them
+    X = np.empty((n_steps + 1, n_paths, d))
     X[0] = x0
-    free = np.empty((n_steps, d))
+    free = np.empty((n_steps, n_paths, d))
     _euler_batch(
-        coeffs, domain, x0[None], dB.transpose(1, 0, 2), grid.times, grid.deltas,
-        free_out=free[:, None], state_out=X[1:, None],
+        coeffs, domain, X[0], dB.transpose(1, 0, 2), grid.times, grid.deltas,
+        free_out=free, state_out=X[1:],
     )
+    X = np.ascontiguousarray(X.transpose(1, 0, 2))
     # a leading zero row makes each cumsum add in step order from 0
-    dphi = np.zeros((n_steps + 1, d))
-    dphi[1:] = X[1:] - free
+    dphi = np.zeros_like(X)
+    np.subtract(X[:, 1:], free.transpose(1, 0, 2), out=dphi[:, 1:])
     tv, dirs = _pushing_record(dphi)
     return SkorokhodNdSolution(
         X=SampledPath.continuous(grid, X),
-        phi=SampledPath.continuous(grid, np.cumsum(dphi, axis=0)),
+        phi=SampledPath.continuous(grid, np.cumsum(dphi, axis=1)),
         total_variation=tv,
         directions=dirs,
-        driver=SampledPath.continuous(grid, path_values(0.0, dB[0])),
+        driver=SampledPath.continuous(grid, path_values(0.0, dB)),
     )
 
 
@@ -285,18 +293,15 @@ def coefficient_contract_check(
     Sample points are Gaussian clouds around the interior witness at several
     scales, drawn first and then projected into the closure in one batch, so
     unbounded domains get probed far out. Each sample pair (x, y) is
-    evaluated as one batch of two states; a drift of None reads as zeros.
-    Matrix norms are spectral. Report-only: passes iff every observed ratio
-    is at most K (with a 1e-9 slack).
+    evaluated as one batch of two states at its own time; a drift of None
+    reads as zeros. The norms and ratios of all pairs are then taken at
+    once. Matrix norms are spectral. Report-only: passes iff every observed
+    ratio is at most K (with a 1e-9 slack).
     """
     d = domain.dimension
     b_shape, sigma_shape = (2, d), (2, d, coeffs.r)
     gen = rng.generator()
     base = domain.interior_point
-    max_lip_sigma = 0.0
-    max_lip_b = 0.0
-    max_growth_sigma = 0.0
-    max_growth_b = 0.0
     scales = (0.5, 2.0, 10.0, 50.0)
     times = np.empty(n_samples)
     raw = np.empty((n_samples, 2, d))
@@ -306,32 +311,34 @@ def coefficient_contract_check(
         raw[i, 0] = base + spread * gen.standard_normal(d)
         raw[i, 1] = base + spread * gen.standard_normal(d)
     pairs = domain.project_batch(raw.reshape(2 * n_samples, d)).reshape(n_samples, 2, d)
-    for t, pair in zip(times.tolist(), pairs):
-        x, y = pair
-        if coeffs.b is None:
-            b = np.zeros(b_shape)
-        else:
-            b = np.asarray(coeffs.b(t, pair), dtype=np.float64)
-        if b.shape != b_shape:
-            raise _shape_error("b", b, pair, b_shape)
-        sig = np.asarray(coeffs.sigma(t, pair), dtype=np.float64)
-        if sig.shape != sigma_shape:
-            raise _shape_error("sigma", sig, pair, sigma_shape)
-        bx, by, sx, sy = b[0], b[1], sig[0], sig[1]
-        gap = float(np.linalg.norm(x - y))
-        if gap > 0.0:
-            max_lip_sigma = max(max_lip_sigma, float(np.linalg.norm(sx - sy, 2)) / gap)
-            max_lip_b = max(max_lip_b, float(np.linalg.norm(bx - by)) / gap)
-        gx = float(np.sqrt(1.0 + x @ x))
-        gy = float(np.sqrt(1.0 + y @ y))
-        max_growth_sigma = max(
-            max_growth_sigma,
-            float(np.linalg.norm(sx, 2)) / gx,
-            float(np.linalg.norm(sy, 2)) / gy,
-        )
-        max_growth_b = max(
-            max_growth_b, float(np.linalg.norm(bx)) / gx, float(np.linalg.norm(by)) / gy
-        )
+    b = np.zeros((n_samples,) + b_shape)
+    sig = np.empty((n_samples,) + sigma_shape)
+    for i, (t, pair) in enumerate(zip(times.tolist(), pairs)):
+        if coeffs.b is not None:
+            b_i = np.asarray(coeffs.b(t, pair), dtype=np.float64)
+            if b_i.shape != b_shape:
+                raise _shape_error("b", b_i, pair, b_shape)
+            b[i] = b_i
+        sig_i = np.asarray(coeffs.sigma(t, pair), dtype=np.float64)
+        if sig_i.shape != sigma_shape:
+            raise _shape_error("sigma", sig_i, pair, sigma_shape)
+        sig[i] = sig_i
+
+    def norm(v):  # np.linalg.norm of each vector along the last axis
+        return np.sqrt(np.vecdot(v, v))
+
+    def worst(ratios):  # like a running Python max from 0: NaN ratios are skipped
+        return float(np.fmax.reduce(ratios, axis=None, initial=0.0))
+
+    x, y = pairs[:, 0], pairs[:, 1]
+    gap = norm(x - y)
+    apart = gap > 0.0
+    sig_gap = np.linalg.norm(sig[:, 0] - sig[:, 1], ord=2, axis=(1, 2))
+    max_lip_sigma = worst(sig_gap[apart] / gap[apart])
+    max_lip_b = worst(norm(b[:, 0] - b[:, 1])[apart] / gap[apart])
+    growth = np.sqrt(1.0 + np.vecdot(pairs, pairs))  # (n_samples, 2)
+    max_growth_sigma = worst(np.linalg.norm(sig, ord=2, axis=(2, 3)) / growth)
+    max_growth_b = worst(norm(b) / growth)
     bound = coeffs.lipschitz_K * (1.0 + 1e-9)
     passed = max(max_lip_sigma, max_lip_b, max_growth_sigma, max_growth_b) <= bound
     return CoefficientContractReport(
@@ -529,10 +536,10 @@ def simulate_reflected_terminal_batch(
     with strong_error_estimate, over tiles of steps (_tile_width): each tile
     is drawn on the worker pool, then stepped, so a non-finite coefficient
     is reported at its first step over all paths, then its lowest path.
-    Path i draws the increments of euler_reflected on stream
-    ``rng.stream + i`` (brownian_increments), which runs them as a batch of
-    one on the same stepper, so the two routes can be cross-checked path
-    for path. ``n_paths`` must be at least 1.
+    Path i draws the increments of euler_reflected's path i on stream
+    ``rng.stream + i`` (brownian_increments), and that route runs them on
+    the same stepper, so the two can be cross-checked path for path.
+    ``n_paths`` must be at least 1.
     """
     _check_paths(n_paths)
     x0 = _start_point(domain, x0)

@@ -241,3 +241,33 @@ def test_terminal_batch_ignores_a_left_out_start():
     v = brownian_paths(RngSeed(3), 6, TimeGrid.uniform(1.0, 500), x0=0.2)[..., 0]
     assert np.array_equal(skorokhod_terminal_1d_batch(v), skorokhod_terminal_1d_batch(v[:, 1:]))
     assert np.array_equal(skorokhod_terminal_1d_batch(v), skorokhod_map_1d_batch(v)[0][:, -1])
+
+
+def test_batch_map_and_diagnostics_write_into_given_buffers():
+    # with out= and scratch= the results are those of fresh arrays, bit for
+    # bit, also for a perturbed g whose defect and complementarity mass are
+    # not 0; the buffers may hold anything beforehand
+    v = brownian_paths(RngSeed(5), 7, TimeGrid.uniform(1.0, 400), x0=0.1)[..., 0]
+    buf = np.full((3,) + v.shape, np.nan)
+    g, h = skorokhod_map_1d_batch(v, out=(buf[0], buf[1]))
+    assert np.shares_memory(g, buf[0]) and np.shares_memory(h, buf[1])
+    fresh_g, fresh_h = skorokhod_map_1d_batch(v)
+    assert g.tobytes() == fresh_g.tobytes() and h.tobytes() == fresh_h.tobytes()
+    bent = g + 1e-3 * np.sin(np.arange(v.shape[1]))
+    got = skorokhod_1d_diagnostics_batch(bent, h, v, scratch=buf[2])
+    dh = np.diff(h, axis=-1)
+    want = {
+        "decomposition_max_abs": np.max(np.abs(bent - (v + h)), axis=-1),
+        "min_h_increment": np.min(dh, axis=-1),
+        "h_start": h[..., 0],
+        "complementarity_mass": np.sum(dh * (bent[..., 1:] > 0.0), axis=-1),
+        "min_g": np.min(bent, axis=-1),
+    }
+    assert np.count_nonzero(want["complementarity_mass"]) >= 5
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
+    assert all(
+        got[key].tobytes() == val.tobytes()
+        for key, val in skorokhod_1d_diagnostics_batch(bent, h, v).items()
+    )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,10 @@ def test_path_count_must_be_positive(n_paths):
         )
     with pytest.raises(ValueError, match="n_paths"):
         strong_error_estimate(unit, half_line(), [0.0], 1.0, [1 / 2, 1 / 4], n_paths, RngSeed(0))
+    with pytest.raises(ValueError, match="n_paths"):
+        euler_reflected(
+            unit, half_line(), [0.0], TimeGrid.uniform(1.0, 8), RngSeed(0), n_paths=n_paths
+        )
 
 
 def test_zero_drift_presets_declare_no_drift():
@@ -222,11 +228,45 @@ def test_zero_drift_presets_declare_no_drift():
 
 def test_overflowing_check_sum_keeps_the_finite_run():
     # states near 1e308 overflow the sum of free states though every state is
-    # finite: the checked rerun finds no fault and the run stands
+    # finite: the checked rerun finds no fault and the run stands, and the
+    # overflow of the sum raises no warning
     huge = SdeCoefficients(constant_sigma=[[0.0]], b=None, lipschitz_K=1.0, r=1)
     grid = TimeGrid.uniform(1.0, 8)
-    out = simulate_reflected_terminal_batch(huge, half_line(), [1e308], grid, RngSeed(0), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = simulate_reflected_terminal_batch(huge, half_line(), [1e308], grid, RngSeed(0), 3)
+        paths = euler_reflected(huge, half_line(), [1e308], grid, RngSeed(0), n_paths=3)
     assert np.array_equal(out, np.full((3, 1), 1e308))
+    assert np.array_equal(paths.X.values, np.full((3, 9, 1), 1e308))
+
+
+def test_infinite_drift_is_named_at_its_step_and_path_under_warnings_as_errors(monkeypatch):
+    # the drift turns +inf once a state reaches 1; at this seed path 17 gets
+    # there first, at step 37, in the second of the terminal batch's tiles
+    monkeypatch.setattr(rsde, "_PATH_BLOCK", 3)
+    grid = TimeGrid.uniform(1.0, 200)
+    n_paths = 20
+    dB = normal_matrix(RngSeed(15), n_paths, 200) * np.sqrt(grid.deltas)
+    states = np.hstack([np.zeros((n_paths, 1)), np.cumsum(dB, axis=1)])
+    assert _first_crossing(states) == (37, 17)
+    coeffs = SdeCoefficients(
+        constant_sigma=[[1.0]],
+        b=lambda t, X: np.where(X >= 1.0, np.inf, 0.0),
+        lipschitz_K=1.0,
+        r=1,
+    )
+    runs = [
+        lambda: simulate_reflected_terminal_batch(
+            coeffs, WIDE_LINE, [0.0], grid, RngSeed(15), n_paths
+        ),
+        lambda: euler_reflected(coeffs, WIDE_LINE, [0.0], grid, RngSeed(15), n_paths=n_paths),
+    ]
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationFault) as err:
+                run()
+        assert (err.value.step_index, err.value.path_index) == (37, 17)
 
 
 def test_batch_simulator_falls_back_without_batch_evaluators():
@@ -394,6 +434,84 @@ def test_contract_sin_diffusion_passes():
     )
     assert report.passed
     assert report.max_sigma_lipschitz <= 1.0 + 1e-9
+
+
+def _contract_oracle(coeffs, domain, n_samples, rng):
+    # the per-pair loop: the same draws, then every norm and max one pair at a time
+    d = domain.dimension
+    gen = rng.generator()
+    base = domain.interior_point
+    scales = (0.5, 2.0, 10.0, 50.0)
+    times = np.empty(n_samples)
+    raw = np.empty((n_samples, 2, d))
+    for i in range(n_samples):
+        times[i] = 10.0 * gen.random()
+        spread = scales[i % len(scales)]
+        raw[i, 0] = base + spread * gen.standard_normal(d)
+        raw[i, 1] = base + spread * gen.standard_normal(d)
+    pairs = domain.project_batch(raw.reshape(2 * n_samples, d)).reshape(n_samples, 2, d)
+    lip_sigma = lip_b = growth_sigma = growth_b = 0.0
+    for t, pair in zip(times.tolist(), pairs):
+        x, y = pair
+        b = np.zeros((2, d)) if coeffs.b is None else np.asarray(coeffs.b(t, pair))
+        sig = np.asarray(coeffs.sigma(t, pair))
+        bx, by, sx, sy = b[0], b[1], sig[0], sig[1]
+        gap = float(np.linalg.norm(x - y))
+        if gap > 0.0:
+            lip_sigma = max(lip_sigma, float(np.linalg.norm(sx - sy, 2)) / gap)
+            lip_b = max(lip_b, float(np.linalg.norm(bx - by)) / gap)
+        gx = float(np.sqrt(1.0 + x @ x))
+        gy = float(np.sqrt(1.0 + y @ y))
+        growth_sigma = max(
+            growth_sigma, float(np.linalg.norm(sx, 2)) / gx, float(np.linalg.norm(sy, 2)) / gy
+        )
+        growth_b = max(growth_b, float(np.linalg.norm(bx)) / gx, float(np.linalg.norm(by)) / gy)
+    return lip_sigma, lip_b, growth_sigma, growth_b
+
+
+def _time_drift(d):
+    # a drift that depends on t as well as on the state
+    return SdeCoefficients(
+        constant_sigma=np.eye(d),
+        b=lambda t, X: np.sin(t) * X + np.cos(3.0 * t),
+        lipschitz_K=1.0,
+        r=d,
+    )
+
+
+CONTRACT_CASES = {
+    "unit-half_line": (lambda: preset_coefficients("unit-diffusion", d=1), half_line()),
+    "linear-half_line": (lambda: preset_coefficients("linear-drift(2)", d=1), half_line()),
+    "linear-orthant": (lambda: preset_coefficients("linear-drift(2)", d=2), orthant(2)),
+    "sin-half_line": (lambda: preset_coefficients("sin-diffusion", d=1), half_line()),
+    "sin-disc": (lambda: preset_coefficients("sin-diffusion", d=2), unit_disc()),
+    "time-half_line": (lambda: _time_drift(1), half_line()),
+    "time-halfplane": (lambda: _time_drift(2), halfplane()),
+    "column-orthant": (column_coefficients, orthant(2)),
+    # at d = 8 a row sum of squares rounds differently from the loop's dot
+    "linear-orthant8": (lambda: preset_coefficients("linear-drift(2)", d=8), orthant(8)),
+    "sin-orthant8": (lambda: preset_coefficients("sin-diffusion", d=8), orthant(8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_contract_check_matches_per_pair_loop(case):
+    # the batched norms and maxima equal the per-pair loop's bit for bit, in
+    # every dimension: vector norms are dot products on both sides, and the
+    # spectral norms are the same SVD per matrix
+    make, domain = CONTRACT_CASES[case]
+    coeffs = make()
+    report = coefficient_contract_check(coeffs, domain, n_samples=200, rng=RngSeed(17))
+    got = (
+        report.max_sigma_lipschitz,
+        report.max_b_lipschitz,
+        report.max_sigma_growth,
+        report.max_b_growth,
+    )
+    want = _contract_oracle(coeffs, domain, 200, RngSeed(17))
+    assert got == want
+    assert report.passed == (max(want) <= coeffs.lipschitz_K * (1.0 + 1e-9))
+    assert report.n_samples == 200
 
 
 def test_presets_parse_and_validate():
@@ -623,6 +741,40 @@ def test_euler_reflected_matches_scalar_oracle(case):
     if case == "drift-orthant":
         # the corner is hit: both coordinates pushed at once
         assert np.any(np.all(np.abs(path.directions[0]) > 0.0, axis=1))
+
+
+N_PATH_CASES = {
+    **{case: EULER_PATH_CASES[case] for case in ("unit-half_line", "sin-disc")},
+    "column-orthant": (
+        lambda: SdeCoefficients(
+            constant_sigma=[[1.0], [0.5]], b=lambda t, X: -X, lipschitz_K=1.2, r=1
+        ),
+        orthant(2),
+        [0.1, 0.2],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(N_PATH_CASES))
+def test_euler_reflected_rows_match_batches_of_one(case):
+    # row i of an n-path run is the batch-of-one run on stream i, bit for bit
+    make, domain, x0 = N_PATH_CASES[case]
+    coeffs = make()
+    grid = TimeGrid.uniform(1.0, 300)
+    n_paths = 5
+    paths = euler_reflected(coeffs, domain, x0, grid, RngSeed(31), n_paths=n_paths)
+    assert paths.X.values.shape == (n_paths, 301, domain.dimension)
+    assert paths.driver.values.shape == (n_paths, 301, coeffs.r)
+    pushed = 0
+    for i in range(n_paths):
+        one = euler_reflected(coeffs, domain, x0, grid, RngSeed(31, i))
+        assert paths.X.values[i].tobytes() == one.X.values[0].tobytes()
+        assert paths.phi.values[i].tobytes() == one.phi.values[0].tobytes()
+        assert paths.total_variation[i].tobytes() == one.total_variation[0].tobytes()
+        assert np.array_equal(paths.directions[i], one.directions[0], equal_nan=True)
+        assert paths.driver.values[i].tobytes() == one.driver.values[0].tobytes()
+        pushed += int(np.sum(one.total_variation[0, 1:] > one.total_variation[0, :-1]))
+    assert pushed > 0  # the rows reach the boundary, so directions are compared
 
 
 # --- constant diffusion -------------------------------------------------------
