@@ -12,9 +12,10 @@ from skorokhod_kit import (
     InitialLaw,
     PathKind,
     RngSeed,
+    SampledPath,
     TimeGrid,
     brownian_sample,
-    rbm_from_skorokhod,
+    skorokhod_map_1d_batch,
     solve_skorokhod_step,
     unit_disc,
 )
@@ -30,8 +31,9 @@ def main() -> int:
 
     grid = TimeGrid.uniform(1.0, args.steps)
     B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(args.seed))
-    sol = rbm_from_skorokhod(B, InitialLaw.point_mass(0.0))
-    path_1d = emit_plot_data((B, sol.g), f"{args.out}/brownian_reflection.csv")
+    g, _ = skorokhod_map_1d_batch(B.values[..., 0])  # reflecting Brownian motion from 0
+    X = SampledPath.continuous(grid, g[0])
+    path_1d = emit_plot_data((B, X), f"{args.out}/brownian_reflection.csv")
     print(f"wrote {path_1d}")
 
     driver = brownian_sample(

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .domains import (
     ConvexDomain,
-    active_normal_cone,
     active_normal_cones,
     ball_domain,
     half_line,
@@ -29,24 +28,14 @@ from .errors import (
 )
 from .itocalc import (
     Integrand,
-    LocalTimeEstimate,
     ito_formula_residual,
     ito_integral,
-    ito_isometry_check,
     ito_isometry_samples,
-    local_time_occupation,
-    local_time_tanaka,
     quadratic_variation,
 )
 from .paths import PathKind, SampledPath, TimeGrid
-from .randomness import InitialLaw, RngSeed, brownian_sample, gaussian_kernel
-from .reflect1d import (
-    Skorokhod1dSolution,
-    rbm_abs,
-    rbm_from_skorokhod,
-    reflected_density,
-    skorokhod_map_1d,
-)
+from .randomness import InitialLaw, RngSeed, brownian_sample
+from .reflect1d import skorokhod_map_1d_batch
 from .reflectnd import (
     SkorokhodNdSolution,
     check_condition_a,
@@ -76,17 +65,14 @@ __all__ = [
     "InitialLaw",
     "Integrand",
     "KsResult",
-    "LocalTimeEstimate",
     "McEstimate",
     "PathKind",
     "RefinementLimitError",
     "RngSeed",
     "SampledPath",
     "SdeCoefficients",
-    "Skorokhod1dSolution",
     "SkorokhodNdSolution",
     "TimeGrid",
-    "active_normal_cone",
     "active_normal_cones",
     "ball_domain",
     "brownian_sample",
@@ -94,28 +80,21 @@ __all__ = [
     "check_condition_b",
     "coefficient_contract_check",
     "euler_reflected",
-    "gaussian_kernel",
     "half_line",
     "half_normal_cdf",
     "halfplane",
     "ito_formula_residual",
     "ito_integral",
-    "ito_isometry_check",
     "ito_isometry_samples",
     "ks_test_against_cdf",
     "ks_test_two_sample",
-    "local_time_occupation",
-    "local_time_tanaka",
     "modulus_gap",
     "normal_cone_residuals",
     "orthant",
     "preset_coefficients",
     "quadratic_variation",
-    "rbm_abs",
-    "rbm_from_skorokhod",
-    "reflected_density",
     "semimartingale_skorokhod",
-    "skorokhod_map_1d",
+    "skorokhod_map_1d_batch",
     "solve_skorokhod_continuous",
     "solve_skorokhod_continuous_many",
     "solve_skorokhod_step",

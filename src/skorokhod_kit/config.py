@@ -197,10 +197,6 @@ class ExperimentConfig:
             raise ValueError("config must name an experiment")
         return cls(tolerances=tolerances, options=options, **kwargs)
 
-    @classmethod
-    def from_file(cls, path, defaults: dict | None = None) -> "ExperimentConfig":
-        return cls.from_mapping(parse_kv_file(path), defaults=defaults)
-
     def resolve_domain(self) -> ConvexDomain | None:
         """The configured domain, or None when the experiment supplies its own."""
         if self.domain_file is not None:

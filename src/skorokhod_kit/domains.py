@@ -276,17 +276,6 @@ class ConvexDomain:
         return dist
 
 
-def active_normal_cone(x, domain: ConvexDomain, tol_bd: float | None = None) -> np.ndarray:
-    """Unit inward normals of the constraints active at a boundary point.
-
-    The normal cone at x is the set of unit vectors in the nonnegative span
-    of the returned generators. Raises if x is farther than tol_bd from the
-    boundary (on either side).
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, domain.dimension)
-    return active_normal_cones(x, domain, tol_bd)[0]
-
-
 def _active_generators(pts: np.ndarray, domain: ConvexDomain, tol_bd):
     """Unit inward normals of every constraint at each row, and which are active.
 
@@ -309,11 +298,14 @@ def _active_generators(pts: np.ndarray, domain: ConvexDomain, tol_bd):
 
 
 def active_normal_cones(points, domain: ConvexDomain, tol_bd=None) -> list[np.ndarray]:
-    """:func:`active_normal_cone` for each row of points.
+    """Unit inward normals of the constraints active at each boundary point.
 
-    ``tol_bd`` is one tolerance for all rows or one per row; by default each
-    row gets its own :func:`boundary_tolerance`. Generators come halfspaces
-    first, then balls, each in constraint order.
+    Entry i holds row i's generators: the normal cone there is the set of
+    unit vectors in their nonnegative span. Raises if a row is farther than
+    its tolerance from the boundary (on either side). ``tol_bd`` is one
+    tolerance for all rows or one per row; by default each row gets its own
+    :func:`boundary_tolerance`. Generators come halfspaces first, then
+    balls, each in constraint order.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, domain.dimension)
     normals, active = _active_generators(pts, domain, tol_bd)

@@ -39,9 +39,7 @@ from .randomness import (
     standard_normals,
 )
 from .reflect1d import (
-    rbm_from_skorokhod,
     skorokhod_1d_diagnostics_batch,
-    skorokhod_map_1d,
     skorokhod_map_1d_batch,
     skorokhod_terminal_1d_batch,
 )
@@ -201,7 +199,7 @@ def _run_rbm_density(config: ExperimentConfig):
     # phi(T) for a start at 0 is the reflected running minimum
     grid = TimeGrid.uniform(config.horizon, 1000)
     driver = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(config.seed, 2 * STREAM_BLOCK))
-    sol = rbm_from_skorokhod(driver, InitialLaw.point_mass(0.0))
+    g, _ = skorokhod_map_1d_batch(driver.values[..., 0])
 
     checks = [
         _ks_check("ks_half_normal", ks_half),
@@ -215,7 +213,7 @@ def _run_rbm_density(config: ExperimentConfig):
         "n_paths": config.n_paths,
         "n_steps": config.n_steps,
     }
-    return summary, checks, {"rbm_pair": (driver, sol.g)}
+    return summary, checks, {"rbm_pair": (driver, SampledPath.continuous(grid, g[0]))}
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +228,7 @@ ISOMETRY_CHUNK = 16 * _ISOMETRY_BLOCK
 def _pooled_isometry(
     f: Integrand, T: float, n_paths: int, rng: RngSeed, n_steps: int, first_stream: int = 0
 ):
-    """ito_isometry_check's estimates, with the stream ranges run on the pool."""
+    """McEstimates of ito_isometry_samples' two arrays, stream ranges run on the pool."""
 
     def chunk(start, stop):
         try:
@@ -490,11 +488,10 @@ def _nd_1d_crosscheck(config: ExperimentConfig, block: int):
     drivers = brownian_paths(RngSeed(config.seed, block * STREAM_BLOCK), n_drivers, grid, 1, 0.5)
     w = SampledPath.continuous(grid, drivers)
     for values, sol in zip(drivers[..., 0], solve_skorokhod_continuous_many(w, domain, refine_tol)):
-        fine_grid = sol.X.grid
-        fine_w = np.interp(fine_grid.times, grid.times, values)
-        f = SampledPath.continuous(fine_grid, fine_w - fine_w[0])
-        explicit = skorokhod_map_1d(f, float(fine_w[0]))
-        worst = max(worst, float(np.max(np.abs(sol.X.scalar_values - explicit.g.scalar_values))))
+        fine_w = np.interp(sol.X.grid.times, grid.times, values)
+        # the free path as x0 + f with f(0) = 0, the form the 1-d map is defined on
+        g, _ = skorokhod_map_1d_batch((float(fine_w[0]) + (fine_w - fine_w[0]))[None])
+        worst = max(worst, float(np.max(np.abs(sol.X.scalar_values - g[0]))))
     return worst, float(np.max(1e-4 * w.scale()))
 
 

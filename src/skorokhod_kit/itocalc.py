@@ -7,10 +7,11 @@ convention is fixed at the interface: it is what makes the discrete integral
 a martingale transform, and the isometry and zero-mean properties hold for
 it exactly in expectation. Sums are numpy pairwise sums, never BLAS, so their
 bits do not depend on the BLAS thread count. The quadratic variation, the
-change-of-variables residual and the local-time estimators run on batches of
-paths, one row per path; a single path is a batch of one. A bracket [X] is a
-SampledPath like X itself: realized (quadratic_variation, one row per path)
-or the model bracket t of Brownian motion, one row shared by every path.
+change-of-variables residual, the local-time estimators and the isometry
+samples run only on batches of paths, one row per path; a single path is a
+batch of one row. A bracket [X] is a SampledPath like X itself: realized
+(quadratic_variation, one row per path) or the model bracket t of Brownian
+motion, one row shared by every path.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class Integrand:
     for bit to that path's own call. ``constant``, ``of_time`` and
     ``of_state`` declare it; other integrands are evaluated path by path.
     ``m2_bound`` records a declared square-integrability witness; it is a
-    contract, not something checked here (ito_isometry_check gives a
-    Monte Carlo spot check of E int f^2 dt).
+    contract, not something checked here (the mean of ito_isometry_samples'
+    second array gives a Monte Carlo spot check of E int f^2 dt).
     """
 
     evaluate: Callable[[float, np.ndarray, np.ndarray], float]
@@ -221,20 +222,6 @@ def ito_formula_residual(
     return F(times[-1], x[:, -1]) - F(times[0], x[:, 0]) - (sum_t + sum_x + sum_qv)
 
 
-@dataclass(frozen=True)
-class LocalTimeEstimate:
-    """Estimated sojourn density of a scalar path at one level."""
-
-    level: float
-    value: float
-    estimator: str  # "occupation" or "tanaka"
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.estimator == "occupation" and self.value < 0.0:
-            raise ValueError("occupation estimate cannot be negative")
-
-
 def brownian_local_time_mean(a: float, T: float) -> float:
     """E[(B_T - a)^+ - (B_0 - a)^+] = E[L^a_T] / 2 for Brownian motion B from 0.
 
@@ -280,18 +267,6 @@ def local_time_tanaka_batch(values: np.ndarray, a: float) -> np.ndarray:
     return np.maximum(values[..., -1] - a, 0.0) - np.maximum(values[..., 0] - a, 0.0) - crossing
 
 
-def local_time_occupation(X: SampledPath, a: float, eps: float) -> LocalTimeEstimate:
-    """Occupation estimate of one path: local_time_occupation_batch at one eps."""
-    value = local_time_occupation_batch(X.scalar_values[None], X.grid, a, [eps])[0, 0]
-    return LocalTimeEstimate(level=a, value=float(value), estimator="occupation", epsilon=eps)
-
-
-def local_time_tanaka(X: SampledPath, a: float) -> LocalTimeEstimate:
-    """Tanaka estimate of one path: local_time_tanaka_batch as a batch of one."""
-    value = local_time_tanaka_batch(X.scalar_values[None], a)[0]
-    return LocalTimeEstimate(level=a, value=float(value), estimator="tanaka")
-
-
 # Paths per block of ito_isometry_samples: bounds the increments held at once.
 _ISOMETRY_BLOCK = 64
 
@@ -334,24 +309,3 @@ def ito_isometry_samples(
         rhs_samples[start : start + m] = (left**2 * dt).sum(axis=1)
     lhs_samples **= 2
     return lhs_samples, rhs_samples
-
-
-def ito_isometry_check(
-    f: Integrand,
-    T: float,
-    n_paths: int,
-    rng: RngSeed,
-    n_steps: int = 1000,
-    first_stream: int = 0,
-):
-    """Monte Carlo estimates of E[(int_0^T f dB)^2] and E[int_0^T f^2 dt].
-
-    The McEstimate values (lhs, rhs) of ito_isometry_samples' output, so
-    estimates are reproducible and independent of batching.
-    """
-    from .stats import McEstimate  # local import to keep module layering simple
-
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
-    lhs_samples, rhs_samples = ito_isometry_samples(f, T, n_paths, rng, n_steps, first_stream)
-    return McEstimate.from_samples(lhs_samples), McEstimate.from_samples(rhs_samples)

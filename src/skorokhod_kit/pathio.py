@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .paths import SampledPath
-from .reflect1d import Skorokhod1dSolution
 from .reflectnd import SkorokhodNdSolution
 
 
@@ -58,10 +57,10 @@ def emit_plot_data(path_like, out) -> Path:
     """Write a path-like object as a CSV file and return the path written.
 
     Accepts a SampledPath (t plus one column per coordinate), a
-    (driver, reflected) pair of scalar paths (t, B, Xplus), a 1-d reflection
-    solution (t, g, h), or an n-d solution, projected-Euler paths included
-    (t, state, pushing term, its total variation). Batched paths and
-    solutions must hold one path; a larger batch is a ValueError.
+    (driver, reflected) pair of scalar paths (t, B, Xplus), or an n-d
+    solution, projected-Euler paths included (t, state, pushing term, its
+    total variation). Batched paths and solutions must hold one path; a
+    larger batch is a ValueError.
     """
     if isinstance(path_like, SampledPath):
         _one_path(path_like.n_paths)
@@ -78,12 +77,6 @@ def emit_plot_data(path_like, out) -> Path:
             out,
             ["t", "B", "Xplus"],
             [driver.grid.times, driver.scalar_values, reflected.scalar_values],
-        )
-    if isinstance(path_like, Skorokhod1dSolution):
-        return write_csv(
-            out,
-            ["t", "g", "h"],
-            [path_like.g.grid.times, path_like.g.scalar_values, path_like.h.scalar_values],
         )
     if isinstance(path_like, SkorokhodNdSolution):
         _one_path(path_like.X.n_paths)

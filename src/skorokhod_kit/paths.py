@@ -143,19 +143,6 @@ class SampledPath:
             )
         return self.values[0, :, 0]
 
-    def value_at(self, t: float) -> np.ndarray:
-        """Each path's value at time t under its interpolation rule, (paths, d)."""
-        times = self.grid.times
-        if t < times[0] or t > times[-1]:
-            raise ValueError("t outside the grid span")
-        k = int(np.searchsorted(times, t, side="right") - 1)
-        if k >= len(times) - 1:
-            return self.values[:, -1].copy()
-        if self.kind is PathKind.STEP:
-            return self.values[:, k].copy()
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - w) * self.values[:, k] + w * self.values[:, k + 1]
-
     def with_kind(self, kind: PathKind) -> "SampledPath":
         return SampledPath(self.grid, self.values, kind)
 

@@ -198,12 +198,3 @@ def brownian_sample(grid: TimeGrid, d: int, law: InitialLaw, rng: RngSeed) -> Sa
     if not np.all(np.isfinite(values)):
         raise GenerationError("brownian_sample produced a non-finite value")
     return SampledPath.continuous(grid, values)
-
-
-def gaussian_kernel(t: float, x) -> float:
-    """Centered Gaussian density (2*pi*t)^(-d/2) * exp(-|x|^2 / (2t))."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    d = x.size
-    return float((2.0 * np.pi * t) ** (-d / 2.0) * np.exp(-float(x @ x) / (2.0 * t)))

@@ -78,12 +78,6 @@ class SkorokhodNdSolution:
             driver=None if self.driver is None else self.driver[rows],
         )
 
-    @property
-    def input_values(self) -> np.ndarray:
-        """The input paths recovered from X - phi, (paths, grid, d)."""
-        return self.X.values - self.phi.values
-
-
 def _pushing_record(dphi: np.ndarray):
     """Running total variation and unit directions of pushing increments.
 
@@ -409,8 +403,9 @@ def check_condition_a(domain: ConvexDomain) -> ConditionAResult:
 def check_condition_b(domain: ConvexDomain) -> ConditionBResult:
     """Report the geometric interior-ball condition via its sufficient cases.
 
-    Holds when the domain is bounded or when the dimension is 2; otherwise
-    unknown (no general decision procedure is attempted). A ball bounds the
+    Holds when the domain is bounded or when the dimension is at most 2
+    (in d = 1 a convex domain is an interval, with at most two boundary
+    points); otherwise unknown (no general decision procedure is attempted). A ball bounds the
     domain, and a box is bounded when both bounds of every coordinate are
     finite. Any other polytope has an interior point, so it is bounded
     exactly when the cone of its face normals holds every +-e_i: when each
@@ -427,8 +422,8 @@ def check_condition_b(domain: ConvexDomain) -> ConditionBResult:
         bounded = bool(np.all(residuals <= _IN_CONE_TOL * (1.0 + weights.sum(axis=1))))
     if bounded:
         return ConditionBResult(status="holds", reason="bounded: every coordinate is bounded")
-    if domain.dimension == 2:
-        return ConditionBResult(status="holds", reason="dimension 2")
+    if domain.dimension <= 2:
+        return ConditionBResult(status="holds", reason=f"dimension {domain.dimension}")
     return ConditionBResult(
         status="unknown", reason="unbounded with dimension > 2; no decision procedure"
     )

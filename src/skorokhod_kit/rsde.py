@@ -296,8 +296,12 @@ def coefficient_contract_check(
     evaluated as one batch of two states at its own time; a drift of None
     reads as zeros. The norms and ratios of all pairs are then taken at
     once. Matrix norms are spectral. Report-only: passes iff every observed
-    ratio is at most K (with a 1e-9 slack).
+    ratio is at most K (with a 1e-9 slack). A non-finite drift or diffusion
+    value raises EvaluationFault naming the first such sample (path_index),
+    its time and its two states, before any norm is taken.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     d = domain.dimension
     b_shape, sigma_shape = (2, d), (2, d, coeffs.r)
     gen = rng.generator()
@@ -323,12 +327,21 @@ def coefficient_contract_check(
         if sig_i.shape != sigma_shape:
             raise _shape_error("sigma", sig_i, pair, sigma_shape)
         sig[i] = sig_i
+    bad_b = ~np.isfinite(b).all(axis=(1, 2))
+    bad = bad_b | ~np.isfinite(sig).all(axis=(1, 2, 3))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EvaluationFault(
+            f"{'b' if bad_b[i] else 'sigma'}(t, X) is non-finite at sample {i}: "
+            f"t = {times[i]}, X = {pairs[i].tolist()}",
+            path_index=i,
+        )
 
     def norm(v):  # np.linalg.norm of each vector along the last axis
         return np.sqrt(np.vecdot(v, v))
 
-    def worst(ratios):  # like a running Python max from 0: NaN ratios are skipped
-        return float(np.fmax.reduce(ratios, axis=None, initial=0.0))
+    def worst(ratios):
+        return float(np.max(ratios, initial=0.0))
 
     x, y = pairs[:, 0], pairs[:, 1]
     gap = norm(x - y)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from skorokhod_kit import (
     ConvexDomain,
-    active_normal_cone,
     active_normal_cones,
     ball_domain,
     half_line,
@@ -148,26 +147,26 @@ def test_domain_constructor_validation():
 
 
 def test_active_normal_cone_single_face():
-    cone = active_normal_cone([3.0, 0.0], halfplane())
+    cone = active_normal_cones([[3.0, 0.0]], halfplane())[0]
     assert np.allclose(cone, [[0.0, 1.0]])
 
 
 def test_active_normal_cone_corner():
-    cone = active_normal_cone([0.0, 0.0], orthant(2))
+    cone = active_normal_cones([[0.0, 0.0]], orthant(2))[0]
     assert cone.shape == (2, 2)
     assert np.allclose(sorted(map(tuple, cone)), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_active_normal_cone_ball():
-    cone = active_normal_cone([0.0, -1.0], unit_disc())
+    cone = active_normal_cones([[0.0, -1.0]], unit_disc())[0]
     assert np.allclose(cone, [[0.0, 1.0]], atol=1e-12)
 
 
 def test_active_normal_cone_preconditions():
     with pytest.raises(ValueError):
-        active_normal_cone([5.0, 5.0], orthant(2))  # deep interior
+        active_normal_cones([[5.0, 5.0]], orthant(2))  # deep interior
     with pytest.raises(ValueError):
-        active_normal_cone([-1.0, -1.0], orthant(2))  # far outside
+        active_normal_cones([[-1.0, -1.0]], orthant(2))  # far outside
 
 
 def test_distance_to_boundary():
@@ -711,7 +710,7 @@ def _check_cone_residuals(dom, pts, dirs):
     assert weights.shape == (len(pts), dom.n_constraints)
     _, active = _active_generators(pts, dom, None)
     for i, (x, u) in enumerate(zip(pts, dirs)):
-        gens = active_normal_cone(x, dom)
+        gens = active_normal_cones([x], dom)[0]
         _, oracle = nnls(gens.T, u)
         assert abs(residuals[i] - oracle) <= 1e-14
         # certificate: lam >= 0 on active generators only, and the residual
@@ -768,7 +767,7 @@ def polytope_corners(draw):
             assume(np.linalg.svd(np.array(subset), compute_uv=False)[-1] >= 1e-9)
     dom = ConvexDomain(d, normals=normals, offsets=offsets, interior_point=np.eye(d)[-1])
     pts = np.zeros((1, d))
-    dirs = _directions(draw, active_normal_cone(pts[0], dom), draw(st.integers(1, 6)))
+    dirs = _directions(draw, active_normal_cones(pts[:1], dom)[0], draw(st.integers(1, 6)))
     return dom, np.repeat(pts, len(dirs), axis=0), dirs
 
 
@@ -806,7 +805,7 @@ def test_cone_residuals_match_nnls_on_named_domains(name, data):
     dom, corners = CONE_CASES[name]
     pts, dirs = [], []
     for x in np.array(corners):
-        u = _directions(data.draw, active_normal_cone(x, dom), 3)
+        u = _directions(data.draw, active_normal_cones([x], dom)[0], 3)
         pts += [x] * len(u)
         dirs += list(u)
     _check_cone_residuals(dom, np.array(pts), np.array(dirs))

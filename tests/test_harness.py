@@ -16,7 +16,7 @@ from skorokhod_kit import (
     SampledPath,
     TimeGrid,
     brownian_sample,
-    skorokhod_map_1d,
+    skorokhod_map_1d_batch,
     solve_skorokhod_step,
 )
 from skorokhod_kit import experiments
@@ -31,7 +31,7 @@ from skorokhod_kit.experiments import (
     experiment_defaults,
     run_experiment,
 )
-from skorokhod_kit.itocalc import local_time_occupation, local_time_tanaka
+from skorokhod_kit.itocalc import local_time_occupation_batch, local_time_tanaka_batch
 from skorokhod_kit.pathio import emit_plot_data
 from skorokhod_kit.randomness import standard_normals
 
@@ -102,8 +102,8 @@ def test_emit_constant_path(tmp_path):
 def test_emit_driver_reflected_pair(tmp_path):
     grid = TimeGrid.uniform(1.0, 100)
     B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(1))
-    sol = skorokhod_map_1d(B, 0.0)
-    out = emit_plot_data((B, sol.g), tmp_path / "pair.csv")
+    g, _ = skorokhod_map_1d_batch(B.values[..., 0])
+    out = emit_plot_data((B, SampledPath.continuous(grid, g[0])), tmp_path / "pair.csv")
     lines = out.read_text().splitlines()
     assert lines[0] == "t,B,Xplus"
     assert len(lines) == 102
@@ -216,16 +216,16 @@ def test_rerun_into_the_same_directory_rewrites_each_file(tmp_path):
     assert len(before) >= 2  # summary.json and at least one CSV
 
 
-def _load_run_all():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
-    spec = importlib.util.spec_from_file_location("run_all_experiments", script)
+def _load_script(name):
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_run_all_prints_summary_digest(tmp_path, monkeypatch, capsys):
-    run_all = _load_run_all()
+    run_all = _load_script("run_all_experiments")
     name = "skorokhod-1d-props"
     monkeypatch.setattr(run_all, "EXPERIMENTS", {name: EXPERIMENTS[name]})
     monkeypatch.setattr(
@@ -241,6 +241,21 @@ def test_run_all_prints_summary_digest(tmp_path, monkeypatch, capsys):
     # the same config reruns to the same digest
     rerun = run_experiment(small_1d_config(tmp_path / "again"))
     assert run_all.summary_digest(rerun.artifacts.summary) == digest
+
+
+def test_figure_script_writes_both_csvs(tmp_path, monkeypatch):
+    figure = _load_script("figure_brownian_reflection")
+    argv = ["figure_brownian_reflection.py", "--steps", "64", "--out", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert figure.main() == 0
+    pair = np.loadtxt(tmp_path / "brownian_reflection.csv", delimiter=",", skiprows=1)
+    disc = (tmp_path / "disc_reflection.csv").read_text().splitlines()
+    assert (tmp_path / "brownian_reflection.csv").read_text().startswith("t,B,Xplus\n")
+    assert disc[0] == "t,x1,x2,phi1,phi2,phi_tv" and len(disc) == 66
+    # 17 significant digits round-trip, so Xplus is the batch map of B exactly
+    assert pair.shape == (65, 3)
+    g, _ = skorokhod_map_1d_batch(pair[None, :, 1])
+    assert np.array_equal(pair[:, 2], g[0]) and np.any(pair[:, 2] != pair[:, 1])
 
 
 def test_emit_paths_writes_csv(tmp_path):
@@ -419,14 +434,6 @@ def _write_cfg(tmp_path):
     return cfg
 
 
-def test_emit_1d_solution(tmp_path):
-    grid = TimeGrid.uniform(1.0, 20)
-    B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(2))
-    sol = skorokhod_map_1d(B, 0.0)
-    out = emit_plot_data(sol, tmp_path / "sol.csv")
-    assert out.read_text().splitlines()[0] == "t,g,h"
-
-
 def test_domain_file_drives_condition_checks(tmp_path):
     domain_file = tmp_path / "quarter.domain"
     domain_file.write_text(
@@ -581,13 +588,14 @@ def test_local_time_pass_rows_equal_library_occupation(n_steps):
     law = InitialLaw.point_mass(0.0)
     for i in range(8):
         B = brownian_sample(grid, 1, law, RngSeed(3, i))
-        for j, eps in enumerate(LT_EPS):
-            assert occ[j][i] == local_time_occupation(B, 0.0, eps).value
+        one = local_time_occupation_batch(B.values[..., 0], grid, 0.0, LT_EPS)
+        for j in range(len(LT_EPS)):
+            assert occ[j][i] == one[j, 0]
 
 
 @pytest.mark.parametrize("level", [0.0, 0.1, -0.3])
 def test_local_time_pass_rows_match_per_path_estimators(level):
-    # the batch kernel against the per-path library estimators, at the 1e-10
+    # the batch kernel against the library estimators on a batch of one, at the 1e-10
     # tolerance of the former in-experiment check; a level below the start
     # needs Tanaka's -(X_0 - a)^+ term
     grid = TimeGrid.uniform(1.0, 2000)
@@ -596,8 +604,9 @@ def test_local_time_pass_rows_match_per_path_estimators(level):
     law = InitialLaw.point_mass(0.0)
     for i in range(6):
         B = brownian_sample(grid, 1, law, RngSeed(5, i))
-        assert abs(occ[i] - local_time_occupation(B, level, eps).value) <= 1e-10
-        assert abs(tan[i] - local_time_tanaka(B, level).value) <= 1e-10
+        one = B.values[..., 0]
+        assert abs(occ[i] - local_time_occupation_batch(one, grid, level, [eps])[0, 0]) <= 1e-10
+        assert abs(tan[i] - local_time_tanaka_batch(one, level)[0]) <= 1e-10
 
 
 def test_local_time_means_at_a_negative_level(tmp_path):
@@ -623,7 +632,7 @@ def test_rbm_terminals_equal_library_map(monkeypatch, workers):
     grid = TimeGrid.uniform(config.horizon, config.n_steps)
     law = InitialLaw.point_mass(0.0)
     paths = [brownian_sample(grid, 1, law, RngSeed(config.seed, i)) for i in range(60)]
-    expected = [skorokhod_map_1d(B, 0.0).g.scalar_values[-1] for B in paths]
+    expected = [skorokhod_map_1d_batch(B.values[..., 0])[0][0, -1] for B in paths]
     assert np.array_equal(terminals, expected)
 
 

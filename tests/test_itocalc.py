@@ -20,13 +20,16 @@ from skorokhod_kit import (
     brownian_sample,
     ito_formula_residual,
     ito_integral,
-    ito_isometry_check,
     ito_isometry_samples,
-    local_time_occupation,
-    local_time_tanaka,
     quadratic_variation,
 )
-from skorokhod_kit.itocalc import brownian_local_time_mean, integrand_grid_values
+from skorokhod_kit.experiments import _pooled_isometry
+from skorokhod_kit.itocalc import (
+    brownian_local_time_mean,
+    integrand_grid_values,
+    local_time_occupation_batch,
+    local_time_tanaka_batch,
+)
 from skorokhod_kit.randomness import brownian_paths, standard_normals
 from skorokhod_kit.stats import McEstimate
 
@@ -118,7 +121,7 @@ def test_non_finite_integrand_is_evaluation_fault():
 
 
 def test_isometry_constant_integrand():
-    lhs, rhs = ito_isometry_check(Integrand.constant(1.0), 1.0, 2000, RngSeed(5), n_steps=200)
+    lhs, rhs = _pooled_isometry(Integrand.constant(1.0), 1.0, 2000, RngSeed(5), n_steps=200)
     assert rhs.mean == pytest.approx(1.0, abs=1e-12)
     assert rhs.std_error <= 1e-15
     assert abs(lhs.mean - 1.0) <= 3.0 * lhs.std_error
@@ -126,7 +129,7 @@ def test_isometry_constant_integrand():
 
 def test_isometry_identity_integrand():
     f = Integrand.of_state(lambda t, x: x)
-    lhs, rhs = ito_isometry_check(f, 1.0, 4000, RngSeed(15), n_steps=500)
+    lhs, rhs = _pooled_isometry(f, 1.0, 4000, RngSeed(15), n_steps=500)
     joint = np.hypot(lhs.std_error, rhs.std_error)
     assert abs(rhs.mean - 0.5) <= 3.0 * rhs.std_error
     assert abs(lhs.mean - rhs.mean) <= 4.0 * joint
@@ -137,12 +140,12 @@ def test_isometry_square_integrand_fourth_moment():
     f = Integrand.of_state(lambda t, x: x**2)
     oracle, err = quad(lambda t: 3.0 * t**2, 0.0, 1.0)
     assert err < 1e-10
-    _, rhs = ito_isometry_check(f, 1.0, 4000, RngSeed(16), n_steps=500)
+    _, rhs = _pooled_isometry(f, 1.0, 4000, RngSeed(16), n_steps=500)
     assert abs(rhs.mean - oracle) <= 4.0 * rhs.std_error
 
 
 def isometry_oracle(f, T, n_paths, rng, n_steps=1000, first_stream=0):
-    # the per-path loop ito_isometry_check ran before it was batched
+    # the per-path loop ito_isometry_samples ran before it was batched
     grid = TimeGrid.uniform(T, n_steps)
     times = grid.times
     sqrt_dt = np.sqrt(grid.deltas)
@@ -174,20 +177,20 @@ ORACLE_INTEGRANDS = {
 def test_isometry_matches_per_path_oracle(name, n_paths):
     f = ORACLE_INTEGRANDS[name]
     args = (f, 1.3, n_paths, RngSeed(41))
-    assert ito_isometry_check(*args, n_steps=60) == isometry_oracle(*args, n_steps=60)
+    assert _pooled_isometry(*args, n_steps=60) == isometry_oracle(*args, n_steps=60)
 
 
 @pytest.mark.parametrize("name", ["constant", "of_state"])
 def test_isometry_matches_oracle_at_default_steps_and_offset_streams(name):
     f = ORACLE_INTEGRANDS[name]
-    args = (f, 0.8, 130, RngSeed(-3))
-    got = ito_isometry_check(*args, first_stream=2**32 + 5)
+    args = (f, 0.8, 130, RngSeed(-3), 1000)
+    got = _pooled_isometry(*args, first_stream=2**32 + 5)
     assert got == isometry_oracle(*args, first_stream=2**32 + 5)
-    assert got != ito_isometry_check(*args)
+    assert got != _pooled_isometry(*args)
 
 
 def _nan_at(path, step):
-    # counts evaluate_path calls, which ito_isometry_check makes in path order
+    # counts evaluate_path calls, which ito_isometry_samples makes in path order
     calls = []
 
     def evaluate_path(ts, xs):
@@ -216,7 +219,7 @@ def _nan_at_scalar(path, step):
 def test_isometry_fault_names_path_and_step(make):
     # path 70 lies in the second block of paths
     with pytest.raises(EvaluationFault) as err:
-        ito_isometry_check(make(70, 17), 1.0, 100, RngSeed(2), n_steps=30, first_stream=9)
+        ito_isometry_samples(make(70, 17), 1.0, 100, RngSeed(2), n_steps=30, first_stream=9)
     assert err.value.step_index == 17
     assert err.value.path_index == 70
 
@@ -289,7 +292,7 @@ def test_pointwise_fault_names_first_path_then_step(marks):
     # a later path in the same block does not hide it
     f = _pointwise_nan_at(RngSeed(2), 9, 30, marks)
     with pytest.raises(EvaluationFault) as err:
-        ito_isometry_check(f, 1.0, 100, RngSeed(2), n_steps=30, first_stream=9)
+        ito_isometry_samples(f, 1.0, 100, RngSeed(2), n_steps=30, first_stream=9)
     assert (err.value.path_index, err.value.step_index) == (70, 17)
 
 
@@ -301,7 +304,7 @@ def test_pointwise_fault_names_first_path_then_step(marks):
 def test_pooled_fault_names_run_path_across_chunks(monkeypatch, threads, marks, first):
     # 2100 paths make three pool chunks of 1024; path 1094 is path 70 of the
     # second chunk and is named by its index in the whole run
-    from skorokhod_kit.experiments import ISOMETRY_CHUNK, _pooled_isometry
+    from skorokhod_kit.experiments import ISOMETRY_CHUNK
 
     assert ISOMETRY_CHUNK == 1024
     monkeypatch.setenv("SKOROKHOD_KIT_THREADS", threads)
@@ -323,7 +326,7 @@ def test_isometry_samples_do_not_depend_on_the_split():
 
 def test_isometry_rejects_tiny_samples():
     with pytest.raises(ValueError):
-        ito_isometry_check(Integrand.constant(1.0), 1.0, 1, RngSeed(0))
+        ito_isometry_samples(Integrand.constant(1.0), 1.0, 0, RngSeed(0))
 
 
 # --- quadratic variation ----------------------------------------------------
@@ -491,43 +494,39 @@ def test_residual_requires_matching_grid():
 
 def test_occupation_far_level_is_zero():
     grid = TimeGrid.uniform(1.0, 100)
-    X = SampledPath.continuous(grid, np.full(101, 5.0))
-    assert local_time_occupation(X, 0.0, 1.0).value == 0.0
+    assert local_time_occupation_batch(np.full((1, 101), 5.0), grid, 0.0, [1.0]) == 0.0
 
 
 def test_occupation_linear_path_exact_sojourn():
     # X(s) = s spends time 0.2 in (0.4, 0.6); scaled by 1/(4 * 0.1) gives 0.5
     n = 100_000
     grid = TimeGrid.uniform(1.0, n)
-    X = SampledPath.continuous(grid, grid.times.copy())
-    est = local_time_occupation(X, 0.5, 0.1)
-    assert est.value == pytest.approx(0.5, abs=2.0 / n)
+    est = local_time_occupation_batch(grid.times[None], grid, 0.5, [0.1])[0, 0]
+    assert est == pytest.approx(0.5, abs=2.0 / n)
 
 
 def test_occupation_rejects_bad_bandwidth():
     grid = TimeGrid.uniform(1.0, 4)
-    X = SampledPath.continuous(grid, np.zeros(5))
     with pytest.raises(ValueError):
-        local_time_occupation(X, 0.0, 0.0)
+        local_time_occupation_batch(np.zeros((1, 5)), grid, 0.0, [0.1, 0.0])
 
 
 def test_occupation_estimate_never_negative():
-    est = local_time_occupation(make_brownian(500, seed=30), 0.0, 0.05)
-    assert est.value >= 0.0
-    assert est.estimator == "occupation"
+    grid = TimeGrid.uniform(1.0, 500)
+    v = brownian_paths(RngSeed(30), 50, grid)[..., 0]
+    est = local_time_occupation_batch(v, grid, 0.0, [0.05])
+    assert est.shape == (1, 50) and np.all(est >= 0.0)
 
 
 def test_tanaka_path_above_level_telescopes():
     grid = TimeGrid.uniform(1.0, 64)
     a = 0.7
-    X = SampledPath.continuous(grid, a + 1.0 + grid.times)
-    assert local_time_tanaka(X, a).value == pytest.approx(0.0, abs=1e-12)
+    assert local_time_tanaka_batch((a + 1.0 + grid.times)[None], a) == pytest.approx([0.0], abs=1e-12)
 
 
 def test_tanaka_path_below_level_is_zero():
     grid = TimeGrid.uniform(1.0, 64)
-    X = SampledPath.continuous(grid, -5.0 + np.sin(grid.times))
-    assert local_time_tanaka(X, 0.0).value == 0.0
+    assert local_time_tanaka_batch((-5.0 + np.sin(grid.times))[None], 0.0) == [0.0]
 
 
 def test_local_time_means_match_quadrature_oracle():
@@ -535,13 +534,14 @@ def test_local_time_means_match_quadrature_oracle():
     oracle, err = quad(lambda s: 0.5 / np.sqrt(2.0 * np.pi * s), 0.0, 1.0)
     assert err < 1e-9
     assert oracle == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-9)
-    n = 2000
+    n, block = 2000, 250
+    grid = TimeGrid.uniform(1.0, 4000)
     occ = np.empty(n)
     tan = np.empty(n)
-    for i in range(n):
-        B = make_brownian(4000, seed=33, stream=i)
-        occ[i] = local_time_occupation(B, 0.0, 0.02).value
-        tan[i] = local_time_tanaka(B, 0.0).value
+    for start in range(0, n, block):
+        v = brownian_paths(RngSeed(33), block, grid, first_stream=start)[..., 0]
+        occ[start : start + block] = local_time_occupation_batch(v, grid, 0.0, [0.02])[0]
+        tan[start : start + block] = local_time_tanaka_batch(v, 0.0)
     for sample in (occ, tan):
         se = sample.std(ddof=1) / np.sqrt(n)
         assert abs(sample.mean() - oracle) <= 4.0 * se
@@ -573,14 +573,16 @@ def test_path_sums_independent_of_blas_threads():
     code = (
         "import numpy as np\n"
         "from skorokhod_kit import (InitialLaw, Integrand, RngSeed, SampledPath,\n"
-        "    TimeGrid, brownian_sample, ito_formula_residual, ito_integral, local_time_tanaka)\n"
+        "    TimeGrid, brownian_sample, ito_formula_residual, ito_integral)\n"
+        "from skorokhod_kit.itocalc import local_time_tanaka_batch\n"
         "grid = TimeGrid.uniform(1.0, 200_000)\n"
         "B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(3))\n"
         "f = Integrand.of_state(lambda t, x: np.sin(x))\n"
         "res = ito_formula_residual(lambda t, x: x**3, lambda t, x: 0.0 * np.asarray(x),\n"
         "    lambda t, x: 3.0 * np.asarray(x) ** 2, lambda t, x: 6.0 * np.asarray(x), B,\n"
         "    SampledPath.continuous(grid, grid.times))\n"
-        "vals = [ito_integral(f, B), local_time_tanaka(B, 0.1).value, float(res[0])]\n"
+        "vals = [ito_integral(f, B), float(local_time_tanaka_batch(B.values[..., 0], 0.1)[0]),\n"
+        "    float(res[0])]\n"
         "print(' '.join(v.hex() for v in vals))\n"
     )
     outputs = []

@@ -72,20 +72,6 @@ def test_values_frozen():
         grid.times[0] = 1.0
 
 
-def test_value_at_interpolation_rules():
-    grid = TimeGrid(np.array([0.0, 1.0, 3.0]))
-    cont = SampledPath.continuous(grid, [0.0, 2.0, 4.0])
-    step = SampledPath.step(grid, [0.0, 2.0, 4.0])
-    assert cont.value_at(0.5) == pytest.approx(1.0)
-    assert cont.value_at(2.0) == pytest.approx(3.0)
-    assert step.value_at(0.5) == 0.0
-    assert step.value_at(1.0) == 2.0  # right continuous
-    assert step.value_at(2.9) == 2.0
-    assert step.value_at(3.0) == 4.0
-    with pytest.raises(ValueError):
-        cont.value_at(-0.1)
-
-
 def test_with_kind_and_scale():
     grid = TimeGrid.uniform(1.0, 2)
     p = SampledPath.continuous(grid, [0.0, -3.0, 2.0])
@@ -159,12 +145,7 @@ def test_row_selection_equals_the_batch_of_one_built_from_the_row():
         batch[5]
 
 
-def test_value_at_and_scale_per_path():
+def test_scale_per_path():
     grid = TimeGrid(np.array([0.0, 1.0, 3.0]))
     values = np.array([[[0.0], [2.0], [4.0]], [[0.0], [-0.5], [0.25]]])
-    cont = SampledPath.continuous(grid, values)
-    step = cont.with_kind(PathKind.STEP)
-    assert np.array_equal(cont.value_at(2.0), [[3.0], [-0.125]])
-    assert np.array_equal(step.value_at(2.0), [[2.0], [-0.5]])
-    assert np.array_equal(step.value_at(3.0), [[4.0], [0.25]])
-    assert np.array_equal(cont.scale(), [4.0, 1.0])
+    assert np.array_equal(SampledPath.continuous(grid, values).scale(), [4.0, 1.0])

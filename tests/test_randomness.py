@@ -4,7 +4,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from skorokhod_kit import GenerationError, InitialLaw, RngSeed, TimeGrid, brownian_sample
-from skorokhod_kit import gaussian_kernel
 from skorokhod_kit.randomness import (
     brownian_increments,
     brownian_paths,
@@ -208,25 +207,3 @@ def test_stream_blocks_draw_distinct_rows():
     for i in range(2):
         gen = RngSeed(13, 2**32 + 5 + i).generator()
         assert np.array_equal(z[i], standard_normals(gen, 8))
-
-
-def test_gaussian_kernel_values():
-    assert gaussian_kernel(1.0, 0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), abs=1e-12)
-    assert gaussian_kernel(0.5, [0.0, 0.0]) == pytest.approx(1.0 / np.pi, abs=1e-12)
-    # d=2 kernel equals the product of two d=1 kernels
-    x = np.array([0.3, -1.2])
-    prod = gaussian_kernel(0.5, x[0]) * gaussian_kernel(0.5, x[1])
-    assert gaussian_kernel(0.5, x) == pytest.approx(prod, rel=1e-12)
-
-
-def test_gaussian_kernel_decays_monotonically():
-    radii = np.linspace(0.0, 5.0, 30)
-    vals = [gaussian_kernel(2.0, [r, 0.0]) for r in radii]
-    assert np.all(np.diff(vals) < 0.0)
-
-
-def test_gaussian_kernel_domain_error():
-    with pytest.raises(ValueError):
-        gaussian_kernel(0.0, 0.0)
-    with pytest.raises(ValueError):
-        gaussian_kernel(-1.0, 0.0)

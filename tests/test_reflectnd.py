@@ -12,7 +12,7 @@ from skorokhod_kit import (
     RngSeed,
     SampledPath,
     TimeGrid,
-    active_normal_cone,
+    active_normal_cones,
     brownian_sample,
     check_condition_a,
     check_condition_b,
@@ -20,7 +20,7 @@ from skorokhod_kit import (
     halfplane,
     modulus_gap,
     orthant,
-    skorokhod_map_1d,
+    skorokhod_map_1d_batch,
     solve_skorokhod_continuous,
     solve_skorokhod_continuous_many,
     solve_skorokhod_step,
@@ -241,10 +241,9 @@ def test_continuous_matches_explicit_1d_map():
     sol = solve_skorokhod_continuous(w, half_line())
     fine = sol.X.grid
     w_fine = np.interp(fine.times, grid.times, w.scalar_values)
-    f = SampledPath.continuous(fine, w_fine - w_fine[0])
-    explicit = skorokhod_map_1d(f, float(w_fine[0]))
-    assert np.allclose(sol.X.scalar_values, explicit.g.scalar_values, atol=1e-12)
-    assert np.allclose(sol.phi.scalar_values, explicit.h.scalar_values, atol=1e-12)
+    g, h = skorokhod_map_1d_batch(w_fine[None])
+    assert np.allclose(sol.X.scalar_values, g[0], atol=1e-12)
+    assert np.allclose(sol.phi.scalar_values, h[0], atol=1e-12)
 
 
 def test_spiral_exits_disc_and_sticks_to_boundary():
@@ -507,7 +506,7 @@ def per_landing_diagnostics(sol, domain):
         if domain.distance_to_boundary(landing) > tol_bd:
             interior_mass += float(norms[k])
             continue
-        generators = active_normal_cone(landing, domain, tol_bd)
+        generators = active_normal_cones([landing], domain, tol_bd)[0]
         _, residual = nnls(generators.T, dphi[k] / norms[k])
         angular_gap = max(angular_gap, float(residual))
     return interior_mass, angular_gap
@@ -613,7 +612,7 @@ def test_diagnostics_many_rejects_mismatched_drivers():
 
 def per_path_tanaka_gap(sol, other):
     """The per-path form of the pairwise slack, one pair of one-path solutions."""
-    u = sol.input_values[0] - other.input_values[0]
+    u = (sol.X.values[0] - sol.phi.values[0]) - (other.X.values[0] - other.phi.values[0])
     delta = sol.phi.values[0] - other.phi.values[0]
     diff_x = sol.X.values[0] - other.X.values[0]
     atom_terms = np.einsum("ij,ij->i", u[1:], np.diff(delta, axis=0))
@@ -624,7 +623,8 @@ def per_path_tanaka_gap(sol, other):
 
 def per_path_modulus_gap(sol, i, n):
     """The per-path form of the oscillation slack between grid indices i <= n."""
-    w, X, phi = sol.input_values[0], sol.X.values[0], sol.phi.values[0]
+    X, phi = sol.X.values[0], sol.phi.values[0]
+    w = X - phi
     rhs = float(np.sum((w[n] - w[i]) ** 2))
     if n > i:
         dphi = np.diff(phi[i : n + 1], axis=0)
@@ -752,6 +752,9 @@ def test_condition_b_cases():
     assert plane.status == "holds" and "2" in plane.reason
     o3 = check_condition_b(orthant(3))
     assert o3.status == "unknown"
+    # in d = 1 every convex domain is an interval with at most two boundary points
+    line = check_condition_b(half_line())
+    assert line.status == "holds" and line.reason == "dimension 1"
     # bounded polytope without balls: a box in R^3
     box_domain = ConvexDomain(
         3,

@@ -20,7 +20,7 @@ from skorokhod_kit import (
     ks_test_against_cdf,
     preset_coefficients,
     semimartingale_skorokhod,
-    skorokhod_map_1d,
+    skorokhod_map_1d_batch,
     strong_error_estimate,
     unit_disc,
 )
@@ -110,10 +110,9 @@ def test_scheme_equals_explicit_map_on_half_line():
     unit = preset_coefficients("unit-diffusion", d=1)
     for stream in range(3):
         path = euler_reflected(unit, half_line(), [0.0], grid, RngSeed(11, stream))
-        driver = SampledPath.continuous(grid, path.driver.values)
-        explicit = skorokhod_map_1d(driver, 0.0)
-        assert np.max(np.abs(path.X.scalar_values - explicit.g.scalar_values)) <= 1e-12
-        assert np.max(np.abs(path.phi.scalar_values - explicit.h.scalar_values)) <= 1e-12
+        g, h = skorokhod_map_1d_batch(path.driver.values[..., 0])
+        assert np.max(np.abs(path.X.scalar_values - g[0])) <= 1e-12
+        assert np.max(np.abs(path.phi.scalar_values - h[0])) <= 1e-12
 
 
 def test_monotone_in_start_with_shared_noise():
@@ -400,7 +399,7 @@ def test_reflected_path_association_invariants():
     coeffs = preset_coefficients("constant-drift(0,-1)", d=2)
     for stream in range(5):
         path = euler_reflected(coeffs, unit_disc(), [0.0, 0.5], grid, RngSeed(19, stream))
-        w = SampledPath.continuous(grid, path.input_values)
+        w = SampledPath.continuous(grid, path.X.values - path.phi.values)
         diag = nd_solution_diagnostics(path, w, unit_disc())
         assert diag["containment_worst_slack"] >= -1e-9
         assert diag["interior_pushing_mass"] == 0.0
@@ -512,6 +511,40 @@ def test_contract_check_matches_per_pair_loop(case):
     assert got == want
     assert report.passed == (max(want) <= coeffs.lipschitz_K * (1.0 + 1e-9))
     assert report.n_samples == 200
+
+
+def test_contract_check_names_the_first_non_finite_drift():
+    # NaN past x = 5 on the half-line; the drift sees one sample pair per call
+    calls = []
+
+    def drift(t, X):
+        calls.append((t, X.tolist()))
+        return np.where(X > 5.0, np.nan, -X)
+
+    coeffs = SdeCoefficients(b=drift, constant_sigma=[[1.0]], lipschitz_K=1.0, r=1)
+    with pytest.raises(EvaluationFault, match=r"^b\(t, X\) is non-finite at sample") as err:
+        coefficient_contract_check(coeffs, half_line(), n_samples=64, rng=RngSeed(0, 0))
+    first = next(i for i, (_, X) in enumerate(calls) if max(X) > [5.0])
+    t, X = calls[first]
+    assert first > 0 and err.value.path_index == first and err.value.step_index is None
+    assert f"sample {first}: t = {t}, X = {X}" in str(err.value)
+
+
+def test_contract_check_faults_on_non_finite_sigma_before_any_norm():
+    # an all-NaN sigma would make the spectral norm's SVD fail to converge
+    coeffs = SdeCoefficients(
+        b=None, sigma=lambda t, X: np.full((len(X), 1, 1), np.nan), lipschitz_K=1.0, r=1
+    )
+    with pytest.raises(EvaluationFault, match=r"^sigma\(t, X\) is non-finite at sample 0:") as err:
+        coefficient_contract_check(coeffs, half_line(), n_samples=8)
+    assert err.value.path_index == 0
+
+
+@pytest.mark.parametrize("n_samples", [0, -2])
+def test_contract_check_needs_a_sample(n_samples):
+    unit = preset_coefficients("unit-diffusion", d=1)
+    with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n_samples}"):
+        coefficient_contract_check(unit, half_line(), n_samples=n_samples)
 
 
 def test_presets_parse_and_validate():

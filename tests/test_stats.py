@@ -9,7 +9,6 @@ from skorokhod_kit import (
     half_normal_cdf,
     ks_test_against_cdf,
     ks_test_two_sample,
-    reflected_density,
 )
 
 
@@ -104,8 +103,10 @@ def test_ks_result_invariant():
 
 
 def test_half_normal_cdf_matches_reflected_density_quadrature():
+    # the transition density of reflection at 0 from x = 0 at t = 1 is 2 phi(u)
+    density = lambda u: 2.0 * np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)  # noqa: E731
     for y in (0.2, 0.7, 1.5, 2.4):
-        integral, err = quad(lambda u: reflected_density(1.0, 0.0, u), 0.0, y)
+        integral, err = quad(density, 0.0, y)
         assert err < 1e-10
         assert half_normal_cdf(y) == pytest.approx(integral, abs=1e-9)
     assert half_normal_cdf(-1.0) == 0.0
