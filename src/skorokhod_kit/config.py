@@ -15,6 +15,7 @@ import numpy as np
 
 from . import domains as dom
 from .domains import ConvexDomain
+from .stats import KS_CRITICAL
 
 BUILTIN_DOMAINS = {
     "half-line": dom.half_line,
@@ -177,6 +178,8 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_count("n_paths", self.n_paths)
         _check_count("N", self.n_steps)
+        if self.alpha not in KS_CRITICAL:
+            raise ValueError(f"config key alpha must be one of {sorted(KS_CRITICAL)}, got {self.alpha}")
 
     @classmethod
     def from_mapping(cls, doc: dict, defaults: dict | None = None) -> "ExperimentConfig":

@@ -245,7 +245,7 @@ def _pooled_isometry(
 
 def _run_ito_isometry(config: ExperimentConfig):
     rng = RngSeed(config.seed)
-    f_state = Integrand.of_state(lambda t, x: x, m2_bound=0.5)
+    f_state = Integrand(lambda t, x: x)
     lhs, rhs = _pooled_isometry(f_state, config.horizon, config.n_paths, rng, config.n_steps)
     joint_se = float(np.hypot(lhs.std_error, rhs.std_error))
     const = Integrand.constant(1.0)

@@ -6,12 +6,12 @@ Every sum here evaluates integrands at the left endpoint of each step. That
 convention is fixed at the interface: it is what makes the discrete integral
 a martingale transform, and the isometry and zero-mean properties hold for
 it exactly in expectation. Sums are numpy pairwise sums, never BLAS, so their
-bits do not depend on the BLAS thread count. The quadratic variation, the
-change-of-variables residual, the local-time estimators and the isometry
-samples run only on batches of paths, one row per path; a single path is a
-batch of one row. A bracket [X] is a SampledPath like X itself: realized
-(quadratic_variation, one row per path) or the model bracket t of Brownian
-motion, one row shared by every path.
+bits do not depend on the BLAS thread count. Integrands, integrals, the
+quadratic variation, the change-of-variables residual, the local-time
+estimators and the isometry samples run only on batches of paths, one row
+per path; a single path is a batch of one row. A bracket [X] is a
+SampledPath like X: realized (quadratic_variation, one row per path) or
+the model bracket t of Brownian motion, one row shared by every path.
 """
 
 from __future__ import annotations
@@ -29,111 +29,72 @@ from .randomness import RngSeed, brownian_increments, path_values
 
 @dataclass(frozen=True)
 class Integrand:
-    """Adapted integrand f(t) evaluated from the path history up to t.
+    """Adapted integrand f, evaluated on a block of paths at once.
 
-    ``evaluate(t, times, values)`` receives the grid times and path values up
-    to and including t, never beyond: causality is structural. The optional
-    ``evaluate_path`` computes all grid values in one vectorized call and
-    must agree with ``evaluate``; it exists so Monte Carlo loops stay fast.
-    ``pointwise`` declares that ``evaluate_path`` is an elementwise function
-    of (t, X_t) that broadcasts: given times shaped (grid,) and values shaped
-    (paths, grid), one call returns every path's values, each row equal bit
-    for bit to that path's own call. ``constant``, ``of_time`` and
-    ``of_state`` declare it; other integrands are evaluated path by path.
-    ``m2_bound`` records a declared square-integrability witness; it is a
-    contract, not something checked here (the mean of ito_isometry_samples'
-    second array gives a Monte Carlo spot check of E int f^2 dt).
+    ``fn(times, values)`` takes the grid times (grid,) and a block of paths
+    (paths, grid) and returns f at every grid point, shaped like the block.
+    Entry (i, k) may depend only on the times up to t_k and on row i up to
+    column k: an elementwise f(t, X_t) such as ``Integrand(lambda t, x:
+    np.sin(x))``, or a row's past, a running mean by ``cumsum`` say.
     """
 
-    evaluate: Callable[[float, np.ndarray, np.ndarray], float]
-    m2_bound: float | str = "unverified"
-    evaluate_path: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    pointwise: bool = False
-
-    def __post_init__(self):
-        if self.pointwise and self.evaluate_path is None:
-            raise ValueError("a pointwise integrand needs evaluate_path")
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     @classmethod
     def constant(cls, c: float) -> "Integrand":
-        return cls(
-            evaluate=lambda t, ts, xs: c,
-            m2_bound=abs(c),
-            evaluate_path=lambda ts, xs: np.full_like(xs, c),
-            pointwise=True,
-        )
+        return cls(lambda ts, xs: np.full_like(xs, c))
 
     @classmethod
-    def of_time(cls, fn: Callable, m2_bound: float | str = "unverified") -> "Integrand":
+    def of_time(cls, fn: Callable) -> "Integrand":
         """Deterministic integrand t -> fn(t)."""
-        return cls(
-            evaluate=lambda t, ts, xs: float(fn(t)),
-            m2_bound=m2_bound,
-            evaluate_path=lambda ts, xs: np.broadcast_to(fn(ts), xs.shape).copy(),
-            pointwise=True,
-        )
-
-    @classmethod
-    def of_state(cls, fn: Callable, m2_bound: float | str = "unverified") -> "Integrand":
-        """Markov integrand t -> fn(t, X_t), causal by construction.
-
-        fn must act elementwise on arrays of times and states (numpy ufunc
-        arithmetic does), as the vectorized and block evaluations rely on it.
-        """
-        return cls(
-            evaluate=lambda t, ts, xs: float(fn(t, xs[-1])),
-            m2_bound=m2_bound,
-            evaluate_path=lambda ts, xs: fn(ts, xs),
-            pointwise=True,
-        )
+        return cls(lambda ts, xs: np.broadcast_to(fn(ts), xs.shape))
 
 
 def integrand_grid_values(
-    f: Integrand, times: np.ndarray, values: np.ndarray, path_index: int | None = None
+    f: Integrand, times: np.ndarray, values: np.ndarray, path_index: int = 0
 ) -> np.ndarray:
-    """f at every grid point of one path, or of a block of paths.
+    """f at every grid point of a block of paths shaped (paths, grid).
 
-    ``values`` is one path shaped (grid,) or a block shaped (paths, grid) on
-    the same times. A pointwise integrand takes a block in one call; any
-    other is evaluated row by row, and a custom ``evaluate_path`` always
-    receives one 1-D path. ``path_index`` is passed on to any EvaluationFault
-    raised here; in a block it is the index of row 0 (default 0), and a fault
-    names the first non-finite (path, step) in path order.
+    Checked in this order: the shape; finiteness, an EvaluationFault naming
+    the first non-finite (path, step) in path order, row 0 being path
+    ``path_index``; adaptedness, where row 0 up to the middle column,
+    evaluated alone, must agree with the block to 1e-12 relative, or f
+    looked ahead or across rows (ContractError).
     """
-    if values.ndim == 2 and not f.pointwise:
-        first = path_index or 0
-        vals = np.empty_like(values)
-        for j, row in enumerate(values):
-            vals[j] = integrand_grid_values(f, times, row, path_index=first + j)
-        return vals
-    if f.evaluate_path is not None:
-        vals = np.asarray(f.evaluate_path(times, values), dtype=np.float64)
-        if vals.shape != values.shape:
-            raise EvaluationFault(
-                "vectorized integrand returned a wrong shape", path_index=path_index
-            )
-    else:
-        vals = np.empty_like(values)
-        for k in range(values.size):
-            vals[k] = f.evaluate(times[k], times[: k + 1], values[: k + 1])
+    vals = np.asarray(f.fn(times, values), dtype=np.float64)
+    if vals.shape != values.shape:
+        raise EvaluationFault(
+            f"integrand returned shape {vals.shape} for values {values.shape}",
+            path_index=path_index,
+        )
     finite = np.isfinite(vals)
     if not finite.all():
-        row, step = divmod(int(np.flatnonzero(~finite)[0]), vals.shape[-1])
-        if vals.ndim == 2:
-            path_index = (path_index or 0) + row
+        row, step = divmod(int(np.flatnonzero(~finite)[0]), vals.shape[1])
         raise EvaluationFault(
-            "integrand produced a non-finite value", step_index=step, path_index=path_index
+            "integrand produced a non-finite value", step_index=step, path_index=path_index + row
+        )
+    mid = values.shape[1] // 2 + 1
+    alone = np.asarray(f.fn(times[:mid], values[:1, :mid]), dtype=np.float64)
+    head = vals[:1, :mid]
+    # a tolerance, not bitwise equality: SIMD loops may round a short tail apart
+    if alone.shape != head.shape or not np.all(np.abs(alone - head) <= 1e-12 * np.abs(head)):
+        raise ContractError(
+            f"integrand on path {path_index} up to step {mid - 1} reads later steps or other paths"
         )
     return vals
 
 
-def ito_integral(f: Integrand, B: SampledPath) -> float:
-    """Left-point integral sum_k f(t_k) * (B(t_{k+1}) - B(t_k))."""
-    x = B.scalar_values
+def ito_integral(f: Integrand, B: SampledPath) -> np.ndarray:
+    """Left-point integrals sum_k f(t_k) (B(t_{k+1}) - B(t_k)), one per path.
+
+    B is a batch of one-dimensional paths; the result is shaped (paths,), and
+    each entry equals the integral over that path alone, bit for bit.
+    """
+    x = _rows(B, "the integrator")
     vals = integrand_grid_values(f, B.grid.times, x)
-    dx = np.diff(x)
-    dx *= vals[:-1]
-    return float(dx.sum())
+    dx = np.diff(x, axis=1)
+    dx *= vals[:, :-1]
+    return dx.sum(axis=1)
 
 
 def _rows(path: SampledPath, what: str) -> np.ndarray:
@@ -243,8 +204,8 @@ def local_time_occupation_batch(
     eps_list[j], scaled by 1/(4 eps), with indicators at left endpoints; one
     distance array serves every bandwidth.
     """
-    if not all(eps > 0.0 for eps in eps_list):
-        raise ValueError("eps must be positive")
+    if len(eps_list) == 0 or not all(eps > 0.0 for eps in eps_list):
+        raise ValueError(f"eps_list needs one or more positive bandwidths, got {list(eps_list)}")
     dist = values[..., :-1] - a
     np.abs(dist, out=dist)
     occupation = []
@@ -285,27 +246,24 @@ def ito_isometry_samples(
     so a path's samples do not depend on which other paths share the call: a
     run split into stream ranges and concatenated in order gives the same
     arrays. Paths run in blocks of _ISOMETRY_BLOCK: one brownian_increments
-    call per block, the integrand evaluated on the block's grid values (in
-    one call when it is pointwise), and both sums taken for the whole block
-    at once as pairwise numpy row sums, which call no BLAS and give every
-    row the same bits whatever the block's shape. A non-finite integrand value
-    raises EvaluationFault with its grid step and the path's index i.
+    call per block, the integrand evaluated on the block's grid values in
+    one call, and both sums taken for the whole block at once as pairwise
+    numpy row sums, which call no BLAS and give every row the same bits
+    whatever the block's shape. A non-finite integrand value raises
+    EvaluationFault with its grid step and the path's index i.
     """
     if n_paths < 1:
         raise ValueError("need at least 1 path")
     grid = TimeGrid.uniform(T, n_steps)
-    times = grid.times
-    dt = grid.deltas
     lhs_samples = np.empty(n_paths)
     rhs_samples = np.empty(n_paths)
     for start in range(0, n_paths, _ISOMETRY_BLOCK):
         m = min(_ISOMETRY_BLOCK, n_paths - start)
-        dB = brownian_increments(rng, m, grid, first_stream=first_stream + start)
-        dB = dB[..., 0]
+        dB = brownian_increments(rng, m, grid, first_stream=first_stream + start)[..., 0]
         x = np.zeros((m, n_steps + 1))
         np.cumsum(dB, axis=1, out=x[:, 1:])
-        left = integrand_grid_values(f, times, x, path_index=start)[:, :-1]
+        left = integrand_grid_values(f, grid.times, x, path_index=start)[:, :-1]
         lhs_samples[start : start + m] = (left * dB).sum(axis=1)
-        rhs_samples[start : start + m] = (left**2 * dt).sum(axis=1)
+        rhs_samples[start : start + m] = (left**2 * grid.deltas).sum(axis=1)
     lhs_samples **= 2
     return lhs_samples, rhs_samples

@@ -452,6 +452,8 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
             raise ValueError(f"malformed coefficient preset {name!r}")
         inner = name[name.index("(") + 1 : -1]
         args = [float(p) for p in inner.split(",")] if inner.strip() else []
+    if args and base in ("unit-diffusion", "sin-diffusion"):
+        raise ValueError(f"coefficient preset {base} takes no arguments, got {name!r}")
     if base == "unit-diffusion":
         return SdeCoefficients(
             constant_sigma=np.eye(d),

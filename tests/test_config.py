@@ -147,6 +147,12 @@ def test_experiment_config_rejects_empty_sizes(sizes):
         ExperimentConfig(experiment="x").replace(**sizes)
 
 
+def test_experiment_config_rejects_an_untabulated_alpha():
+    assert ExperimentConfig(experiment="x", alpha=0.05).alpha == 0.05
+    with pytest.raises(ValueError, match=r"config key alpha must be one of \[0.01, 0.05\]"):
+        ExperimentConfig(experiment="x", alpha=0.02)
+
+
 def test_count_option_reads_counts_and_rejects_empty_ones():
     config = ExperimentConfig(experiment="x", options={"fine_paths": 7, "route_steps": 2.0})
     assert config.count_option("fine_paths", 400) == 7

@@ -56,6 +56,11 @@ def test_package_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in skorokhod_kit.__all__ if not hasattr(skorokhod_kit, name)]
+    assert not missing
+    assert len(set(skorokhod_kit.__all__)) == len(skorokhod_kit.__all__)
+
 
 def test_nd_diagnostics_leave_scipy_optimize_unloaded():
     # the normal-cone residual and condition B's boundedness are computed
@@ -398,6 +403,9 @@ LEVELS_MESSAGE = "config key dt_levels needs at least 2 step sizes, got {}"
         ("local-time", "fine_paths = 0.5", WHOLE_MESSAGE.format("fine_paths", 0.5)),
         ("nd-skorokhod-props", "refine_n0 = yes", WHOLE_MESSAGE.format("refine_n0", True)),
         ("rsde-consistency", "route_steps = many", WHOLE_MESSAGE.format("route_steps", "'many'")),
+        # a preset without parameters rejects them; alpha has a tabulated critical value
+        ("rsde-consistency", "coefficients = unit-diffusion(5)", "unit-diffusion takes no arguments"),
+        ("rbm-density", "alpha = 0.02", "config key alpha must be one of [0.01, 0.05], got 0.02"),
     ],
 )
 def test_cli_unusable_options_exit_2_naming_the_key(tmp_path, capsys, experiment, line, message):
@@ -670,7 +678,7 @@ def test_isometry_samples_independent_of_blas_threads():
     code = (
         "import sys, numpy as np\n"
         "from skorokhod_kit import Integrand, RngSeed, ito_isometry_samples\n"
-        "f = Integrand.of_state(lambda t, x: x)\n"
+        "f = Integrand(lambda t, x: x)\n"
         "lhs, rhs = ito_isometry_samples(f, 1.0, 8, RngSeed(3), n_steps=50_000)\n"
         "sys.stdout.write(np.concatenate([lhs, rhs]).tobytes().hex())\n"
     )

@@ -42,37 +42,52 @@ def make_brownian(n_steps=1000, seed=3, stream=0, T=1.0):
 # --- ito_integral -----------------------------------------------------------
 
 
+def prefix_oracle(evaluate):
+    """A block evaluator from a per-point one: entry (i, k) is
+    evaluate(t_k, times[:k + 1], row_i[:k + 1]), which sees nothing later."""
+
+    def fn(ts, xs):
+        out = np.empty(xs.shape)
+        for i, row in enumerate(xs):
+            for k in range(xs.shape[1]):
+                out[i, k] = evaluate(ts[k], ts[: k + 1], row[: k + 1])
+        return out
+
+    return fn
+
+
+def running_mean(ts, xs):
+    # a causal, path-dependent integrand: the mean of each row so far
+    return np.cumsum(xs, axis=1) / np.arange(1, xs.shape[1] + 1)
+
+
 def test_constant_integrand_telescopes():
     B = make_brownian(500)
     got = ito_integral(Integrand.constant(2.5), B)
     x = B.scalar_values
-    assert got == pytest.approx(2.5 * (x[-1] - x[0]), abs=1e-12)
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(2.5 * (x[-1] - x[0]), abs=1e-12)
 
 
 def test_identity_integrand_closed_form_per_path():
     # sum B dB = (B_T^2 - [B]_T) / 2 exactly at grid level; against the
     # continuum value (B_T^2 - T)/2 the rms gap is small at dt = 1e-4
-    f = Integrand.of_state(lambda t, x: x)
-    gaps = []
-    for i in range(100):
-        B = make_brownian(10_000, seed=6, stream=i)
-        x = B.scalar_values
-        got = ito_integral(f, B)
-        exact_discrete = (x[-1] ** 2 - quadratic_variation(B).scalar_values[-1]) / 2.0
-        assert got == pytest.approx(exact_discrete, abs=1e-10)
-        gaps.append(got - (x[-1] ** 2 - 1.0) / 2.0)
-    rms = float(np.sqrt(np.mean(np.square(gaps))))
+    grid = TimeGrid.uniform(1.0, 10_000)
+    B = SampledPath.continuous(grid, brownian_paths(RngSeed(6), 100, grid))
+    x = B.values[..., 0]
+    got = ito_integral(Integrand(lambda t, x: x), B)
+    exact_discrete = (x[:, -1] ** 2 - quadratic_variation(B).values[:, -1, 0]) / 2.0
+    assert np.allclose(got, exact_discrete, rtol=0.0, atol=1e-10)
+    rms = float(np.sqrt(np.mean(np.square(got - (x[:, -1] ** 2 - 1.0) / 2.0))))
     assert rms <= 0.02
 
 
 def test_martingale_property_zero_mean():
     # E int B^2 dB = 0; modest sample, 4 standard errors
-    f = Integrand.of_state(lambda t, x: x**2)
-    n = 4000
-    vals = np.empty(n)
-    for i in range(n):
-        vals[i] = ito_integral(f, make_brownian(400, seed=8, stream=i))
-    se = vals.std(ddof=1) / np.sqrt(n)
+    grid = TimeGrid.uniform(1.0, 400)
+    B = SampledPath.continuous(grid, brownian_paths(RngSeed(8), 4000, grid))
+    vals = ito_integral(Integrand(lambda t, x: x**2), B)
+    se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean()) <= 4.0 * se
 
 
@@ -80,38 +95,77 @@ def test_martingale_property_zero_mean():
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_linearity_exact(alpha, beta):
     B = make_brownian(200, seed=12)
-    f = Integrand.of_state(lambda t, x: x)
+    f = Integrand(lambda t, x: x)
     g = Integrand.of_time(lambda t: np.sin(t))
-    combo = Integrand.of_state(lambda t, x: alpha * x + beta * np.sin(t))
+    combo = Integrand(lambda t, x: alpha * x + beta * np.sin(t))
     lhs = ito_integral(combo, B)
     rhs = alpha * ito_integral(f, B) + beta * ito_integral(g, B)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_causality_of_prefix_evaluator():
+    # the block is evaluated whole, then row 0 up to the middle column alone
     seen = []
 
-    def evaluator(t, times, values):
-        seen.append((t, times[-1], len(times), len(values)))
-        return 1.0
+    def fn(ts, xs):
+        seen.append((len(ts), xs.shape))
+        return xs.copy()
 
-    B = make_brownian(16)
-    ito_integral(Integrand(evaluate=evaluator), B)
-    for k, (t, t_last, n_times, n_values) in enumerate(seen):
-        assert t == t_last
-        assert n_times == k + 1 == n_values
+    grid = TimeGrid.uniform(1.0, 16)
+    x = np.arange(3.0 * len(grid)).reshape(3, -1)
+    assert np.array_equal(integrand_grid_values(Integrand(fn), grid.times, x), x)
+    assert seen == [(17, (3, 17)), (9, (1, 9))]
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda t, xs: xs - xs.mean(axis=1, keepdims=True),  # looks ahead in time
+        lambda t, xs: xs - xs.mean(),  # reads the other paths
+    ],
+    ids=["lookahead", "cross-row"],
+)
+def test_non_adapted_integrand_is_contract_error(fn):
+    grid = TimeGrid.uniform(1.0, 40)
+    B = SampledPath.continuous(grid, brownian_paths(RngSeed(13), 3, grid))
+    with pytest.raises(ContractError, match="path 0 up to step 20"):
+        ito_integral(Integrand(fn), B)
+    with pytest.raises(ContractError, match="path 0 up to step 15"):
+        ito_isometry_samples(Integrand(fn), 1.0, 70, RngSeed(13), n_steps=30)
 
 
 def test_vectorized_and_scalar_paths_agree():
-    B = make_brownian(300, seed=9)
-    fast = Integrand.of_state(lambda t, x: x * np.cos(t))
-    slow = Integrand(evaluate=lambda t, ts, xs: float(xs[-1] * np.cos(t)))
-    assert ito_integral(fast, B) == pytest.approx(ito_integral(slow, B), abs=1e-12)
+    # block evaluators against the per-point prefix oracle, Markov and
+    # path-dependent, on a batch of paths
+    grid = TimeGrid.uniform(1.0, 300)
+    x = brownian_paths(RngSeed(9), 4, grid)
+    B = SampledPath.continuous(grid, x)
+    x = x[..., 0]
+    cases = [
+        (lambda t, x: x * np.cos(t), lambda t, ts, xs: float(xs[-1] * np.cos(t))),
+        (running_mean, lambda t, ts, xs: float(xs.mean())),
+    ]
+    for fast, slow in cases:
+        block = integrand_grid_values(Integrand(fast), grid.times, x)
+        assert np.allclose(block, prefix_oracle(slow)(grid.times, x), rtol=1e-12, atol=1e-15)
+        got = ito_integral(Integrand(fast), B)
+        assert np.allclose(got, ito_integral(Integrand(prefix_oracle(slow)), B), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["of_state", "running_mean"])
+def test_batch_integral_rows_equal_batches_of_one(name):
+    f = ORACLE_INTEGRANDS[name]
+    grid = TimeGrid.uniform(1.0, 9000)
+    B = SampledPath.continuous(grid, brownian_paths(RngSeed(14), 5, grid))
+    batch = ito_integral(f, B)
+    assert batch.shape == (5,)
+    for i in range(5):
+        assert ito_integral(f, B[i]).tobytes() == batch[i : i + 1].tobytes()
 
 
 def test_non_finite_integrand_is_evaluation_fault():
     B = make_brownian(50)
-    bad = Integrand.of_state(lambda t, x: x / 0.0)
+    bad = Integrand(lambda t, x: x / 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(EvaluationFault):
             ito_integral(bad, B)
@@ -128,7 +182,7 @@ def test_isometry_constant_integrand():
 
 
 def test_isometry_identity_integrand():
-    f = Integrand.of_state(lambda t, x: x)
+    f = Integrand(lambda t, x: x)
     lhs, rhs = _pooled_isometry(f, 1.0, 4000, RngSeed(15), n_steps=500)
     joint = np.hypot(lhs.std_error, rhs.std_error)
     assert abs(rhs.mean - 0.5) <= 3.0 * rhs.std_error
@@ -137,7 +191,7 @@ def test_isometry_identity_integrand():
 
 def test_isometry_square_integrand_fourth_moment():
     # E int B^4 dt = int 3 t^2 dt = 1, the square-integrability witness for B^2
-    f = Integrand.of_state(lambda t, x: x**2)
+    f = Integrand(lambda t, x: x**2)
     oracle, err = quad(lambda t: 3.0 * t**2, 0.0, 1.0)
     assert err < 1e-10
     _, rhs = _pooled_isometry(f, 1.0, 4000, RngSeed(16), n_steps=500)
@@ -156,7 +210,7 @@ def isometry_oracle(f, T, n_paths, rng, n_steps=1000, first_stream=0):
         gen = rng.with_stream(first_stream + i).generator()
         dB = standard_normals(gen, n_steps) * sqrt_dt
         x = np.concatenate(([0.0], np.cumsum(dB)))
-        vals = integrand_grid_values(f, times, x)
+        vals = integrand_grid_values(f, times, x[None])[0]
         # numpy's pairwise sums, BLAS-free like the batched route
         lhs_samples[i] = (vals[:-1] * dB).sum()
         rhs_samples[i] = (vals[:-1] ** 2 * dt).sum()
@@ -167,8 +221,9 @@ def isometry_oracle(f, T, n_paths, rng, n_steps=1000, first_stream=0):
 ORACLE_INTEGRANDS = {
     "constant": Integrand.constant(1.5),
     "of_time": Integrand.of_time(lambda t: np.sin(3.0 * t)),
-    "of_state": Integrand.of_state(lambda t, x: x * np.cos(t) + 0.25 * x**2),
-    "evaluate_only": Integrand(evaluate=lambda t, ts, xs: float(xs[-1] - 0.5 * xs.mean())),
+    "of_state": Integrand(lambda t, x: x * np.cos(t) + 0.25 * x**2),
+    "evaluate_only": Integrand(lambda t, xs: xs - 0.5 * running_mean(t, xs)),
+    "running_mean": Integrand(running_mean),
 }
 
 
@@ -189,30 +244,31 @@ def test_isometry_matches_oracle_at_default_steps_and_offset_streams(name):
     assert got != _pooled_isometry(*args)
 
 
-def _nan_at(path, step):
-    # counts evaluate_path calls, which ito_isometry_samples makes in path order
-    calls = []
+def _nan_at(path, step, n_steps=30):
+    # counts the rows of whole blocks, which ito_isometry_samples evaluates
+    # in path order; the contract check's one-row prefixes are shorter
+    first_row = [0]
 
-    def evaluate_path(ts, xs):
-        calls.append(None)
+    def fn(ts, xs):
         out = xs.copy()
-        if len(calls) == path + 1:
-            out[step] = np.nan
+        if len(ts) == n_steps + 1:
+            if 0 <= path - first_row[0] < len(xs):
+                out[path - first_row[0], step] = np.nan
+            first_row[0] += len(xs)
         return out
 
-    return Integrand(evaluate=lambda t, ts, xs: float(xs[-1]), evaluate_path=evaluate_path)
+    return Integrand(fn)
 
 
 def _nan_at_scalar(path, step):
-    # counts paths by their first-step evaluations
-    paths = []
+    # a per-point evaluator that is NaN at one point of the run below (seed
+    # 2, streams from 9, 30 steps), found by its path value
+    targets = _marked_points(RngSeed(2), 9, 30, [(path, step)])
 
     def evaluate(t, ts, xs):
-        if len(ts) == 1:
-            paths.append(None)
-        return np.nan if (len(paths) == path + 1 and len(ts) == step + 1) else float(xs[-1])
+        return np.nan if _is_marked(targets, t, xs[-1]) else float(xs[-1])
 
-    return Integrand(evaluate=evaluate)
+    return Integrand(prefix_oracle(evaluate))
 
 
 @pytest.mark.parametrize("make", [_nan_at, _nan_at_scalar])
@@ -227,60 +283,44 @@ def test_isometry_fault_names_path_and_step(make):
 POINTWISE_FACTORIES = {
     "constant": Integrand.constant(-0.75),
     "of_time": Integrand.of_time(lambda t: np.exp(-t) * np.sin(7.0 * t)),
-    "of_state": Integrand.of_state(lambda t, x: np.tanh(x) * np.cos(t) + x**3),
+    "of_state": Integrand(lambda t, x: np.tanh(x) * np.cos(t) + x**3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(POINTWISE_FACTORIES))
 def test_pointwise_block_matches_rows_bit_for_bit(name):
     f = POINTWISE_FACTORIES[name]
-    assert f.pointwise
     grid = TimeGrid.uniform(1.7, 333)
     x = np.cumsum(np.random.default_rng(8).standard_normal((37, len(grid))) * 0.07, axis=1)
     block = integrand_grid_values(f, grid.times, x)
-    rows = np.array([integrand_grid_values(f, grid.times, row) for row in x])
+    rows = np.concatenate([integrand_grid_values(f, grid.times, row[None]) for row in x])
     assert block.shape == x.shape
     assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
 
 
-def test_custom_evaluate_path_sees_one_path_at_a_time():
-    shapes = []
-
-    def evaluate_path(ts, xs):
-        shapes.append(xs.shape)
-        return xs - xs.mean()  # depends on the whole path: not pointwise
-
-    f = Integrand(evaluate=lambda t, ts, xs: float(xs[-1]), evaluate_path=evaluate_path)
-    assert not f.pointwise
-    x = np.arange(12.0).reshape(3, 4)
-    got = integrand_grid_values(f, np.arange(4.0), x)
-    assert shapes == [(4,)] * 3
-    assert np.array_equal(got, x - x.mean(axis=1, keepdims=True))
-
-
-def test_pointwise_needs_evaluate_path():
-    with pytest.raises(ValueError):
-        Integrand(evaluate=lambda t, ts, xs: 1.0, pointwise=True)
-
-
-def _pointwise_nan_at(rng, first_stream, n_steps, marks):
-    # a pointwise integrand that is NaN at grid step `step` of path `path` for
-    # each (path, step) in marks; each point is found by its path value,
-    # which no other grid point of the run shares
+def _marked_points(rng, first_stream, n_steps, marks):
+    # the (t, x) of grid step `step` on path `path` for each (path, step) in
+    # marks; no other grid point of the run shares its path value
     grid = TimeGrid.uniform(1.0, n_steps)
     targets = []
     for path, step in marks:
         gen = rng.with_stream(first_stream + path).generator()
         dB = standard_normals(gen, n_steps) * np.sqrt(grid.deltas)
         targets.append((grid.times[step], np.cumsum(dB)[step - 1]))
+    return targets
 
-    def fn(t, x):
-        hit = np.zeros(np.broadcast(t, x).shape, dtype=bool)
-        for t_mark, x_mark in targets:
-            hit |= (t == t_mark) & (x == x_mark)
-        return np.where(hit, np.nan, x)
 
-    return Integrand.of_state(fn)
+def _is_marked(targets, t, x):
+    hit = np.zeros(np.broadcast(t, x).shape, dtype=bool)
+    for t_mark, x_mark in targets:
+        hit |= (t == t_mark) & (x == x_mark)
+    return hit
+
+
+def _pointwise_nan_at(rng, first_stream, n_steps, marks):
+    # an elementwise integrand that is NaN at each marked point
+    targets = _marked_points(rng, first_stream, n_steps, marks)
+    return Integrand(lambda t, x: np.where(_is_marked(targets, t, x), np.nan, x))
 
 
 @pytest.mark.parametrize(
@@ -509,6 +549,8 @@ def test_occupation_rejects_bad_bandwidth():
     grid = TimeGrid.uniform(1.0, 4)
     with pytest.raises(ValueError):
         local_time_occupation_batch(np.zeros((1, 5)), grid, 0.0, [0.1, 0.0])
+    with pytest.raises(ValueError, match="eps_list"):
+        local_time_occupation_batch(np.zeros((1, 5)), grid, 0.0, [])
 
 
 def test_occupation_estimate_never_negative():
@@ -577,12 +619,12 @@ def test_path_sums_independent_of_blas_threads():
         "from skorokhod_kit.itocalc import local_time_tanaka_batch\n"
         "grid = TimeGrid.uniform(1.0, 200_000)\n"
         "B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(3))\n"
-        "f = Integrand.of_state(lambda t, x: np.sin(x))\n"
+        "f = Integrand(lambda t, x: np.sin(x))\n"
         "res = ito_formula_residual(lambda t, x: x**3, lambda t, x: 0.0 * np.asarray(x),\n"
         "    lambda t, x: 3.0 * np.asarray(x) ** 2, lambda t, x: 6.0 * np.asarray(x), B,\n"
         "    SampledPath.continuous(grid, grid.times))\n"
-        "vals = [ito_integral(f, B), float(local_time_tanaka_batch(B.values[..., 0], 0.1)[0]),\n"
-        "    float(res[0])]\n"
+        "vals = [float(ito_integral(f, B)[0]),\n"
+        "    float(local_time_tanaka_batch(B.values[..., 0], 0.1)[0]), float(res[0])]\n"
         "print(' '.join(v.hex() for v in vals))\n"
     )
     outputs = []

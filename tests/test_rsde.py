@@ -225,6 +225,12 @@ def test_zero_drift_presets_declare_no_drift():
         assert report.passed
 
 
+@pytest.mark.parametrize("name", ["unit-diffusion(5)", "sin-diffusion(1,2,3)"])
+def test_parameterless_presets_reject_arguments(name):
+    with pytest.raises(ValueError, match=rf"preset {name.split('(')[0]} takes no arguments"):
+        preset_coefficients(name)
+
+
 def test_overflowing_check_sum_keeps_the_finite_run():
     # states near 1e308 overflow the sum of free states though every state is
     # finite: the checked rerun finds no fault and the run stands, and the
