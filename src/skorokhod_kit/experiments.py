@@ -175,14 +175,18 @@ def _run_skorokhod_1d_props(config: ExperimentConfig):
 
 def _rbm_terminals(config: ExperimentConfig, block: int) -> np.ndarray:
     grid = TimeGrid.uniform(config.horizon, config.n_steps)
+    buffers = threading.local()
 
     def chunk_terminals(start, stop):
         rng = RngSeed(config.seed, block * STREAM_BLOCK)
         dB = brownian_increments(rng, stop - start, grid, first_stream=start)[..., 0]
-        # in place: with a second chunk-sized temporary, glibc trims the
-        # worker's heap when a chunk frees it and faults the pages back in
-        # for the next chunk; v(0) = 0 is left out, as the terminal map allows
-        return skorokhod_terminal_1d_batch(np.cumsum(dB, axis=1, out=dB))
+        # the running sums go out of place, one row per call, so they release
+        # the GIL; their target is this thread's buffer, not a second
+        # chunk-sized temporary that glibc would trim from the worker's heap
+        # and fault back in for the next chunk; v(0) = 0 is left out, as the
+        # terminal map allows
+        v = pool.accumulate_rows(np.add, dB, _thread_rows(buffers, dB.shape))
+        return skorokhod_terminal_1d_batch(v)
 
     parts = map_chunks(chunk_terminals, config.n_paths, chunk=_row_chunk(len(grid)))
     return np.concatenate(parts)

@@ -20,6 +20,7 @@ from scipy.special import ndtri
 
 from .errors import GenerationError
 from .paths import SampledPath, TimeGrid
+from .pool import accumulate_rows
 
 _HALF_ULP = 2.0**-54  # half the spacing of the 53-bit uniform grid
 
@@ -140,11 +141,18 @@ class InitialLaw:
 
 
 def path_values(x0, increments: np.ndarray, out=None) -> np.ndarray:
-    """x0, then x0 plus the running sums of increments (..., steps, d) along steps."""
+    """x0, then x0 plus the running sums of increments (..., steps, d) along steps.
+
+    For d = 1 the sums run one path per call (pool.accumulate_rows), which
+    releases the GIL; for d > 1 they stay one n-d cumsum.
+    """
     shape = increments.shape
     values = np.empty(shape[:-2] + (shape[-2] + 1, shape[-1])) if out is None else out
     values[..., 0, :] = x0
-    np.cumsum(increments, axis=-2, out=values[..., 1:, :])
+    if shape[-1] == 1:
+        accumulate_rows(np.add, increments[..., 0], values[..., 1:, 0])
+    else:
+        np.cumsum(increments, axis=-2, out=values[..., 1:, :])
     values[..., 1:, :] += x0
     return values
 

@@ -18,21 +18,33 @@ from __future__ import annotations
 
 import numpy as np
 
+from .pool import accumulate_rows
+
 
 def skorokhod_map_1d_batch(v: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Reflect each row of free paths v = x0 + f, shaped (paths, grid), at 0.
 
     Returns (g, h) shaped like v: h = -running min of min(v, 0) along each
-    row and g = v + h, written into the arrays ``out`` = (g, h) if given.
-    A row whose start v(0) = x0 is negative is a ValueError naming the first.
+    row and g = v + h, written into the arrays ``out`` = (g, h) if given;
+    any two of v, g and h sharing memory is a ValueError. g first holds
+    min(v, 0), so the running minimum runs out of place, one row per call
+    (pool.accumulate_rows), without the GIL. A row whose start v(0) = x0
+    is negative is a ValueError naming the first.
     """
     starts = v[..., 0]
     below = np.flatnonzero(starts < 0.0)
     if below.size:
         raise ValueError(f"row {below[0]} starts below 0: v(0) = {starts.flat[below[0]]}")
-    g, h = (None, None) if out is None else out
-    h = np.minimum(v, 0.0, out=h)
-    np.minimum.accumulate(h, axis=-1, out=h)
+    if out is None:
+        g = np.minimum(v, 0.0)
+        h = np.empty_like(g)
+    else:
+        g, h = out
+        for names, (a, b) in {"v and g": (v, g), "v and h": (v, h), "g and h": (g, h)}.items():
+            if np.may_share_memory(a, b):
+                raise ValueError(f"skorokhod_map_1d_batch: {names} share memory")
+        np.minimum(v, 0.0, out=g)
+    accumulate_rows(np.minimum, g, h)
     np.subtract(0.0, h, out=h)  # 0.0 - avoids a cosmetic -0.0 at flat starts
     return np.add(v, h, out=g), h
 

@@ -441,6 +441,17 @@ def strong_error_estimate(
 
 # Named coefficient presets addressable from the CLI and config files.
 
+def _preset_arg(name: str, text: str) -> float:
+    """One argument of a coefficient preset: a finite float, else a ValueError naming the preset."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"coefficient preset {name!r}: {text.strip()!r} is not a number") from None
+    if not np.isfinite(value):
+        raise ValueError(f"coefficient preset {name!r}: {text.strip()!r} is not finite")
+    return value
+
+
 def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoefficients:
     """Build a named preset: unit-diffusion, constant-drift(v), linear-drift(a),
     sin-diffusion. ``K`` overrides the documented constant (used to exercise
@@ -451,7 +462,7 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
         if not name.endswith(")"):
             raise ValueError(f"malformed coefficient preset {name!r}")
         inner = name[name.index("(") + 1 : -1]
-        args = [float(p) for p in inner.split(",")] if inner.strip() else []
+        args = [_preset_arg(name, p) for p in inner.split(",")] if inner.strip() else []
     if args and base in ("unit-diffusion", "sin-diffusion"):
         raise ValueError(f"coefficient preset {base} takes no arguments, got {name!r}")
     if base == "unit-diffusion":

@@ -403,8 +403,10 @@ LEVELS_MESSAGE = "config key dt_levels needs at least 2 step sizes, got {}"
         ("local-time", "fine_paths = 0.5", WHOLE_MESSAGE.format("fine_paths", 0.5)),
         ("nd-skorokhod-props", "refine_n0 = yes", WHOLE_MESSAGE.format("refine_n0", True)),
         ("rsde-consistency", "route_steps = many", WHOLE_MESSAGE.format("route_steps", "'many'")),
-        # a preset without parameters rejects them; alpha has a tabulated critical value
+        # a preset without parameters rejects them, one with parameters rejects
+        # non-finite ones; alpha has a tabulated critical value
         ("rsde-consistency", "coefficients = unit-diffusion(5)", "unit-diffusion takes no arguments"),
+        ("rsde-consistency", "coefficients = linear-drift(nan)", "'nan' is not finite"),
         ("rbm-density", "alpha = 0.02", "config key alpha must be one of [0.01, 0.05], got 0.02"),
     ],
 )
@@ -540,7 +542,9 @@ def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
     # ito-isometry, 2100 paths: three pool chunks of 1024 paths, the last one
     # short, and a short last block of 64 paths within it. ito-formula, 70
     # paths: row chunks of 65 paths on the 2000-step grid and of 16 on the
-    # 8000-step one, each with a short last chunk
+    # 8000-step one, each with a short last chunk. skorokhod-1d-props and
+    # rbm-density, 60 paths of 5000 steps: row chunks of 26, 26 and 8, whose
+    # running sums and minima run one row per call on the pool's threads
     def summary(name, n_paths, n_steps, workers):
         monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
         config = default_config(
@@ -548,7 +552,12 @@ def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
         )
         return run_experiment(config).artifacts.summary.read_bytes()
 
-    for case in (("ito-isometry", 2100, 50), ("ito-formula", 70, 2000)):
+    for case in (
+        ("ito-isometry", 2100, 50),
+        ("ito-formula", 70, 2000),
+        ("skorokhod-1d-props", 60, 5000),
+        ("rbm-density", 60, 5000),
+    ):
         assert summary(*case, "1") == summary(*case, "3")
 
 

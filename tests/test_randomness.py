@@ -9,6 +9,7 @@ from skorokhod_kit.randomness import (
     brownian_paths,
     normal_matrix,
     normal_tile,
+    path_values,
     standard_normals,
 )
 
@@ -207,3 +208,19 @@ def test_stream_blocks_draw_distinct_rows():
     for i in range(2):
         gen = RngSeed(13, 2**32 + 5 + i).generator()
         assert np.array_equal(z[i], standard_normals(gen, 8))
+
+
+@pytest.mark.parametrize("shape", [(5, 300, 1), (5, 300, 2), (300, 1), (2, 3, 40, 1)])
+def test_path_values_equal_one_nd_cumsum(shape):
+    # d = 1 sums one row per call, d > 1 one n-d cumsum: both are the n-d
+    # running sum plus x0, bit for bit, also into a given buffer
+    increments = np.random.default_rng(shape[-2]).standard_normal(shape)
+    x0 = np.linspace(0.5, 1.0, shape[-1])
+    want = np.concatenate(
+        [np.broadcast_to(x0, shape[:-2] + (1, shape[-1])), np.cumsum(increments, axis=-2) + x0],
+        axis=-2,
+    )
+    assert path_values(x0, increments).tobytes() == want.tobytes()
+    out = np.full(want.shape, np.nan)
+    assert path_values(x0, increments, out=out) is out
+    assert out.tobytes() == want.tobytes()

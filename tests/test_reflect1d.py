@@ -183,6 +183,23 @@ def test_terminal_batch_ignores_a_left_out_start():
     assert np.array_equal(skorokhod_terminal_1d_batch(v), skorokhod_map_1d_batch(v)[0][:, -1])
 
 
+@pytest.mark.parametrize("pairing", ["g is v", "h is v", "g is h", "g overlaps h"])
+def test_batch_map_rejects_out_arrays_that_share_memory(pairing):
+    # out=(g, v) used to return g = 2h silently: [0, 0.4, 0.4, 2.0] here
+    v = np.array([[0.5, -0.2, 0.3, -1.0]])
+    buf = np.zeros((1, 5))
+    out = {
+        "g is v": (v, np.empty_like(v)),
+        "h is v": (np.empty_like(v), v),
+        "g is h": (buf[:, :4], buf[:, :4]),
+        "g overlaps h": (buf[:, :4], buf[:, 1:]),
+    }[pairing]
+    with pytest.raises(ValueError, match="share memory"):
+        skorokhod_map_1d_batch(v, out=out)
+    g, h = skorokhod_map_1d_batch(v)
+    assert g.tolist() == [[0.5, 0.0, 0.5, 0.0]] and h.tolist() == [[0.0, 0.2, 0.2, 1.0]]
+
+
 def test_batch_map_and_diagnostics_write_into_given_buffers():
     # with out= and scratch= the results are those of fresh arrays, bit for
     # bit, also for a perturbed g whose defect and complementarity mass are

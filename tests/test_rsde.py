@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -229,6 +230,21 @@ def test_zero_drift_presets_declare_no_drift():
 def test_parameterless_presets_reject_arguments(name):
     with pytest.raises(ValueError, match=rf"preset {name.split('(')[0]} takes no arguments"):
         preset_coefficients(name)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("linear-drift(nan)", "'nan' is not finite"),
+        ("linear-drift(inf)", "'inf' is not finite"),
+        ("constant-drift(1, -inf)", "'-inf' is not finite"),
+        ("unit-diffusion(abc)", "'abc' is not a number"),
+        ("constant-drift(0.5, x)", "'x' is not a number"),
+    ],
+)
+def test_preset_arguments_must_be_finite_numbers(name, message):
+    with pytest.raises(ValueError, match=rf"coefficient preset '{re.escape(name)}': {message}"):
+        preset_coefficients(name, d=2)
 
 
 def test_overflowing_check_sum_keeps_the_finite_run():
