@@ -9,7 +9,6 @@ Produces two files:
 import argparse
 
 from skorokhod_kit import (
-    InitialLaw,
     PathKind,
     RngSeed,
     SampledPath,
@@ -30,15 +29,13 @@ def main() -> int:
     args = parser.parse_args()
 
     grid = TimeGrid.uniform(1.0, args.steps)
-    B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(args.seed))
+    B = brownian_sample(grid, 1, 0.0, RngSeed(args.seed))
     g, _ = skorokhod_map_1d_batch(B.values[..., 0])  # reflecting Brownian motion from 0
     X = SampledPath.continuous(grid, g[0])
     path_1d = emit_plot_data((B, X), f"{args.out}/brownian_reflection.csv")
     print(f"wrote {path_1d}")
 
-    driver = brownian_sample(
-        grid, 2, InitialLaw.point_mass([0.0, 0.0]), RngSeed(args.seed, 1)
-    ).with_kind(PathKind.STEP)
+    driver = brownian_sample(grid, 2, [0.0, 0.0], RngSeed(args.seed, 1)).with_kind(PathKind.STEP)
     nd = solve_skorokhod_step(driver, unit_disc())
     path_2d = emit_plot_data(nd, f"{args.out}/disc_reflection.csv")
     print(f"wrote {path_2d}")

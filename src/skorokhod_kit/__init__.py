@@ -34,7 +34,7 @@ from .itocalc import (
     quadratic_variation,
 )
 from .paths import PathKind, SampledPath, TimeGrid
-from .randomness import InitialLaw, RngSeed, brownian_sample
+from .randomness import RngSeed, brownian_sample
 from .reflect1d import skorokhod_map_1d_batch
 from .reflectnd import (
     SkorokhodNdSolution,
@@ -62,7 +62,6 @@ __all__ = [
     "ContractError",
     "EvaluationFault",
     "GenerationError",
-    "InitialLaw",
     "Integrand",
     "KsResult",
     "McEstimate",

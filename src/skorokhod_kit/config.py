@@ -191,9 +191,10 @@ class ExperimentConfig:
             value = values[-1] if isinstance(values, list) else values
             if key in cls._KNOWN:
                 attr, conv = cls._KNOWN[key]
-                kwargs[attr] = _whole_number(key, value) if conv is int else conv(value)
+                checked = {int: _whole_number, float: _real_number}.get(conv)
+                kwargs[attr] = checked(key, value) if checked else conv(value)
             elif key.startswith("tol_"):
-                tolerances[key[4:]] = float(value)
+                tolerances[key[4:]] = _real_number(key, value)
             else:
                 options[key] = value
         if "experiment" not in kwargs:
@@ -219,6 +220,10 @@ class ExperimentConfig:
 
     def option(self, name: str, default):
         return self.options.get(name, default)
+
+    def real_option(self, name: str, default: float) -> float:
+        """An option that is a real number; a ValueError naming it otherwise."""
+        return _real_number(name, self.options.get(name, default))
 
     def count_option(self, name: str, default: int) -> int:
         """An option that counts paths, steps or drivers: an integer >= 1."""
@@ -254,6 +259,13 @@ def _whole_number(key: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"config key {key} must be a whole number, got {value!r}")
+
+
+def _real_number(key: str, value) -> float:
+    """A float from an int or float; bools, text and tuples are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"config key {key} must be a number, got {value!r}")
 
 
 def _check_count(key: str, value: int) -> int:

@@ -11,9 +11,10 @@ the identity, signed zeros included, on the closure. Other domains project
 in closed form when one constraint is violated and its projection lands in
 the closure; past that, every domain projects exactly by enumerating the
 supports (sets of at most d faces and balls) that can be active at the
-nearest point. Projection and slacks have one implementation each, on
-batches of points (``project_batch``, ``slack_matrix``); ``project`` and
-``slacks`` of one point are batches of one.
+nearest point. Slacks, projection and the distance to the boundary run on
+batches of points only (``slack_matrix``, ``project_batch``,
+``distance_to_boundary_batch``); ``project`` and ``distance_to_boundary`` of
+one point are batches of one.
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ def _box_bounds(normals: np.ndarray, offsets: np.ndarray, d: int):
     return (lo if up.any() else None), (hi if not up.all() else None)
 
 
-def boundary_tolerance(x: np.ndarray) -> float | np.ndarray:
+def boundary_tolerance(x: np.ndarray) -> np.ndarray:
     """Scale-aware tolerance for deciding boundary membership, one per row of a batch."""
-    x = np.asarray(x, dtype=np.float64)
-    tol = 1e-8 * (1.0 + np.sqrt(np.vecdot(x, x)))
-    return float(tol) if x.ndim == 1 else tol
+    return 1e-8 * (1.0 + np.sqrt(np.vecdot(x, x)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +108,7 @@ class ConvexDomain:
             raise ValueError("halfspace normals must have unit norm")
         if radii.size and np.any(radii <= 0.0):
             raise ValueError("ball radii must be positive")
-        if np.min(self.slacks(witness), initial=np.inf) <= 0.0:
+        if np.min(self.slack_matrix(witness[None])) <= 0.0:
             raise ValueError("witness point is not strictly interior")
         if not radii.size:
             object.__setattr__(self, "_box", _box_bounds(normals, offsets, d))
@@ -120,15 +119,8 @@ class ConvexDomain:
     def n_constraints(self) -> int:
         return int(self.normals.shape[0] + self.centers.shape[0])
 
-    def slacks(self, x: np.ndarray) -> np.ndarray:
-        """Signed margins, one per constraint; nonnegative iff x is in the closure."""
-        return self.slack_matrix(np.reshape(x, (1, self.dimension)))[0]
-
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.min(self.slacks(x)) >= 0.0)
-
     def slack_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Slacks for a batch of points, shape (m_points, n_constraints)."""
+        """Signed margins, shape (points, constraints): a row is >= 0 iff its point is in the closure."""
         points = np.asarray(points, dtype=np.float64)
         parts = []
         if self.normals.shape[0]:

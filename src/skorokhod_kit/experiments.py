@@ -31,12 +31,11 @@ from .paths import SampledPath, TimeGrid
 from .pathio import RunArtifacts, write_run_artifacts
 from .pool import worker_count  # noqa: F401  the benchmark reads the policy from here
 from .randomness import (
-    InitialLaw,
     RngSeed,
     brownian_increments,
     brownian_paths,
     brownian_sample,
-    standard_normals,
+    normal_matrix,
 )
 from .reflect1d import (
     skorokhod_1d_diagnostics_batch,
@@ -194,15 +193,15 @@ def _rbm_terminals(config: ExperimentConfig, block: int) -> np.ndarray:
 
 def _run_rbm_density(config: ExperimentConfig):
     X = _rbm_terminals(config, block=0)
-    gen_abs = RngSeed(config.seed, STREAM_BLOCK).generator()
-    absB = np.abs(standard_normals(gen_abs, config.n_paths)) * np.sqrt(config.horizon)
+    absB = np.abs(normal_matrix(RngSeed(config.seed, STREAM_BLOCK), 1, config.n_paths)[0])
+    absB *= np.sqrt(config.horizon)
 
     ks_half = ks_test_against_cdf(np.sort(X), half_normal_cdf, alpha=config.alpha)
     ks_two = ks_test_two_sample(X, absB, alpha=config.alpha)
     mean_x = McEstimate.from_samples(X)
     # phi(T) for a start at 0 is the reflected running minimum
     grid = TimeGrid.uniform(config.horizon, 1000)
-    driver = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(config.seed, 2 * STREAM_BLOCK))
+    driver = brownian_sample(grid, 1, 0.0, RngSeed(config.seed, 2 * STREAM_BLOCK))
     g, _ = skorokhod_map_1d_batch(driver.values[..., 0])
 
     checks = [
@@ -363,11 +362,11 @@ def _local_time_pass(
 
 
 def _run_local_time(config: ExperimentConfig):
-    level = float(config.option("level", 0.0))
-    eps = float(config.option("eps", 0.01))
+    level = config.real_option("level", 0.0)
+    eps = config.real_option("eps", 0.01)
     fine_steps = config.count_option("fine_steps", 100_000)
     fine_paths = config.count_option("fine_paths", 400)
-    fine_eps = float(config.option("fine_eps", 0.005))
+    fine_eps = config.real_option("fine_eps", 0.005)
     target = brownian_local_time_mean(level, config.horizon)
 
     # estimator means at the coarse grid
@@ -660,7 +659,7 @@ def _run_rsde_consistency(config: ExperimentConfig):
     route_grid = TimeGrid.uniform(config.horizon, route_steps)
     drift_coeffs = preset_coefficients("constant-drift(1,0)", d=2)
     stream = RngSeed(config.seed, 3 * STREAM_BLOCK)
-    M = brownian_sample(route_grid, 2, InitialLaw.point_mass([0.0, 0.0]), stream)
+    M = brownian_sample(route_grid, 2, [0.0, 0.0], stream)
     A = SampledPath.continuous(
         route_grid, np.column_stack([route_grid.times, np.zeros(len(route_grid))])
     )
@@ -797,6 +796,15 @@ EXPERIMENTS = {
     "strong-error": (_run_strong_error, {"seed": 13, "n_paths": 256, "n_steps": 512}),
 }
 
+# the option and tol_ keys each experiment reads; run_experiment rejects others
+READ_KEYS = {
+    "skorokhod-1d-props": ("tol_decomposition",),
+    "local-time": ("level", "eps", "fine_steps", "fine_paths", "fine_eps"),
+    "nd-skorokhod-props": ("tol_refine", "refine_n0", "refine_drivers"),
+    "rsde-consistency": ("route_steps", "tol_refine", "tol_route_agreement"),
+    "strong-error": ("dt_levels",),
+}
+
 
 def experiment_defaults(experiment: str) -> dict:
     """ExperimentConfig keywords of a named experiment's defaults; UsageError if unknown."""
@@ -820,6 +828,11 @@ class RunResult:
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run one named experiment, write its artifacts, and report pass/fail."""
     experiment_defaults(config.experiment)  # fail before running if the name is unknown
+    read = READ_KEYS.get(config.experiment, ())  # and on a key it would ignore
+    for key in [*config.options, *(f"tol_{name}" for name in config.tolerances)]:
+        if key not in read:
+            raise UsageError(f"config key {key} is not read by {config.experiment}; "
+                             f"its option and tol_ keys are: {', '.join(read) or 'none'}")
     config.resolve_domain()  # fail before running if a referenced file is bad
     if config.coefficients is not None:
         preset_coefficients(config.coefficients)  # same for presets

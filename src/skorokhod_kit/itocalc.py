@@ -218,9 +218,9 @@ def local_time_occupation_batch(
 def local_time_tanaka_batch(values: np.ndarray, a: float) -> np.ndarray:
     """Tanaka estimates (X_T - a)^+ - (X_0 - a)^+ - int 1{X > a} dX per row.
 
-    The integral is the left-point sum of ito_integral over the row's own
-    increments, so the discretization convention cannot drift from the rest
-    of the module.
+    The integral is the left-point sum of ito_integral, taken here without
+    the integrand checks: each row equals ito_integral of ``Integrand(lambda
+    t, x: (x > a) * 1.0)`` over that row's path bit for bit.
     """
     dx = np.diff(values, axis=-1)
     dx *= values[..., :-1] > a
@@ -246,10 +246,10 @@ def ito_isometry_samples(
     so a path's samples do not depend on which other paths share the call: a
     run split into stream ranges and concatenated in order gives the same
     arrays. Paths run in blocks of _ISOMETRY_BLOCK: one brownian_increments
-    call per block, the integrand evaluated on the block's grid values in
-    one call, and both sums taken for the whole block at once as pairwise
-    numpy row sums, which call no BLAS and give every row the same bits
-    whatever the block's shape. A non-finite integrand value raises
+    call per block, its running sums by path_values, the integrand evaluated
+    on the block's grid values in one call, and both sums taken for the
+    whole block at once as pairwise numpy row sums, which call no BLAS and
+    give every row the same bits whatever the block's shape. A non-finite integrand value raises
     EvaluationFault with its grid step and the path's index i.
     """
     if n_paths < 1:
@@ -259,9 +259,9 @@ def ito_isometry_samples(
     rhs_samples = np.empty(n_paths)
     for start in range(0, n_paths, _ISOMETRY_BLOCK):
         m = min(_ISOMETRY_BLOCK, n_paths - start)
-        dB = brownian_increments(rng, m, grid, first_stream=first_stream + start)[..., 0]
-        x = np.zeros((m, n_steps + 1))
-        np.cumsum(dB, axis=1, out=x[:, 1:])
+        dB = brownian_increments(rng, m, grid, first_stream=first_stream + start)
+        x = path_values(0.0, dB)[..., 0]
+        dB = dB[..., 0]
         left = integrand_grid_values(f, grid.times, x, path_index=start)[:, :-1]
         lhs_samples[start : start + m] = (left * dB).sum(axis=1)
         rhs_samples[start : start + m] = (left**2 * grid.deltas).sum(axis=1)

@@ -1,19 +1,18 @@
-"""Counter-based random streams, initial laws, and Gaussian path generation.
+"""Counter-based random streams and the Brownian paths drawn from them.
 
 Streams are keyed by (seed, stream): the Philox counter-based generator makes
 each (seed, stream) pair a reproducible, independent source, so Monte Carlo
 runs can hand one stream to each path and stay deterministic under any
-worker layout. Normals come from the inverse CDF applied to 53-bit uniforms,
-one uniform per normal, so a prefix of a stream always yields a prefix of
-the same increment sequence, and any block of columns of a stream can be
-drawn on its own by setting the Philox counter (normal_tile): a long path
-can be generated in tiles of steps without drawing it whole.
+worker layout. A path of n steps in R^d is always its start plus the running
+sums of the first n * d normals of its stream, step-major, scaled by
+sqrt(dt). Normals are the inverse CDF of 53-bit uniforms, one per normal, so
+a shorter grid draws a prefix of the same path, and any block of a stream's
+columns can be drawn alone by setting the Philox counter (normal_tile).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -35,24 +34,6 @@ class RngSeed:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed % (1 << 64), self.stream % (1 << 64)], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def with_stream(self, stream: int) -> "RngSeed":
-        return RngSeed(self.seed, stream)
-
-
-def _normals(u: np.ndarray) -> np.ndarray:
-    """Normals, in place, from ``Generator.random``'s k * 2**-53 (k the raw word >> 11).
-
-    Adding 2**-54 rounds exactly as the cell midpoint (k + 0.5) / 2**53, since
-    both round (2k + 1) * 2**-54, so no uniform is 0 or 1.
-    """
-    u += _HALF_ULP
-    return ndtri(u, out=u)
-
-
-def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals by inverse CDF, one 53-bit draw per value."""
-    return _normals(gen.random(n))
 
 
 def normal_tile(
@@ -88,56 +69,21 @@ def normal_tile(
         state["state"]["key"] = np.array([seed, stream], dtype=np.uint64)
         bits.state = state
         gen.random(out=u[i])
-    return _normals(u)
+    # k * 2**-53 from Generator.random, plus 2**-54, rounds exactly as the cell
+    # midpoint (k + 0.5) / 2**53: both round (2k + 1) * 2**-54, never 0 or 1
+    u += _HALF_ULP
+    return ndtri(u, out=u)
 
 
 def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0) -> np.ndarray:
     """Row i holds the first n_cols normals of stream rng.stream + first_stream + i.
 
-    Row i equals ``standard_normals(rng.with_stream(rng.stream + first_stream +
-    i).generator(), n_cols)`` bit for bit, so two stream blocks of one seed
-    never share rows. It is the tile of normal_tile at column 0.
+    Row i equals ``ndtri(g.random(n_cols) + 2**-54)`` bit for bit, with g
+    ``RngSeed(rng.seed, rng.stream + first_stream + i).generator()``, so two
+    stream blocks of one seed never share rows. It is the tile of
+    normal_tile at column 0.
     """
     return normal_tile(rng, n_rows, 0, n_cols, first_stream)
-
-
-@dataclass(frozen=True)
-class InitialLaw:
-    """Distribution of a path's starting point: a point mass or a custom sampler.
-
-    Custom samplers receive a numpy Generator and must return a length-d array.
-    """
-
-    point: np.ndarray | None = None
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if (self.point is None) == (self.sampler is None):
-            raise ValueError("exactly one of point, sampler must be given")
-        if self.point is not None:
-            object.__setattr__(
-                self, "point", np.atleast_1d(np.asarray(self.point, dtype=np.float64))
-            )
-
-    @classmethod
-    def point_mass(cls, x0) -> "InitialLaw":
-        return cls(point=np.atleast_1d(np.asarray(x0, dtype=np.float64)))
-
-    @classmethod
-    def custom(cls, sampler: Callable[[np.random.Generator, int], np.ndarray]) -> "InitialLaw":
-        return cls(sampler=sampler)
-
-    def draw(self, gen: np.random.Generator, d: int) -> np.ndarray:
-        if self.point is not None:
-            if self.point.size == 1 and d > 1:
-                return np.full(d, self.point[0])
-            if self.point.size != d:
-                raise ValueError("point mass dimension does not match d")
-            return self.point.copy()
-        x0 = np.atleast_1d(np.asarray(self.sampler(gen, d), dtype=np.float64))
-        if x0.size != d:
-            raise ValueError("custom sampler returned wrong dimension")
-        return x0
 
 
 def path_values(x0, increments: np.ndarray, out=None) -> np.ndarray:
@@ -164,7 +110,7 @@ def brownian_increments(
 
     Path i is one normal_matrix row, from stream rng.stream + first_stream + i,
     scaled by sqrt(grid.deltas): the increments of brownian_sample on that
-    stream from a point mass, bit for bit.
+    stream, bit for bit.
     """
     n_steps = len(grid) - 1
     rows = normal_matrix(rng, n_paths, n_steps * d, first_stream)
@@ -178,10 +124,12 @@ def brownian_paths(
 ) -> np.ndarray:
     """Brownian paths from the point x0, shaped (paths, grid, d), in ``out`` if given.
 
-    Path i equals ``brownian_sample(grid, d, InitialLaw.point_mass(x0),
-    RngSeed(rng.seed, rng.stream + first_stream + i)).values`` bit for bit.
+    x0 is one value for every coordinate or one per coordinate. Path i is x0
+    plus the running sums of brownian_increments' row i (path_values).
     """
-    x0 = InitialLaw.point_mass(x0).draw(None, d)
+    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
+    if d < 1 or x0.size not in (1, d):
+        raise ValueError(f"x0 needs 1 or d = {d} coordinates (d >= 1), got {x0.size}")
     dB = brownian_increments(rng, n_paths, grid, d, first_stream)
     values = path_values(x0, dB, out=out)
     if not np.all(np.isfinite(values)):
@@ -189,20 +137,6 @@ def brownian_paths(
     return values
 
 
-def brownian_sample(grid: TimeGrid, d: int, law: InitialLaw, rng: RngSeed) -> SampledPath:
-    """Brownian path on the grid: independent N(0, dt * I) increments.
-
-    The starting point is drawn first, then increments left to right, so a
-    truncated grid reproduces a prefix of the same path.
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    gen = rng.generator()
-    x0 = law.draw(gen, d)
-    n_steps = len(grid) - 1
-    increments = standard_normals(gen, n_steps * d).reshape(n_steps, d)
-    increments *= np.sqrt(grid.deltas)[:, None]
-    values = path_values(x0, increments)
-    if not np.all(np.isfinite(values)):
-        raise GenerationError("brownian_sample produced a non-finite value")
-    return SampledPath.continuous(grid, values)
+def brownian_sample(grid: TimeGrid, d: int, x0, rng: RngSeed) -> SampledPath:
+    """The Brownian path of stream rng from x0: brownian_paths' one row, as a SampledPath."""
+    return SampledPath.continuous(grid, brownian_paths(rng, 1, grid, d, x0))

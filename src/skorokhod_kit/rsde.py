@@ -92,7 +92,7 @@ def _shape_error(name: str, out: np.ndarray, X: np.ndarray, shape) -> ValueError
 def _start_point(domain: ConvexDomain, x0) -> np.ndarray:
     """x0 as a (d,) array; ValueError unless it lies in the closed domain."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(domain.dimension)
-    if not domain.contains(x0):
+    if np.min(domain.slack_matrix(x0[None])) < 0.0:
         raise ValueError("x0 must lie in the closed domain")
     return x0
 
@@ -424,6 +424,8 @@ def strong_error_estimate(
         n = round(T / dt)
         if n < 1 or abs(n * dt - T) > 1e-9 * T:
             raise ValueError(f"dt={dt} does not divide the horizon")
+        if n in steps:
+            raise ValueError(f"dt={dt} is repeated in dt_levels")
         steps.append(n)
     n_fine = steps[-1]
     for n in steps:

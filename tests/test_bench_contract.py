@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from skorokhod_kit import (
-    InitialLaw,
     RngSeed,
     SampledPath,
     TimeGrid,
@@ -36,7 +35,7 @@ def test_traced_counters_bind_the_library_entry_points():
     w = SampledPath.continuous(grid, np.zeros((len(grid), 2)))
     with Tracer("skorokhod_kit", counters) as tracer:
         randomness.normal_matrix(RngSeed(1), 3, 5)
-        randomness.brownian_sample(grid, 2, InitialLaw.point_mass(0.0), RngSeed(1))
+        randomness.brownian_sample(grid, 2, 0.0, RngSeed(1))
         reflectnd.solve_skorokhod_continuous(w, unit_disc())
         rsde.euler_reflected(drift, unit_disc(), [0.0, 0.0], grid, RngSeed(2))
         rsde.simulate_reflected_terminal_batch(drift, unit_disc(), [0.0, 0.0], grid, RngSeed(3), 4)

@@ -64,8 +64,8 @@ def test_domain_from_document():
     assert dom.centers.shape == (1, 2)
     assert dom.radii[0] == 4.0
     assert np.array_equal(dom.interior_point, [1.0, 1.0])
-    assert dom.contains(np.array([1.0, 1.0]))
-    assert not dom.contains(np.array([-1.0, 1.0]))
+    assert np.all(dom.slack_matrix([[1.0, 1.0]]) >= 0.0)
+    assert not np.all(dom.slack_matrix([[-1.0, 1.0]]) >= 0.0)
 
 
 def test_domain_document_validation():

@@ -75,7 +75,7 @@ def test_projection_onto_intersection_with_ball():
         interior_point=[0.0, 0.5],
     )
     p = dom.project(np.array([-2.0, -0.5]))
-    assert np.min(dom.slacks(p)) >= -1e-10
+    assert np.min(dom.slack_matrix(p[None])[0]) >= -1e-10
     # oracle: parameterize the feasible set densely
     xs = np.linspace(-1.0, 1.0, 401)
     ys = np.linspace(0.0, 1.0, 201)
@@ -202,7 +202,7 @@ def _probe_points(dom: ConvexDomain) -> np.ndarray:
     """Inside, on one face, past a corner, outside a ball, plus a random cloud."""
     ip = dom.interior_point
     pts = [ip]
-    slack = dom.slacks(ip)
+    slack = dom.slack_matrix(ip[None])[0]
     m = dom.normals.shape[0]
     past_all = ip.copy()
     for i in range(m):
@@ -253,7 +253,6 @@ def test_project_batch_bit_identical_to_project(dom):
     slack_rows = dom.slack_matrix(pts)
     for i, x in enumerate(pts):
         assert np.array_equal(batch[i], dom.project(x))
-        assert np.array_equal(slack_rows[i], dom.slacks(x))
         # rows do not depend on the rest of the batch
         assert np.array_equal(dom.project_batch(pts[i : i + 1])[0], batch[i])
         assert np.array_equal(dom.slack_matrix(pts[i : i + 1])[0], slack_rows[i])
@@ -273,7 +272,7 @@ def test_project_batch_interior_batch_returned_unchanged():
 
 def _cone_oracle(x, dom, tol_bd):
     """Active generators one constraint at a time: faces first, then balls."""
-    slacks = dom.slacks(x)
+    slacks = dom.slack_matrix(x[None])[0]
     m = dom.normals.shape[0]
     gens = [dom.normals[i] for i in range(m) if abs(slacks[i]) <= tol_bd]
     for j, c in enumerate(dom.centers):
@@ -287,7 +286,7 @@ def test_batched_boundary_helpers_match_pointwise_oracle(dom):
     pts = _probe_points(dom)
     dist = dom.distance_to_boundary_batch(pts)
     for d, x in zip(dist, pts):
-        slacks = dom.slacks(x)
+        slacks = dom.slack_matrix(x[None])[0]
         inside = np.min(slacks) >= 0.0
         assert d == (np.min(slacks) if inside else np.linalg.norm(dom.project(x) - x))
     near = pts[np.abs(dist) <= 1e-8]
@@ -515,7 +514,7 @@ def _nearest_point_oracle(x, dom):
     """
     m, d = dom.offsets.size, dom.dimension
     tol = 1e-14 * (1.0 + np.linalg.norm(x))
-    inside = np.min(dom.slacks(x)) >= 0.0
+    inside = np.min(dom.slack_matrix(x[None])[0]) >= 0.0
     best, best_dist = (x, 0.0) if inside else (None, np.inf)
     for k in range(1, d + 1):
         for support in itertools.combinations(range(dom.n_constraints), k):
@@ -544,7 +543,7 @@ def _nearest_point_oracle(x, dom):
                 length = np.linalg.norm(toward)
                 p = center + (np.sqrt(rho2) / length) * toward if length else center
             dist = np.linalg.norm(p - x)
-            if np.min(dom.slacks(p)) >= -tol and dist < best_dist:
+            if np.min(dom.slack_matrix(p[None])[0]) >= -tol and dist < best_dist:
                 best, best_dist = p, dist
     return best
 

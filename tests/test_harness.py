@@ -11,7 +11,6 @@ import pytest
 
 import skorokhod_kit
 from skorokhod_kit import (
-    InitialLaw,
     RngSeed,
     SampledPath,
     TimeGrid,
@@ -21,7 +20,7 @@ from skorokhod_kit import (
 )
 from skorokhod_kit import experiments
 from skorokhod_kit.cli import main
-from skorokhod_kit.config import ExperimentConfig
+from skorokhod_kit.config import ExperimentConfig, parse_kv_file
 from skorokhod_kit.experiments import (
     EXPERIMENTS,
     STREAM_BLOCK,
@@ -33,7 +32,9 @@ from skorokhod_kit.experiments import (
 )
 from skorokhod_kit.itocalc import local_time_occupation_batch, local_time_tanaka_batch
 from skorokhod_kit.pathio import emit_plot_data
-from skorokhod_kit.randomness import standard_normals
+from skorokhod_kit.randomness import normal_matrix
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_1d_config(tmp_path, **overrides):
@@ -70,13 +71,12 @@ def test_nd_diagnostics_leave_scipy_optimize_unloaded():
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from skorokhod_kit import ConvexDomain, InitialLaw, PathKind, RngSeed, TimeGrid\n"
+        "from skorokhod_kit import ConvexDomain, PathKind, RngSeed, TimeGrid\n"
         "from skorokhod_kit import brownian_sample, check_condition_b, orthant\n"
         "from skorokhod_kit import solve_skorokhod_step, unit_disc\n"
         "from skorokhod_kit.reflectnd import nd_solution_diagnostics\n"
         "grid = TimeGrid.uniform(1.0, 64)\n"
-        "law = InitialLaw.point_mass([0.0, 0.0])\n"
-        "w = brownian_sample(grid, 2, law, RngSeed(5)).with_kind(PathKind.STEP)\n"
+        "w = brownian_sample(grid, 2, [0.0, 0.0], RngSeed(5)).with_kind(PathKind.STEP)\n"
         "sol = solve_skorokhod_step(w, unit_disc())\n"
         "assert sol.total_variation[0, -1] > 0.0\n"
         "diag = nd_solution_diagnostics(sol, w, unit_disc())\n"
@@ -106,7 +106,7 @@ def test_emit_constant_path(tmp_path):
 
 def test_emit_driver_reflected_pair(tmp_path):
     grid = TimeGrid.uniform(1.0, 100)
-    B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(1))
+    B = brownian_sample(grid, 1, 0.0, RngSeed(1))
     g, _ = skorokhod_map_1d_batch(B.values[..., 0])
     out = emit_plot_data((B, SampledPath.continuous(grid, g[0])), tmp_path / "pair.csv")
     lines = out.read_text().splitlines()
@@ -383,6 +383,9 @@ COUNT_MESSAGE = "config key {} must be at least 1, got 0"
 WHOLE_MESSAGE = "config key {} must be a whole number, got {}"
 # the finest strong-error level is the reference, so one level leaves no gap
 LEVELS_MESSAGE = "config key dt_levels needs at least 2 step sizes, got {}"
+NUMBER_MESSAGE = "config key {} must be a number, got {}"
+UNREAD_MESSAGE = "config key {} is not read by {}; its option and tol_ keys are: {}"
+ND_KEYS = "tol_refine, refine_n0, refine_drivers"
 
 
 @pytest.mark.parametrize(
@@ -396,6 +399,19 @@ LEVELS_MESSAGE = "config key dt_levels needs at least 2 step sizes, got {}"
         ("strong-error", "dt_levels = (0.5)", LEVELS_MESSAGE.format(1)),
         ("strong-error", "dt_levels = 0.5", LEVELS_MESSAGE.format(1)),
         ("strong-error", "dt_levels = ()", LEVELS_MESSAGE.format(0)),
+        ("strong-error", "dt_levels = (0.25, 0.25)", "dt=0.25 is repeated in dt_levels"),
+        # real-valued options name their key
+        ("local-time", "eps = abc", NUMBER_MESSAGE.format("eps", "'abc'")),
+        ("local-time", "level = abc", NUMBER_MESSAGE.format("level", "'abc'")),
+        ("local-time", "fine_eps = (0.1, 0.2)", NUMBER_MESSAGE.format("fine_eps", "(0.1, 0.2)")),
+        ("local-time", "T = yes", NUMBER_MESSAGE.format("T", True)),
+        ("local-time", "tol_x = abc", NUMBER_MESSAGE.format("tol_x", "'abc'")),
+        # a key the experiment does not read is a usage error, not a default run
+        ("nd-skorokhod-props", "refine_drivrs = 2",
+         UNREAD_MESSAGE.format("refine_drivrs", "nd-skorokhod-props", ND_KEYS)),
+        ("nd-skorokhod-props", "tol_refin = 5",
+         UNREAD_MESSAGE.format("tol_refin", "nd-skorokhod-props", ND_KEYS)),
+        ("ito-formula", "eps = 0.1", UNREAD_MESSAGE.format("eps", "ito-formula", "none")),
         # counts and seeds are whole numbers, never truncated
         ("local-time", "n_paths = 2.5", WHOLE_MESSAGE.format("n_paths", 2.5)),
         ("local-time", "N = true", WHOLE_MESSAGE.format("N", True)),
@@ -416,6 +432,13 @@ def test_cli_unusable_options_exit_2_naming_the_key(tmp_path, capsys, experiment
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "bad" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("cfg", sorted(CONFIGS.glob("*.cfg")), ids=lambda cfg: cfg.stem)
+def test_shipped_configs_use_only_keys_their_experiment_reads(cfg):
+    config = ExperimentConfig.from_mapping(parse_kv_file(cfg))
+    given = {*config.options, *(f"tol_{name}" for name in config.tolerances)}
+    assert given <= set(experiments.READ_KEYS.get(config.experiment, ()))
 
 
 @pytest.mark.parametrize(
@@ -574,7 +597,7 @@ def _local_time_oracle(seed, first_stream, n_paths, grid, level, eps_list):
     occ = np.empty((len(eps_list), n_paths))
     tan = np.empty(n_paths)
     for i in range(n_paths):
-        z = standard_normals(RngSeed(seed, first_stream + i).generator(), len(grid) - 1)
+        z = normal_matrix(RngSeed(seed, first_stream + i), 1, len(grid) - 1)[0]
         dB = z * np.sqrt(grid.deltas)
         x = np.concatenate(([0.0], np.cumsum(dB)))
         left = x[:-1]
@@ -602,9 +625,8 @@ def test_local_time_pass_matches_per_path_oracle(monkeypatch, workers, rows):
 def test_local_time_pass_rows_equal_library_occupation(n_steps):
     grid = TimeGrid.uniform(1.0, n_steps)
     occ, _ = _local_time_pass(3, 0, 8, grid, 0.0, LT_EPS)
-    law = InitialLaw.point_mass(0.0)
     for i in range(8):
-        B = brownian_sample(grid, 1, law, RngSeed(3, i))
+        B = brownian_sample(grid, 1, 0.0, RngSeed(3, i))
         one = local_time_occupation_batch(B.values[..., 0], grid, 0.0, LT_EPS)
         for j in range(len(LT_EPS)):
             assert occ[j][i] == one[j, 0]
@@ -618,9 +640,8 @@ def test_local_time_pass_rows_match_per_path_estimators(level):
     grid = TimeGrid.uniform(1.0, 2000)
     eps = 0.01
     (occ,), tan = _local_time_pass(5, 0, 6, grid, level, [eps])
-    law = InitialLaw.point_mass(0.0)
     for i in range(6):
-        B = brownian_sample(grid, 1, law, RngSeed(5, i))
+        B = brownian_sample(grid, 1, 0.0, RngSeed(5, i))
         one = B.values[..., 0]
         assert abs(occ[i] - local_time_occupation_batch(one, grid, level, [eps])[0, 0]) <= 1e-10
         assert abs(tan[i] - local_time_tanaka_batch(one, level)[0]) <= 1e-10
@@ -647,8 +668,7 @@ def test_rbm_terminals_equal_library_map(monkeypatch, workers):
     config = default_config("rbm-density", n_paths=60, n_steps=5000)
     terminals = experiments._rbm_terminals(config, block=0)
     grid = TimeGrid.uniform(config.horizon, config.n_steps)
-    law = InitialLaw.point_mass(0.0)
-    paths = [brownian_sample(grid, 1, law, RngSeed(config.seed, i)) for i in range(60)]
+    paths = [brownian_sample(grid, 1, 0.0, RngSeed(config.seed, i)) for i in range(60)]
     expected = [skorokhod_map_1d_batch(B.values[..., 0])[0][0, -1] for B in paths]
     assert np.array_equal(terminals, expected)
 

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from skorokhod_kit import (
     ContractError,
     EvaluationFault,
-    InitialLaw,
     Integrand,
     RngSeed,
     SampledPath,
@@ -30,13 +29,13 @@ from skorokhod_kit.itocalc import (
     local_time_occupation_batch,
     local_time_tanaka_batch,
 )
-from skorokhod_kit.randomness import brownian_paths, standard_normals
+from skorokhod_kit.randomness import brownian_paths, normal_matrix
 from skorokhod_kit.stats import McEstimate
 
 
 def make_brownian(n_steps=1000, seed=3, stream=0, T=1.0):
     grid = TimeGrid.uniform(T, n_steps)
-    return brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(seed, stream))
+    return brownian_sample(grid, 1, 0.0, RngSeed(seed, stream))
 
 
 # --- ito_integral -----------------------------------------------------------
@@ -207,8 +206,7 @@ def isometry_oracle(f, T, n_paths, rng, n_steps=1000, first_stream=0):
     lhs_samples = np.empty(n_paths)
     rhs_samples = np.empty(n_paths)
     for i in range(n_paths):
-        gen = rng.with_stream(first_stream + i).generator()
-        dB = standard_normals(gen, n_steps) * sqrt_dt
+        dB = normal_matrix(RngSeed(rng.seed, first_stream + i), 1, n_steps)[0] * sqrt_dt
         x = np.concatenate(([0.0], np.cumsum(dB)))
         vals = integrand_grid_values(f, times, x[None])[0]
         # numpy's pairwise sums, BLAS-free like the batched route
@@ -304,8 +302,8 @@ def _marked_points(rng, first_stream, n_steps, marks):
     grid = TimeGrid.uniform(1.0, n_steps)
     targets = []
     for path, step in marks:
-        gen = rng.with_stream(first_stream + path).generator()
-        dB = standard_normals(gen, n_steps) * np.sqrt(grid.deltas)
+        z = normal_matrix(RngSeed(rng.seed, first_stream + path), 1, n_steps)[0]
+        dB = z * np.sqrt(grid.deltas)
         targets.append((grid.times[step], np.cumsum(dB)[step - 1]))
     return targets
 
@@ -566,6 +564,17 @@ def test_tanaka_path_above_level_telescopes():
     assert local_time_tanaka_batch((a + 1.0 + grid.times)[None], a) == pytest.approx([0.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.0, -0.3, 0.2])
+def test_tanaka_estimate_is_ito_integral_of_the_indicator(a):
+    # the Tanaka sum is ito_integral's left-point sum, bit for bit
+    grid = TimeGrid.uniform(1.0, 2000)
+    B = SampledPath.continuous(grid, brownian_paths(RngSeed(40), 8, grid, 1, 0.1))
+    x = B.values[..., 0]
+    above = ito_integral(Integrand(lambda t, x: (x > a) * 1.0), B)
+    want = np.maximum(x[:, -1] - a, 0.0) - np.maximum(x[:, 0] - a, 0.0) - above
+    assert local_time_tanaka_batch(x, a).tobytes() == want.tobytes()
+
+
 def test_tanaka_path_below_level_is_zero():
     grid = TimeGrid.uniform(1.0, 64)
     assert local_time_tanaka_batch((-5.0 + np.sin(grid.times))[None], 0.0) == [0.0]
@@ -614,11 +623,11 @@ def test_path_sums_independent_of_blas_threads():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import numpy as np\n"
-        "from skorokhod_kit import (InitialLaw, Integrand, RngSeed, SampledPath,\n"
+        "from skorokhod_kit import (Integrand, RngSeed, SampledPath,\n"
         "    TimeGrid, brownian_sample, ito_formula_residual, ito_integral)\n"
         "from skorokhod_kit.itocalc import local_time_tanaka_batch\n"
         "grid = TimeGrid.uniform(1.0, 200_000)\n"
-        "B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(3))\n"
+        "B = brownian_sample(grid, 1, 0.0, RngSeed(3))\n"
         "f = Integrand(lambda t, x: np.sin(x))\n"
         "res = ito_formula_residual(lambda t, x: x**3, lambda t, x: 0.0 * np.asarray(x),\n"
         "    lambda t, x: 3.0 * np.asarray(x) ** 2, lambda t, x: 6.0 * np.asarray(x), B,\n"

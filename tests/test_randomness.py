@@ -3,70 +3,69 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from skorokhod_kit import GenerationError, InitialLaw, RngSeed, TimeGrid, brownian_sample
+from scipy.special import ndtri
+
+from skorokhod_kit import GenerationError, RngSeed, TimeGrid, brownian_sample
 from skorokhod_kit.randomness import (
     brownian_increments,
     brownian_paths,
     normal_matrix,
     normal_tile,
     path_values,
-    standard_normals,
 )
+
+
+def generator_normals(gen, n):
+    """Oracle: n normals of a Philox generator by inverse CDF at the 53-bit cell midpoints."""
+    return ndtri(gen.random(n) + 2**-54)
 
 
 def test_identical_seed_bit_identical():
     grid = TimeGrid.uniform(1.0, 500)
-    a = brownian_sample(grid, 2, InitialLaw.point_mass([0.0, 0.0]), RngSeed(123, 4))
-    b = brownian_sample(grid, 2, InitialLaw.point_mass([0.0, 0.0]), RngSeed(123, 4))
+    a = brownian_sample(grid, 2, [0.0, 0.0], RngSeed(123, 4))
+    b = brownian_sample(grid, 2, [0.0, 0.0], RngSeed(123, 4))
     assert np.array_equal(a.values, b.values)
 
 
 def test_distinct_streams_differ():
     grid = TimeGrid.uniform(1.0, 100)
-    a = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(123, 0))
-    b = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(123, 1))
+    a = brownian_sample(grid, 1, 0.0, RngSeed(123, 0))
+    b = brownian_sample(grid, 1, 0.0, RngSeed(123, 1))
     assert not np.array_equal(a.values, b.values)
     corr = np.corrcoef(np.diff(a.scalar_values), np.diff(b.scalar_values))[0, 1]
     assert abs(corr) < 0.35
 
 
 def test_truncated_grid_is_a_prefix():
-    long = brownian_sample(TimeGrid.uniform(2.0, 200), 1, InitialLaw.point_mass(0.0), RngSeed(9))
-    short = brownian_sample(TimeGrid.uniform(1.0, 100), 1, InitialLaw.point_mass(0.0), RngSeed(9))
+    long = brownian_sample(TimeGrid.uniform(2.0, 200), 1, 0.0, RngSeed(9))
+    short = brownian_sample(TimeGrid.uniform(1.0, 100), 1, 0.0, RngSeed(9))
     # same step width, so the first 100 increments coincide bit for bit
     assert np.array_equal(np.diff(short.scalar_values), np.diff(long.scalar_values)[:100])
 
 
 def test_point_mass_start_is_exact():
     grid = TimeGrid.uniform(1.0, 10)
-    path = brownian_sample(grid, 3, InitialLaw.point_mass([1.0, -2.0, 0.25]), RngSeed(0))
+    path = brownian_sample(grid, 3, [1.0, -2.0, 0.25], RngSeed(0))
     assert np.array_equal(path.values[0, 0], [1.0, -2.0, 0.25])
-    scalar = brownian_sample(grid, 2, InitialLaw.point_mass(0.0), RngSeed(0))
+    scalar = brownian_sample(grid, 2, 0.0, RngSeed(0))
     assert np.array_equal(scalar.values[0, 0], [0.0, 0.0])
 
 
-def test_custom_law_draws_and_dimension_check():
+def test_start_needs_one_or_d_coordinates():
     grid = TimeGrid.uniform(1.0, 4)
-    law = InitialLaw.custom(lambda gen, d: gen.random(d))
-    path = brownian_sample(grid, 2, law, RngSeed(11))
-    assert np.all(path.values[0, 0] >= 0.0) and np.all(path.values[0, 0] < 1.0)
-    bad = InitialLaw.custom(lambda gen, d: np.zeros(d + 1))
-    with pytest.raises(ValueError):
-        brownian_sample(grid, 2, bad, RngSeed(11))
+    for x0 in ([0.0, 0.0], np.zeros(4)):
+        with pytest.raises(ValueError, match=r"x0 needs 1 or d = 3 coordinates \(d >= 1\), got "):
+            brownian_sample(grid, 3, x0, RngSeed(11))
+        with pytest.raises(ValueError, match=r"x0 needs 1 or d = 3 coordinates \(d >= 1\), got "):
+            brownian_paths(RngSeed(11), 2, grid, 3, x0)
+    with pytest.raises(ValueError, match=r"d = 0 coordinates \(d >= 1\), got 1"):
+        brownian_paths(RngSeed(11), 2, grid, 0)
 
 
 def test_non_finite_start_is_a_generation_fault():
     grid = TimeGrid.uniform(1.0, 4)
-    law = InitialLaw.custom(lambda gen, d: np.full(d, np.nan))
     with pytest.raises(GenerationError):
-        brownian_sample(grid, 1, law, RngSeed(0))
-
-
-def test_initial_law_requires_exactly_one_variant():
-    with pytest.raises(ValueError):
-        InitialLaw()
-    with pytest.raises(ValueError):
-        InitialLaw(point=np.zeros(1), sampler=lambda gen, d: np.zeros(d))
+        brownian_sample(grid, 1, np.nan, RngSeed(0))
 
 
 def test_increment_moments():
@@ -90,7 +89,7 @@ def test_terminal_variance_close_to_horizon():
     grid = TimeGrid.uniform(1.0, 64)
     terminals = np.array(
         [
-            brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(77, i)).scalar_values[-1]
+            brownian_sample(grid, 1, 0.0, RngSeed(77, i)).scalar_values[-1]
             for i in range(200)
         ]
     )
@@ -103,11 +102,10 @@ def test_terminal_variance_close_to_horizon():
 
 
 def test_standard_normals_prefix_and_range():
-    gen = RngSeed(5).generator()
-    a = standard_normals(gen, 100)
-    gen2 = RngSeed(5).generator()
-    b = standard_normals(gen2, 300)
-    assert np.array_equal(a, b[:100])
+    # a stream's first 100 normals are a prefix of its first 300
+    a = normal_matrix(RngSeed(5), 2, 100)
+    b = normal_matrix(RngSeed(5), 2, 300)
+    assert np.array_equal(a, b[:, :100])
     assert np.all(np.isfinite(b))
 
 
@@ -120,7 +118,7 @@ def test_normal_matrix_rows_match_per_stream_draws(seed, first_stream, n_cols):
     assert z.shape == (3, n_cols)
     for i in range(3):
         gen = RngSeed(seed, first_stream + i).generator()
-        assert np.array_equal(z[i], standard_normals(gen, n_cols))
+        assert np.array_equal(z[i], generator_normals(gen, n_cols))
 
 
 @pytest.mark.parametrize("col_start, n_cols", [(0, 16), (4, 100), (1024, 512), (2048, 3)])
@@ -144,18 +142,15 @@ def test_normal_tile_starts_on_a_philox_block(col_start):
 @pytest.mark.parametrize("prior", [0, 1, 2])
 @pytest.mark.parametrize("stream", [0, 1, 2**32 + 7, 2**64 - 1])
 def test_standard_normals_equal_the_integer_midpoint_route(prior, stream):
-    # reference: (k + 0.5) / 2**53 over 53-bit integers k, then ndtri;
-    # the same values and the same generator state afterwards
-    from scipy.special import ndtri
-
-    gen, ref = RngSeed(9, stream).generator(), RngSeed(9, stream).generator()
-    gen.random(prior)
-    ref.random(prior)
+    # reference: (k + 0.5) / 2**53 over 53-bit integers k, then ndtri, for
+    # tiles that start after `prior` Philox blocks of 4 normals
+    rng = RngSeed(9, stream)
     for n in (0, 1, 1000):
+        ref = rng.generator()
+        ref.random(4 * prior)
         k = ref.integers(0, 2**53, size=n, dtype=np.uint64)
         expected = ndtri((k.astype(np.float64) + 0.5) / 2.0**53)
-        assert standard_normals(gen, n).tobytes() == expected.tobytes()
-    assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)  # arrays inside
+        assert normal_tile(rng, 1, 4 * prior, n)[0].tobytes() == expected.tobytes()
 
 
 @given(st.integers(min_value=0, max_value=2**53 - 1))
@@ -165,7 +160,7 @@ def test_standard_normals_equal_the_integer_midpoint_route(prior, stream):
 @example(2**52)
 @example(2**53 - 1)
 def test_uniform_fill_plus_half_ulp_is_the_midpoint_map(k):
-    # standard_normals adds 2**-54 to Generator.random's k * 2**-53, which
+    # normal_tile adds 2**-54 to Generator.random's k * 2**-53, which
     # rounds as the midpoint (k + 0.5) / 2**53: both round (2k + 1) * 2**-54
     assert float(k) * 2.0**-53 + 2.0**-54 == (float(k) + 0.5) / 2.0**53
     u = np.array([k], dtype=np.uint64).astype(np.float64)
@@ -178,7 +173,7 @@ def test_brownian_paths_match_per_path_samples():
     values = brownian_paths(RngSeed(6, 2**32), 5, grid, 3, x0, first_stream=1)
     assert values.shape == (5, 91, 3)
     for i in range(5):
-        B = brownian_sample(grid, 3, InitialLaw.point_mass(x0), RngSeed(6, 2**32 + 1 + i))
+        B = brownian_sample(grid, 3, x0, RngSeed(6, 2**32 + 1 + i))
         assert np.array_equal(values[i], B.values[0])
     with pytest.raises(GenerationError):
         brownian_paths(RngSeed(6), 2, grid, 2, [np.inf, 0.0])
@@ -191,7 +186,7 @@ def test_brownian_increments_are_the_sample_increments():
     dB = brownian_increments(RngSeed(11, 3), 4, grid, 2)
     assert dB.shape == (4, 5, 2)
     for i in range(4):
-        B = brownian_sample(grid, 2, InitialLaw.point_mass([0.0, 0.0]), RngSeed(11, 3 + i))
+        B = brownian_sample(grid, 2, [0.0, 0.0], RngSeed(11, 3 + i))
         assert np.array_equal(np.cumsum(dB[i], axis=0), B.values[0, 1:])
 
 
@@ -207,7 +202,7 @@ def test_stream_blocks_draw_distinct_rows():
     z = normal_matrix(RngSeed(13, 2**32), 2, 8, first_stream=5)
     for i in range(2):
         gen = RngSeed(13, 2**32 + 5 + i).generator()
-        assert np.array_equal(z[i], standard_normals(gen, 8))
+        assert np.array_equal(z[i], generator_normals(gen, 8))
 
 
 @pytest.mark.parametrize("shape", [(5, 300, 1), (5, 300, 2), (300, 1), (2, 3, 40, 1)])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skorokhod_kit import (
-    InitialLaw,
     RngSeed,
     TimeGrid,
     brownian_sample,
@@ -74,7 +73,7 @@ def test_matches_independent_per_step_construction():
     # uniqueness in practice: a genuinely different construction satisfying the
     # same three conditions must produce the same pair (g, h)
     grid = TimeGrid.uniform(1.0, 400)
-    B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(17))
+    B = brownian_sample(grid, 1, 0.0, RngSeed(17))
     g, h = map_one(B.scalar_values, 0.35)
     g2, h2 = lindley_recursion(B.scalar_values, 0.35)
     assert np.allclose(g, g2, atol=1e-12)
@@ -110,7 +109,7 @@ def test_restart_at_grid_time():
     # solving again from (t_k, g(t_k)) with the driver increments after t_k
     # reproduces the tail of the original solution
     grid = TimeGrid.uniform(1.0, 300)
-    B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(23)).scalar_values
+    B = brownian_sample(grid, 1, 0.0, RngSeed(23)).scalar_values
     g, _ = map_one(B, 0.3)
     k = 120
     restarted, _ = map_one(B[k:] - B[k], float(g[k]))
@@ -164,7 +163,7 @@ def test_batch_map_rows_equal_map_of_brownian_sample():
     diag = skorokhod_1d_diagnostics_batch(g, h, v)
     terminal = skorokhod_terminal_1d_batch(v)
     for i in range(4):
-        B = brownian_sample(grid, 1, InitialLaw.point_mass(0.0), RngSeed(1001, i))
+        B = brownian_sample(grid, 1, 0.0, RngSeed(1001, i))
         one = B.values[..., 0]
         g_one, h_one = skorokhod_map_1d_batch(one)
         assert np.max(np.abs(g_one[0] - g[i])) == 0.0

@@ -6,7 +6,6 @@ from scipy.optimize import linprog, nnls
 
 from skorokhod_kit import (
     ConvexDomain,
-    InitialLaw,
     PathKind,
     RefinementLimitError,
     RngSeed,
@@ -40,7 +39,7 @@ def step_path(times, values):
 
 def brownian_step(domain_start, seed, stream=0, n_steps=256, d=2):
     grid = TimeGrid.uniform(1.0, n_steps)
-    B = brownian_sample(grid, d, InitialLaw.point_mass(domain_start), RngSeed(seed, stream))
+    B = brownian_sample(grid, d, domain_start, RngSeed(seed, stream))
     return B.with_kind(PathKind.STEP)
 
 
@@ -236,7 +235,7 @@ def test_continuous_interior_converges_immediately():
 
 def test_continuous_matches_explicit_1d_map():
     grid = TimeGrid.uniform(1.0, 200)
-    B = brownian_sample(grid, 1, InitialLaw.point_mass(0.4), RngSeed(58))
+    B = brownian_sample(grid, 1, 0.4, RngSeed(58))
     w = SampledPath.continuous(grid, B.values)
     sol = solve_skorokhod_continuous(w, half_line())
     fine = sol.X.grid
@@ -264,7 +263,7 @@ def test_spiral_exits_disc_and_sticks_to_boundary():
 
 def test_refinement_limit_error_carries_gaps():
     grid = TimeGrid.uniform(1.0, 64)
-    B = brownian_sample(grid, 2, InitialLaw.point_mass([0.0, 0.0]), RngSeed(59))
+    B = brownian_sample(grid, 2, [0.0, 0.0], RngSeed(59))
     w = SampledPath.continuous(grid, B.values)
     with pytest.raises(RefinementLimitError) as err:
         solve_skorokhod_continuous(w, unit_disc(), refine_tol=1e-12, max_levels=2)
@@ -274,7 +273,7 @@ def test_refinement_limit_error_carries_gaps():
 
 def test_dyadic_triadic_agreement():
     grid = TimeGrid.uniform(1.0, 64)
-    B = brownian_sample(grid, 2, InitialLaw.point_mass([0.0, 0.0]), RngSeed(60))
+    B = brownian_sample(grid, 2, [0.0, 0.0], RngSeed(60))
     w = SampledPath.continuous(grid, B.values)
     tol = 0.02
     dy = solve_skorokhod_continuous(w, unit_disc(), refine_tol=tol, max_levels=6, refine_factor=2)
@@ -291,7 +290,7 @@ def test_solution_jumps_shrink_under_refinement():
     from skorokhod_kit.reflectnd import _reflect_on_grid, _refine_linear
 
     grid = TimeGrid.uniform(1.0, 64)
-    B = brownian_sample(grid, 2, InitialLaw.point_mass([0.0, 0.0]), RngSeed(61))
+    B = brownian_sample(grid, 2, [0.0, 0.0], RngSeed(61))
     times, wv = grid.times.copy(), B.values[0].copy()
     max_jumps = []
     for _ in range(4):
@@ -408,8 +407,8 @@ def test_many_solvers_input_validation():
 def continuous_drivers(n, seed, start=(0.0, 0.0), n_steps=32):
     """Values (n, grid, 2) of Brownian drivers on streams 0..n-1, and their grid."""
     grid = TimeGrid.uniform(1.0, n_steps)
-    law = InitialLaw.point_mass(list(start))
-    values = np.stack([brownian_sample(grid, 2, law, RngSeed(seed, i)).values[0] for i in range(n)])
+    x0 = list(start)
+    values = np.stack([brownian_sample(grid, 2, x0, RngSeed(seed, i)).values[0] for i in range(n)])
     return values, grid
 
 
@@ -465,10 +464,10 @@ def test_refinement_check_reports_the_failure_a_per_driver_loop_meets_first(refi
         options={"refine_n0": 16, "refine_drivers": 5},
     )
     grid = TimeGrid.uniform(1.0, 16)
-    law = InitialLaw.point_mass([0.0, 0.0])
+    x0 = [0.0, 0.0]
     expected = None
     for i in range(5):
-        w = brownian_sample(grid, 2, law, RngSeed(3, 2 * STREAM_BLOCK + i))
+        w = brownian_sample(grid, 2, x0, RngSeed(3, 2 * STREAM_BLOCK + i))
         try:
             solve_skorokhod_continuous(w, unit_disc(), refine_tol=refine_tol, max_levels=6, refine_factor=2)
             solve_skorokhod_continuous(w, unit_disc(), refine_tol=refine_tol, max_levels=4, refine_factor=3)

@@ -7,7 +7,6 @@ import pytest
 from skorokhod_kit import (
     ConvexDomain,
     EvaluationFault,
-    InitialLaw,
     RngSeed,
     SampledPath,
     SdeCoefficients,
@@ -27,7 +26,7 @@ from skorokhod_kit import (
 )
 from skorokhod_kit import rsde
 from skorokhod_kit.domains import orthant
-from skorokhod_kit.randomness import normal_matrix, standard_normals
+from skorokhod_kit.randomness import normal_matrix
 from skorokhod_kit.rsde import _level_terminals, simulate_reflected_terminal_batch
 
 
@@ -586,7 +585,7 @@ def test_presets_parse_and_validate():
 def test_semimartingale_interior_noise_is_identity():
     grid = TimeGrid.uniform(1.0, 128)
     big = ConvexDomain(2, centers=[[0.0, 0.0]], radii=[50.0], interior_point=[0.0, 0.0])
-    M = brownian_sample(grid, 2, InitialLaw.point_mass([0.0, 0.0]), RngSeed(21))
+    M = brownian_sample(grid, 2, [0.0, 0.0], RngSeed(21))
     A = SampledPath.continuous(grid, np.zeros((129, 2)))
     sol = semimartingale_skorokhod(M, A, big)
     assert np.array_equal(sol.X.values, M.values)
@@ -618,7 +617,7 @@ def test_semimartingale_preconditions():
 def test_semimartingale_route_matches_euler():
     grid = TimeGrid.uniform(1.0, 500)
     stream = RngSeed(22, 0)
-    M = brownian_sample(grid, 2, InitialLaw.point_mass([0.0, 0.0]), stream)
+    M = brownian_sample(grid, 2, [0.0, 0.0], stream)
     A = SampledPath.continuous(grid, np.column_stack([grid.times, np.zeros(501)]))
     semi = semimartingale_skorokhod(M, A, unit_disc(), refine_tol=0.02)
     euler = euler_reflected(preset_coefficients("constant-drift(1,0)", d=2), unit_disc(), [0.0, 0.0], grid, stream)
@@ -647,8 +646,7 @@ def _strong_error_oracle(coeffs, domain, x0, T, dt_levels, n_paths, rng):
     n_fine = steps[-1]
     terminals = {n: np.empty((n_paths, d)) for n in steps}
     for i in range(n_paths):
-        gen = rng.with_stream(i).generator()
-        fine = standard_normals(gen, n_fine * coeffs.r).reshape(n_fine, coeffs.r)
+        fine = normal_matrix(RngSeed(rng.seed, i), 1, n_fine * coeffs.r).reshape(n_fine, coeffs.r)
         fine *= np.sqrt(T / n_fine)
         for n in steps:
             dB = fine.reshape(n, n_fine // n, coeffs.r).sum(axis=1)
@@ -734,8 +732,7 @@ def _euler_path_oracle(coeffs, domain, x0, grid, rng):
     d = domain.dimension
     x0 = np.asarray(x0, dtype=np.float64).reshape(d)
     n_steps = len(grid) - 1
-    gen = rng.generator()
-    dB = standard_normals(gen, n_steps * coeffs.r).reshape(n_steps, coeffs.r)
+    dB = normal_matrix(rng, 1, n_steps * coeffs.r).reshape(n_steps, coeffs.r)
     dB *= np.sqrt(grid.deltas)[:, None]
     times = grid.times
     dt = grid.deltas
@@ -982,3 +979,6 @@ def test_strong_error_rejects_non_nested_levels():
         strong_error_estimate(unit, half_line(), [0.0], 1.0, [1 / 4, 1 / 6], 4, RngSeed(0))
     with pytest.raises(ValueError):
         strong_error_estimate(unit, half_line(), [0.0], 1.0, [0.3], 4, RngSeed(0))
+    # a repeated level would add a zero gap row that reads as a failed check
+    with pytest.raises(ValueError, match=r"dt=0.25 is repeated in dt_levels"):
+        strong_error_estimate(unit, half_line(), [0.0], 1.0, [0.25, 0.125, 0.25], 4, RngSeed(0))
