@@ -4,7 +4,10 @@
 Writes artifacts under results/<experiment>/ and prints a one-line verdict
 per experiment, ending in the first 16 hex digits of the sha256 of its
 summary.json, so two runs' summaries can be compared from their output.
-Exits nonzero if any configured check fails.
+Exits nonzero if any configured check fails. With ``--expect FILE`` it also
+exits nonzero, naming each experiment, when a digest differs from FILE's
+(lines ``experiment digest``, ``#`` comments), for example
+``--expect scripts/default_digests.txt`` for the default configs.
 """
 
 import argparse
@@ -21,13 +24,38 @@ def summary_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
+def read_digests(path) -> dict:
+    """Experiment name -> digest from a file of ``experiment digest`` lines."""
+    expected = {}
+    for line in Path(path).read_text().splitlines():
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != 2:
+            raise ValueError(f"{path}: expected 'experiment digest', got {line!r}")
+        expected[fields[0]] = fields[1]
+    return expected
+
+
+def digest_mismatches(digests: dict, expected: dict) -> list[str]:
+    """One line per experiment whose digest differs from the expected one, or that one side lacks."""
+    return [
+        f"{name}: sha256 {digests.get(name, 'not run')}, expected {expected.get(name, 'none')}"
+        for name in sorted(digests.keys() | expected.keys())
+        if digests.get(name) != expected.get(name)
+    ]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="root output directory")
     parser.add_argument("--seed", type=int, default=None, help="override every seed")
+    parser.add_argument("--expect", default=None, help="file of expected summary digests")
     args = parser.parse_args()
+    expected = read_digests(args.expect) if args.expect is not None else None
 
     failures = []
+    digests = {}
     for name in sorted(EXPERIMENTS):
         overrides = {"out_dir": f"{args.out}/{name}"}
         if args.seed is not None:
@@ -38,7 +66,7 @@ def main() -> int:
         elapsed = time.perf_counter() - t0
         n_pass = sum(c.passed for c in result.checks)
         verdict = "PASS" if result.exit_code == 0 else "FAIL"
-        digest = summary_digest(result.artifacts.summary)
+        digest = digests[name] = summary_digest(result.artifacts.summary)
         print(
             f"{name:22s} {verdict}  {n_pass}/{len(result.checks)} checks  {elapsed:7.1f} s"
             f"  sha256 {digest}"
@@ -48,10 +76,15 @@ def main() -> int:
             for check in result.checks:
                 if not check.passed:
                     print(f"    failed: {check.name}: {check.detail}")
+    status = 0
     if failures:
         print(f"failing experiments: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if expected is not None:
+        for line in digest_mismatches(digests, expected):
+            print(f"digest mismatch: {line}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ strictly interior witness point, so the intersection always has interior.
 The constructor classifies the domain once. A box (no balls, every normal
 +-e_i, redundant faces on one axis folded into one lower and one upper bound
 per coordinate) projects by the exact coordinate-wise clip, which is also
-the identity, signed zeros included, on the closure. Other domains project
+the identity, signed zeros included, on the closure. A lone ball (one ball,
+no faces) projects radially in one vectorized pass. Other domains project
 in closed form when one constraint is violated and its projection lands in
 the closure; past that, every domain projects exactly by enumerating the
 supports (sets of at most d faces and balls) that can be active at the
@@ -52,6 +53,29 @@ def _box_bounds(normals: np.ndarray, offsets: np.ndarray, d: int):
     return (lo if up.any() else None), (hi if not up.all() else None)
 
 
+def _radial_landing(x: np.ndarray, diff: np.ndarray, c, radius, outside=True) -> np.ndarray:
+    """Rows of x outside the ball |y - c| <= radius, moved radially onto its sphere.
+
+    A row goes to c + (radius / |x - c|) (x - c) where |x - c| > radius and
+    ``outside`` holds for it, and stays x elsewhere. ``diff`` is x - c, and
+    ``c`` and ``radius`` are one ball or one per row. A row whose squared
+    distance overflows is scaled by its largest |x_i - c_i| first, so a far
+    point lands on the sphere rather than at c; every other row is computed
+    as written.
+    """
+    with np.errstate(over="ignore"):  # overflowed rows are redone below
+        dist = np.sqrt(np.vecdot(diff, diff))
+    # radius / dist where the row moves; 1 elsewhere, so no row divides by 0
+    landing = c + (radius / np.maximum(dist, radius))[:, None] * diff
+    far = np.isinf(dist)
+    if np.logical_or.reduce(far):
+        unit = diff[far] / np.max(np.abs(diff[far]), axis=1)[:, None]
+        radii = np.broadcast_to(radius, dist.shape)[far]
+        centers = np.broadcast_to(c, diff.shape)[far]
+        landing[far] = centers + (radii / np.sqrt(np.vecdot(unit, unit)))[:, None] * unit
+    return np.where(((dist > radius) & outside)[:, None], landing, x)
+
+
 def boundary_tolerance(x: np.ndarray) -> np.ndarray:
     """Scale-aware tolerance for deciding boundary membership, one per row of a batch."""
     return 1e-8 * (1.0 + np.sqrt(np.vecdot(x, x)))
@@ -69,6 +93,8 @@ class ConvexDomain:
     interior_point: np.ndarray = field(default=None)
     # (lo, hi) bounds when the domain is an axis-aligned box, else None
     _box: tuple | None = field(default=None, init=False, repr=False)
+    # (center, radius) when the domain is one ball and no faces, else None
+    _ball: tuple | None = field(default=None, init=False, repr=False)
     # largest |b_i| or |c_j| + r_j, the scale of the domain's rounding
     _size: float = field(default=0.0, init=False, repr=False)
 
@@ -112,6 +138,8 @@ class ConvexDomain:
             raise ValueError("witness point is not strictly interior")
         if not radii.size:
             object.__setattr__(self, "_box", _box_bounds(normals, offsets, d))
+        elif radii.size == 1 and not offsets.size:
+            object.__setattr__(self, "_ball", (centers[0], radii[0]))
         reach = np.sqrt(np.vecdot(centers, centers)) + radii
         object.__setattr__(self, "_size", max(np.max(np.abs(offsets), initial=0.0), np.max(reach, initial=0.0)))
 
@@ -151,16 +179,20 @@ class ConvexDomain:
     def project_batch(self, points: np.ndarray) -> np.ndarray:
         """Nearest point of the closure for each row of points.
 
-        A box is clipped in one pass. Otherwise interior rows are returned as
-        they are, and rows violating a single constraint are projected onto it
-        in closed form for the whole batch. Rows whose one-constraint
-        projection leaves the closure, or that violate several constraints,
-        are projected by support enumeration (:meth:`_project_on_supports`),
-        all such rows at once.
+        A box is clipped in one pass, and a lone ball is projected radially
+        in one pass (:meth:`_project_on_ball`). Otherwise interior rows are
+        returned as they are, and rows violating a single constraint are
+        projected onto it in closed form for the whole batch. Rows whose
+        one-constraint projection leaves the closure, or that violate several
+        constraints, are projected by support enumeration
+        (:meth:`_project_on_supports`), all such rows at once. The result is
+        always a new array.
         """
         if self._box is not None:
             return self._clip(np.asarray(points, dtype=np.float64))
         pts = np.array(points, dtype=np.float64)
+        if self._ball is not None:
+            return self._project_on_ball(pts)
         slacks = self.slack_matrix(pts)
         bad = slacks < 0.0
         if not bad.any():
@@ -178,12 +210,11 @@ class ConvexDomain:
             step = self.normals / np.vecdot(self.normals, self.normals)[:, None]
             out[r] = pts[r] - slacks[r, i, None] * step[i]
         if self.radii.size:
-            # one violated ball: c + (r / |x - c|) (x - c), left alone where
-            # this norm rounds to |x - c| <= r although the slack was negative
+            # one violated ball: the radial landing, left alone where its norm
+            # rounds to |x - c| <= r although the slack was negative
             r, j = rows[~on_face], idx[~on_face] - m
-            c, radius, x = self.centers[j], self.radii[j], pts[r]
-            dist = np.sqrt(np.vecdot(x - c, x - c))
-            out[r] = np.where((dist > radius)[:, None], c + (radius / dist)[:, None] * (x - c), x)
+            x, c = pts[r], self.centers[j]
+            out[r] = _radial_landing(x, x - c, c, self.radii[j])
         # rows whose single-constraint projection left the closure
         rows = np.flatnonzero(single)
         landed = out[rows]
@@ -191,6 +222,32 @@ class ConvexDomain:
         rest = np.concatenate([rows[outside], np.flatnonzero(n_bad > 1)])
         if rest.size:
             out[rest] = self._project_on_supports(pts[rest])
+        return out
+
+    def _project_on_ball(self, pts: np.ndarray) -> np.ndarray:
+        """:meth:`project_batch` of a lone ball: the general route's floats in one pass.
+
+        Rows with a negative slack (the :meth:`slack_matrix` formula) take
+        the radial landing. A landing is certified as the general route
+        certifies it: every row with slack >= -_FEASIBLE_TOL (1 + size),
+        never above :meth:`_least_slack`, passes at once; the rest are
+        checked against :meth:`_least_slack` itself, and those failing it go
+        to :meth:`_project_on_supports`.
+        """
+        c, radius = self._ball
+        diff = pts - c
+        with np.errstate(over="ignore"):  # a far row's slack is -inf, as it should be
+            outside = radius - np.sqrt(np.add.reduce(diff * diff, axis=1)) < 0.0
+        if not np.logical_or.reduce(outside):
+            return pts
+        out = _radial_landing(pts, diff, c, radius, outside)
+        diff = out - c
+        slack = radius - np.sqrt(np.add.reduce(diff * diff, axis=1))
+        loose = np.flatnonzero(slack < -_FEASIBLE_TOL * (1.0 + self._size))
+        if loose.size:
+            rest = loose[slack[loose] < self._least_slack(out[loose])]
+            if rest.size:
+                out[rest] = self._project_on_supports(pts[rest])
         return out
 
     def _least_slack(self, x: np.ndarray) -> np.ndarray:

@@ -804,6 +804,12 @@ READ_KEYS = {
     "rsde-consistency": ("route_steps", "tol_refine", "tol_route_agreement"),
     "strong-error": ("dt_levels",),
 }
+# config fields only some experiments read, with their readers; others reject them when set
+FIELD_READERS = {
+    "coefficients": ("rsde-consistency",),
+    "domain": ("nd-skorokhod-props", "condition-checks"),
+    "domain_file": ("nd-skorokhod-props", "condition-checks"),
+}
 
 
 def experiment_defaults(experiment: str) -> dict:
@@ -833,6 +839,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         if key not in read:
             raise UsageError(f"config key {key} is not read by {config.experiment}; "
                              f"its option and tol_ keys are: {', '.join(read) or 'none'}")
+    for key, readers in FIELD_READERS.items():
+        if getattr(config, key) is not None and config.experiment not in readers:
+            raise UsageError(f"config key {key} is not read by {config.experiment}, "
+                             f"only by {' and '.join(readers)}")
     config.resolve_domain()  # fail before running if a referenced file is bad
     if config.coefficients is not None:
         preset_coefficients(config.coefficients)  # same for presets

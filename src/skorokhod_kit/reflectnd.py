@@ -121,21 +121,27 @@ def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain):
         if span > 1:
             ahead = wv[:, k : k + span] + acc[:, None, :]
             leaves = domain.slack_matrix(ahead.reshape(-1, d)) < 0.0
-            step_leaves = leaves.any(axis=1).reshape(n_paths, -1).any(axis=0)
-            stay = int(np.argmax(step_leaves)) if step_leaves.any() else step_leaves.size
+            # does some path leave at each step: over paths first, in long runs
+            # of (steps, constraints), then over each step's constraints
+            step_leaves = np.logical_or.reduce(leaves.reshape(n_paths, ahead.shape[1], -1), axis=0)
+            step_leaves = np.logical_or.reduce(step_leaves, axis=1)
+            stay = int(np.argmax(step_leaves))
+            if not step_leaves[stay]:
+                stay = step_leaves.size
             X[:, k : k + stay] = ahead[:, :stay]
             phi[:, k : k + stay] = acc[:, None, :]
             k += stay
             span = min(2 * span, _MAX_SPAN) if stay == step_leaves.size else 1
             continue
-        free = wv[:, k] + acc
+        wk = wv[:, k]
+        free = wk + acc
         landed = domain.project_batch(free)
         X[:, k] = landed
         # rows with no pushing (landed == free) keep phi bitwise unchanged so
         # interior steps carry exactly zero mass
-        moved = landed != free
-        if moved.any():
-            acc = np.where(moved.any(axis=1)[:, None], landed - wv[:, k], acc)
+        moved = np.logical_or.reduce(landed != free, axis=1)
+        if np.logical_or.reduce(moved):
+            acc = np.where(moved[:, None], landed - wk, acc)
         else:
             span = 2
         phi[:, k] = acc

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,10 @@ from skorokhod_kit import (
     strip,
     unit_disc,
 )
+from skorokhod_kit import domains
 from skorokhod_kit.config import load_domain_file
 from skorokhod_kit.domains import _active_generators
+from skorokhod_kit.experiments import default_config, run_experiment
 
 DOMAIN_FILES = sorted((Path(__file__).resolve().parents[1] / "configs" / "domains").glob("*.domain"))
 CAPPED_HALFPLANE = load_domain_file(DOMAIN_FILES[0])
@@ -467,6 +471,141 @@ def test_other_domains_keep_the_general_route(name, monkeypatch):
     assert np.all(np.min(dom.slack_matrix(batch), axis=1) >= -1e-12 * (1.0 + np.linalg.norm(pts, axis=1)))
     # one constraint: always closed form; several: some probe leaves the closure past a corner
     assert bool(calls) == (dom.n_constraints > 1)
+
+
+def _lone_balls(seed, count=60):
+    """Random (domain, points) pairs: one ball in d = 1-4, centre up to 1e6 out, radius 1e-3-1e3.
+
+    Each batch mixes interior rows, rows on the sphere up to rounding (where
+    the slack's sum of squares and the landing's dot product can disagree
+    on which side they are), rows a few ulps off it on either side, and rows
+    up to 1e3 radii out. Every third ball is centred at 0.
+    """
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    for i in range(count):
+        d = int(gen.integers(1, 5))
+        center = 10.0 ** gen.uniform(0.0, 6.0) * gen.uniform(-1.0, 1.0, size=d) * (i % 3 > 0)
+        radius = 10.0 ** gen.uniform(-3.0, 3.0)
+        u = gen.normal(size=(48, d))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        scale = np.concatenate([
+            gen.uniform(0.0, 0.999, 8),
+            np.ones(24),
+            1.0 + 1e-15 * gen.integers(-4, 5, 8),
+            10.0 ** gen.uniform(0.0, 3.0, 8),
+        ])
+        yield ball_domain(center, radius), center + radius * scale[:, None] * u
+
+
+def _general_route(dom):
+    """The same domain, projected by the general route rather than the lone-ball one."""
+    general = copy.copy(dom)
+    object.__setattr__(general, "_ball", None)
+    return general
+
+
+def test_lone_balls_take_the_radial_route():
+    assert unit_disc()._ball is not None and ball_domain([1.0, 2.0, 3.0], 0.5)._ball is not None
+    for name in ("orthant_and_ball", "capped_halfplane", "lens", "tilted"):
+        assert NOT_BOXES[name]._ball is None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lone_ball_landings_match_the_general_route_bit_for_bit(seed):
+    for dom, pts in _lone_balls(seed):
+        out = dom.project_batch(pts)
+        assert out.tobytes() == _general_route(dom).project_batch(pts).tobytes()
+        # and the general route's closed form as written before the shared helper
+        (c,), (r,) = dom.centers, dom.radii
+        slack = r - np.sqrt(np.add.reduce((pts - c) ** 2, axis=1))
+        dist = np.sqrt(np.vecdot(pts - c, pts - c))
+        moved = (slack < 0.0) & (dist > r)
+        landed = c + (r / dist[moved])[:, None] * (pts[moved] - c)
+        assert out[moved].tobytes() == landed.tobytes()
+        assert out[~moved].tobytes() == pts[~moved].tobytes()
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_lone_ball_landings_are_certified_and_match_the_enumeration(seed):
+    eps = np.finfo(np.float64).eps
+    for dom, pts in _lone_balls(seed):
+        out = dom.project_batch(pts)
+        assert np.all(np.min(dom.slack_matrix(out), axis=1) >= dom._least_slack(out))
+        moved = np.any(out != pts, axis=1)
+        oracle = dom._project_on_supports(pts[moved])
+        bound = 16.0 * eps * (1.0 + dom._size)
+        assert np.all(np.abs(out[moved] - oracle) <= bound)
+
+
+def test_lone_ball_interior_rows_come_back_unchanged_in_a_fresh_array():
+    dom = ball_domain([0.0, 0.0, 0.0], 2.0)
+    pts = np.array([[-0.0, 0.0, -0.0], [0.5, -0.0, 1.0], [-0.0, -2.0, 0.0], [3.0, -0.0, 0.0]])
+    out = dom.project_batch(pts)
+    assert out is not pts
+    assert out[:3].tobytes() == pts[:3].tobytes()  # bytes: -0.0 stays -0.0
+    assert out[3].tolist() == [2.0, 0.0, 0.0]
+    interior = pts[:3]
+    again = dom.project_batch(interior)
+    assert again is not interior and again.tobytes() == interior.tobytes()
+
+
+def test_far_points_project_onto_the_sphere_without_warnings():
+    # |x|^2 = 2.5e309 overflows; the landing must not collapse to the centre
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = unit_disc().project_batch([[3e154, 4e154], [0.3, 0.4], [-6e200, 8e200]])
+        near = ball_domain([1.0, -1.0], 2.0).project_batch([[1.0 + 3e154, -1.0 - 4e154]])
+    assert np.allclose(far, [[0.6, 0.8], [0.3, 0.4], [-0.6, 0.8]], rtol=0.0, atol=4e-16)
+    assert np.allclose(near, [[2.2, -2.6]], rtol=0.0, atol=8e-16)
+    # other rows keep their bits, and the general route's one-ball branch lands the same
+    mixed = np.array([[3e154, 4e154], [3.0, 4.0]])
+    out = unit_disc().project_batch(mixed)
+    assert out[1].tobytes() == (np.array([3.0, 4.0]) * (1.0 / 5.0)).tobytes()
+    capped = ConvexDomain(2, normals=[[0.0, 1.0]], offsets=[-10.0], centers=[[0.0, 0.0]], radii=[1.0],
+                          interior_point=[0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the general route's slack pass overflows
+        assert np.allclose(capped.project_batch(mixed), [[0.6, 0.8], [0.6, 0.8]], rtol=0.0, atol=4e-16)
+
+
+def test_a_lone_ball_landing_the_certificate_rejects_goes_to_the_enumeration(monkeypatch):
+    dom = ball_domain([1e6, -2e6], 3.0)
+    tol = domains._FEASIBLE_TOL
+    pts = dom.centers[0] + np.array([[0.0, 5.0], [4.0, 0.0], [0.0, -9.0], [1.0, 1.0]])
+    push = np.array([2e-3, 1.5 * tol * (1.0 + dom._size), 0.0, 0.0])
+    real = domains._radial_landing
+
+    def off_the_sphere(x, diff, c, radius, outside=True):
+        # push rows 0 and 1 out by push: 0 past both bounds, 1 past the cheap one only
+        landing = real(x, diff, c, radius, outside)
+        return landing + push[:, None] * (landing - c) / radius
+
+    calls = []
+    enumerate_ = ConvexDomain._project_on_supports
+
+    def counting(self, x):
+        calls.append(x.copy())
+        return enumerate_(self, x)
+
+    monkeypatch.setattr(domains, "_radial_landing", off_the_sphere)
+    monkeypatch.setattr(ConvexDomain, "_project_on_supports", counting)
+    out = dom.project_batch(pts)
+    assert len(calls) == 1 and calls[0].tobytes() == pts[:1].tobytes()
+    assert out[0].tobytes() == enumerate_(dom, pts[:1])[0].tobytes()
+    assert out[1].tobytes() == off_the_sphere(pts, pts - dom.centers[0], dom.centers[0], dom.radii[0])[1].tobytes()
+    # row 1 sits between the cheap bound and the exact one, so it was checked and kept
+    slack = dom.slack_matrix(out[1:2])[0, 0]
+    assert dom._least_slack(out[1:2])[0] <= slack < -tol * (1.0 + dom._size)
+    assert out[2:].tobytes() == real(pts, pts - dom.centers[0], dom.centers[0], dom.radii[0])[2:].tobytes()
+
+
+def test_the_reflect_nd_run_never_reaches_the_enumeration(tmp_path, monkeypatch):
+    def no_enumeration(self, x):
+        raise AssertionError("the disc and orthant rows must not reach _project_on_supports")
+
+    monkeypatch.setattr(ConvexDomain, "_project_on_supports", no_enumeration)
+    config = default_config("nd-skorokhod-props", n_paths=200, out_dir=str(tmp_path))
+    assert run_experiment(config).exit_code == 0
 
 
 def test_single_face_projection_divides_by_the_normal_norm():

@@ -248,6 +248,32 @@ def test_run_all_prints_summary_digest(tmp_path, monkeypatch, capsys):
     assert run_all.summary_digest(rerun.artifacts.summary) == digest
 
 
+def test_run_all_names_each_digest_that_differs_from_the_expected_file(tmp_path, monkeypatch, capsys):
+    run_all = _load_script("run_all_experiments")
+    expected = {"a": "0123456789abcdef", "b": "fedcba9876543210", "c": "00000000000000ff"}
+    assert run_all.digest_mismatches(dict(expected), expected) == []
+    got = {"a": "0123456789abcdef", "b": "1111111111111111", "d": "2222222222222222"}
+    assert run_all.digest_mismatches(got, expected) == [
+        "b: sha256 1111111111111111, expected fedcba9876543210",
+        "c: sha256 not run, expected 00000000000000ff",
+        "d: sha256 2222222222222222, expected none",
+    ]
+    listing = tmp_path / "digests.txt"
+    listing.write_text("# header\n\na 0123456789abcdef  # trailing note\nb fedcba9876543210\n")
+    assert run_all.read_digests(listing) == {"a": "0123456789abcdef", "b": "fedcba9876543210"}
+    listing.write_text("a 0123456789abcdef extra\n")
+    with pytest.raises(ValueError, match="expected 'experiment digest'"):
+        run_all.read_digests(listing)
+    # the committed file lists every experiment; main fails naming each one it did not match
+    shipped = Path(__file__).resolve().parents[1] / "scripts" / "default_digests.txt"
+    assert sorted(run_all.read_digests(shipped)) == sorted(EXPERIMENTS)
+    monkeypatch.setattr(run_all, "EXPERIMENTS", {})
+    monkeypatch.setattr(sys, "argv", ["run_all_experiments.py", "--expect", str(shipped)])
+    assert run_all.main() == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1].strip() for line in err] == sorted(EXPERIMENTS)
+
+
 def test_figure_script_writes_both_csvs(tmp_path, monkeypatch):
     figure = _load_script("figure_brownian_reflection")
     argv = ["figure_brownian_reflection.py", "--steps", "64", "--out", str(tmp_path)]
@@ -298,9 +324,10 @@ def test_emit_paths_writes_the_pushdown_path(tmp_path):
 
 
 def test_unresolvable_domain_fails_before_running(tmp_path):
-    config = small_1d_config(tmp_path).replace(domain_file="/missing.domain")
-    with pytest.raises(ValueError):
+    config = default_config("condition-checks", out_dir=str(tmp_path / "run"), domain_file="/missing.domain")
+    with pytest.raises(ValueError, match="domain file not found"):
         run_experiment(config)
+    assert not (tmp_path / "run" / "summary.json").exists()
 
 
 def test_single_path_hits_estimator_precondition(tmp_path):
@@ -386,6 +413,8 @@ LEVELS_MESSAGE = "config key dt_levels needs at least 2 step sizes, got {}"
 NUMBER_MESSAGE = "config key {} must be a number, got {}"
 UNREAD_MESSAGE = "config key {} is not read by {}; its option and tol_ keys are: {}"
 ND_KEYS = "tol_refine, refine_n0, refine_drivers"
+FIELD_MESSAGE = "config key {} is not read by {}, only by {}"
+ND_READERS = "nd-skorokhod-props and condition-checks"
 
 
 @pytest.mark.parametrize(
@@ -412,6 +441,17 @@ ND_KEYS = "tol_refine, refine_n0, refine_drivers"
         ("nd-skorokhod-props", "tol_refin = 5",
          UNREAD_MESSAGE.format("tol_refin", "nd-skorokhod-props", ND_KEYS)),
         ("ito-formula", "eps = 0.1", UNREAD_MESSAGE.format("eps", "ito-formula", "none")),
+        # so is a domain or coefficient preset given to an experiment that ignores it
+        ("condition-checks", "coefficients = sin-diffusion",
+         FIELD_MESSAGE.format("coefficients", "condition-checks", "rsde-consistency")),
+        ("nd-skorokhod-props", "coefficients = unit-diffusion",
+         FIELD_MESSAGE.format("coefficients", "nd-skorokhod-props", "rsde-consistency")),
+        ("rsde-consistency", "domain = unit-disc",
+         FIELD_MESSAGE.format("domain", "rsde-consistency", ND_READERS)),
+        ("strong-error", "domain_file = configs/domains/quarter-plane.domain",
+         FIELD_MESSAGE.format("domain_file", "strong-error", ND_READERS)),
+        ("skorokhod-1d-props", "domain = orthant2",
+         FIELD_MESSAGE.format("domain", "skorokhod-1d-props", ND_READERS)),
         # counts and seeds are whole numbers, never truncated
         ("local-time", "n_paths = 2.5", WHOLE_MESSAGE.format("n_paths", 2.5)),
         ("local-time", "N = true", WHOLE_MESSAGE.format("N", True)),
