@@ -4,19 +4,24 @@
 Writes artifacts under results/<experiment>/ and prints a one-line verdict
 per experiment, ending in the first 16 hex digits of the sha256 of its
 summary.json, so two runs' summaries can be compared from their output.
-Exits nonzero if any configured check fails. With ``--expect FILE`` it also
-exits nonzero, naming each experiment, when a digest differs from FILE's
-(lines ``experiment digest``, ``#`` comments), for example
-``--expect scripts/default_digests.txt`` for the default configs.
+Exits nonzero if any configured check fails, and prints each failed check
+with its kind from the experiments' GATES table: a statistical check fails a
+correct run at a small share of seeds, an exact or tolerance check only on a
+wrong output. With ``--expect FILE`` it also exits nonzero, naming each
+experiment, when a digest differs from FILE's (lines ``experiment digest``,
+``#`` comments), for example ``--expect scripts/default_digests.txt`` for the
+default configs.
 """
 
 import argparse
+import fnmatch
 import hashlib
+import re
 import sys
 import time
 from pathlib import Path
 
-from skorokhod_kit.experiments import EXPERIMENTS, default_config, run_experiment
+from skorokhod_kit.experiments import EXPERIMENTS, GATES, default_config, run_experiment
 
 
 def summary_digest(path) -> str:
@@ -46,6 +51,32 @@ def digest_mismatches(digests: dict, expected: dict) -> list[str]:
     ]
 
 
+# what a failed check of each kind says about the run
+MEANING = {
+    "exact": "the output is wrong",
+    "tolerance": "the output is off by more than its tol_ key allows",
+    "statistical": "a correct run fails this at some seeds: rerun at another",
+}
+
+
+def check_kind(experiment: str, name: str) -> str:
+    """The kind GATES gives a check of the experiment; a gate's {case} matches any text."""
+    for gate in GATES[experiment]:
+        if fnmatch.fnmatchcase(name, re.sub(r"\{\w+\}", "*", gate.name)):
+            return gate.kind
+    raise KeyError(f"{experiment} has no gate for a check named {name!r}")
+
+
+def failure_lines(experiment: str, checks) -> list[str]:
+    """One line per failed check, naming its kind and what its failure means."""
+    lines = []
+    for check in checks:
+        if not check.passed:
+            kind = check_kind(experiment, check.name)
+            lines.append(f"    failed {kind} check: {check.name}: {check.detail} ({MEANING[kind]})")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="root output directory")
@@ -73,9 +104,7 @@ def main() -> int:
         )
         if result.exit_code != 0:
             failures.append(name)
-            for check in result.checks:
-                if not check.passed:
-                    print(f"    failed: {check.name}: {check.detail}")
+            print("\n".join(failure_lines(name, result.checks)))
     status = 0
     if failures:
         print(f"failing experiments: {', '.join(failures)}", file=sys.stderr)

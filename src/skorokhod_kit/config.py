@@ -236,17 +236,7 @@ class ExperimentConfig:
 
     def as_dict(self) -> dict:
         return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "n_paths": self.n_paths,
-            "T": self.horizon,
-            "N": self.n_steps,
-            "domain": self.domain,
-            "domain_file": self.domain_file,
-            "coefficients": self.coefficients,
-            "out": self.out_dir,
-            "emit_paths": self.emit_paths,
-            "alpha": self.alpha,
+            **{key: getattr(self, attr) for key, (attr, _) in self._KNOWN.items()},
             "tolerances": dict(sorted(self.tolerances.items())),
             "options": {k: _plain(v) for k, v in sorted(self.options.items())},
         }

@@ -53,26 +53,33 @@ def _box_bounds(normals: np.ndarray, offsets: np.ndarray, d: int):
     return (lo if up.any() else None), (hi if not up.all() else None)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """|v_i| for each row of v, computed as sqrt(<v_i, v_i>).
+
+    A row whose squared norm overflows is scaled by its largest |v_ij| first,
+    so a far point gets its finite norm; every other row keeps these bits.
+    """
+    with np.errstate(over="ignore"):  # overflowed rows are redone below
+        norms = np.sqrt(np.vecdot(v, v))
+    far = np.isinf(norms)
+    if np.logical_or.reduce(far):
+        scale = np.max(np.abs(v[far]), axis=1)
+        unit = v[far] / scale[:, None]
+        norms[far] = scale * np.sqrt(np.vecdot(unit, unit))
+    return norms
+
+
 def _radial_landing(x: np.ndarray, diff: np.ndarray, c, radius, outside=True) -> np.ndarray:
     """Rows of x outside the ball |y - c| <= radius, moved radially onto its sphere.
 
     A row goes to c + (radius / |x - c|) (x - c) where |x - c| > radius and
     ``outside`` holds for it, and stays x elsewhere. ``diff`` is x - c, and
-    ``c`` and ``radius`` are one ball or one per row. A row whose squared
-    distance overflows is scaled by its largest |x_i - c_i| first, so a far
-    point lands on the sphere rather than at c; every other row is computed
-    as written.
+    ``c`` and ``radius`` are one ball or one per row. |x - c| comes from
+    :func:`_row_norms`, so a far point lands on the sphere, not at c.
     """
-    with np.errstate(over="ignore"):  # overflowed rows are redone below
-        dist = np.sqrt(np.vecdot(diff, diff))
+    dist = _row_norms(diff)
     # radius / dist where the row moves; 1 elsewhere, so no row divides by 0
     landing = c + (radius / np.maximum(dist, radius))[:, None] * diff
-    far = np.isinf(dist)
-    if np.logical_or.reduce(far):
-        unit = diff[far] / np.max(np.abs(diff[far]), axis=1)[:, None]
-        radii = np.broadcast_to(radius, dist.shape)[far]
-        centers = np.broadcast_to(c, diff.shape)[far]
-        landing[far] = centers + (radii / np.sqrt(np.vecdot(unit, unit)))[:, None] * unit
     return np.where(((dist > radius) & outside)[:, None], landing, x)
 
 
@@ -155,8 +162,10 @@ class ConvexDomain:
             parts.append(np.vecdot(points[:, None, :], self.normals) - self.offsets)
         if self.centers.shape[0]:
             diff = points[:, None, :] - self.centers[None, :, :]
-            # np.linalg.norm(diff, axis=2) without its call overhead
-            parts.append(self.radii - np.sqrt(np.add.reduce(diff * diff, axis=2)))
+            # np.linalg.norm(diff, axis=2) without its call overhead; a far
+            # point's slack overflows to -inf, which has the right sign
+            with np.errstate(over="ignore"):
+                parts.append(self.radii - np.sqrt(np.add.reduce(diff * diff, axis=2)))
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def _clip(self, x: np.ndarray) -> np.ndarray:
@@ -320,8 +329,7 @@ class ConvexDomain:
         dist = np.min(self.slack_matrix(pts), axis=1)
         outside = np.flatnonzero(dist < 0.0)
         if outside.size:
-            shift = self.project_batch(pts[outside]) - pts[outside]
-            dist[outside] = np.sqrt(np.vecdot(shift, shift))
+            dist[outside] = _row_norms(self.project_batch(pts[outside]) - pts[outside])
         return dist
 
 

@@ -5,12 +5,21 @@ component c always draws from stream c * 2^32 + i of the configured seed,
 and chunked fan-out combines per-chunk results in chunk order, so reruns
 are byte-identical no matter how many workers run (the pool module's
 SKOROKHOD_KIT_THREADS caps the worker count).
+
+A runner simulates and returns its summary and the statistics its checks
+read. Every check is declared once, in ``GATES``: its conditions, bounds,
+detail template and kind. An ``exact`` check holds on every correct output
+up to a fixed bound; a ``tolerance`` check's bound is a config key tol_<key>;
+a ``statistical`` check fails a correct run at a small share of seeds.
 """
 
 from __future__ import annotations
 
+import operator
+import string
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,16 +83,72 @@ class Check:
     detail: str
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
-def _ks_check(name: str, ks) -> Check:
-    return Check(name, ks.passed, f"D={ks.statistic:.5f} < {ks.threshold:.5f}")
+class Tol(NamedTuple):
+    """A bound: ``factor`` times the tolerance ``key`` (config key tol_<key>, else ``default``)."""
+
+    key: str
+    default: float
+    factor: float = 1.0
 
 
-def _mean_check(name: str, est: McEstimate, target: float) -> Check:
-    detail = f"mean {est.mean:.5f} vs {target:.5f} (se {est.std_error:.5f})"
-    return Check(name, est.within(target, 3.0), detail)
+class Stat(NamedTuple):
+    """A bound: ``factor`` times the named statistic, one the library or the run computes."""
+
+    name: str
+    factor: float = 1.0
+
+
+class Gate(NamedTuple):
+    """A check's name, (stat, op, bound) conditions, detail template and kind."""
+
+    name: str
+    conds: tuple
+    detail: str
+    kind: str
+
+
+_OPS = {
+    "<=": operator.le, ">=": operator.ge, "==": operator.eq, ">": operator.gt,
+    "in": lambda value, span: span[0] <= value <= span[1],
+    "near": lambda value, bound: abs(value - bound[0]) <= bound[1],
+    "contains": operator.contains,  # the stat contains the bound
+    "within": lambda pair, k: pair[0].within(pair[1], k),  # (McEstimate, target), k std errors
+}
+_FIELDS = string.Formatter()  # reads a stat by its format field name
+
+
+def _bound(bound, fields: dict, config: ExperimentConfig):
+    if isinstance(bound, Tol):
+        return bound.factor * config.tolerance(bound.key, bound.default)
+    if isinstance(bound, Stat):
+        return bound.factor * _FIELDS.get_field(bound.name, (), fields)[0]
+    return bound
+
+
+def _checks(experiment: str, stats: dict, config: ExperimentConfig) -> list[Check]:
+    """The experiment's checks, one per gate of its GATES entry, in table order.
+
+    A stat is named as a format field is (``"ks_half_normal[passed]"``, ``"occ[0].mean"``).
+    A gate passes when its conditions hold, tried in order, so one can guard
+    the next. Names and details are formatted from the stats; ``{bound}`` is
+    the last bound. Gates named with ``{case}`` come first and run once per
+    name in ``stats["cases"]``, on that case's stats.
+    """
+    gates = GATES[experiment]
+    group = [gate for gate in gates if "{case}" in gate.name]
+    cases = stats.get("cases", ())
+    scoped = [(gate, {**stats[case], "case": case}) for case in cases for gate in group]
+    checks = []
+    for gate, fields in scoped + [(gate, stats) for gate in gates if gate not in group]:
+        passed = all(_OPS[op](_FIELDS.get_field(stat, (), fields)[0], _bound(bound, fields, config))
+                     for stat, op, bound in gate.conds)
+        fields = {**fields, "bound": _bound(gate.conds[-1][2], fields, config)}
+        checks.append(Check(_FIELDS.vformat(gate.name, (), fields), passed,
+                            _FIELDS.vformat(gate.detail, (), fields)))
+    return checks
 
 
 def map_chunks(fn, n_items: int, chunk: int = CHUNK) -> list:
@@ -123,7 +188,6 @@ def _row_chunk(n_cols: int) -> int:
 def _run_skorokhod_1d_props(config: ExperimentConfig):
     n_paths, n_steps = config.n_paths, config.n_steps
     grid = TimeGrid.uniform(config.horizon, n_steps)
-    tol_decomp = config.tolerance("decomposition", 1e-12)
     rng = RngSeed(config.seed)
     buffers = threading.local()
 
@@ -145,27 +209,7 @@ def _run_skorokhod_1d_props(config: ExperimentConfig):
         "total_complementarity_mass": float(np.sum(np.abs(col["complementarity_mass"]))),
         "min_g": float(np.min(col["min_g"])),
     }
-
-    checks = [
-        Check(
-            "decomposition_identity",
-            agg["max_decomposition"] <= tol_decomp,
-            f"max relative defect {agg['max_decomposition']:.3e} <= {tol_decomp:.1e}",
-        ),
-        Check(
-            "h_nondecreasing_exact",
-            agg["min_h_increment"] >= 0.0 and agg["max_h_start"] == 0.0,
-            f"min increment {agg['min_h_increment']:.3e}, |h(0)| max {agg['max_h_start']:.3e}",
-        ),
-        Check(
-            "complementarity_mass_zero",
-            agg["total_complementarity_mass"] == 0.0,
-            f"summed mass {agg['total_complementarity_mass']:.3e}",
-        ),
-        Check("g_nonnegative", agg["min_g"] >= 0.0, f"min g {agg['min_g']:.3e}"),
-    ]
-    summary = {"aggregates": agg, "n_paths": n_paths, "n_steps": n_steps}
-    return summary, checks, {}
+    return {"aggregates": agg, "n_paths": n_paths, "n_steps": n_steps}, agg, {}
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +248,6 @@ def _run_rbm_density(config: ExperimentConfig):
     driver = brownian_sample(grid, 1, 0.0, RngSeed(config.seed, 2 * STREAM_BLOCK))
     g, _ = skorokhod_map_1d_batch(driver.values[..., 0])
 
-    checks = [
-        _ks_check("ks_half_normal", ks_half),
-        _ks_check("ks_two_sample_vs_abs", ks_two),
-        _mean_check("mean_terminal_within_3se", mean_x, ROOT_2_OVER_PI),
-    ]
     summary = {
         "ks_half_normal": ks_half.as_dict(),
         "ks_two_sample": ks_two.as_dict(),
@@ -216,7 +255,8 @@ def _run_rbm_density(config: ExperimentConfig):
         "n_paths": config.n_paths,
         "n_steps": config.n_steps,
     }
-    return summary, checks, {"rbm_pair": (driver, SampledPath.continuous(grid, g[0]))}
+    stats = {"terminal": (mean_x, ROOT_2_OVER_PI)}
+    return summary, stats, {"rbm_pair": (driver, SampledPath.continuous(grid, g[0]))}
 
 
 # ---------------------------------------------------------------------------
@@ -253,41 +293,17 @@ def _run_ito_isometry(config: ExperimentConfig):
     joint_se = float(np.hypot(lhs.std_error, rhs.std_error))
     const = Integrand.constant(1.0)
     lhs1, rhs1 = _pooled_isometry(const, config.horizon, 2000, rng, 200, STREAM_BLOCK)
-    target = 0.5
-    checks = [
-        Check(
-            "lhs_within_3se_of_half",
-            lhs.within(target, 3.0),
-            f"lhs {lhs.mean:.5f} (se {lhs.std_error:.5f})",
-        ),
-        Check(
-            "rhs_within_3se_of_half",
-            rhs.within(target, 3.0),
-            f"rhs {rhs.mean:.5f} (se {rhs.std_error:.5f})",
-        ),
-        Check(
-            "isometry_within_4_joint_se",
-            abs(lhs.mean - rhs.mean) <= 4.0 * joint_se,
-            f"|lhs-rhs| {abs(lhs.mean - rhs.mean):.5f} vs 4*{joint_se:.5f}",
-        ),
-        Check(
-            "constant_integrand_exact_rhs",
-            abs(rhs1.mean - config.horizon) <= 1e-12 and rhs1.std_error <= 1e-15,
-            f"rhs {rhs1.mean:.15f}",
-        ),
-        Check(
-            "constant_integrand_lhs_within_3se",
-            lhs1.within(config.horizon, 3.0),
-            f"lhs {lhs1.mean:.5f} (se {lhs1.std_error:.5f})",
-        ),
-    ]
     summary = {
         "lhs": lhs.as_dict(),
         "rhs": rhs.as_dict(),
         "joint_se": joint_se,
         "constant_case": {"lhs": lhs1.as_dict(), "rhs": rhs1.as_dict()},
     }
-    return summary, checks, {}
+    stats = dict(lhs_vs_half=(lhs, 0.5), rhs_vs_half=(rhs, 0.5),
+                 lhs_rhs_gap=abs(lhs.mean - rhs.mean),
+                 constant_rhs_error=abs(rhs1.mean - config.horizon),
+                 constant_lhs_vs_T=(lhs1, config.horizon))
+    return summary, stats, {}
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +337,6 @@ def _run_ito_formula(config: ExperimentConfig):
     rms_coarse = float(np.sqrt(np.mean(res_coarse**2)))
     rms_fine = float(np.sqrt(np.mean(res_fine**2)))
     ratio = rms_coarse / rms_fine
-    checks = [
-        Check("residual_rms_small", rms_coarse <= 0.05, f"rms {rms_coarse:.5f} <= 0.05"),
-        Check(
-            "rms_ratio_order_half",
-            1.5 <= ratio <= 3.0,
-            f"rms({config.n_steps}) / rms({4 * config.n_steps}) = {ratio:.3f}",
-        ),
-    ]
     summary = {
         "rms_coarse": rms_coarse,
         "rms_fine": rms_fine,
@@ -336,7 +344,7 @@ def _run_ito_formula(config: ExperimentConfig):
         "n_paths": n_paths,
         "n_steps_coarse": config.n_steps,
     }
-    return summary, checks, {}
+    return summary, {"n_steps_fine": 4 * config.n_steps}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -386,25 +394,7 @@ def _run_local_time(config: ExperimentConfig):
     )
     ladder_rms = [float(np.sqrt(np.mean((o - fine_tan) ** 2))) for o in fine_occs]
     cross_rms = ladder_rms[-1]
-    ladder_monotone = all(ladder_rms[i] > ladder_rms[i + 1] for i in range(3))
 
-    checks = [
-        _mean_check("occupation_within_3se", occ_est, target),
-        _mean_check("tanaka_within_3se", tan_est, target),
-        Check(
-            "cross_estimator_rms",
-            cross_rms <= 0.05,
-            f"rms gap {cross_rms:.5f} <= 0.05 "
-            f"(eps {fine_eps}, {fine_steps} steps, {fine_paths} paths)",
-        ),
-        Check(
-            "bandwidth_ladder_monotone",
-            ladder_monotone,
-            "rms along eps {}: {}".format(
-                eps_ladder[:4], ["%.4f" % r for r in ladder_rms[:4]]
-            ),
-        ),
-    ]
     summary = {
         "occupation": occ_est.as_dict(),
         "tanaka": tan_est.as_dict(),
@@ -415,7 +405,11 @@ def _run_local_time(config: ExperimentConfig):
         "eps": eps,
         "level": level,
     }
-    return summary, checks, {}
+    stats = dict(occ=(occ_est, target), tan=(tan_est, target), fine_eps=fine_eps,
+                 fine_steps=fine_steps, fine_paths=fine_paths, ladder_eps=eps_ladder[:4],
+                 ladder_rms=["%.4f" % r for r in ladder_rms[:4]],
+                 ladder_monotone=all(ladder_rms[i] > ladder_rms[i + 1] for i in range(3)))
+    return summary, stats, {}
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +472,7 @@ def _nd_refinement_checks(config: ExperimentConfig, domain: ConvexDomain, start_
         diff = dyadic.X.values[0, ::stride_d] - triadic.X.values[0, ::stride_t]
         worst = max(worst, float(np.max(np.linalg.norm(diff, axis=1))))
         gap_tail = max(gap_tail, dyadic.refine_gaps[-1], triadic.refine_gaps[-1])
-    return worst, gap_tail, refine_tol
+    return worst, gap_tail
 
 
 def _nd_1d_crosscheck(config: ExperimentConfig, block: int):
@@ -507,74 +501,20 @@ def _run_nd_skorokhod_props(config: ExperimentConfig):
             ("unit_disc", unit_disc(), [0.0, 0.0], 0),
             ("orthant", orthant(2), [0.25, 0.25], 1),
         ]
-    summary: dict = {}
-    checks: list[Check] = []
-    for name, domain, start, block in cases:
-        worst = _nd_domain_batch(config, domain, start, block)
-        summary[name] = worst
-        checks += [
-            Check(
-                f"{name}_containment",
-                worst["containment_slack"] >= -1e-9,
-                f"worst slack {worst['containment_slack']:.3e}",
-            ),
-            Check(
-                f"{name}_decomposition",
-                worst["decomposition"] <= 1e-9,
-                f"max |X - w - phi| {worst['decomposition']:.3e}",
-            ),
-            Check(
-                f"{name}_interior_mass_zero",
-                worst["interior_mass"] == 0.0,
-                f"interior pushing mass {worst['interior_mass']:.3e}",
-            ),
-            Check(
-                f"{name}_normal_directions",
-                worst["angular_gap"] <= 1e-6,
-                f"max angular gap {worst['angular_gap']:.3e}",
-            ),
-            Check(
-                f"{name}_pairwise_gap",
-                worst["tanaka_gap"] >= -1e-9,
-                f"min pairwise-contraction slack {worst['tanaka_gap']:.3e}",
-            ),
-            Check(
-                f"{name}_modulus_gap",
-                worst["modulus_gap"] >= -1e-9,
-                f"min oscillation slack {worst['modulus_gap']:.3e}",
-            ),
-        ]
+    summary = {case[0]: _nd_domain_batch(config, *case[1:]) for case in cases}
     ref_worst = 0.0
-    refine_tol = config.tolerance("refine", 0.02)
-    refinement_converged = True
-    refinement_note = ""
     for name, domain, start, block in cases:
         try:
-            w, tail, refine_tol = _nd_refinement_checks(config, domain, start, block + 2)
+            w, tail = _nd_refinement_checks(config, domain, start, block + 2)
         except RefinementLimitError as err:
-            refinement_converged = False
-            refinement_note = f"{name}: gaps {err.gaps}"
+            summary["refinement_failure"] = {"domain": name, "gaps": list(err.gaps)}
+            ref_worst = np.inf  # no finite disagreement to report: the gate fails
             break
         ref_worst = max(ref_worst, w)
         summary[f"{name}_refinement"] = {"dyadic_vs_triadic": w, "achieved_gap": tail}
-    checks.append(
-        Check(
-            "dyadic_vs_triadic",
-            refinement_converged and ref_worst <= 2.0 * refine_tol,
-            refinement_note
-            or f"max schedule disagreement {ref_worst:.4f} <= {2 * refine_tol:.4f}",
-        )
-    )
     cross_worst, cross_tol = _nd_1d_crosscheck(config, block=4)
     summary["one_d_crosscheck"] = {"max_gap": cross_worst, "refine_tol": cross_tol}
-    checks.append(
-        Check(
-            "one_d_crosscheck",
-            cross_worst <= cross_tol,
-            f"max gap to explicit map {cross_worst:.3e} <= {cross_tol:.3e}",
-        )
-    )
-    return summary, checks, {}
+    return summary, {"cases": [case[0] for case in cases], "ref_worst": ref_worst}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +522,7 @@ def _run_nd_skorokhod_props(config: ExperimentConfig):
 
 
 def _run_rsde_consistency(config: ExperimentConfig):
-    checks: list[Check] = []
     summary: dict = {}
-
     route_steps = config.count_option("route_steps", 1000)
 
     # deterministic pushdown against the wall: drift (0,-1), no noise
@@ -603,10 +541,6 @@ def _run_rsde_consistency(config: ExperimentConfig):
     phi_gap = float(
         np.max(np.abs(path.phi.values - np.column_stack([np.zeros(len(grid)), grid.times])))
     )
-    checks += [
-        Check("pushdown_pinned", pin_gap == 0.0, f"max |X| {pin_gap:.3e}"),
-        Check("pushdown_phi_linear", phi_gap <= 1e-12, f"max |phi - (0,t)| {phi_gap:.3e}"),
-    ]
     summary["pushdown"] = {"max_abs_X": pin_gap, "max_phi_gap": phi_gap}
 
     # reflected unit diffusion is reflecting Brownian motion
@@ -617,16 +551,12 @@ def _run_rsde_consistency(config: ExperimentConfig):
         unit, line, [0.0], ks_grid, RngSeed(config.seed), config.n_paths
     )[:, 0]
     ks = ks_test_against_cdf(np.sort(terminals), half_normal_cdf, alpha=config.alpha)
-    checks.append(_ks_check("ks_half_normal", ks))
     summary["ks_half_normal"] = ks.as_dict()
 
     # the scheme against the explicit 1d map of its own driver
     paths = euler_reflected(unit, line, [0.0], ks_grid, RngSeed(config.seed), n_paths=3)
     g, _ = skorokhod_map_1d_batch(paths.driver.values[..., 0])
     map_gap = float(np.max(np.abs(paths.X.values[..., 0] - g)))
-    checks.append(
-        Check("scheme_matches_explicit_map", map_gap <= 1e-12, f"max gap {map_gap:.3e}")
-    )
     summary["route_gaps"] = {"scheme_vs_map": map_gap}
 
     # coefficient contracts: accept the configured preset at its documented
@@ -638,48 +568,25 @@ def _run_rsde_consistency(config: ExperimentConfig):
     reject = coefficient_contract_check(
         overdeclared, line, n_samples=256, rng=RngSeed(config.seed)
     )
-    checks += [
-        Check(
-            f"contract_accepts_{accept_name.split('(')[0]}",
-            accept.passed,
-            f"max ratio {max(accept.max_sigma_growth, accept.max_b_lipschitz):.3f} "
-            f"<= K={accepted.lipschitz_K}",
-        ),
-        Check(
-            "contract_rejects_overdeclared_drift",
-            not reject.passed,
-            f"observed drift Lipschitz ratio {reject.max_b_lipschitz:.3f} > 1",
-        ),
-    ]
     summary["contract_accept"] = {"name": accept_name, **accept.as_dict()}
     summary["contract_reject"] = {"name": "linear-drift(2) with K=1", **reject.as_dict()}
 
     # two routes to the same drifted reflected diffusion on the disc
     disc = unit_disc()
-    route_grid = TimeGrid.uniform(config.horizon, route_steps)
     drift_coeffs = preset_coefficients("constant-drift(1,0)", d=2)
     stream = RngSeed(config.seed, 3 * STREAM_BLOCK)
-    M = brownian_sample(route_grid, 2, [0.0, 0.0], stream)
-    A = SampledPath.continuous(
-        route_grid, np.column_stack([route_grid.times, np.zeros(len(route_grid))])
-    )
-    refine_tol = config.tolerance("refine", 0.02)
-    semi = semimartingale_skorokhod(M, A, disc, refine_tol=refine_tol)
-    euler_route = euler_reflected(drift_coeffs, disc, [0.0, 0.0], route_grid, stream)
-    stride = (len(semi.X.grid) - 1) // (len(route_grid) - 1)
+    M = brownian_sample(grid, 2, [0.0, 0.0], stream)
+    A = SampledPath.continuous(grid, np.column_stack([grid.times, np.zeros(len(grid))]))
+    semi = semimartingale_skorokhod(M, A, disc, refine_tol=config.tolerance("refine", 0.02))
+    euler_route = euler_reflected(drift_coeffs, disc, [0.0, 0.0], grid, stream)
+    stride = (len(semi.X.grid) - 1) // (len(grid) - 1)
     route_gap = float(
         np.max(np.linalg.norm(semi.X.values[0, ::stride] - euler_route.X.values[0], axis=1))
     )
-    route_tol = config.tolerance("route_agreement", 0.1)
-    checks.append(
-        Check(
-            "semimartingale_route_agrees_with_scheme",
-            route_gap <= route_tol,
-            f"max gap {route_gap:.4f} <= {route_tol}",
-        )
-    )
     summary["semimartingale_route_gap"] = route_gap
-    return summary, checks, {"rsde_path": path}
+    stats = {"preset": accept_name.split("(")[0],
+             "accept_ratio": max(accept.max_sigma_growth, accept.max_b_lipschitz)}
+    return summary, stats, {"rsde_path": path}
 
 
 # ---------------------------------------------------------------------------
@@ -714,28 +621,9 @@ def _run_condition_checks(config: ExperimentConfig):
             "condition_a": {"status": a_cfg.status, "c": a_cfg.c, "detail": a_cfg.detail},
             "condition_b": {"status": b_cfg.status, "reason": b_cfg.reason},
         }
-    c_target = float(1.0 / np.sqrt(2.0))
-    checks = [
-        Check(
-            "orthant_condition_a",
-            a_orthant.status == "holds" and abs(a_orthant.c - c_target) <= 1e-6,
-            f"c = {a_orthant.c} vs {c_target}",
-        ),
-        Check(
-            "halfplane_condition_a",
-            a_plane.status == "holds" and abs(a_plane.c - 1.0) <= 1e-9,
-            f"c = {a_plane.c}",
-        ),
-        Check("strip_condition_a_fails", a_strip.status == "fails", a_strip.detail),
-        Check(
-            "disc_condition_b_bounded",
-            b_disc.status == "holds" and "bounded" in b_disc.reason,
-            b_disc.reason,
-        ),
-        Check("halfplane_condition_b_d2", b_plane.status == "holds", b_plane.reason),
-        Check("orthant3_condition_b_unknown", b_orthant3.status == "unknown", b_orthant3.reason),
-    ]
-    return reports, checks, {}
+    results = dict(a_orthant=a_orthant, a_plane=a_plane, a_strip=a_strip, b_disc=b_disc,
+                   b_plane=b_plane, b_orthant3=b_orthant3)
+    return reports, results, {}
 
 
 # ---------------------------------------------------------------------------
@@ -758,21 +646,14 @@ def _run_strong_error(config: ExperimentConfig):
         unit, wide, [0.0], config.horizon, dt_levels, n_paths, RngSeed(config.seed, STREAM_BLOCK)
     )
     gaps = [g for _, g in rows_reflected][:-1]
-    monotone = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
-    free_max = max(g for _, g in rows_free)
-    checks = [
-        Check(
-            "reflected_gaps_decrease",
-            monotone and gaps[-1] > 0.0,
-            f"gaps {['%.4f' % g for g in gaps]}",
-        ),
-        Check("free_scheme_exact", free_max <= 1e-12, f"max free gap {free_max:.3e}"),
-    ]
     summary = {
         "reflected": [{"dt": dt, "rms_gap": g} for dt, g in rows_reflected],
         "free": [{"dt": dt, "rms_gap": g} for dt, g in rows_free],
     }
-    return summary, checks, {}
+    stats = dict(gaps=["%.4f" % g for g in gaps], finest_gap=gaps[-1],
+                 gaps_decrease=all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1)),
+                 free_max=max(g for _, g in rows_free))
+    return summary, stats, {}
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +675,120 @@ EXPERIMENTS = {
     "rsde-consistency": (_run_rsde_consistency, {"seed": 1, "n_paths": 10_000, "n_steps": 10_000}),
     "condition-checks": (_run_condition_checks, {"seed": 0, "n_paths": 2, "n_steps": 2}),
     "strong-error": (_run_strong_error, {"seed": 13, "n_paths": 256, "n_steps": 512}),
+}
+
+# Every check of every experiment, in report order. A stat is a format field
+# name of the runner's summary and extra stats, which _checks reads.
+GATES = {
+    "skorokhod-1d-props": (
+        Gate("decomposition_identity", (("max_decomposition", "<=", Tol("decomposition", 1e-12)),),
+             "max relative defect {max_decomposition:.3e} <= {bound:.1e}", "tolerance"),
+        Gate("h_nondecreasing_exact", (("min_h_increment", ">=", 0.0), ("max_h_start", "==", 0.0)),
+             "min increment {min_h_increment:.3e}, |h(0)| max {max_h_start:.3e}", "exact"),
+        Gate("complementarity_mass_zero", (("total_complementarity_mass", "==", 0.0),),
+             "summed mass {total_complementarity_mass:.3e}", "exact"),
+        Gate("g_nonnegative", (("min_g", ">=", 0.0),), "min g {min_g:.3e}", "exact"),
+    ),
+    "rbm-density": (
+        Gate("ks_half_normal", (("ks_half_normal[passed]", "==", True),),
+             "D={ks_half_normal[statistic]:.5f} < {ks_half_normal[threshold]:.5f}", "statistical"),
+        Gate("ks_two_sample_vs_abs", (("ks_two_sample[passed]", "==", True),),
+             "D={ks_two_sample[statistic]:.5f} < {ks_two_sample[threshold]:.5f}", "statistical"),
+        Gate("mean_terminal_within_3se", (("terminal", "within", 3.0),),
+             "mean {terminal[0].mean:.5f} vs {terminal[1]:.5f} (se {terminal[0].std_error:.5f})",
+             "statistical"),
+    ),
+    "ito-isometry": (
+        Gate("lhs_within_3se_of_half", (("lhs_vs_half", "within", 3.0),),
+             "lhs {lhs[mean]:.5f} (se {lhs[std_error]:.5f})", "statistical"),
+        Gate("rhs_within_3se_of_half", (("rhs_vs_half", "within", 3.0),),
+             "rhs {rhs[mean]:.5f} (se {rhs[std_error]:.5f})", "statistical"),
+        Gate("isometry_within_4_joint_se", (("lhs_rhs_gap", "<=", Stat("joint_se", 4.0)),),
+             "|lhs-rhs| {lhs_rhs_gap:.5f} vs 4*{joint_se:.5f}", "statistical"),
+        Gate("constant_integrand_exact_rhs",
+             (("constant_rhs_error", "<=", 1e-12), ("constant_case[rhs][std_error]", "<=", 1e-15)),
+             "rhs {constant_case[rhs][mean]:.15f}", "exact"),
+        Gate("constant_integrand_lhs_within_3se", (("constant_lhs_vs_T", "within", 3.0),),
+             "lhs {constant_case[lhs][mean]:.5f} (se {constant_case[lhs][std_error]:.5f})",
+             "statistical"),
+    ),
+    "ito-formula": (
+        Gate("residual_rms_small", (("rms_coarse", "<=", 0.05),), "rms {rms_coarse:.5f} <= {bound}",
+             "statistical"),
+        Gate("rms_ratio_order_half", (("ratio", "in", (1.5, 3.0)),),
+             "rms({n_steps_coarse}) / rms({n_steps_fine}) = {ratio:.3f}", "statistical"),
+    ),
+    "local-time": (
+        Gate("occupation_within_3se", (("occ", "within", 3.0),),
+             "mean {occ[0].mean:.5f} vs {occ[1]:.5f} (se {occ[0].std_error:.5f})", "statistical"),
+        Gate("tanaka_within_3se", (("tan", "within", 3.0),),
+             "mean {tan[0].mean:.5f} vs {tan[1]:.5f} (se {tan[0].std_error:.5f})", "statistical"),
+        Gate("cross_estimator_rms", (("fine_cross_rms", "<=", 0.05),),
+             "rms gap {fine_cross_rms:.5f} <= {bound} (eps {fine_eps}, {fine_steps} steps, "
+             "{fine_paths} paths)", "statistical"),
+        Gate("bandwidth_ladder_monotone", (("ladder_monotone", "==", True),),
+             "rms along eps {ladder_eps}: {ladder_rms}", "statistical"),
+    ),
+    "nd-skorokhod-props": (
+        Gate("{case}_containment", (("containment_slack", ">=", -1e-9),),
+             "worst slack {containment_slack:.3e}", "exact"),
+        Gate("{case}_decomposition", (("decomposition", "<=", 1e-9),),
+             "max |X - w - phi| {decomposition:.3e}", "exact"),
+        Gate("{case}_interior_mass_zero", (("interior_mass", "==", 0.0),),
+             "interior pushing mass {interior_mass:.3e}", "exact"),
+        Gate("{case}_normal_directions", (("angular_gap", "<=", 1e-6),),
+             "max angular gap {angular_gap:.3e}", "exact"),
+        Gate("{case}_pairwise_gap", (("tanaka_gap", ">=", -1e-9),),
+             "min pairwise-contraction slack {tanaka_gap:.3e}", "exact"),
+        Gate("{case}_modulus_gap", (("modulus_gap", ">=", -1e-9),),
+             "min oscillation slack {modulus_gap:.3e}", "exact"),
+        Gate("dyadic_vs_triadic", (("ref_worst", "<=", Tol("refine", 0.02, 2.0)),),
+             "max schedule disagreement {ref_worst:.4f} <= {bound:.4f}", "tolerance"),
+        Gate("one_d_crosscheck",
+             (("one_d_crosscheck[max_gap]", "<=", Stat("one_d_crosscheck[refine_tol]")),),
+             "max gap to explicit map {one_d_crosscheck[max_gap]:.3e} <= {bound:.3e}", "exact"),
+    ),
+    "rsde-consistency": (
+        Gate("pushdown_pinned", (("pushdown[max_abs_X]", "==", 0.0),),
+             "max |X| {pushdown[max_abs_X]:.3e}", "exact"),
+        Gate("pushdown_phi_linear", (("pushdown[max_phi_gap]", "<=", 1e-12),),
+             "max |phi - (0,t)| {pushdown[max_phi_gap]:.3e}", "exact"),
+        Gate("ks_half_normal", (("ks_half_normal[passed]", "==", True),),
+             "D={ks_half_normal[statistic]:.5f} < {ks_half_normal[threshold]:.5f}", "statistical"),
+        Gate("scheme_matches_explicit_map", (("route_gaps[scheme_vs_map]", "<=", 1e-12),),
+             "max gap {route_gaps[scheme_vs_map]:.3e}", "exact"),
+        Gate("contract_accepts_{preset}", (("contract_accept[passed]", "==", True),),
+             "max ratio {accept_ratio:.3f} <= K={contract_accept[lipschitz_K]}", "exact"),
+        Gate("contract_rejects_overdeclared_drift", (("contract_reject[passed]", "==", False),),
+             "observed drift Lipschitz ratio {contract_reject[max_b_lipschitz]:.3f} "
+             "> {contract_reject[lipschitz_K]:g}", "exact"),
+        Gate("semimartingale_route_agrees_with_scheme",
+             (("semimartingale_route_gap", "<=", Tol("route_agreement", 0.1)),),
+             "max gap {semimartingale_route_gap:.4f} <= {bound}", "tolerance"),
+    ),
+    "condition-checks": (
+        Gate("orthant_condition_a", (("a_orthant.status", "==", "holds"),
+                                     ("a_orthant.c", "near", (float(1.0 / np.sqrt(2.0)), 1e-6))),
+             "c = {a_orthant.c} vs {bound[0]}", "exact"),
+        Gate("halfplane_condition_a",
+             (("a_plane.status", "==", "holds"), ("a_plane.c", "near", (1.0, 1e-9))),
+             "c = {a_plane.c}", "exact"),
+        Gate("strip_condition_a_fails", (("a_strip.status", "==", "fails"),), "{a_strip.detail}",
+             "exact"),
+        Gate("disc_condition_b_bounded",
+             (("b_disc.status", "==", "holds"), ("b_disc.reason", "contains", "bounded")),
+             "{b_disc.reason}", "exact"),
+        Gate("halfplane_condition_b_d2", (("b_plane.status", "==", "holds"),), "{b_plane.reason}",
+             "exact"),
+        Gate("orthant3_condition_b_unknown", (("b_orthant3.status", "==", "unknown"),),
+             "{b_orthant3.reason}", "exact"),
+    ),
+    "strong-error": (
+        Gate("reflected_gaps_decrease", (("gaps_decrease", "==", True), ("finest_gap", ">", 0.0)),
+             "gaps {gaps}", "statistical"),
+        Gate("free_scheme_exact", (("free_max", "<=", 1e-12),), "max free gap {free_max:.3e}",
+             "exact"),
+    ),
 }
 
 # the option and tol_ keys each experiment reads; run_experiment rejects others
@@ -847,8 +842,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     if config.coefficients is not None:
         preset_coefficients(config.coefficients)  # same for presets
     fn, _ = EXPERIMENTS[config.experiment]
-    summary, checks, payloads = fn(config)
-    summary = dict(summary)
+    summary, stats, payloads = fn(config)
+    checks = _checks(config.experiment, {**summary, **stats}, config)
     summary["experiment"] = config.experiment
     summary["checks"] = [c.as_dict() for c in checks]
     all_passed = all(c.passed for c in checks)

@@ -439,7 +439,6 @@ def nd_solution_diagnostics(
     sol: SkorokhodNdSolution,
     w: SampledPath,
     domain: ConvexDomain,
-    containment_tol: float | None = None,
 ) -> dict:
     """Quantitative check of the defining conditions of reflected solutions.
 
@@ -454,9 +453,6 @@ def nd_solution_diagnostics(
     _check_paired(sol, w, "driver")
     X, phi, wv, tv = sol.X.values, sol.phi.values, w.values, sol.total_variation
     n_paths, _, d = X.shape
-    if containment_tol is None:
-        containment_tol = 1e-9 * np.maximum(1.0, np.max(np.abs(wv), axis=(1, 2)))
-    containment_tol = np.broadcast_to(np.asarray(containment_tol, dtype=np.float64), (n_paths,))
     decomposition = np.max(np.linalg.norm(X - (wv + phi), axis=2), axis=1)
     slack_min = np.min(domain.slack_matrix(X.reshape(-1, d)).reshape(n_paths, -1), axis=1)
     dphi = np.diff(phi, axis=1)
@@ -478,7 +474,6 @@ def nd_solution_diagnostics(
     return {
         "decomposition_max_abs": decomposition,
         "containment_worst_slack": slack_min,
-        "containment_tol": containment_tol,
         "interior_pushing_mass": interior_mass,
         "max_angular_gap": angular_gap,
         "tv_increment_defect": tv_defect,

@@ -16,7 +16,7 @@ them as the batched SkorokhodNdSolution carrier: X, phi and the driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -271,15 +271,7 @@ class CoefficientContractReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "lipschitz_K": self.lipschitz_K,
-            "max_sigma_lipschitz": self.max_sigma_lipschitz,
-            "max_b_lipschitz": self.max_b_lipschitz,
-            "max_sigma_growth": self.max_sigma_growth,
-            "max_b_growth": self.max_b_growth,
-            "n_samples": self.n_samples,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def coefficient_contract_check(

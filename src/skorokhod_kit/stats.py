@@ -6,7 +6,7 @@ runs have n >= 1000 where the asymptotic approximation is comfortable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -47,7 +47,7 @@ class McEstimate:
         return abs(self.mean - target) <= n_se * self.std_error
 
     def as_dict(self) -> dict:
-        return {"mean": self.mean, "std_error": self.std_error, "n": self.n}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,7 @@ class KsResult:
             raise ValueError("pass flag must equal statistic < threshold")
 
     def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "n": self.n,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _critical(alpha: float) -> float:

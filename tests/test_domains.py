@@ -564,8 +564,27 @@ def test_far_points_project_onto_the_sphere_without_warnings():
     capped = ConvexDomain(2, normals=[[0.0, 1.0]], offsets=[-10.0], centers=[[0.0, 0.0]], radii=[1.0],
                           interior_point=[0.0, 0.0])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the general route's slack pass overflows
+        warnings.simplefilter("error")  # the general route's slack pass takes the overflow too
         assert np.allclose(capped.project_batch(mixed), [[0.6, 0.8], [0.6, 0.8]], rtol=0.0, atol=4e-16)
+
+
+def test_far_points_get_a_finite_distance_without_warnings():
+    # |x|^2 = 2.5e309 overflows; the distance is 5e154 less a radius that rounding drops
+    eps = np.finfo(np.float64).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        disc = unit_disc().distance_to_boundary_batch([[3e154, 4e154], [3.0, 4.0]])
+        corner = orthant(2).distance_to_boundary_batch([[-3e154, -4e154]])
+        slack = CAPPED_HALFPLANE.slack_matrix([[3e154, 4e154]])
+        capped = CAPPED_HALFPLANE.distance_to_boundary_batch([[3e154, 4e154], [0.0, 7.0]])
+    assert abs(disc[0] - 5e154) <= 2 * eps * 5e154 and disc[1] == 4.0
+    assert abs(corner[0] - 5e154) <= 2 * eps * 5e154
+    assert slack[0, 0] == 4e154 and slack[0, 1] == -np.inf
+    assert abs(capped[0] - 5e154) <= 2 * eps * 5e154 and capped[1] == 2.0
+    # a finite row keeps the bits of sqrt(<v, v>)
+    rows = np.array([[3e-200, 4e-200], [1.0, 2.0], [3e154, 4e154]])
+    norms = domains._row_norms(rows)
+    assert norms[:2].tobytes() == np.sqrt(np.vecdot(rows[:2], rows[:2])).tobytes()
 
 
 def test_a_lone_ball_landing_the_certificate_rejects_goes_to_the_enumeration(monkeypatch):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,10 @@ from skorokhod_kit.cli import main
 from skorokhod_kit.config import ExperimentConfig, parse_kv_file
 from skorokhod_kit.experiments import (
     EXPERIMENTS,
+    GATES,
     STREAM_BLOCK,
+    Stat,
+    Tol,
     UsageError,
     _local_time_pass,
     default_config,
@@ -774,3 +778,193 @@ def test_all_experiments_registered():
         "condition-checks",
         "strong-error",
     }
+
+
+# --- the gate table -----------------------------------------------------------
+
+# every gate's name, conditions with their bounds, and kind, written out so that
+# moving a bound or a kind fails here
+PINNED_GATES = {
+    "skorokhod-1d-props": [
+        ("decomposition_identity",
+         (("max_decomposition", "<=", Tol("decomposition", 1e-12)),), "tolerance"),
+        ("h_nondecreasing_exact", (("min_h_increment", ">=", 0.0), ("max_h_start", "==", 0.0)), "exact"),
+        ("complementarity_mass_zero", (("total_complementarity_mass", "==", 0.0),), "exact"),
+        ("g_nonnegative", (("min_g", ">=", 0.0),), "exact"),
+    ],
+    "rbm-density": [
+        ("ks_half_normal", (("ks_half_normal[passed]", "==", True),), "statistical"),
+        ("ks_two_sample_vs_abs", (("ks_two_sample[passed]", "==", True),), "statistical"),
+        ("mean_terminal_within_3se", (("terminal", "within", 3.0),), "statistical"),
+    ],
+    "ito-isometry": [
+        ("lhs_within_3se_of_half", (("lhs_vs_half", "within", 3.0),), "statistical"),
+        ("rhs_within_3se_of_half", (("rhs_vs_half", "within", 3.0),), "statistical"),
+        ("isometry_within_4_joint_se", (("lhs_rhs_gap", "<=", Stat("joint_se", 4.0)),), "statistical"),
+        ("constant_integrand_exact_rhs",
+         (("constant_rhs_error", "<=", 1e-12), ("constant_case[rhs][std_error]", "<=", 1e-15)), "exact"),
+        ("constant_integrand_lhs_within_3se", (("constant_lhs_vs_T", "within", 3.0),), "statistical"),
+    ],
+    "ito-formula": [
+        ("residual_rms_small", (("rms_coarse", "<=", 0.05),), "statistical"),
+        ("rms_ratio_order_half", (("ratio", "in", (1.5, 3.0)),), "statistical"),
+    ],
+    "local-time": [
+        ("occupation_within_3se", (("occ", "within", 3.0),), "statistical"),
+        ("tanaka_within_3se", (("tan", "within", 3.0),), "statistical"),
+        ("cross_estimator_rms", (("fine_cross_rms", "<=", 0.05),), "statistical"),
+        ("bandwidth_ladder_monotone", (("ladder_monotone", "==", True),), "statistical"),
+    ],
+    "nd-skorokhod-props": [
+        ("{case}_containment", (("containment_slack", ">=", -1e-9),), "exact"),
+        ("{case}_decomposition", (("decomposition", "<=", 1e-9),), "exact"),
+        ("{case}_interior_mass_zero", (("interior_mass", "==", 0.0),), "exact"),
+        ("{case}_normal_directions", (("angular_gap", "<=", 1e-6),), "exact"),
+        ("{case}_pairwise_gap", (("tanaka_gap", ">=", -1e-9),), "exact"),
+        ("{case}_modulus_gap", (("modulus_gap", ">=", -1e-9),), "exact"),
+        ("dyadic_vs_triadic", (("ref_worst", "<=", Tol("refine", 0.02, 2.0)),), "tolerance"),
+        ("one_d_crosscheck",
+         (("one_d_crosscheck[max_gap]", "<=", Stat("one_d_crosscheck[refine_tol]")),), "exact"),
+    ],
+    "rsde-consistency": [
+        ("pushdown_pinned", (("pushdown[max_abs_X]", "==", 0.0),), "exact"),
+        ("pushdown_phi_linear", (("pushdown[max_phi_gap]", "<=", 1e-12),), "exact"),
+        ("ks_half_normal", (("ks_half_normal[passed]", "==", True),), "statistical"),
+        ("scheme_matches_explicit_map", (("route_gaps[scheme_vs_map]", "<=", 1e-12),), "exact"),
+        ("contract_accepts_{preset}", (("contract_accept[passed]", "==", True),), "exact"),
+        ("contract_rejects_overdeclared_drift", (("contract_reject[passed]", "==", False),), "exact"),
+        ("semimartingale_route_agrees_with_scheme",
+         (("semimartingale_route_gap", "<=", Tol("route_agreement", 0.1)),), "tolerance"),
+    ],
+    "condition-checks": [
+        ("orthant_condition_a",
+         (("a_orthant.status", "==", "holds"), ("a_orthant.c", "near", (0.7071067811865475, 1e-6))),
+         "exact"),
+        ("halfplane_condition_a",
+         (("a_plane.status", "==", "holds"), ("a_plane.c", "near", (1.0, 1e-9))), "exact"),
+        ("strip_condition_a_fails", (("a_strip.status", "==", "fails"),), "exact"),
+        ("disc_condition_b_bounded",
+         (("b_disc.status", "==", "holds"), ("b_disc.reason", "contains", "bounded")), "exact"),
+        ("halfplane_condition_b_d2", (("b_plane.status", "==", "holds"),), "exact"),
+        ("orthant3_condition_b_unknown", (("b_orthant3.status", "==", "unknown"),), "exact"),
+    ],
+    "strong-error": [
+        ("reflected_gaps_decrease", (("gaps_decrease", "==", True), ("finest_gap", ">", 0.0)),
+         "statistical"),
+        ("free_scheme_exact", (("free_max", "<=", 1e-12),), "exact"),
+    ],
+}
+
+
+def test_gate_table_pins_every_bound_and_kind():
+    assert list(GATES) == list(PINNED_GATES) and set(GATES) == set(EXPERIMENTS)
+    for experiment, gates in GATES.items():
+        # repr tells a Tol or Stat bound from a literal tuple with the same fields
+        got = [(g.name, repr(g.conds), g.kind) for g in gates]
+        assert got == [(n, repr(c), k) for n, c, k in PINNED_GATES[experiment]], experiment
+        for gate in gates:
+            assert gate.kind in ("exact", "tolerance", "statistical")
+            assert all(op in experiments._OPS for _, op, _ in gate.conds)
+            # a tolerance gate's bound, and only its bound, is read from a tol_ key
+            tols = [bound for _, _, bound in gate.conds if isinstance(bound, Tol)]
+            assert (gate.kind == "tolerance") == bool(tols), gate.name
+
+
+def test_statistical_gates_are_the_benchmarks_monte_carlo_checks(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workload = importlib.import_module("workload")
+    for experiment, gates in GATES.items():
+        statistical = {g.name for g in gates if g.kind == "statistical"}
+        assert statistical == set(workload.MONTE_CARLO_CHECKS.get(experiment, ())), experiment
+
+
+def test_every_tolerance_bound_is_a_key_its_experiment_reads():
+    for experiment, gates in GATES.items():
+        for gate in gates:
+            for _, _, bound in gate.conds:
+                if isinstance(bound, Tol):
+                    assert f"tol_{bound.key}" in experiments.READ_KEYS.get(experiment, ()), gate.name
+
+
+def test_checks_come_out_in_table_order(tmp_path):
+    spec = importlib.util.spec_from_file_location("acceptance", Path(__file__).with_name("test_acceptance.py"))
+    acceptance = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(acceptance)
+    for experiment, overrides in acceptance.SMALL_SCALE.items():
+        config = default_config(experiment, out_dir=str(tmp_path / experiment), **overrides)
+        result = run_experiment(config)
+        expected = []
+        for gate in GATES[experiment]:
+            if "{case}" not in gate.name:
+                expected.append(gate.name.format(preset="unit-diffusion"))
+        if experiment == "nd-skorokhod-props":
+            group = [g.name for g in GATES[experiment] if "{case}" in g.name]
+            expected = [n.format(case=c) for c in ("unit_disc", "orthant") for n in group] + expected
+        assert [c.name for c in result.checks] == expected, experiment
+        assert [c["name"] for c in result.summary["checks"]] == expected
+
+
+def test_a_refinement_failure_fails_its_gate_and_names_domain_and_gaps(tmp_path):
+    config = default_config(
+        "nd-skorokhod-props",
+        n_paths=4,
+        n_steps=32,
+        out_dir=str(tmp_path / "out"),
+        tolerances={"refine": 1e-12},
+        options={"refine_drivers": 2, "refine_n0": 16},
+    )
+    result = run_experiment(config)
+    verdicts = {c.name: c.passed for c in result.checks}
+    assert verdicts.pop("dyadic_vs_triadic") is False and all(verdicts.values())
+    (detail,) = [c.detail for c in result.checks if c.name == "dyadic_vs_triadic"]
+    assert detail == "max schedule disagreement inf <= 0.0000"
+    assert result.exit_code == 1
+    written = json.loads(result.artifacts.summary.read_text())
+    failure = written["refinement_failure"]
+    assert failure["domain"] == "unit_disc"
+    assert len(failure["gaps"]) >= 2 and failure["gaps"][-1] > 2e-12
+    assert "unit_disc_refinement" not in written and "orthant_refinement" not in written
+
+
+def test_checks_stop_at_a_failed_guard_and_show_the_resolved_bound(monkeypatch):
+    # gates run on hand-set stats: a Tol bound scaled by its factor, a Stat
+    # bound read from the stats, and a guard that fails before what it guards
+    gates = tuple(g for g in GATES["nd-skorokhod-props"] if "{case}" not in g.name)
+    monkeypatch.setitem(GATES, "nd-skorokhod-props", gates)
+    config = default_config("nd-skorokhod-props", tolerances={"refine": 0.25})
+    stats = {"ref_worst": 0.5 + 1e-16, "one_d_crosscheck": {"max_gap": 1.0, "refine_tol": 0.5}}
+    dyadic, cross = experiments._checks("nd-skorokhod-props", stats, config)
+    assert not dyadic.passed and dyadic.detail == "max schedule disagreement 0.5000 <= 0.5000"
+    assert not cross.passed and cross.detail == "max gap to explicit map 1.000e+00 <= 5.000e-01"
+    stats.update(ref_worst=0.5, one_d_crosscheck={"max_gap": 0.5, "refine_tol": 0.5})
+    dyadic, cross = experiments._checks("nd-skorokhod-props", stats, config)
+    assert dyadic.passed and cross.passed
+    # condition A's c is None unless it holds; the status guard keeps it from the comparison
+    monkeypatch.setitem(GATES, "condition-checks", GATES["condition-checks"][:1])
+    failing = types.SimpleNamespace(status="fails", c=None)
+    (check,) = experiments._checks("condition-checks", {"a_orthant": failing}, config)
+    assert not check.passed and check.detail == "c = None vs 0.7071067811865475"
+
+
+def test_run_all_prints_each_failed_check_with_its_kind():
+    run_all = _load_script("run_all_experiments")
+    checks = [
+        experiments.Check("orthant_modulus_gap", False, "min oscillation slack -1.000e-03"),
+        experiments.Check("dyadic_vs_triadic", False, "max schedule disagreement 0.0300 <= 0.0400"),
+        experiments.Check("one_d_crosscheck", True, "max gap to explicit map 0 <= 1e-4"),
+    ]
+    assert run_all.failure_lines("nd-skorokhod-props", checks) == [
+        "    failed exact check: orthant_modulus_gap: min oscillation slack -1.000e-03"
+        " (the output is wrong)",
+        "    failed tolerance check: dyadic_vs_triadic: max schedule disagreement 0.0300 <= 0.0400"
+        " (the output is off by more than its tol_ key allows)",
+    ]
+    (line,) = run_all.failure_lines("rsde-consistency", [
+        experiments.Check("ks_half_normal", False, "D=0.03000 < 0.02000"),
+        experiments.Check("contract_accepts_linear-drift", True, "max ratio 1.000 <= K=2.0"),
+    ])
+    assert line == ("    failed statistical check: ks_half_normal: D=0.03000 < 0.02000"
+                    " (a correct run fails this at some seeds: rerun at another)")
+    assert run_all.check_kind("rsde-consistency", "contract_accepts_linear-drift") == "exact"
+    with pytest.raises(KeyError, match="no gate"):
+        run_all.check_kind("rsde-consistency", "contract_accepts")
