@@ -261,7 +261,7 @@ class ConvexDomain:
 
     def _least_slack(self, x: np.ndarray) -> np.ndarray:
         """Least slack that rounding leaves a point of the closure near each row of x."""
-        return -_FEASIBLE_TOL * (1.0 + self._size + np.sqrt(np.vecdot(x, x)))
+        return -_FEASIBLE_TOL * (1.0 + self._size + _row_norms(x))
 
     def _project_on_supports(self, x: np.ndarray) -> np.ndarray:
         """Nearest point of the closure for each row of x, by support enumeration.
@@ -273,12 +273,16 @@ class ConvexDomain:
         projections onto A of x and of the first centre c. With a ball
         (c, r), the candidate is c' + rho (x' - c') / |x' - c'|, rho^2 =
         r^2 - |c - c'|^2 (no candidate if negative); otherwise x'. Every
-        candidate in the closure (slacks >= :meth:`_least_slack`) is at least
-        as far from x as p, so the nearest one is p. A row with none
+        candidate in the closure (slacks >= :meth:`_least_slack` at the scale
+        the candidate was computed at: x's for x', the candidate's own for a
+        sphere point) is at least as far from x as p, so the nearest one is p. A row with none
         (rounding on an ill-conditioned support) gets the least violating.
+        Distances are compared with x - candidate scaled by a power of two
+        per row: exact, and finite however far x is.
         """
         m, n, d = self.offsets.size, self.n_constraints, self.dimension
-        least = self._least_slack(x)
+        least_x = self._least_slack(x)
+        unit = np.ldexp(1.0, -np.frexp(np.max(np.abs(x), axis=1, initial=1.0))[1])[:, None]
         best = np.empty_like(x)
         best_violation = np.full(len(x), np.inf)
         best_dist = np.full(len(x), np.inf)
@@ -306,13 +310,16 @@ class ConvexDomain:
                 if rho2 < 0.0:
                     continue
                 toward = onto - center
-                length = np.sqrt(np.vecdot(toward, toward))
+                length = _row_norms(toward)
                 scale = np.divide(np.sqrt(rho2), length, out=np.zeros_like(length), where=length > 0.0)
                 onto = center + scale[:, None] * toward
-            # a candidate off its own boundaries (x' - c' of rounding size gives
-            # the sphere point a direction of noise) fails here too
+            # x' carries rounding at x's scale; a sphere point is rebuilt at
+            # rho's, so a far x lends it no slack. One off its own boundaries
+            # (x' - c' of rounding size gives it a direction of noise) fails too
+            least = self._least_slack(onto) if balls else least_x
             violation = np.max(least[:, None] - self.slack_matrix(onto), axis=1, initial=0.0)
-            dist = np.vecdot(onto - x, onto - x)
+            gap = (onto - x) * unit
+            dist = np.vecdot(gap, gap)
             better = (violation < best_violation) | ((violation == best_violation) & (dist < best_dist))
             best[better] = onto[better]
             best_violation[better] = violation[better]

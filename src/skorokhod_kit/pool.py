@@ -1,8 +1,11 @@
 """The worker pool shared by the experiments and the projected-Euler draws.
 
-SKOROKHOD_KIT_THREADS caps the worker threads (default: at most 2). Work is
-cut into fixed ranges whose results come back in range order, so no result
-depends on the worker count.
+SKOROKHOD_KIT_THREADS caps the worker threads (default: at most 2), the
+calling thread counting as one. map_chunks cuts work into fixed ranges whose
+results come back in range order. fill_then_finish runs a two-stage job
+block by block: the caller fills the blocks in order (the stage that holds
+the GIL), and helper threads finish them (the stage that does not), the
+caller too when no buffer is free. No result depends on the worker count.
 
 Workers overlap only in code that releases the GIL. numpy's
 ``ufunc.accumulate`` (``cumsum``, ``np.minimum.accumulate``) releases it only
@@ -15,11 +18,17 @@ one 1-d, out-of-place call per row.
 from __future__ import annotations
 
 import os
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import UsageError
+
+# Scratch buffers fill_then_finish keeps per worker: one being finished, one
+# filled and waiting.
+_BUFFERS_PER_WORKER = 2
 
 
 def worker_count() -> int:
@@ -45,6 +54,68 @@ def map_chunks(fn, n_items: int, chunk: int) -> list:
         return [fn(s, e) for s, e in ranges]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda se: fn(*se), ranges))
+
+
+def fill_then_finish(fill, finish, n_blocks: int, shape) -> None:
+    """Blocks 0 .. n_blocks - 1: fill(i, buf) in order on this thread, then finish(i, block).
+
+    fill writes block i into ``buf``, a float64 scratch of ``shape``, and
+    returns the part it wrote; finish(i, block) completes it. Finishes run
+    in any order, on helper threads (worker_count() - 1 of them) or on this
+    thread, which finishes a filled block itself whenever no buffer is free,
+    so each must write where no other does. With one worker, each block is
+    finished right after it is filled. Every helper is joined before this
+    returns or raises; the first error of fill or finish is raised here.
+    """
+    helpers = max(min(worker_count(), n_blocks) - 1, 0)
+    free, filled, errors = queue.SimpleQueue(), queue.SimpleQueue(), []
+    # one buffer alone makes the caller finish each block before the next fill
+    for _ in range(min(n_blocks, _BUFFERS_PER_WORKER * (helpers + 1) if helpers else 1)):
+        free.put(np.empty(shape))
+
+    def helper():
+        while (item := filled.get()) is not None:
+            i, buf, block = item
+            try:
+                if not errors:
+                    finish(i, block)
+            except BaseException as err:  # raised again on the calling thread
+                errors.append(err)
+            finally:
+                free.put(buf)
+
+    def finish_filled():
+        """Finish a filled block on this thread; its buffer, or None if no block waits."""
+        try:
+            i, buf, block = filled.get_nowait()
+        except queue.Empty:
+            return None
+        finish(i, block)
+        return buf
+
+    threads = [threading.Thread(target=helper) for _ in range(helpers)]
+    for thread in threads:
+        thread.start()
+    try:
+        for i in range(n_blocks):
+            if errors:
+                break
+            try:
+                buf = free.get_nowait()
+            except queue.Empty:
+                buf = finish_filled()
+                if buf is None:  # every buffer is with a helper, which gives it back
+                    buf = free.get()
+            filled.put((i, buf, fill(i, buf)))
+        while not errors and finish_filled() is not None:
+            pass  # the last filled blocks, finished beside the helpers
+    finally:
+        for _ in threads:
+            filled.put(None)
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def accumulate_rows(ufunc, src: np.ndarray, out: np.ndarray) -> np.ndarray:

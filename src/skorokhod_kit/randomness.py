@@ -36,7 +36,7 @@ class RngSeed:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def normal_tile(
+def keyed_uniforms(
     rng: RngSeed,
     n_rows: int,
     col_start: int,
@@ -44,16 +44,15 @@ def normal_tile(
     first_stream: int = 0,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Columns col_start .. col_start + n_cols of normal_matrix's rows, in ``out`` if given.
+    """The uniforms behind normal_tile's tile: its first stage, in ``out`` if given.
 
-    Philox is counter-based: its counter steps once per block of four
-    64-bit words, one word per normal, so setting the counter to
-    col_start // 4 with an empty output buffer starts the stream at column
-    col_start. The tile then equals that slice of ``normal_matrix(rng,
-    n_rows, col_start + n_cols, first_stream)`` bit for bit; col_start must
-    be a multiple of 4. One Philox bit generator is re-keyed per row and
-    filled by ``Generator.random``, which runs without the GIL, so it
-    overlaps other pool workers' work.
+    Row i holds ``Generator.random`` words col_start .. col_start + n_cols of
+    stream rng.stream + first_stream + i. Philox is counter-based: its
+    counter steps once per block of four 64-bit words, one word per
+    uniform, so setting the counter to col_start // 4 with an empty output
+    buffer starts the stream at column col_start; col_start must be a
+    multiple of 4. One Philox bit generator is re-keyed per row, in Python
+    under the GIL, and filled by ``Generator.random``, which runs without it.
     """
     if col_start % 4:
         raise ValueError(f"col_start must be a multiple of 4, got {col_start}")
@@ -69,10 +68,37 @@ def normal_tile(
         state["state"]["key"] = np.array([seed, stream], dtype=np.uint64)
         bits.state = state
         gen.random(out=u[i])
-    # k * 2**-53 from Generator.random, plus 2**-54, rounds exactly as the cell
-    # midpoint (k + 0.5) / 2**53: both round (2k + 1) * 2**-54, never 0 or 1
+    return u
+
+
+def inverse_cdf(u: np.ndarray) -> np.ndarray:
+    """normal_tile's second stage: the normals of keyed_uniforms' u, in place.
+
+    k * 2**-53 from Generator.random, plus 2**-54, rounds exactly as the
+    cell midpoint (k + 0.5) / 2**53: both round (2k + 1) * 2**-54, never 0
+    or 1; ndtri maps it to its normal. Both run without the GIL.
+    """
     u += _HALF_ULP
     return ndtri(u, out=u)
+
+
+def normal_tile(
+    rng: RngSeed,
+    n_rows: int,
+    col_start: int,
+    n_cols: int,
+    first_stream: int = 0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Columns col_start .. col_start + n_cols of normal_matrix's rows, in ``out`` if given.
+
+    Two stages: keyed_uniforms fills each row from its Philox stream,
+    counter set to column col_start (a multiple of 4), and inverse_cdf
+    turns the uniforms into normals in place. The tile equals that slice of
+    ``normal_matrix(rng, n_rows, col_start + n_cols, first_stream)`` bit
+    for bit, and the stages may run on different threads.
+    """
+    return inverse_cdf(keyed_uniforms(rng, n_rows, col_start, n_cols, first_stream, out))
 
 
 def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0) -> np.ndarray:

@@ -7,9 +7,12 @@ at the boundary, along inward normals) can be tested instead of assumed.
 Coefficients come in one form: evaluators of a whole batch of states at
 once, read at left endpoints only. One stepper advances a batch of paths
 through time-major increments (steps, paths, r). Many-path runs step all
-paths together over tiles of a few hundred steps, each drawn by
-counter-addressed Philox (randomness.normal_tile) on the worker pool before
-it is stepped, so a tile holds no more increments than 512 whole paths.
+paths together over tiles of a few hundred steps, so a tile holds no more
+increments than 512 whole paths. Each tile is drawn from counter-addressed
+Philox before it is stepped, in two stages (randomness.keyed_uniforms, then
+randomness.inverse_cdf): one thread keys and fills the uniforms, whose
+per-row re-keying holds the GIL, while pool workers finish the filled
+blocks without it (pool.fill_then_finish). Stepping stays on one thread.
 euler_reflected steps n whole paths together on the same stepper and returns
 them as the batched SkorokhodNdSolution carrier: X, phi and the driver.
 """
@@ -24,8 +27,10 @@ import numpy as np
 from .domains import ConvexDomain
 from .errors import EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .pool import map_chunks, worker_count
-from .randomness import RngSeed, brownian_increments, normal_matrix, normal_tile, path_values
+from .pool import fill_then_finish
+from .randomness import (
+    RngSeed, brownian_increments, inverse_cdf, keyed_uniforms, normal_matrix, path_values,
+)
 from .reflectnd import SkorokhodNdSolution, _pushing_record, solve_skorokhod_continuous
 
 
@@ -78,7 +83,7 @@ class SdeCoefficients:
 # Paths per block of strong_error_estimate, and the increments a tile of
 # simulate_reflected_terminal_batch may hold: as many as this many whole paths.
 _PATH_BLOCK = 512
-# Paths each draw thread fills at a time: one such scratch of a tile fits in L2.
+# Paths per block of a tile's draw: one block's scratch fits in L2.
 _DRAW_ROWS = 64
 
 
@@ -522,24 +527,28 @@ def _draw_tile(rng: RngSeed, scale: np.ndarray, k0: int, tile: np.ndarray) -> No
     """Fill ``tile`` (w, m, r) with steps k0 .. k0 + w of paths 0 .. m - 1.
 
     Path i's steps equal ``brownian_increments(rng, m, grid, r)[i, k0:k0 + w]``
-    bit for bit, ``scale`` being sqrt(grid.deltas). The paths are split
-    into one range of whole _DRAW_ROWS blocks per pool thread; each thread
-    draws a block at a time into a scratch (normal_tile, its inverse CDF,
-    the scale), all without the GIL, and writes it transposed into the tile.
+    bit for bit, ``scale`` being sqrt(grid.deltas). The paths are drawn in
+    blocks of _DRAW_ROWS by pool.fill_then_finish: this thread fills each
+    block's Philox uniforms in path order (keyed_uniforms, whose per-row
+    re-keying holds the GIL), and pool workers finish the filled blocks
+    without it, as does this thread when no buffer is free: the inverse
+    CDF, the scale, and the transposed write into the tile.
     """
     w, m, r = tile.shape
     step_scale = np.repeat(scale[k0 : k0 + w], r) if r > 1 else scale[k0 : k0 + w]
 
-    def fill(start, stop):
-        scratch = np.empty((_DRAW_ROWS, w * r))
-        for a in range(start, stop, _DRAW_ROWS):
-            n = min(_DRAW_ROWS, stop - a)
-            rows = normal_tile(rng, n, k0 * r, w * r, first_stream=a, out=scratch[:n])
-            rows *= step_scale
-            tile[:, a : a + n] = rows.reshape(n, w, r).transpose(1, 0, 2)
+    def fill(block, buf):
+        a = block * _DRAW_ROWS
+        u = buf[: m - a]  # the last block may be short
+        return keyed_uniforms(rng, len(u), k0 * r, w * r, first_stream=a, out=u)
 
-    blocks = -(-m // _DRAW_ROWS)
-    map_chunks(fill, m, _DRAW_ROWS * -(-blocks // worker_count()))
+    def finish(block, u):
+        a = block * _DRAW_ROWS
+        rows = inverse_cdf(u)
+        rows *= step_scale
+        tile[:, a : a + len(rows)] = rows.reshape(len(rows), w, r).transpose(1, 0, 2)
+
+    fill_then_finish(fill, finish, -(-m // _DRAW_ROWS), (min(_DRAW_ROWS, m), w * r))
 
 
 def simulate_reflected_terminal_batch(

@@ -568,6 +568,18 @@ def test_far_points_project_onto_the_sphere_without_warnings():
         assert np.allclose(capped.project_batch(mixed), [[0.6, 0.8], [0.6, 0.8]], rtol=0.0, atol=4e-16)
 
 
+@pytest.mark.parametrize("r", [1e3, 1e15, 3e15, 1e100, 1e160, 1e300])
+def test_far_point_past_face_and_ball_lands_on_their_corner(r):
+    # the ball-only candidate (3, -4) lies 4 below the face: the closure test
+    # takes its tolerance at the candidate's scale, not the far query's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = CAPPED_HALFPLANE.project_batch([[0.6 * r, -0.8 * r]])
+        slack = CAPPED_HALFPLANE.slack_matrix(p)
+    assert p.tolist() == [[5.0, 0.0]]
+    assert np.min(slack) >= 0.0
+
+
 def test_far_points_get_a_finite_distance_without_warnings():
     # |x|^2 = 2.5e309 overflows; the distance is 5e154 less a radius that rounding drops
     eps = np.finfo(np.float64).eps
@@ -793,6 +805,24 @@ def test_polytope_projection_matches_enumeration_oracle(case):
     batch = dom.project_batch(pts)
     for x, p in zip(pts, batch):
         assert np.linalg.norm(p - _nearest_point_oracle(x, dom)) <= 1e-14 * (1.0 + np.linalg.norm(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_polytopes(), st.sampled_from([1e3, 1e6, 1e9]), st.data())
+def test_far_points_on_slanted_polytopes_land_as_near_as_the_oracle(case, scale, data):
+    # pushed out along one face's normal, x's landings carry rounding at |x|'s
+    # scale. The point returned must pass the closure test at that scale and be
+    # as near x as the oracle's to within that rounding: a vertex O(1) beside
+    # the true foot is 1e-4 farther at |x| = 1e3. Positions are not compared,
+    # as distances that agree to eps |x| cannot tell the candidates apart
+    dom, pts = case
+    face = data.draw(st.integers(0, dom.offsets.size - 1))
+    far = pts - scale * dom.normals[face]
+    batch = dom.project_batch(far)
+    for x, p in zip(far, batch):
+        tol = 1e-14 * (1.0 + np.linalg.norm(x))
+        assert np.min(dom.slack_matrix(p[None])) >= -tol
+        assert np.linalg.norm(p - x) <= np.linalg.norm(_nearest_point_oracle(x, dom) - x) + tol
 
 
 @st.composite

@@ -1,7 +1,12 @@
+import threading
+import time
+import types
+
 import numpy as np
 import pytest
 
-from skorokhod_kit.pool import accumulate_rows
+from skorokhod_kit import pool
+from skorokhod_kit.pool import accumulate_rows, fill_then_finish
 
 ACCUMULATIONS = [(np.add, np.cumsum), (np.minimum, np.minimum.accumulate)]
 
@@ -33,3 +38,135 @@ def test_accumulate_rows_rejects_overlap_and_a_misshapen_out():
         accumulate_rows(np.add, a[:, :-1], a[:, 1:])
     with pytest.raises(ValueError, match=r"out shaped \(4, 10\), got \(3, 10\)"):
         accumulate_rows(np.add, a, np.empty((3, 10)))
+
+
+@pytest.fixture
+def helper_threads(monkeypatch):
+    """Every thread fill_then_finish starts, in start order."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(pool, "threading", types.SimpleNamespace(Thread=Recorded))
+    return started
+
+
+def numbered_blocks(n_blocks, width, log=None):
+    """fill and finish writing block i's values i * width + 0 .. width - 1 into a result."""
+    out = np.full(n_blocks * width, np.nan)
+
+    def fill(i, buf):
+        if log is not None:
+            log.append(("fill", i, threading.get_ident()))
+        buf[:] = np.arange(i * width, (i + 1) * width)
+        return buf
+
+    def finish(i, block):
+        if log is not None:
+            log.append(("finish", i, threading.get_ident()))
+        out[i * width : (i + 1) * width] = block
+
+    return out, fill, finish
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+@pytest.mark.parametrize("n_blocks", [1, 2, 9, 40])
+def test_fill_then_finish_fills_in_order_on_the_caller_and_finishes_every_block_once(
+    workers, n_blocks, monkeypatch, helper_threads, bounded
+):
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    log = []
+    out, fill, finish = numbered_blocks(n_blocks, 5, log)
+
+    def run():
+        fill_then_finish(fill, finish, n_blocks, (5,))
+        return threading.get_ident()
+
+    caller = bounded(run)
+    assert out.tolist() == list(range(n_blocks * 5))
+    fills = [(i, who) for what, i, who in log if what == "fill"]
+    assert fills == [(i, caller) for i in range(n_blocks)]
+    assert sorted(i for what, i, _ in log if what == "finish") == list(range(n_blocks))
+    assert len(helper_threads) == min(int(workers), n_blocks) - 1
+    assert not any(t.is_alive() for t in helper_threads)
+
+
+def test_fill_then_finish_with_one_worker_finishes_each_block_right_after_filling_it(
+    monkeypatch, helper_threads, bounded
+):
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", "1")
+    log = []
+    out, fill, finish = numbered_blocks(4, 3, log)
+    bounded(lambda: fill_then_finish(fill, finish, 4, (3,)))
+    assert [(what, i) for what, i, _ in log] == [
+        (what, i) for i in range(4) for what in ("fill", "finish")
+    ]
+    assert helper_threads == []
+
+
+def test_fill_then_finish_caller_finishes_blocks_when_no_buffer_is_free(
+    monkeypatch, helper_threads, bounded
+):
+    # the helper holds its first block until the caller has finished one: a
+    # caller that only waited for a free buffer would wait for ever
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", "2")
+    caller_finished = threading.Event()
+    out, fill, record = numbered_blocks(12, 4)
+    caller, on_caller = [], []
+
+    def finish(i, block):
+        if threading.get_ident() == caller[0]:
+            on_caller.append(i)
+            caller_finished.set()
+        elif not caller_finished.wait(timeout=20.0):
+            raise TimeoutError("the caller finished no block")
+        record(i, block)
+
+    def run():
+        caller.append(threading.get_ident())
+        fill_then_finish(fill, finish, 12, (4,))
+
+    bounded(run)
+    assert out.tolist() == list(range(48))
+    assert on_caller
+    assert not any(t.is_alive() for t in helper_threads)
+
+
+@pytest.mark.parametrize("stage", ["fill", "finish"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_fill_then_finish_raises_the_first_error_and_joins_every_helper(
+    stage, workers, monkeypatch, helper_threads, bounded
+):
+    # fill fails at block 7; finish at the first block a helper finishes (at
+    # block 7 with one worker). Slow fills let the helpers take blocks.
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    out, fill, finish = numbered_blocks(30, 5)
+    caller, lock, failed = [], threading.Lock(), []
+
+    def slow_fill(i, buf):
+        time.sleep(0.002)
+        if stage == "fill" and i == 7:
+            raise ArithmeticError("fill of block 7")
+        return fill(i, buf)
+
+    def failing_finish(i, block):
+        on_helper = threading.get_ident() != caller[0]
+        with lock:
+            fails = stage == "finish" and not failed and (on_helper or (workers == "1" and i == 7))
+            if fails:
+                failed.append(i)
+        if fails:
+            raise ArithmeticError(f"finish of block {i}")
+        finish(i, block)
+
+    def run():
+        caller.append(threading.get_ident())
+        fill_then_finish(slow_fill, failing_finish, 30, (5,))
+
+    with pytest.raises(ArithmeticError, match=f"{stage} of block"):
+        bounded(run)
+    assert len(helper_threads) == int(workers) - 1
+    assert not any(t.is_alive() for t in helper_threads)

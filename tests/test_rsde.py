@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -26,7 +28,7 @@ from skorokhod_kit import (
 )
 from skorokhod_kit import rsde
 from skorokhod_kit.domains import orthant
-from skorokhod_kit.randomness import normal_matrix
+from skorokhod_kit.randomness import brownian_increments, normal_matrix
 from skorokhod_kit.rsde import _level_terminals, simulate_reflected_terminal_batch
 
 
@@ -158,7 +160,7 @@ def test_batch_simulator_matches_scheme():
 
 def test_tiles_match_single_paths_when_the_width_leaves_a_remainder(monkeypatch):
     # tiles of 8 steps over 30 steps: three whole tiles and one of 6; 130
-    # paths are three draw blocks, split across two threads
+    # paths are three draw blocks, filled on one thread and finished on two
     monkeypatch.setattr(rsde, "_PATH_BLOCK", 36)
     monkeypatch.setenv("SKOROKHOD_KIT_THREADS", "2")
     grid = TimeGrid.uniform(1.0, 30)
@@ -176,6 +178,49 @@ def test_tiles_match_single_paths_when_the_width_leaves_a_remainder(monkeypatch)
         for i in range(n_paths):
             single = euler_reflected(coeffs, domain, x0, grid, RngSeed(6, i))
             assert np.array_equal(batch[i], single.X.values[0, -1])
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("m", [5, 64, 130])
+def test_draw_tile_equals_the_brownian_increments_slice(workers, r, m, monkeypatch, bounded):
+    # 130 paths are blocks of 64, 64 and 2; 5 paths one short block
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    grid = TimeGrid(np.cumsum(np.r_[0.0, np.linspace(0.01, 0.05, 24)]))
+    rng = RngSeed(12, 3)
+    whole = brownian_increments(rng, m, grid, r)
+    before = set(threading.enumerate())
+    for k0, w in [(0, 24), (0, 8), (8, 12), (20, 4)]:
+        tile = np.full((w, m, r), np.nan)
+        bounded(lambda: rsde._draw_tile(rng, np.sqrt(grid.deltas), k0, tile))
+        expected = np.ascontiguousarray(whole[:, k0 : k0 + w].transpose(1, 0, 2))
+        assert tile.tobytes() == expected.tobytes()
+        assert set(threading.enumerate()) <= before
+
+
+def test_terminal_batch_under_fast_thread_switching_matches_one_worker(monkeypatch, bounded):
+    # more workers than cores, and a thread switch every microsecond; 1300
+    # paths are 21 draw blocks, so the 8 buffers of 4 workers are reused
+    # within each of the 15 tiles of 8 steps
+    monkeypatch.setattr(rsde, "_PATH_BLOCK", 100)
+    coeffs = preset_coefficients("sin-diffusion", d=2)
+    grid = TimeGrid.uniform(1.0, 120)
+
+    def run():
+        return simulate_reflected_terminal_batch(
+            coeffs, unit_disc(), [0.3, -0.2], grid, RngSeed(4), 1300
+        )
+
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", "1")
+    serial = run()
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert bounded(run, seconds=120.0).tobytes() == serial.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_tile_width():
