@@ -24,7 +24,7 @@ from scipy.special import ndtr
 
 from .errors import ContractError, EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .randomness import RngSeed, brownian_increments, path_values
+from .randomness import RngSeed, normal_tile, path_values
 
 
 @dataclass(frozen=True)
@@ -243,27 +243,38 @@ def ito_isometry_samples(
     """Per-path samples of (int_0^T f dB)^2 and of int_0^T f^2 dt.
 
     Path i draws its increments from stream rng.stream + first_stream + i,
-    so a path's samples do not depend on which other paths share the call: a
+    the increments of brownian_increments on that stream bit for bit, so a
+    path's samples do not depend on which other paths share the call: a
     run split into stream ranges and concatenated in order gives the same
-    arrays. Paths run in blocks of _ISOMETRY_BLOCK: one brownian_increments
-    call per block, its running sums by path_values, the integrand evaluated
-    on the block's grid values in one call, and both sums taken for the
-    whole block at once as pairwise numpy row sums, which call no BLAS and
-    give every row the same bits whatever the block's shape. A non-finite integrand value raises
-    EvaluationFault with its grid step and the path's index i.
+    arrays. Paths run in blocks of _ISOMETRY_BLOCK, all reusing one set of
+    increment, path-value and product buffers allocated per call: one
+    normal_tile draw per block, scaled in place, its running sums by
+    path_values, the integrand evaluated on the block's grid values in one
+    call, and both sums taken for the whole block at once as pairwise numpy
+    row sums, which call no BLAS and give every row the same bits whatever
+    the block's shape. A non-finite integrand value raises EvaluationFault
+    with its grid step and the path's index i.
     """
     if n_paths < 1:
         raise ValueError("need at least 1 path")
     grid = TimeGrid.uniform(T, n_steps)
+    scale = np.sqrt(grid.deltas)
     lhs_samples = np.empty(n_paths)
     rhs_samples = np.empty(n_paths)
+    rows = min(_ISOMETRY_BLOCK, n_paths)
+    increments = np.empty((rows, n_steps))
+    values = np.empty((rows, n_steps + 1, 1))
+    products = np.empty((rows, n_steps))
     for start in range(0, n_paths, _ISOMETRY_BLOCK):
         m = min(_ISOMETRY_BLOCK, n_paths - start)
-        dB = brownian_increments(rng, m, grid, first_stream=first_stream + start)
-        x = path_values(0.0, dB)[..., 0]
-        dB = dB[..., 0]
+        dB = normal_tile(rng, m, 0, n_steps, first_stream + start, out=increments[:m])
+        dB *= scale
+        x = path_values(0.0, dB[..., None], out=values[:m])[..., 0]
         left = integrand_grid_values(f, grid.times, x, path_index=start)[:, :-1]
-        lhs_samples[start : start + m] = (left * dB).sum(axis=1)
-        rhs_samples[start : start + m] = (left**2 * grid.deltas).sum(axis=1)
+        prod = products[:m]
+        lhs_samples[start : start + m] = np.multiply(left, dB, out=prod).sum(axis=1)
+        np.square(left, out=prod)
+        prod *= grid.deltas
+        rhs_samples[start : start + m] = prod.sum(axis=1)
     lhs_samples **= 2
     return lhs_samples, rhs_samples

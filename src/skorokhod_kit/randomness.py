@@ -8,10 +8,14 @@ sums of the first n * d normals of its stream, step-major, scaled by
 sqrt(dt). Normals are the inverse CDF of 53-bit uniforms, one per normal, so
 a shorter grid draws a prefix of the same path, and any block of a stream's
 columns can be drawn alone by setting the Philox counter (normal_tile).
+Only the key and the counter change from one stream to the next, so each
+thread keeps one Philox bit generator and re-keys it per row from a key
+column built once per call (keyed_uniforms).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,30 @@ class RngSeed:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+class _ThreadPhilox(threading.local):
+    """One Philox bit generator per thread, its Generator and its state dict.
+
+    keyed_uniforms re-keys the bit generator for every row by writing the
+    dict back. The dict holds Python ints, not arrays: the state setter
+    reads them several times faster.
+    """
+
+    def __init__(self):
+        self.bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self.gen = np.random.Generator(self.bits)
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
+_philox = _ThreadPhilox()
+
+
 def keyed_uniforms(
     rng: RngSeed,
     n_rows: int,
@@ -51,23 +79,27 @@ def keyed_uniforms(
     counter steps once per block of four 64-bit words, one word per
     uniform, so setting the counter to col_start // 4 with an empty output
     buffer starts the stream at column col_start; col_start must be a
-    multiple of 4. One Philox bit generator is re-keyed per row, in Python
-    under the GIL, and filled by ``Generator.random``, which runs without it.
+    multiple of 4. The (seed, stream) key column is built once per call.
+    Each thread keeps one Philox bit generator, re-keyed per row in Python
+    under the GIL by writing back its state dict, whose counter and empty
+    buffer are set at the start of every call; ``Generator.random`` fills
+    the row without the GIL.
     """
     if col_start % 4:
         raise ValueError(f"col_start must be a multiple of 4, got {col_start}")
-    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state  # fresh: output buffer empty
-    state["state"]["counter"] = np.array([col_start // 4, 0, 0, 0], dtype=np.uint64)
-    seed = rng.seed % (1 << 64)
-    first = rng.stream + first_stream
+    keys = np.empty((n_rows, 2), dtype=np.uint64)
+    keys[:, 0] = rng.seed % (1 << 64)
+    keys[:, 1] = np.arange(n_rows, dtype=np.uint64)
+    keys[:, 1] += np.uint64((rng.stream + first_stream) % (1 << 64))  # wraps as the key does
+    bits, gen, state = _philox.bits, _philox.gen, _philox.state
+    state["state"]["counter"] = [col_start // 4, 0, 0, 0]
+    state["buffer_pos"] = 4  # empty: the first word comes from the counter
+    state["has_uint32"] = 0
     u = np.empty((n_rows, n_cols)) if out is None else out
-    for i in range(n_rows):
-        stream = (first + i) % (1 << 64)
-        state["state"]["key"] = np.array([seed, stream], dtype=np.uint64)
+    for row, key in zip(u, keys.tolist()):
+        state["state"]["key"] = key
         bits.state = state
-        gen.random(out=u[i])
+        gen.random(out=row)
     return u
 
 

@@ -11,8 +11,9 @@ paths together over tiles of a few hundred steps, so a tile holds no more
 increments than 512 whole paths. Each tile is drawn from counter-addressed
 Philox before it is stepped, in two stages (randomness.keyed_uniforms, then
 randomness.inverse_cdf): one thread keys and fills the uniforms, whose
-per-row re-keying holds the GIL, while pool workers finish the filled
-blocks without it (pool.fill_then_finish). Stepping stays on one thread.
+per-row re-keying of that thread's one Philox holds the GIL, while pool
+workers finish the filled blocks without it (pool.fill_then_finish).
+Stepping stays on one thread.
 euler_reflected steps n whole paths together on the same stepper and returns
 them as the batched SkorokhodNdSolution carrier: X, phi and the driver.
 """
@@ -529,8 +530,9 @@ def _draw_tile(rng: RngSeed, scale: np.ndarray, k0: int, tile: np.ndarray) -> No
     Path i's steps equal ``brownian_increments(rng, m, grid, r)[i, k0:k0 + w]``
     bit for bit, ``scale`` being sqrt(grid.deltas). The paths are drawn in
     blocks of _DRAW_ROWS by pool.fill_then_finish: this thread fills each
-    block's Philox uniforms in path order (keyed_uniforms, whose per-row
-    re-keying holds the GIL), and pool workers finish the filled blocks
+    block's Philox uniforms in path order (keyed_uniforms: the block's key
+    column built at once, then this thread's one bit generator re-keyed per
+    row, which holds the GIL), and pool workers finish the filled blocks
     without it, as does this thread when no buffer is free: the inverse
     CDF, the scale, and the transposed write into the tile.
     """

@@ -611,7 +611,11 @@ def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
     # paths: row chunks of 65 paths on the 2000-step grid and of 16 on the
     # 8000-step one, each with a short last chunk. skorokhod-1d-props and
     # rbm-density, 60 paths of 5000 steps: row chunks of 26, 26 and 8, whose
-    # running sums and minima run one row per call on the pool's threads
+    # running sums and minima run one row per call on the pool's threads.
+    # rsde-consistency, 150 paths: three 64-path draw blocks per tile (the
+    # last one short), filled on the calling thread and finished by two
+    # helpers at 3 workers; strong-error draws its levels from the same
+    # keyed streams
     def summary(name, n_paths, n_steps, workers):
         monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
         config = default_config(
@@ -624,6 +628,8 @@ def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
         ("ito-formula", 70, 2000),
         ("skorokhod-1d-props", 60, 5000),
         ("rbm-density", 60, 5000),
+        ("rsde-consistency", 150, 50),
+        ("strong-error", 150, 50),
     ):
         assert summary(*case, "1") == summary(*case, "3")
 

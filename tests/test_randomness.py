@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -9,6 +11,7 @@ from skorokhod_kit import GenerationError, RngSeed, TimeGrid, brownian_sample
 from skorokhod_kit.randomness import (
     brownian_increments,
     brownian_paths,
+    keyed_uniforms,
     normal_matrix,
     normal_tile,
     path_values,
@@ -131,6 +134,54 @@ def test_normal_tile_is_a_slice_of_normal_matrix(col_start, n_cols):
     out = np.empty((5, n_cols))
     assert normal_tile(rng, 5, col_start, n_cols, first_stream=9, out=out) is out
     assert np.array_equal(out, tile)
+
+
+def _keyed_uniforms_oracle(rng, n_rows, col_start, n_cols, first_stream):
+    return [
+        RngSeed(rng.seed, rng.stream + first_stream + i).generator().random(col_start + n_cols)[
+            col_start:
+        ]
+        for i in range(n_rows)
+    ]
+
+
+def test_reused_thread_generator_leaks_no_state():
+    # Each thread re-keys one Philox across calls. Widths that are not a
+    # multiple of 4 leave its 4-word output buffer partly used, the column
+    # starts move the counter back and forth, two threads interleave their
+    # calls, and the stream keys wrap at 2**64.
+    calls = [
+        (RngSeed(2**64 + 5, 2**64 - 3), 5, col_start, n_cols, first_stream)
+        for col_start in (0, 4, 1024, 4, 0)
+        for n_cols, first_stream in ((3, 0), (7, 1), (1, 2**64), (10, 0))
+    ]
+    mismatches = []
+
+    def run(order, barrier):
+        try:
+            for rng, n_rows, col_start, n_cols, first_stream in order:
+                barrier.wait()
+                u = keyed_uniforms(rng, n_rows, col_start, n_cols, first_stream)
+                expected = _keyed_uniforms_oracle(rng, n_rows, col_start, n_cols, first_stream)
+                if not all(np.array_equal(row, ref) for row, ref in zip(u, expected)):
+                    mismatches.append((threading.current_thread().name, col_start, n_cols))
+        except Exception as err:  # recorded, and the other thread released
+            mismatches.append(repr(err))
+            barrier.abort()
+
+    barrier = threading.Barrier(2, timeout=60)
+    threads = [
+        threading.Thread(target=run, args=(order, barrier), name=name, daemon=True)
+        for name, order in (("forward", calls), ("backward", calls[::-1]))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    run([calls[0], calls[-1], calls[0]], threading.Barrier(1))  # this thread, after the others
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("col_start", [1, 2, 3, 1026])
