@@ -102,7 +102,10 @@ def parse_kv_text(text: str) -> dict[str, list]:
         key = key.strip()
         if not key:
             raise ValueError(f"line {lineno}: empty key")
-        out.setdefault(key, []).append(parse_value(value))
+        try:
+            out.setdefault(key, []).append(parse_value(value))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: key {key}: {err}") from None
     return out
 
 

@@ -632,7 +632,8 @@ def _run_condition_checks(config: ExperimentConfig):
 
 def _run_strong_error(config: ExperimentConfig):
     dt_levels = config.option("dt_levels", (1 / 32, 1 / 64, 1 / 128, 1 / 256, 1 / 512))
-    dt_levels = list(dt_levels) if isinstance(dt_levels, tuple) else [dt_levels]
+    if not isinstance(dt_levels, tuple):  # one step size; real_option names a non-number
+        dt_levels = (config.real_option("dt_levels", dt_levels),)
     if len(dt_levels) < 2:
         # the finest level is the reference, so the gaps need two levels
         raise ValueError(f"config key dt_levels needs at least 2 step sizes, got {len(dt_levels)}")

@@ -6,16 +6,16 @@ pushing increment, kept explicit so the association conditions (pushing only
 at the boundary, along inward normals) can be tested instead of assumed.
 Coefficients come in one form: evaluators of a whole batch of states at
 once, read at left endpoints only. One stepper advances a batch of paths
-through time-major increments (steps, paths, r). Many-path runs step all
-paths together over tiles of a few hundred steps, so a tile holds no more
-increments than 512 whole paths. Each tile is drawn from counter-addressed
-Philox before it is stepped, in two stages (randomness.keyed_uniforms, then
+through time-major increments (steps, paths, r), drawn as counter-addressed
+Philox tiles in two stages (randomness.keyed_uniforms, then
 randomness.inverse_cdf): one thread keys and fills the uniforms, whose
 per-row re-keying of that thread's one Philox holds the GIL, while pool
 workers finish the filled blocks without it (pool.fill_then_finish).
-Stepping stays on one thread.
-euler_reflected steps n whole paths together on the same stepper and returns
-them as the batched SkorokhodNdSolution carrier: X, phi and the driver.
+Stepping stays on one thread. Many-path runs share one tile loop: each tile
+of a few hundred steps, holding no more increments than 512 whole paths,
+is drawn, then every level of the run steps all paths through it.
+euler_reflected draws all its steps as one tile and returns the paths whole,
+as the batched SkorokhodNdSolution carrier: X, phi and the driver.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from .domains import ConvexDomain
 from .errors import EvaluationFault
 from .paths import SampledPath, TimeGrid
 from .pool import fill_then_finish
-from .randomness import (
-    RngSeed, brownian_increments, inverse_cdf, keyed_uniforms, normal_matrix, path_values,
-)
+from .randomness import RngSeed, inverse_cdf, keyed_uniforms, path_values
 from .reflectnd import SkorokhodNdSolution, _pushing_record, solve_skorokhod_continuous
 
 
@@ -81,8 +79,8 @@ class SdeCoefficients:
         object.__setattr__(self, "sigma", lambda t, X: S[None].repeat(len(X), axis=0))
 
 
-# Paths per block of strong_error_estimate, and the increments a tile of
-# simulate_reflected_terminal_batch may hold: as many as this many whole paths.
+# The increments a tile of the tile loop (_euler_tiles) may hold: as many as
+# this many whole paths.
 _PATH_BLOCK = 512
 # Paths per block of a tile's draw: one block's scratch fits in L2.
 _DRAW_ROWS = 64
@@ -109,14 +107,14 @@ def _check_paths(n_paths: int) -> None:
 
 
 def _euler_steps(
-    coeffs, domain, state, dB, times, dt, free_out, state_out, total=None, first=(0, 0)
+    coeffs, domain, state, dB, times, dt, free_out, state_out, total=None, first_step=0
 ):
     """The steps of _euler_batch; returns the end states.
 
     With ``total``, the free states are added into it unchecked, under the
     caller's errstate. Without, each step's free states are checked, and the
-    first non-finite row raises EvaluationFault, numbered from ``first`` =
-    (first step, first path).
+    first non-finite row raises EvaluationFault at that step, numbered from
+    ``first_step``, and that row's path.
     """
     m, d = state.shape
     b_shape, sigma_shape = (m, d), (m, d, coeffs.r)
@@ -144,8 +142,8 @@ def _euler_steps(
             bad = int(np.argmin(np.all(np.isfinite(free), axis=1)))
             raise EvaluationFault(
                 "coefficient evaluation was non-finite",
-                step_index=first[0] + k,
-                path_index=first[1] + bad,
+                step_index=first_step + k,
+                path_index=bad,
             )
         state = domain.project_batch(free)
         if free_out is not None:
@@ -162,7 +160,6 @@ def _euler_batch(
     times: np.ndarray,
     dt: np.ndarray,
     first_step: int = 0,
-    first_path: int = 0,
     free_out: np.ndarray | None = None,
     state_out: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -179,7 +176,7 @@ def _euler_batch(
     it is non-finite, the steps are rerun from the start states with a check
     after each, which the coefficients' purity makes exact: a non-finite row
     raises EvaluationFault at the first such step, numbered from
-    ``first_step``, and its lowest path, numbered from ``first_path``. An
+    ``first_step``, and its lowest path (batch row i is path i). An
     exception raised after a non-finite free state is taken as its effect
     and rerun the same way. A rerun that finds no fault (the sum overflowed)
     returns the same states. Buffers ``free_out`` and ``state_out`` shaped
@@ -196,7 +193,7 @@ def _euler_batch(
     else:
         if np.all(np.isfinite(total)):
             return end
-    return _euler_steps(*args, first=(first_step, first_path))
+    return _euler_steps(*args, first_step=first_step)
 
 
 def euler_reflected(
@@ -211,23 +208,24 @@ def euler_reflected(
 
     Path i runs on the increments ``brownian_increments(rng, n_paths, grid,
     r)[i]``, from stream ``rng.stream + i`` as in
-    simulate_reflected_terminal_batch, and all paths step together on the
-    same stepper. The result keeps every path whole: one row per path, with
-    phi the projection displacements summed in step order and ``driver``
-    the Brownian path (dimension r) built from the increments, so memory
-    grows with n_paths times the steps. ``n_paths`` must be at least 1.
+    simulate_reflected_terminal_batch, drawn as one time-major tile
+    (_draw_tile), and all paths step together on the same stepper. The
+    result keeps every path whole: one row per path, with phi the
+    projection displacements summed in step order and ``driver`` the
+    Brownian path (dimension r) built from the increments, so memory grows
+    with n_paths times the steps. ``n_paths`` must be at least 1.
     """
     _check_paths(n_paths)
     x0 = _start_point(domain, x0)
     n_steps, d, r = len(grid) - 1, x0.size, coeffs.r
-    dB = brownian_increments(rng, n_paths, grid, r)
-    # time-major buffers, as the stepper writes them
+    # time-major buffers, as the stepper reads and writes them
+    dB = np.empty((n_steps, n_paths, r))
+    _draw_tile(rng, np.sqrt(grid.deltas), 0, dB)
     X = np.empty((n_steps + 1, n_paths, d))
     X[0] = x0
     free = np.empty((n_steps, n_paths, d))
     _euler_batch(
-        coeffs, domain, X[0], dB.transpose(1, 0, 2), grid.times, grid.deltas,
-        free_out=free, state_out=X[1:],
+        coeffs, domain, X[0], dB, grid.times, grid.deltas, free_out=free, state_out=X[1:]
     )
     X = np.ascontiguousarray(X.transpose(1, 0, 2))
     # a leading zero row makes each cumsum add in step order from 0
@@ -239,7 +237,7 @@ def euler_reflected(
         phi=SampledPath.continuous(grid, np.cumsum(dphi, axis=1)),
         total_variation=tv,
         directions=dirs,
-        driver=SampledPath.continuous(grid, path_values(0.0, dB)),
+        driver=SampledPath.continuous(grid, path_values(0.0, dB.transpose(1, 0, 2))),
     )
 
 
@@ -363,38 +361,6 @@ def coefficient_contract_check(
     )
 
 
-def _level_terminals(
-    coeffs: SdeCoefficients,
-    domain: ConvexDomain,
-    x0: np.ndarray,
-    T: float,
-    steps: list[int],
-    n_paths: int,
-    rng: RngSeed,
-) -> dict[int, np.ndarray]:
-    """Terminal states (n_paths, d) per step count, all levels on one driver per path.
-
-    Path i draws its finest increments from stream rng.stream + i; coarse
-    increments are sums of consecutive fine ones. Paths run in blocks of
-    _PATH_BLOCK.
-    """
-    d, r = x0.size, coeffs.r
-    n_fine = steps[-1]
-    terminals = {n: np.empty((n_paths, d)) for n in steps}
-    for start in range(0, n_paths, _PATH_BLOCK):
-        m = min(_PATH_BLOCK, n_paths - start)
-        fine = normal_matrix(rng, m, n_fine * r, first_stream=start).reshape(m, n_fine, r)
-        fine *= np.sqrt(T / n_fine)
-        for n in steps:
-            dB = fine.reshape(m, n, n_fine // n, r).sum(axis=2)
-            dt = T / n
-            terminals[n][start : start + m] = _euler_batch(
-                coeffs, domain, np.tile(x0, (m, 1)), dB.transpose(1, 0, 2),
-                np.arange(n) * dt, np.full(n, dt), first_path=start,
-            )
-    return terminals
-
-
 def strong_error_estimate(
     coeffs: SdeCoefficients,
     domain: ConvexDomain,
@@ -409,34 +375,40 @@ def strong_error_estimate(
     All levels of one path share a driver: coarse increments are sums of
     consecutive fine increments, so levels must be dyadically nested (each
     step count divides the finest by a power of 2). Path i draws its fine
-    increments from stream ``rng.stream + i``. Every level runs all paths at
-    once on the batched projected-Euler stepper shared with
-    simulate_reflected_terminal_batch, in blocks of 512 paths. Returns
-    (dt, rms) rows, coarsest first; the finest level closes the table with
-    rms 0. ``n_paths`` must be at least 1.
+    increments from stream ``rng.stream + i``. The levels run on the tile
+    loop shared with simulate_reflected_terminal_batch (_euler_tiles): each
+    tile of fine steps is drawn once, then every level steps all paths
+    through it, coarsest first, so a non-finite coefficient is reported at
+    its first tile, then level, then step, then path. Returns (dt, rms)
+    rows, coarsest first; the finest level closes the table with rms 0.
+    Every entry of ``dt_levels`` must lie in (0, T], and ``n_paths`` must
+    be at least 1.
     """
     _check_paths(n_paths)
     x0 = _start_point(domain, x0)
     steps = []
     for dt in sorted(dt_levels, reverse=True):
+        if not (0.0 < dt <= T and T / dt < np.inf):  # NaN fails too
+            raise ValueError(f"dt_levels needs step sizes in (0, T] with T = {T}, got {dt}")
         n = round(T / dt)
-        if n < 1 or abs(n * dt - T) > 1e-9 * T:
+        if abs(n * dt - T) > 1e-9 * T:
             raise ValueError(f"dt={dt} does not divide the horizon")
         if n in steps:
             raise ValueError(f"dt={dt} is repeated in dt_levels")
         steps.append(n)
+    if not steps:
+        raise ValueError("dt_levels needs at least one step size")
     n_fine = steps[-1]
-    for n in steps:
-        ratio = n_fine // n
-        if n_fine != n * ratio or ratio & (ratio - 1):
-            raise ValueError("dt levels must be dyadically nested")
-    terminals = _level_terminals(coeffs, domain, x0, T, steps, n_paths, rng)
-    rows = []
-    finest = terminals[n_fine]
-    for n in steps:
-        gap = float(np.sqrt(np.mean(np.sum((terminals[n] - finest) ** 2, axis=1))))
-        rows.append((T / n, gap))
-    return rows
+    if any(n_fine % n or (n_fine // n) & (n_fine // n - 1) for n in steps):
+        raise ValueError("dt levels must be dyadically nested")
+    levels = [(n_fine // n, np.arange(n) * (T / n), np.full(n, T / n)) for n in steps]
+    scale = np.full(n_fine, np.sqrt(T / n_fine))
+    terminals = _euler_tiles(coeffs, domain, x0, rng, scale, levels, n_paths)
+    finest = terminals[-1]
+    return [
+        (T / n, float(np.sqrt(np.mean(np.sum((end - finest) ** 2, axis=1)))))
+        for n, end in zip(steps, terminals)
+    ]
 
 
 # Named coefficient presets addressable from the CLI and config files.
@@ -514,14 +486,15 @@ def preset_coefficients(name: str, d: int = 1, K: float | None = None) -> SdeCoe
     raise ValueError(f"unknown coefficient preset {name!r}")
 
 
-def _tile_width(n_steps: int, n_paths: int) -> int:
+def _tile_width(n_steps: int, n_paths: int, multiple: int = 4) -> int:
     """Steps per tile: no more increments than _PATH_BLOCK whole paths.
 
-    A multiple of 4, so that every tile starts on a Philox counter block,
-    at least 4 and at most n_steps.
+    A multiple of ``multiple``, itself a multiple of 4 so that every tile
+    starts on a Philox counter block, at least ``multiple`` and at most
+    n_steps.
     """
-    width = _PATH_BLOCK * n_steps // n_paths // 4 * 4
-    return min(max(width, 4), n_steps)
+    width = _PATH_BLOCK * n_steps // n_paths // multiple * multiple
+    return min(max(width, multiple), n_steps)
 
 
 def _draw_tile(rng: RngSeed, scale: np.ndarray, k0: int, tile: np.ndarray) -> None:
@@ -553,6 +526,39 @@ def _draw_tile(rng: RngSeed, scale: np.ndarray, k0: int, tile: np.ndarray) -> No
     fill_then_finish(fill, finish, -(-m // _DRAW_ROWS), (min(_DRAW_ROWS, m), w * r))
 
 
+def _euler_tiles(coeffs, domain, x0, rng, scale, levels, n_paths) -> list[np.ndarray]:
+    """Terminal states (n_paths, d) of each level ``(q, times, dt)``, all on one draw.
+
+    Path i's fine increments come from stream rng.stream + i, step k scaled
+    by scale[k], drawn a tile of _tile_width steps at a time (_draw_tile);
+    every level steps all paths through a tile before the next is drawn.
+    Level q steps on sums of q consecutive fine increments, taken over a
+    path-major copy of the tile so they round as over the whole path, at
+    ``times`` and ``dt`` (one entry per coarse step). Tiles are a whole
+    number of every level's steps wide. A non-finite coefficient is reported
+    at its first tile, then level (in the order given), then step, then path.
+    """
+    n_fine, r = len(scale), coeffs.r
+    q_max = max(q for q, _, _ in levels)
+    width = _tile_width(n_fine, n_paths, max(4, q_max))
+    tile = np.empty((width, n_paths, r))
+    states = [np.tile(x0, (n_paths, 1)) for _ in levels]
+    for k0 in range(0, n_fine, width):
+        fine = tile[: min(width, n_fine - k0)]
+        _draw_tile(rng, scale, k0, fine)
+        by_path = np.ascontiguousarray(fine.transpose(1, 0, 2)) if q_max > 1 else None
+        for i, (q, times, dt) in enumerate(levels):
+            j0, j1 = k0 // q, (k0 + len(fine)) // q
+            if q == 1:
+                dB = fine
+            else:
+                dB = by_path.reshape(n_paths, j1 - j0, q, r).sum(axis=2).transpose(1, 0, 2)
+            states[i] = _euler_batch(
+                coeffs, domain, states[i], dB, times[j0:j1], dt[j0:j1], first_step=j0
+            )
+    return states
+
+
 def simulate_reflected_terminal_batch(
     coeffs: SdeCoefficients,
     domain: ConvexDomain,
@@ -563,27 +569,16 @@ def simulate_reflected_terminal_batch(
 ) -> np.ndarray:
     """Terminal states of many projected-Euler paths, one stream per path.
 
-    All paths step together on the batched projected-Euler stepper shared
-    with strong_error_estimate, over tiles of steps (_tile_width): each tile
-    is drawn on the worker pool, then stepped, so a non-finite coefficient
-    is reported at its first step over all paths, then its lowest path.
-    Path i draws the increments of euler_reflected's path i on stream
-    ``rng.stream + i`` (brownian_increments), and that route runs them on
-    the same stepper, so the two can be cross-checked path for path.
-    ``n_paths`` must be at least 1.
+    All paths step together on the tile loop shared with
+    strong_error_estimate (_euler_tiles), here with one level of unit
+    steps: each tile of steps is drawn on the worker pool, then stepped, so
+    a non-finite coefficient is reported at its first step over all paths,
+    then its lowest path. Path i draws the increments of euler_reflected's
+    path i on stream ``rng.stream + i`` (brownian_increments), and that
+    route runs them on the same stepper, so the two can be cross-checked
+    path for path. ``n_paths`` must be at least 1.
     """
     _check_paths(n_paths)
     x0 = _start_point(domain, x0)
-    n_steps = len(grid) - 1
-    width = _tile_width(n_steps, n_paths)
-    tile = np.empty((width, n_paths, coeffs.r))
-    scale = np.sqrt(grid.deltas)
-    state = np.tile(x0, (n_paths, 1))
-    for k0 in range(0, n_steps, width):
-        dB = tile[: min(width, n_steps - k0)]
-        _draw_tile(rng, scale, k0, dB)
-        k1 = k0 + len(dB)
-        state = _euler_batch(
-            coeffs, domain, state, dB, grid.times[k0:k1], grid.deltas[k0:k1], first_step=k0
-        )
-    return state
+    levels = [(1, grid.times, grid.deltas)]
+    return _euler_tiles(coeffs, domain, x0, rng, np.sqrt(grid.deltas), levels, n_paths)[0]

@@ -57,6 +57,14 @@ def test_parse_errors():
         parse_value("{nokey}")
 
 
+def test_parse_error_in_a_tuple_names_line_key_and_entry():
+    with pytest.raises(ValueError) as err:
+        parse_kv_text("experiment = strong-error\ndt_levels = (0.5, abc)\n")
+    assert str(err.value) == "line 2: key dt_levels: could not convert string to float: ' abc'"
+    with pytest.raises(ValueError, match=r"^line 1: key g: unterminated group"):
+        parse_kv_text("g = {a = 1")
+
+
 def test_domain_from_document():
     dom = domain_from_mapping(parse_kv_text(DOMAIN_DOC))
     assert dom.dimension == 2

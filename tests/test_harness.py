@@ -414,6 +414,7 @@ COUNT_MESSAGE = "config key {} must be at least 1, got 0"
 WHOLE_MESSAGE = "config key {} must be a whole number, got {}"
 # the finest strong-error level is the reference, so one level leaves no gap
 LEVELS_MESSAGE = "config key dt_levels needs at least 2 step sizes, got {}"
+STEP_MESSAGE = "dt_levels needs step sizes in (0, T] with T = 1.0, got {}"
 NUMBER_MESSAGE = "config key {} must be a number, got {}"
 UNREAD_MESSAGE = "config key {} is not read by {}; its option and tol_ keys are: {}"
 ND_KEYS = "tol_refine, refine_n0, refine_drivers"
@@ -433,6 +434,14 @@ ND_READERS = "nd-skorokhod-props and condition-checks"
         ("strong-error", "dt_levels = 0.5", LEVELS_MESSAGE.format(1)),
         ("strong-error", "dt_levels = ()", LEVELS_MESSAGE.format(0)),
         ("strong-error", "dt_levels = (0.25, 0.25)", "dt=0.25 is repeated in dt_levels"),
+        # every step size lies in (0, T], and a value that is no number is named
+        ("strong-error", "dt_levels = (0.5, 0.25, 0)", STEP_MESSAGE.format(0.0)),
+        ("strong-error", "dt_levels = (0.5, nan)", STEP_MESSAGE.format("nan")),
+        ("strong-error", "dt_levels = (0.5, -0.25)", STEP_MESSAGE.format(-0.25)),
+        ("strong-error", "dt_levels = abc", NUMBER_MESSAGE.format("dt_levels", "'abc'")),
+        ("strong-error", "dt_levels = yes", NUMBER_MESSAGE.format("dt_levels", True)),
+        ("strong-error", "dt_levels = (0.5, abc)",
+         "line 4: key dt_levels: could not convert string to float: ' abc'"),
         # real-valued options name their key
         ("local-time", "eps = abc", NUMBER_MESSAGE.format("eps", "'abc'")),
         ("local-time", "level = abc", NUMBER_MESSAGE.format("level", "'abc'")),
@@ -614,8 +623,9 @@ def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
     # running sums and minima run one row per call on the pool's threads.
     # rsde-consistency, 150 paths: three 64-path draw blocks per tile (the
     # last one short), filled on the calling thread and finished by two
-    # helpers at 3 workers; strong-error draws its levels from the same
-    # keyed streams
+    # helpers at 3 workers. strong-error steps its levels on the same tiles:
+    # one of 512 fine steps at 150 paths, and tiles of 224, 224 and 64 at
+    # 1100 paths, each a whole number of the coarsest level's steps of 16
     def summary(name, n_paths, n_steps, workers):
         monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
         config = default_config(
@@ -630,6 +640,7 @@ def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
         ("rbm-density", 60, 5000),
         ("rsde-consistency", 150, 50),
         ("strong-error", 150, 50),
+        ("strong-error", 1100, 50),
     ):
         assert summary(*case, "1") == summary(*case, "3")
 

@@ -29,7 +29,7 @@ from skorokhod_kit import (
 from skorokhod_kit import rsde
 from skorokhod_kit.domains import orthant
 from skorokhod_kit.randomness import brownian_increments, normal_matrix
-from skorokhod_kit.rsde import _level_terminals, simulate_reflected_terminal_batch
+from skorokhod_kit.rsde import _euler_tiles, simulate_reflected_terminal_batch
 
 
 def zero_coefficients(d=1):
@@ -231,6 +231,10 @@ def test_tile_width():
     assert rsde._tile_width(10, 1_000_000) == 4
     assert rsde._tile_width(3, 1_000_000) == 3
     assert rsde._tile_width(30, 1) == 30
+    # strong-error tiles: whole steps of the coarsest level, 16 fine steps
+    assert rsde._tile_width(512, 1100, 16) == 224
+    assert rsde._tile_width(512, 1_000_000, 16) == 16
+    assert rsde._tile_width(2, 1_000_000, 4) == 2
 
 
 def test_terminal_batch_does_not_depend_on_the_worker_count(monkeypatch):
@@ -425,6 +429,27 @@ def test_strong_error_fault_names_path_and_step():
             _threshold_drift(), WIDE_LINE, [0.0], 1.0, [1 / 8, 1 / 64], n_paths, RngSeed(8)
         )
     assert (err.value.step_index, err.value.path_index) == (step, path)
+
+
+def test_strong_error_fault_in_the_second_tile_comes_before_a_coarser_one(monkeypatch):
+    # tiles of 16 fine steps, two steps of the 8-step level. At this seed the
+    # 64-step level first reaches 1 at step 19 (the second tile), path 3, and
+    # the 8-step level only at its step 5, in the third tile. Tiles come
+    # before levels, so the fine level's fault is the one named.
+    monkeypatch.setattr(rsde, "_PATH_BLOCK", 2)
+    n_paths = 8
+    assert rsde._tile_width(64, n_paths, 8) == 16
+    fine = normal_matrix(RngSeed(2), n_paths, 64) * np.sqrt(1.0 / 64)
+    crossings = {}
+    for q in (8, 1):
+        coarse = fine.reshape(n_paths, 64 // q, q).sum(axis=2)
+        crossings[q] = _first_crossing(np.hstack([np.zeros((n_paths, 1)), np.cumsum(coarse, 1)]))
+    assert crossings == {8: (5, 5), 1: (19, 3)}
+    with pytest.raises(EvaluationFault) as err:
+        strong_error_estimate(
+            _threshold_drift(), WIDE_LINE, [0.0], 1.0, [1 / 8, 1 / 64], n_paths, RngSeed(2)
+        )
+    assert (err.value.step_index, err.value.path_index) == (19, 3)
 
 
 def _misshapen(name):
@@ -748,25 +773,39 @@ def test_strong_error_matches_oracle_across_path_blocks():
     assert strong_error_estimate(*args) == _strong_error_oracle(*args)
 
 
-def test_level_terminals_of_leading_paths_ignore_path_count():
+def test_tile_loop_terminals_of_leading_paths_ignore_path_count():
+    # 1100, 600 and 300 paths step tiles of 4, 12 and 16 fine steps: the
+    # leading paths' terminals stay the same bit for bit
     coeffs = preset_coefficients("constant-drift(0.5,-1)", d=2)
     x0 = np.array([0.1, 0.2])
-    steps = [4, 8, 16]
+    n_fine = 16
+    scale = np.full(n_fine, np.sqrt(1.0 / n_fine))
+    levels = [(n_fine // n, np.arange(n) * (1.0 / n), np.full(n, 1.0 / n)) for n in (4, 8, 16)]
 
     def run(n_paths):
-        return _level_terminals(
-            coeffs,
-            unit_disc(),
-            x0,
-            1.0,
-            steps,
-            n_paths,
-            RngSeed(14),
-        )
+        return _euler_tiles(coeffs, unit_disc(), x0, RngSeed(14), scale, levels, n_paths)
 
-    many, few = run(600), run(520)
-    for n in steps:
-        assert np.array_equal(many[n][:520], few[n])
+    assert [rsde._tile_width(n_fine, n, 4) for n in (1100, 600, 300)] == [4, 12, 16]
+    for many, few in ((1100, 600), (600, 300)):
+        for a, b in zip(run(many), run(few)):
+            assert a[:few].tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_strong_error_matches_oracle_across_tiles(workers, r, monkeypatch):
+    # tiles of 8 fine steps, one step of the coarsest level: 8 tiles of 130
+    # paths, each drawn as blocks of 64, 64 and 2 and stepped level by level
+    monkeypatch.setattr(rsde, "_PATH_BLOCK", 4)
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    assert rsde._tile_width(64, 130, 8) == 8
+    if r == 1:
+        coeffs, domain, x0 = _skewed_coefficients(), half_line(), [0.2]
+    else:
+        coeffs, domain, x0 = preset_coefficients("sin-diffusion", d=2), unit_disc(), [0.3, -0.2]
+    assert coeffs.r == r
+    args = (coeffs, domain, x0, 1.0, [1 / 8, 1 / 16, 1 / 32, 1 / 64], 130, RngSeed(12))
+    assert strong_error_estimate(*args) == _strong_error_oracle(*args)
 
 
 # --- projected-Euler path oracle ----------------------------------------------
@@ -1027,3 +1066,12 @@ def test_strong_error_rejects_non_nested_levels():
     # a repeated level would add a zero gap row that reads as a failed check
     with pytest.raises(ValueError, match=r"dt=0.25 is repeated in dt_levels"):
         strong_error_estimate(unit, half_line(), [0.0], 1.0, [0.25, 0.125, 0.25], 4, RngSeed(0))
+    with pytest.raises(ValueError, match=r"^dt_levels needs at least one step size$"):
+        strong_error_estimate(unit, half_line(), [0.0], 1.0, [], 4, RngSeed(0))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25, float("nan"), float("inf"), 2.0, 5e-324])
+def test_strong_error_rejects_step_sizes_outside_the_horizon(bad):
+    unit = preset_coefficients("unit-diffusion", d=1)
+    with pytest.raises(ValueError, match=r"^dt_levels needs step sizes in \(0, T\] with T = 1.0"):
+        strong_error_estimate(unit, half_line(), [0.0], 1.0, [0.5, 0.25, bad], 4, RngSeed(0))
