@@ -117,21 +117,21 @@ def domain_from_mapping(doc: dict[str, list]) -> ConvexDomain:
     """Build a domain from a parsed domain document."""
     if "dimension" not in doc:
         raise ValueError("domain file needs a dimension")
-    d = _whole_number("dimension", doc["dimension"][-1])
+    d = _check_count("dimension", _whole_number("dimension", doc["dimension"][-1]))
     normals, offsets, centers, radii = [], [], [], []
     for group in doc.get("halfspace", []):
         if not isinstance(group, dict) or set(group) != {"normal", "offset"}:
             raise ValueError(f"halfspace group needs normal and offset, got {group!r}")
-        normals.append(np.atleast_1d(np.asarray(group["normal"], dtype=np.float64)))
-        offsets.append(float(group["offset"]))
+        normals.append(_domain_point("halfspace normal", group["normal"], d))
+        offsets.append(_domain_number("halfspace offset", group["offset"]))
     for group in doc.get("ball", []):
         if not isinstance(group, dict) or set(group) != {"center", "radius"}:
             raise ValueError(f"ball group needs center and radius, got {group!r}")
-        centers.append(np.atleast_1d(np.asarray(group["center"], dtype=np.float64)))
-        radii.append(float(group["radius"]))
+        centers.append(_domain_point("ball center", group["center"], d))
+        radii.append(_domain_number("ball radius", group["radius"]))
     if "interior_point" not in doc:
         raise ValueError("domain file needs an interior_point witness")
-    witness = np.atleast_1d(np.asarray(doc["interior_point"][-1], dtype=np.float64))
+    witness = _domain_point("interior_point", doc["interior_point"][-1], d)
     return ConvexDomain(
         dimension=d,
         normals=np.array(normals).reshape(-1, d),
@@ -140,6 +140,22 @@ def domain_from_mapping(doc: dict[str, list]) -> ConvexDomain:
         radii=np.array(radii, dtype=np.float64),
         interior_point=witness,
     )
+
+
+def _domain_number(what: str, value) -> float:
+    """A number of a domain file, ``what`` naming its group and key; a ValueError otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"domain file {what} must be a number, got {value!r}")
+
+
+def _domain_point(what: str, value, d: int) -> np.ndarray:
+    """A tuple of d numbers of a domain file (one bare number when d = 1)."""
+    if d == 1 and not isinstance(value, tuple):
+        return np.array([_domain_number(what, value)])
+    if isinstance(value, tuple) and len(value) == d:
+        return np.array(value, dtype=np.float64)
+    raise ValueError(f"domain file {what} must be a tuple of {d} numbers, got {value!r}")
 
 
 def load_domain_file(path) -> ConvexDomain:

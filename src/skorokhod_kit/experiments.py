@@ -26,9 +26,8 @@ import numpy as np
 from . import pool
 from .config import ExperimentConfig
 from .domains import ConvexDomain, half_line, orthant, unit_disc, halfplane, strip
-from .errors import EvaluationFault, RefinementLimitError, UsageError
+from .errors import RefinementLimitError, UsageError
 from .itocalc import (
-    _ISOMETRY_BLOCK,
     Integrand,
     brownian_local_time_mean,
     ito_formula_residual,
@@ -263,36 +262,15 @@ def _run_rbm_density(config: ExperimentConfig):
 # ito-isometry
 
 
-# Paths per isometry chunk: a fixed 16 blocks, so the chunk layout depends
-# on n_paths alone and never on the worker count.
-ISOMETRY_CHUNK = 16 * _ISOMETRY_BLOCK
-
-
-def _pooled_isometry(
-    f: Integrand, T: float, n_paths: int, rng: RngSeed, n_steps: int, first_stream: int = 0
-):
-    """McEstimates of ito_isometry_samples' two arrays, stream ranges run on the pool."""
-
-    def chunk(start, stop):
-        try:
-            return ito_isometry_samples(f, T, stop - start, rng, n_steps, first_stream + start)
-        except EvaluationFault as err:
-            # name the path by its index in the whole run, not in its chunk
-            raise EvaluationFault(str(err), err.step_index, start + err.path_index) from err
-
-    parts = map_chunks(chunk, n_paths, chunk=ISOMETRY_CHUNK)
-    lhs = np.concatenate([part[0] for part in parts])
-    rhs = np.concatenate([part[1] for part in parts])
-    return McEstimate.from_samples(lhs), McEstimate.from_samples(rhs)
-
-
 def _run_ito_isometry(config: ExperimentConfig):
     rng = RngSeed(config.seed)
     f_state = Integrand(lambda t, x: x)
-    lhs, rhs = _pooled_isometry(f_state, config.horizon, config.n_paths, rng, config.n_steps)
+    samples = ito_isometry_samples(f_state, config.horizon, config.n_paths, rng, config.n_steps)
+    lhs, rhs = map(McEstimate.from_samples, samples)
     joint_se = float(np.hypot(lhs.std_error, rhs.std_error))
     const = Integrand.constant(1.0)
-    lhs1, rhs1 = _pooled_isometry(const, config.horizon, 2000, rng, 200, STREAM_BLOCK)
+    samples = ito_isometry_samples(const, config.horizon, 2000, rng, 200, STREAM_BLOCK)
+    lhs1, rhs1 = map(McEstimate.from_samples, samples)
     summary = {
         "lhs": lhs.as_dict(),
         "rhs": rhs.as_dict(),

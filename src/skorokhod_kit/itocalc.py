@@ -16,6 +16,7 @@ the model bracket t of Brownian motion, one row shared by every path.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +25,8 @@ from scipy.special import ndtr
 
 from .errors import ContractError, EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .randomness import RngSeed, normal_tile, path_values
+from .pool import fill_then_finish
+from .randomness import RngSeed, inverse_cdf, keyed_uniforms, path_values
 
 
 @dataclass(frozen=True)
@@ -246,14 +248,18 @@ def ito_isometry_samples(
     the increments of brownian_increments on that stream bit for bit, so a
     path's samples do not depend on which other paths share the call: a
     run split into stream ranges and concatenated in order gives the same
-    arrays. Paths run in blocks of _ISOMETRY_BLOCK, all reusing one set of
-    increment, path-value and product buffers allocated per call: one
-    normal_tile draw per block, scaled in place, its running sums by
-    path_values, the integrand evaluated on the block's grid values in one
-    call, and both sums taken for the whole block at once as pairwise numpy
-    row sums, which call no BLAS and give every row the same bits whatever
-    the block's shape. A non-finite integrand value raises EvaluationFault
-    with its grid step and the path's index i.
+    arrays. Paths run in blocks of _ISOMETRY_BLOCK on pool.fill_then_finish:
+    this thread fills each block's Philox uniforms in path order
+    (keyed_uniforms, which holds the GIL), and the blocks are finished on
+    pool threads in any order. A finish takes the inverse CDF and the scale
+    in the block's buffer, the running sums in one n-d cumsum into a path
+    array kept per thread, the integrand on the block's grid values in one
+    call, and both sums for the whole block at once as pairwise numpy row
+    sums over products written back into the block's buffer; those sums
+    call no BLAS and give every row the same bits whatever the block's
+    shape. A non-finite integrand value raises EvaluationFault with its
+    grid step and the path's index i, the first such path of the call
+    whatever the worker count.
     """
     if n_paths < 1:
         raise ValueError("need at least 1 path")
@@ -262,19 +268,28 @@ def ito_isometry_samples(
     lhs_samples = np.empty(n_paths)
     rhs_samples = np.empty(n_paths)
     rows = min(_ISOMETRY_BLOCK, n_paths)
-    increments = np.empty((rows, n_steps))
-    values = np.empty((rows, n_steps + 1, 1))
-    products = np.empty((rows, n_steps))
-    for start in range(0, n_paths, _ISOMETRY_BLOCK):
-        m = min(_ISOMETRY_BLOCK, n_paths - start)
-        dB = normal_tile(rng, m, 0, n_steps, first_stream + start, out=increments[:m])
+    paths = threading.local()
+
+    def fill(block, buf):
+        a = block * _ISOMETRY_BLOCK
+        u = buf[: n_paths - a]  # the last block may be short
+        return keyed_uniforms(rng, len(u), 0, n_steps, first_stream + a, out=u)
+
+    def finish(block, u):
+        a, m = block * _ISOMETRY_BLOCK, len(u)
+        dB = inverse_cdf(u)
         dB *= scale
-        x = path_values(0.0, dB[..., None], out=values[:m])[..., 0]
-        left = integrand_grid_values(f, grid.times, x, path_index=start)[:, :-1]
-        prod = products[:m]
-        lhs_samples[start : start + m] = np.multiply(left, dB, out=prod).sum(axis=1)
-        np.square(left, out=prod)
-        prod *= grid.deltas
-        rhs_samples[start : start + m] = prod.sum(axis=1)
+        if not hasattr(paths, "x"):
+            paths.x = np.empty((rows, n_steps + 1))
+        x = paths.x[:m]
+        x[:, 0] = 0.0
+        np.cumsum(dB, axis=1, out=x[:, 1:])
+        left = integrand_grid_values(f, grid.times, x, path_index=a)[:, :-1]
+        lhs_samples[a : a + m] = np.multiply(left, dB, out=dB).sum(axis=1)
+        np.square(left, out=dB)
+        dB *= grid.deltas
+        rhs_samples[a : a + m] = dB.sum(axis=1)
+
+    fill_then_finish(fill, finish, -(-n_paths // _ISOMETRY_BLOCK), (rows, n_steps))
     lhs_samples **= 2
     return lhs_samples, rhs_samples

@@ -5,7 +5,8 @@ calling thread counting as one. map_chunks cuts work into fixed ranges whose
 results come back in range order. fill_then_finish runs a two-stage job
 block by block: the caller fills the blocks in order (the stage that holds
 the GIL), and helper threads finish them (the stage that does not), the
-caller too when no buffer is free. No result depends on the worker count.
+caller too when no buffer is free. No result depends on the worker count,
+nor does the error raised when blocks fail.
 
 Workers overlap only in code that releases the GIL. numpy's
 ``ufunc.accumulate`` (``cumsum``, ``np.minimum.accumulate``) releases it only
@@ -64,23 +65,40 @@ def fill_then_finish(fill, finish, n_blocks: int, shape) -> None:
     in any order, on helper threads (worker_count() - 1 of them) or on this
     thread, which finishes a filled block itself whenever no buffer is free,
     so each must write where no other does. With one worker, each block is
-    finished right after it is filled. Every helper is joined before this
-    returns or raises; the first error of fill or finish is raised here.
+    finished right after it is filled.
+
+    Every helper is joined before this returns or raises. When a fill or a
+    finish fails, the error raised is that of the lowest failing block,
+    whatever the worker count: filling stops, the filled blocks below the
+    lowest failure so far are still finished, and the blocks above it are
+    skipped. Blocks are filled in order, so every block below a failing one
+    is filled.
     """
     helpers = max(min(worker_count(), n_blocks) - 1, 0)
-    free, filled, errors = queue.SimpleQueue(), queue.SimpleQueue(), []
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
     # one buffer alone makes the caller finish each block before the next fill
     for _ in range(min(n_blocks, _BUFFERS_PER_WORKER * (helpers + 1) if helpers else 1)):
         free.put(np.empty(shape))
+    lock = threading.Lock()
+    fault = [n_blocks, None]  # the lowest failing block so far and its error
+
+    def attempt(stage, i, *args):
+        """stage(i, *args) unless block i is at or above a failure; a failure is kept."""
+        if i >= fault[0]:
+            return None
+        try:
+            return stage(i, *args)
+        except BaseException as err:  # raised again on the calling thread
+            with lock:
+                if i < fault[0]:
+                    fault[:] = [i, err]
+            return None
 
     def helper():
         while (item := filled.get()) is not None:
             i, buf, block = item
             try:
-                if not errors:
-                    finish(i, block)
-            except BaseException as err:  # raised again on the calling thread
-                errors.append(err)
+                attempt(finish, i, block)
             finally:
                 free.put(buf)
 
@@ -90,7 +108,7 @@ def fill_then_finish(fill, finish, n_blocks: int, shape) -> None:
             i, buf, block = filled.get_nowait()
         except queue.Empty:
             return None
-        finish(i, block)
+        attempt(finish, i, block)
         return buf
 
     threads = [threading.Thread(target=helper) for _ in range(helpers)]
@@ -98,24 +116,25 @@ def fill_then_finish(fill, finish, n_blocks: int, shape) -> None:
         thread.start()
     try:
         for i in range(n_blocks):
-            if errors:
-                break
             try:
                 buf = free.get_nowait()
             except queue.Empty:
                 buf = finish_filled()
                 if buf is None:  # every buffer is with a helper, which gives it back
                     buf = free.get()
-            filled.put((i, buf, fill(i, buf)))
-        while not errors and finish_filled() is not None:
+            block = attempt(fill, i, buf)
+            if fault[0] < n_blocks:
+                break  # every block from here on would be skipped
+            filled.put((i, buf, block))
+        while finish_filled() is not None:
             pass  # the last filled blocks, finished beside the helpers
     finally:
         for _ in threads:
             filled.put(None)
         for thread in threads:
             thread.join()
-    if errors:
-        raise errors[0]
+    if fault[1] is not None:
+        raise fault[1]
 
 
 def accumulate_rows(ufunc, src: np.ndarray, out: np.ndarray) -> np.ndarray:

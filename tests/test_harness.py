@@ -500,6 +500,16 @@ def test_shipped_configs_use_only_keys_their_experiment_reads(cfg):
         (["dimension = 2.7"], WHOLE_MESSAGE.format("dimension", 2.7)),
         (["dimension = true"], WHOLE_MESSAGE.format("dimension", True)),
         (["dimension = 2", "halfspace = {normal = (nan, 1), offset = 0}"], "normals must be finite"),
+        (["dimension = 0"], "config key dimension must be at least 1, got 0"),
+        # a group value that does not parse names the group kind, the key and the value
+        (["dimension = 2", "halfspace = {normal = (0, 1), offset = abc}"],
+         "domain file halfspace offset must be a number, got 'abc'"),
+        (["dimension = 2", "halfspace = {normal = (0, 1, 2), offset = 0}"],
+         "domain file halfspace normal must be a tuple of 2 numbers, got (0.0, 1.0, 2.0)"),
+        (["dimension = 2", "ball = {center = (0, 0), radius = (1, 2)}"],
+         "domain file ball radius must be a number, got (1.0, 2.0)"),
+        (["dimension = 2", "ball = {center = origin, radius = 1}"],
+         "domain file ball center must be a tuple of 2 numbers, got 'origin'"),
     ],
 )
 def test_cli_unusable_domain_file_exits_2(tmp_path, capsys, lines, message):
@@ -615,8 +625,9 @@ def test_thread_cap_env_and_determinism(tmp_path, monkeypatch):
 
 
 def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
-    # ito-isometry, 2100 paths: three pool chunks of 1024 paths, the last one
-    # short, and a short last block of 64 paths within it. ito-formula, 70
+    # ito-isometry, 2100 paths: 33 blocks of 64 paths, the last one short,
+    # filled on the calling thread and finished on the pool's threads in any
+    # order (two helpers at 3 workers). ito-formula, 70
     # paths: row chunks of 65 paths on the 2000-step grid and of 16 on the
     # 8000-step one, each with a short last chunk. skorokhod-1d-props and
     # rbm-density, 60 paths of 5000 steps: row chunks of 26, 26 and 8, whose

@@ -22,7 +22,6 @@ from skorokhod_kit import (
     ito_isometry_samples,
     quadratic_variation,
 )
-from skorokhod_kit.experiments import _pooled_isometry
 from skorokhod_kit.itocalc import (
     brownian_local_time_mean,
     integrand_grid_values,
@@ -173,8 +172,13 @@ def test_non_finite_integrand_is_evaluation_fault():
 # --- isometry ---------------------------------------------------------------
 
 
+def isometry_estimates(*args, **kwargs):
+    # McEstimates of ito_isometry_samples' two arrays, as ito-isometry reports them
+    return tuple(map(McEstimate.from_samples, ito_isometry_samples(*args, **kwargs)))
+
+
 def test_isometry_constant_integrand():
-    lhs, rhs = _pooled_isometry(Integrand.constant(1.0), 1.0, 2000, RngSeed(5), n_steps=200)
+    lhs, rhs = isometry_estimates(Integrand.constant(1.0), 1.0, 2000, RngSeed(5), n_steps=200)
     assert rhs.mean == pytest.approx(1.0, abs=1e-12)
     assert rhs.std_error <= 1e-15
     assert abs(lhs.mean - 1.0) <= 3.0 * lhs.std_error
@@ -182,7 +186,7 @@ def test_isometry_constant_integrand():
 
 def test_isometry_identity_integrand():
     f = Integrand(lambda t, x: x)
-    lhs, rhs = _pooled_isometry(f, 1.0, 4000, RngSeed(15), n_steps=500)
+    lhs, rhs = isometry_estimates(f, 1.0, 4000, RngSeed(15), n_steps=500)
     joint = np.hypot(lhs.std_error, rhs.std_error)
     assert abs(rhs.mean - 0.5) <= 3.0 * rhs.std_error
     assert abs(lhs.mean - rhs.mean) <= 4.0 * joint
@@ -193,7 +197,7 @@ def test_isometry_square_integrand_fourth_moment():
     f = Integrand(lambda t, x: x**2)
     oracle, err = quad(lambda t: 3.0 * t**2, 0.0, 1.0)
     assert err < 1e-10
-    _, rhs = _pooled_isometry(f, 1.0, 4000, RngSeed(16), n_steps=500)
+    _, rhs = isometry_estimates(f, 1.0, 4000, RngSeed(16), n_steps=500)
     assert abs(rhs.mean - oracle) <= 4.0 * rhs.std_error
 
 
@@ -230,29 +234,27 @@ ORACLE_INTEGRANDS = {
 def test_isometry_matches_per_path_oracle(name, n_paths):
     f = ORACLE_INTEGRANDS[name]
     args = (f, 1.3, n_paths, RngSeed(41))
-    assert _pooled_isometry(*args, n_steps=60) == isometry_oracle(*args, n_steps=60)
+    assert isometry_estimates(*args, n_steps=60) == isometry_oracle(*args, n_steps=60)
 
 
 @pytest.mark.parametrize("name", ["constant", "of_state"])
 def test_isometry_matches_oracle_at_default_steps_and_offset_streams(name):
     f = ORACLE_INTEGRANDS[name]
     args = (f, 0.8, 130, RngSeed(-3), 1000)
-    got = _pooled_isometry(*args, first_stream=2**32 + 5)
+    got = isometry_estimates(*args, first_stream=2**32 + 5)
     assert got == isometry_oracle(*args, first_stream=2**32 + 5)
-    assert got != _pooled_isometry(*args)
+    assert got != isometry_estimates(*args)
 
 
-def _nan_at(path, step, n_steps=30):
-    # counts the rows of whole blocks, which ito_isometry_samples evaluates
-    # in path order; the contract check's one-row prefixes are shorter
-    first_row = [0]
+def _nan_at(path, step):
+    # a block evaluator that is NaN at one point of the run below (seed 2,
+    # streams from 9, 30 steps), found by its path value: blocks of paths
+    # are evaluated in any order
+    targets = _marked_points(RngSeed(2), 9, 30, [(path, step)])
 
     def fn(ts, xs):
         out = xs.copy()
-        if len(ts) == n_steps + 1:
-            if 0 <= path - first_row[0] < len(xs):
-                out[path - first_row[0], step] = np.nan
-            first_row[0] += len(xs)
+        out[_is_marked(targets, ts, xs)] = np.nan
         return out
 
     return Integrand(fn)
@@ -334,21 +336,19 @@ def test_pointwise_fault_names_first_path_then_step(marks):
     assert (err.value.path_index, err.value.step_index) == (70, 17)
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize(
     "marks, first",
     [([(1094, 2), (70, 17)], (70, 17)), ([(2050, 1), (1094, 17)], (1094, 17))],
 )
 def test_pooled_fault_names_run_path_across_chunks(monkeypatch, threads, marks, first):
-    # 2100 paths make three pool chunks of 1024; path 1094 is path 70 of the
-    # second chunk and is named by its index in the whole run
-    from skorokhod_kit.experiments import ISOMETRY_CHUNK
-
-    assert ISOMETRY_CHUNK == 1024
+    # 2100 paths make 33 blocks of 64 paths, finished on the pool's threads in
+    # any order; path 1094 is path 6 of block 17, and the fault of the lowest
+    # failing block is raised, naming the path by its index in the whole run
     monkeypatch.setenv("SKOROKHOD_KIT_THREADS", threads)
     f = _pointwise_nan_at(RngSeed(2), 9, 30, marks)
     with pytest.raises(EvaluationFault) as err:
-        _pooled_isometry(f, 1.0, 2100, RngSeed(2), 30, first_stream=9)
+        ito_isometry_samples(f, 1.0, 2100, RngSeed(2), 30, first_stream=9)
     assert (err.value.path_index, err.value.step_index) == first
 
 

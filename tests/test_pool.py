@@ -50,7 +50,8 @@ def helper_threads(monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(pool, "threading", types.SimpleNamespace(Thread=Recorded))
+    recorded = types.SimpleNamespace(Thread=Recorded, Lock=threading.Lock)
+    monkeypatch.setattr(pool, "threading", recorded)
     return started
 
 
@@ -169,4 +170,61 @@ def test_fill_then_finish_raises_the_first_error_and_joins_every_helper(
     with pytest.raises(ArithmeticError, match=f"{stage} of block"):
         bounded(run)
     assert len(helper_threads) == int(workers) - 1
+    assert not any(t.is_alive() for t in helper_threads)
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_fill_then_finish_raises_the_lowest_failing_block_and_finishes_the_blocks_below(
+    workers, monkeypatch, helper_threads, bounded
+):
+    # blocks 5 and 9 fail. Slow fills let a helper take block 5, whose finish
+    # waits until block 9 has failed (or a short while, when one thread holds
+    # both), so on more than one worker the later block fails first in time;
+    # block 5's error is raised all the same
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    out, fill, finish = numbered_blocks(30, 5)
+    later_failed = threading.Event()
+
+    def slow_fill(i, buf):
+        time.sleep(0.002)
+        return fill(i, buf)
+
+    def failing_finish(i, block):
+        if i == 5:
+            later_failed.wait(timeout=0.2)
+        if i in (5, 9):
+            if i == 9:
+                later_failed.set()
+            raise ArithmeticError(f"finish of block {i}")
+        finish(i, block)
+
+    with pytest.raises(ArithmeticError, match="^finish of block 5$"):
+        bounded(lambda: fill_then_finish(slow_fill, failing_finish, 30, (5,)))
+    assert out[:25].tolist() == list(range(25))  # every block below block 5
+    assert len(helper_threads) == int(workers) - 1
+    assert not any(t.is_alive() for t in helper_threads)
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_fill_then_finish_prefers_a_lower_failing_finish_to_a_later_failing_fill(
+    workers, monkeypatch, helper_threads, bounded
+):
+    # the fill of block 6 fails at once; the finish of block 2 fails later
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    out, fill, finish = numbered_blocks(12, 3)
+
+    def failing_fill(i, buf):
+        if i == 6:
+            raise ArithmeticError("fill of block 6")
+        return fill(i, buf)
+
+    def failing_finish(i, block):
+        if i == 2:
+            time.sleep(0.05)
+            raise ArithmeticError("finish of block 2")
+        finish(i, block)
+
+    with pytest.raises(ArithmeticError, match="^finish of block 2$"):
+        bounded(lambda: fill_then_finish(failing_fill, failing_finish, 12, (3,)))
+    assert out[:6].tolist() == list(range(6))
     assert not any(t.is_alive() for t in helper_threads)
