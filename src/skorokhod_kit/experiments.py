@@ -159,18 +159,6 @@ def map_chunks(fn, n_items: int, chunk: int = CHUNK) -> list:
     return pool.map_chunks(fn, n_items, chunk)
 
 
-def _thread_rows(buffers: threading.local, shape) -> np.ndarray:
-    """A float64 array of this shape kept in ``buffers``, one per thread.
-
-    The chunks a pool thread runs reuse it: freeing chunk-sized arrays lets
-    glibc trim a worker's heap and fault the pages back in for the next chunk.
-    """
-    size = int(np.prod(shape))
-    if getattr(buffers, "rows", np.empty(0)).size < size:
-        buffers.rows = np.empty(size)
-    return buffers.rows[:size].reshape(shape)
-
-
 def _row_chunk(n_cols: int) -> int:
     """Rows per chunk so that one float64 chunk array is about 1 MiB.
 
@@ -192,7 +180,7 @@ def _run_skorokhod_1d_props(config: ExperimentConfig):
 
     def chunk_stats(start, stop):
         # v, g, h and the diagnostics' scratch, all in this thread's buffer
-        v, g, h, scratch = _thread_rows(buffers, (4, stop - start, len(grid)))
+        v, g, h, scratch = pool.thread_rows(buffers, (4, stop - start, len(grid)))
         brownian_paths(rng, stop - start, grid, first_stream=start, out=v[..., None])
         skorokhod_map_1d_batch(v, out=(g, h))
         diag = skorokhod_1d_diagnostics_batch(g, h, v, scratch=scratch)
@@ -227,7 +215,7 @@ def _rbm_terminals(config: ExperimentConfig, block: int) -> np.ndarray:
         # chunk-sized temporary that glibc would trim from the worker's heap
         # and fault back in for the next chunk; v(0) = 0 is left out, as the
         # terminal map allows
-        v = pool.accumulate_rows(np.add, dB, _thread_rows(buffers, dB.shape))
+        v = pool.accumulate_rows(np.add, dB, pool.thread_rows(buffers, dB.shape))
         return skorokhod_terminal_1d_batch(v)
 
     parts = map_chunks(chunk_terminals, config.n_paths, chunk=_row_chunk(len(grid)))
@@ -337,7 +325,7 @@ def _local_time_pass(
     buffers = threading.local()
 
     def chunk_pair(start, stop):
-        rows = _thread_rows(buffers, (stop - start, len(grid), 1))
+        rows = pool.thread_rows(buffers, (stop - start, len(grid), 1))
         x = brownian_paths(rng, stop - start, grid, first_stream=start, out=rows)[..., 0]
         occ = local_time_occupation_batch(x, grid, level, eps_list)
         return occ, local_time_tanaka_batch(x, level)

@@ -25,8 +25,8 @@ from scipy.special import ndtr
 
 from .errors import ContractError, EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .pool import fill_then_finish
-from .randomness import RngSeed, inverse_cdf, keyed_uniforms, path_values
+from .pool import thread_rows
+from .randomness import RngSeed, normal_blocks, path_values
 
 
 @dataclass(frozen=True)
@@ -230,10 +230,6 @@ def local_time_tanaka_batch(values: np.ndarray, a: float) -> np.ndarray:
     return np.maximum(values[..., -1] - a, 0.0) - np.maximum(values[..., 0] - a, 0.0) - crossing
 
 
-# Paths per block of ito_isometry_samples: bounds the increments held at once.
-_ISOMETRY_BLOCK = 64
-
-
 def ito_isometry_samples(
     f: Integrand,
     T: float,
@@ -248,40 +244,26 @@ def ito_isometry_samples(
     the increments of brownian_increments on that stream bit for bit, so a
     path's samples do not depend on which other paths share the call: a
     run split into stream ranges and concatenated in order gives the same
-    arrays. Paths run in blocks of _ISOMETRY_BLOCK on pool.fill_then_finish:
-    this thread fills each block's Philox uniforms in path order
-    (keyed_uniforms, which holds the GIL), and the blocks are finished on
-    pool threads in any order. A finish takes the inverse CDF and the scale
-    in the block's buffer, the running sums in one n-d cumsum into a path
-    array kept per thread, the integrand on the block's grid values in one
-    call, and both sums for the whole block at once as pairwise numpy row
-    sums over products written back into the block's buffer; those sums
-    call no BLAS and give every row the same bits whatever the block's
-    shape. A non-finite integrand value raises EvaluationFault with its
-    grid step and the path's index i, the first such path of the call
-    whatever the worker count.
+    arrays. The increments come in blocks of paths from
+    randomness.normal_blocks, finished on pool threads in any order: the
+    running sums in one n-d cumsum into a path array kept per thread, the
+    integrand on the block's grid values in one call, and both sums for the
+    whole block at once as pairwise numpy row sums over products written
+    back into the block; those sums call no BLAS and give every row the
+    same bits whatever the block's shape. A non-finite integrand value
+    raises EvaluationFault with its grid step and the path's index i, the
+    first such path of the call whatever the worker count.
     """
     if n_paths < 1:
         raise ValueError("need at least 1 path")
     grid = TimeGrid.uniform(T, n_steps)
-    scale = np.sqrt(grid.deltas)
     lhs_samples = np.empty(n_paths)
     rhs_samples = np.empty(n_paths)
-    rows = min(_ISOMETRY_BLOCK, n_paths)
     paths = threading.local()
 
-    def fill(block, buf):
-        a = block * _ISOMETRY_BLOCK
-        u = buf[: n_paths - a]  # the last block may be short
-        return keyed_uniforms(rng, len(u), 0, n_steps, first_stream + a, out=u)
-
-    def finish(block, u):
-        a, m = block * _ISOMETRY_BLOCK, len(u)
-        dB = inverse_cdf(u)
-        dB *= scale
-        if not hasattr(paths, "x"):
-            paths.x = np.empty((rows, n_steps + 1))
-        x = paths.x[:m]
+    def finish(a, dB):
+        m = len(dB)
+        x = thread_rows(paths, (m, n_steps + 1))
         x[:, 0] = 0.0
         np.cumsum(dB, axis=1, out=x[:, 1:])
         left = integrand_grid_values(f, grid.times, x, path_index=a)[:, :-1]
@@ -290,6 +272,6 @@ def ito_isometry_samples(
         dB *= grid.deltas
         rhs_samples[a : a + m] = dB.sum(axis=1)
 
-    fill_then_finish(fill, finish, -(-n_paths // _ISOMETRY_BLOCK), (rows, n_steps))
+    normal_blocks(rng, n_paths, 0, np.sqrt(grid.deltas), finish, first_stream)
     lhs_samples **= 2
     return lhs_samples, rhs_samples

@@ -1,12 +1,14 @@
-"""The worker pool shared by the experiments and the projected-Euler draws.
+"""The worker pool shared by the experiments and the pipelined normal draw.
 
 SKOROKHOD_KIT_THREADS caps the worker threads (default: at most 2), the
 calling thread counting as one. map_chunks cuts work into fixed ranges whose
 results come back in range order. fill_then_finish runs a two-stage job
 block by block: the caller fills the blocks in order (the stage that holds
 the GIL), and helper threads finish them (the stage that does not), the
-caller too when no buffer is free. No result depends on the worker count,
-nor does the error raised when blocks fail.
+caller too when no buffer is free; randomness.normal_blocks, the one
+pipelined Brownian draw, is built on it. No result depends on the worker
+count, nor does the error raised when blocks fail. thread_rows keeps one
+scratch array per pool thread.
 
 Workers overlap only in code that releases the GIL. numpy's
 ``ufunc.accumulate`` (``cumsum``, ``np.minimum.accumulate``) releases it only
@@ -135,6 +137,19 @@ def fill_then_finish(fill, finish, n_blocks: int, shape) -> None:
             thread.join()
     if fault[1] is not None:
         raise fault[1]
+
+
+def thread_rows(buffers: threading.local, shape) -> np.ndarray:
+    """A float64 array of this shape kept in ``buffers``, one per thread.
+
+    The chunks or blocks a pool thread runs reuse it: freeing chunk-sized
+    arrays lets glibc trim a worker's heap and fault the pages back in for
+    the next chunk.
+    """
+    size = int(np.prod(shape))
+    if getattr(buffers, "rows", np.empty(0)).size < size:
+        buffers.rows = np.empty(size)
+    return buffers.rows[:size].reshape(shape)
 
 
 def accumulate_rows(ufunc, src: np.ndarray, out: np.ndarray) -> np.ndarray:

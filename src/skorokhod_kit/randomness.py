@@ -7,10 +7,12 @@ worker layout. A path of n steps in R^d is always its start plus the running
 sums of the first n * d normals of its stream, step-major, scaled by
 sqrt(dt). Normals are the inverse CDF of 53-bit uniforms, one per normal, so
 a shorter grid draws a prefix of the same path, and any block of a stream's
-columns can be drawn alone by setting the Philox counter (normal_tile).
-Only the key and the counter change from one stream to the next, so each
-thread keeps one Philox bit generator and re-keys it per row from a key
-column built once per call (keyed_uniforms).
+columns can be drawn alone by setting the Philox counter. Only the key and
+the counter change from one stream to the next, so each thread keeps one
+Philox bit generator and re-keys it per row from a key column built once
+per call (keyed_uniforms). normal_blocks is the one pipelined draw: one
+thread keys the rows, which holds the GIL, while pool threads turn them
+into normals without it and hand each block to the caller's finish.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from scipy.special import ndtri
 
 from .errors import GenerationError
 from .paths import SampledPath, TimeGrid
-from .pool import accumulate_rows
+from .pool import accumulate_rows, fill_then_finish
 
 _HALF_ULP = 2.0**-54  # half the spacing of the 53-bit uniform grid
+# Rows per block of normal_blocks: one block's scratch fits in L2.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -72,21 +76,24 @@ def keyed_uniforms(
     first_stream: int = 0,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The uniforms behind normal_tile's tile: its first stage, in ``out`` if given.
+    """Uniforms (n_rows, n_cols), in ``out`` if given: the first stage of a normal draw.
 
     Row i holds ``Generator.random`` words col_start .. col_start + n_cols of
     stream rng.stream + first_stream + i. Philox is counter-based: its
     counter steps once per block of four 64-bit words, one word per
     uniform, so setting the counter to col_start // 4 with an empty output
     buffer starts the stream at column col_start; col_start must be a
-    multiple of 4. The (seed, stream) key column is built once per call.
-    Each thread keeps one Philox bit generator, re-keyed per row in Python
-    under the GIL by writing back its state dict, whose counter and empty
-    buffer are set at the start of every call; ``Generator.random`` fills
-    the row without the GIL.
+    non-negative multiple of 4, and ``out`` shaped (n_rows, n_cols). The
+    (seed, stream) key column is built once per call. Each thread keeps one
+    Philox bit generator, re-keyed per row in Python under the GIL by
+    writing back its state dict, whose counter and empty buffer are set at
+    the start of every call; ``Generator.random`` fills the row without the
+    GIL.
     """
-    if col_start % 4:
-        raise ValueError(f"col_start must be a multiple of 4, got {col_start}")
+    if col_start < 0 or col_start % 4:
+        raise ValueError(f"col_start must be a non-negative multiple of 4, got {col_start}")
+    if out is not None and out.shape != (n_rows, n_cols):
+        raise ValueError(f"keyed_uniforms needs out shaped {(n_rows, n_cols)}, got {out.shape}")
     keys = np.empty((n_rows, 2), dtype=np.uint64)
     keys[:, 0] = rng.seed % (1 << 64)
     keys[:, 1] = np.arange(n_rows, dtype=np.uint64)
@@ -104,7 +111,7 @@ def keyed_uniforms(
 
 
 def inverse_cdf(u: np.ndarray) -> np.ndarray:
-    """normal_tile's second stage: the normals of keyed_uniforms' u, in place.
+    """The normals of keyed_uniforms' u, in place: the second stage of a normal draw.
 
     k * 2**-53 from Generator.random, plus 2**-54, rounds exactly as the
     cell midpoint (k + 0.5) / 2**53: both round (2k + 1) * 2**-54, never 0
@@ -114,34 +121,45 @@ def inverse_cdf(u: np.ndarray) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def normal_tile(
-    rng: RngSeed,
-    n_rows: int,
-    col_start: int,
-    n_cols: int,
-    first_stream: int = 0,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Columns col_start .. col_start + n_cols of normal_matrix's rows, in ``out`` if given.
-
-    Two stages: keyed_uniforms fills each row from its Philox stream,
-    counter set to column col_start (a multiple of 4), and inverse_cdf
-    turns the uniforms into normals in place. The tile equals that slice of
-    ``normal_matrix(rng, n_rows, col_start + n_cols, first_stream)`` bit
-    for bit, and the stages may run on different threads.
-    """
-    return inverse_cdf(keyed_uniforms(rng, n_rows, col_start, n_cols, first_stream, out))
-
-
 def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0) -> np.ndarray:
     """Row i holds the first n_cols normals of stream rng.stream + first_stream + i.
 
     Row i equals ``ndtri(g.random(n_cols) + 2**-54)`` bit for bit, with g
     ``RngSeed(rng.seed, rng.stream + first_stream + i).generator()``, so two
-    stream blocks of one seed never share rows. It is the tile of
-    normal_tile at column 0.
+    stream blocks of one seed never share rows.
     """
-    return normal_tile(rng, n_rows, 0, n_cols, first_stream)
+    return inverse_cdf(keyed_uniforms(rng, n_rows, 0, n_cols, first_stream))
+
+
+def normal_blocks(
+    rng: RngSeed, n_rows: int, col_start: int, scale: np.ndarray, finish, first_stream: int = 0
+) -> None:
+    """Rows 0 .. n_rows - 1 of normals from column col_start, times scale, block by block.
+
+    finish(first_row, block) gets rows first_row .. first_row + len(block) - 1
+    of ``normal_matrix(rng, n_rows, col_start + len(scale),
+    first_stream)[:, col_start:] * scale``, bit for bit; col_start is a
+    multiple of 4. Blocks of _BLOCK_ROWS rows run on pool.fill_then_finish:
+    this thread fills each block's uniforms in row order (keyed_uniforms),
+    and pool threads, this one too when no buffer is free, turn them into
+    normals (inverse_cdf), scale them in place and call finish, in any
+    order. The block is scratch that finish may overwrite and must not
+    keep; the error raised is that of the lowest failing block.
+    """
+    n_cols = len(scale)
+
+    def fill(i, buf):
+        a = i * _BLOCK_ROWS
+        u = buf[: n_rows - a]  # the last block may be short
+        return keyed_uniforms(rng, len(u), col_start, n_cols, first_stream + a, out=u)
+
+    def finish_block(i, u):
+        rows = inverse_cdf(u)
+        rows *= scale
+        finish(i * _BLOCK_ROWS, rows)
+
+    n_blocks = -(-n_rows // _BLOCK_ROWS)
+    fill_then_finish(fill, finish_block, n_blocks, (min(_BLOCK_ROWS, n_rows), n_cols))
 
 
 def path_values(x0, increments: np.ndarray, out=None) -> np.ndarray:

@@ -7,13 +7,10 @@ at the boundary, along inward normals) can be tested instead of assumed.
 Coefficients come in one form: evaluators of a whole batch of states at
 once, read at left endpoints only. One stepper advances a batch of paths
 through time-major increments (steps, paths, r), drawn as counter-addressed
-Philox tiles in two stages (randomness.keyed_uniforms, then
-randomness.inverse_cdf): one thread keys and fills the uniforms, whose
-per-row re-keying of that thread's one Philox holds the GIL, while pool
-workers finish the filled blocks without it (pool.fill_then_finish).
-Stepping stays on one thread. Many-path runs share one tile loop: each tile
-of a few hundred steps, holding no more increments than 512 whole paths,
-is drawn, then every level of the run steps all paths through it.
+Philox tiles on the pool (randomness.normal_blocks). Stepping stays on one
+thread. Many-path runs share one tile loop: each tile of a few hundred
+steps, holding no more increments than 512 whole paths, is drawn, then
+every level of the run steps all paths through it.
 euler_reflected draws all its steps as one tile and returns the paths whole,
 as the batched SkorokhodNdSolution carrier: X, phi and the driver.
 """
@@ -28,8 +25,7 @@ import numpy as np
 from .domains import ConvexDomain
 from .errors import EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .pool import fill_then_finish
-from .randomness import RngSeed, inverse_cdf, keyed_uniforms, path_values
+from .randomness import RngSeed, normal_blocks, path_values
 from .reflectnd import SkorokhodNdSolution, _pushing_record, solve_skorokhod_continuous
 
 
@@ -82,8 +78,6 @@ class SdeCoefficients:
 # The increments a tile of the tile loop (_euler_tiles) may hold: as many as
 # this many whole paths.
 _PATH_BLOCK = 512
-# Paths per block of a tile's draw: one block's scratch fits in L2.
-_DRAW_ROWS = 64
 
 
 def _shape_error(name: str, out: np.ndarray, X: np.ndarray, shape) -> ValueError:
@@ -502,28 +496,16 @@ def _draw_tile(rng: RngSeed, scale: np.ndarray, k0: int, tile: np.ndarray) -> No
 
     Path i's steps equal ``brownian_increments(rng, m, grid, r)[i, k0:k0 + w]``
     bit for bit, ``scale`` being sqrt(grid.deltas). The paths are drawn in
-    blocks of _DRAW_ROWS by pool.fill_then_finish: this thread fills each
-    block's Philox uniforms in path order (keyed_uniforms: the block's key
-    column built at once, then this thread's one bit generator re-keyed per
-    row, which holds the GIL), and pool workers finish the filled blocks
-    without it, as does this thread when no buffer is free: the inverse
-    CDF, the scale, and the transposed write into the tile.
+    blocks on the pool (randomness.normal_blocks), each block written
+    transposed into the tile.
     """
     w, m, r = tile.shape
     step_scale = np.repeat(scale[k0 : k0 + w], r) if r > 1 else scale[k0 : k0 + w]
 
-    def fill(block, buf):
-        a = block * _DRAW_ROWS
-        u = buf[: m - a]  # the last block may be short
-        return keyed_uniforms(rng, len(u), k0 * r, w * r, first_stream=a, out=u)
-
-    def finish(block, u):
-        a = block * _DRAW_ROWS
-        rows = inverse_cdf(u)
-        rows *= step_scale
+    def finish(a, rows):
         tile[:, a : a + len(rows)] = rows.reshape(len(rows), w, r).transpose(1, 0, 2)
 
-    fill_then_finish(fill, finish, -(-m // _DRAW_ROWS), (min(_DRAW_ROWS, m), w * r))
+    normal_blocks(rng, m, k0 * r, step_scale, finish)
 
 
 def _euler_tiles(coeffs, domain, x0, rng, scale, levels, n_paths) -> list[np.ndarray]:

@@ -11,9 +11,10 @@ from skorokhod_kit import GenerationError, RngSeed, TimeGrid, brownian_sample
 from skorokhod_kit.randomness import (
     brownian_increments,
     brownian_paths,
+    inverse_cdf,
     keyed_uniforms,
+    normal_blocks,
     normal_matrix,
-    normal_tile,
     path_values,
 )
 
@@ -124,16 +125,48 @@ def test_normal_matrix_rows_match_per_stream_draws(seed, first_stream, n_cols):
         assert np.array_equal(z[i], generator_normals(gen, n_cols))
 
 
+def drawn_blocks(rng, n_rows, col_start, scale, first_stream=0):
+    """normal_blocks' rows gathered in one array, and (first_row, rows) of each finish."""
+    rows = np.full((n_rows, len(scale)), np.nan)
+    finished, lock = [], threading.Lock()
+
+    def finish(first_row, block):
+        with lock:
+            finished.append((first_row, len(block)))
+        rows[first_row : first_row + len(block)] = block
+
+    normal_blocks(rng, n_rows, col_start, scale, finish, first_stream)
+    return rows, sorted(finished)
+
+
 @pytest.mark.parametrize("col_start, n_cols", [(0, 16), (4, 100), (1024, 512), (2048, 3)])
 def test_normal_tile_is_a_slice_of_normal_matrix(col_start, n_cols):
     # (2048, 3) is the odd-width end tile of a 2051-column matrix
     rng = RngSeed(31, 2**32 + 7)
     whole = normal_matrix(rng, 5, 2051, first_stream=9)
-    tile = normal_tile(rng, 5, col_start, n_cols, first_stream=9)
+    tile, _ = drawn_blocks(rng, 5, col_start, np.ones(n_cols), first_stream=9)
     assert np.array_equal(tile, whole[:, col_start : col_start + n_cols])
     out = np.empty((5, n_cols))
-    assert normal_tile(rng, 5, col_start, n_cols, first_stream=9, out=out) is out
+    assert keyed_uniforms(rng, 5, col_start, n_cols, first_stream=9, out=out) is out
+    assert inverse_cdf(out) is out
     assert np.array_equal(out, tile)
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+@pytest.mark.parametrize("n_rows", [5, 64, 130])
+def test_normal_blocks_finish_every_row_once_with_its_scaled_slice(
+    workers, n_rows, monkeypatch, bounded
+):
+    # 130 rows are blocks of 64, 64 and 2; 5 rows one short block
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    rng = RngSeed(4, 2**32)
+    scale = np.linspace(0.05, 3.0, 12)
+    before = set(threading.enumerate())
+    rows, finished = bounded(lambda: drawn_blocks(rng, n_rows, 8, scale, first_stream=3))
+    assert finished == [(a, min(64, n_rows - a)) for a in range(0, n_rows, 64)]
+    expected = normal_matrix(rng, n_rows, 20, first_stream=3)[:, 8:] * scale
+    assert rows.tobytes() == expected.tobytes()
+    assert set(threading.enumerate()) <= before
 
 
 def _keyed_uniforms_oracle(rng, n_rows, col_start, n_cols, first_stream):
@@ -187,7 +220,23 @@ def test_reused_thread_generator_leaks_no_state():
 @pytest.mark.parametrize("col_start", [1, 2, 3, 1026])
 def test_normal_tile_starts_on_a_philox_block(col_start):
     with pytest.raises(ValueError, match="multiple of 4"):
-        normal_tile(RngSeed(1), 2, col_start, 8)
+        drawn_blocks(RngSeed(1), 2, col_start, np.ones(8))
+
+
+@pytest.mark.parametrize(
+    "n_rows, col_start, n_cols, out, message",
+    [
+        (3, 0, 4, np.full((5, 4), -1.0), r"out shaped \(3, 4\), got \(5, 4\)"),
+        (2, 0, 8, np.empty((2, 3)), r"out shaped \(2, 8\), got \(2, 3\)"),
+        (2, -4, 8, None, "col_start must be a non-negative multiple of 4, got -4"),
+    ],
+    ids=["out-has-more-rows", "out-has-fewer-cols", "negative-col-start"],
+)
+def test_keyed_uniforms_rejects_a_misshapen_out_and_a_negative_col_start(
+    n_rows, col_start, n_cols, out, message
+):
+    with pytest.raises(ValueError, match=message):
+        keyed_uniforms(RngSeed(1), n_rows, col_start, n_cols, out=out)
 
 
 @pytest.mark.parametrize("prior", [0, 1, 2])
@@ -201,7 +250,7 @@ def test_standard_normals_equal_the_integer_midpoint_route(prior, stream):
         ref.random(4 * prior)
         k = ref.integers(0, 2**53, size=n, dtype=np.uint64)
         expected = ndtri((k.astype(np.float64) + 0.5) / 2.0**53)
-        assert normal_tile(rng, 1, 4 * prior, n)[0].tobytes() == expected.tobytes()
+        assert drawn_blocks(rng, 1, 4 * prior, np.ones(n))[0][0].tobytes() == expected.tobytes()
 
 
 @given(st.integers(min_value=0, max_value=2**53 - 1))
@@ -211,7 +260,7 @@ def test_standard_normals_equal_the_integer_midpoint_route(prior, stream):
 @example(2**52)
 @example(2**53 - 1)
 def test_uniform_fill_plus_half_ulp_is_the_midpoint_map(k):
-    # normal_tile adds 2**-54 to Generator.random's k * 2**-53, which
+    # inverse_cdf adds 2**-54 to Generator.random's k * 2**-53, which
     # rounds as the midpoint (k + 0.5) / 2**53: both round (2k + 1) * 2**-54
     assert float(k) * 2.0**-53 + 2.0**-54 == (float(k) + 0.5) / 2.0**53
     u = np.array([k], dtype=np.uint64).astype(np.float64)
