@@ -2,9 +2,10 @@
 
 Every experiment is a pure function of its ExperimentConfig: path i of
 component c always draws from stream c * 2^32 + i of the configured seed,
-and chunked fan-out combines per-chunk results in chunk order, so reruns
-are byte-identical no matter how many workers run (the pool module's
-SKOROKHOD_KIT_THREADS caps the worker count).
+and pooled kernels write each path's results to its own entry, or combine
+per-chunk results in chunk order, so reruns are byte-identical no matter
+how many workers run (the pool module's SKOROKHOD_KIT_THREADS caps the
+worker count).
 
 A runner simulates and returns its summary and the statistics its checks
 read. Every check is declared once, in ``GATES``: its conditions, bounds,
@@ -40,9 +41,10 @@ from .pathio import RunArtifacts, write_run_artifacts
 from .pool import worker_count  # noqa: F401  the benchmark reads the policy from here
 from .randomness import (
     RngSeed,
-    brownian_increments,
+    brownian_path_blocks,
     brownian_paths,
     brownian_sample,
+    normal_blocks,
     normal_matrix,
 )
 from .reflect1d import (
@@ -153,17 +155,19 @@ def _checks(experiment: str, stats: dict, config: ExperimentConfig) -> list[Chec
 def map_chunks(fn, n_items: int, chunk: int = CHUNK) -> list:
     """pool.map_chunks over chunks of CHUNK paths unless told otherwise.
 
-    Defined in this module, not re-exported, because the benchmark's tracer
-    hooks the experiments' fan-out by this function.
+    ito-formula's row chunks are its one caller here; the other pooled
+    kernels are randomness.normal_blocks finishes. Defined in this module,
+    not re-exported, because the benchmark's tracer hooks the experiments'
+    fan-out by this function.
     """
     return pool.map_chunks(fn, n_items, chunk)
 
 
 def _row_chunk(n_cols: int) -> int:
-    """Rows per chunk so that one float64 chunk array is about 1 MiB.
+    """Rows per ito-formula chunk so that one float64 chunk array is about 1 MiB.
 
-    Such a chunk fits in L2. Narrow chunks also give the pool enough of them
-    to balance when paths are long: one row per chunk past 65,536 points.
+    Narrow chunks give the pool enough of them to balance when paths are
+    long: one row per chunk past 65,536 points.
     """
     return max(1, min(CHUNK, (1 << 17) // n_cols))
 
@@ -172,23 +176,32 @@ def _row_chunk(n_cols: int) -> int:
 # skorokhod-1d-props
 
 
-def _run_skorokhod_1d_props(config: ExperimentConfig):
-    n_paths, n_steps = config.n_paths, config.n_steps
-    grid = TimeGrid.uniform(config.horizon, n_steps)
-    rng = RngSeed(config.seed)
+def _skorokhod_1d_columns(config: ExperimentConfig) -> dict:
+    """The map's diagnostics per path on Brownian paths from 0, path i from stream i.
+
+    The decomposition defect is relative to max(1, max |v|) of its path.
+    """
+    grid = TimeGrid.uniform(config.horizon, config.n_steps)
+    keys = ("decomposition_max_abs", "min_h_increment", "h_start", "complementarity_mass",
+            "min_g")
+    col = {key: np.empty(config.n_paths) for key in keys}
     buffers = threading.local()
 
-    def chunk_stats(start, stop):
-        # v, g, h and the diagnostics' scratch, all in this thread's buffer
-        v, g, h, scratch = pool.thread_rows(buffers, (4, stop - start, len(grid)))
-        brownian_paths(rng, stop - start, grid, first_stream=start, out=v[..., None])
+    def finish(a, v):
+        # g, h and the diagnostics' scratch, all in this thread's buffer
+        g, h, scratch = pool.thread_rows(buffers, (3,) + v.shape)
         skorokhod_map_1d_batch(v, out=(g, h))
         diag = skorokhod_1d_diagnostics_batch(g, h, v, scratch=scratch)
         diag["decomposition_max_abs"] /= np.maximum(1.0, np.max(np.abs(v, out=scratch), axis=1))
-        return diag
+        for key in keys:
+            col[key][a : a + len(v)] = diag[key]
 
-    parts = map_chunks(chunk_stats, n_paths, chunk=_row_chunk(len(grid)))
-    col = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    brownian_path_blocks(RngSeed(config.seed), config.n_paths, grid, finish)
+    return col
+
+
+def _run_skorokhod_1d_props(config: ExperimentConfig):
+    col = _skorokhod_1d_columns(config)
     agg = {
         "max_decomposition": float(np.max(col["decomposition_max_abs"])),
         "min_h_increment": float(np.min(col["min_h_increment"])),
@@ -196,7 +209,7 @@ def _run_skorokhod_1d_props(config: ExperimentConfig):
         "total_complementarity_mass": float(np.sum(np.abs(col["complementarity_mass"]))),
         "min_g": float(np.min(col["min_g"])),
     }
-    return {"aggregates": agg, "n_paths": n_paths, "n_steps": n_steps}, agg, {}
+    return {"aggregates": agg, "n_paths": config.n_paths, "n_steps": config.n_steps}, agg, {}
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +218,19 @@ def _run_skorokhod_1d_props(config: ExperimentConfig):
 
 def _rbm_terminals(config: ExperimentConfig, block: int) -> np.ndarray:
     grid = TimeGrid.uniform(config.horizon, config.n_steps)
+    terminals = np.empty(config.n_paths)
     buffers = threading.local()
 
-    def chunk_terminals(start, stop):
-        rng = RngSeed(config.seed, block * STREAM_BLOCK)
-        dB = brownian_increments(rng, stop - start, grid, first_stream=start)[..., 0]
+    def finish(a, dB):
         # the running sums go out of place, one row per call, so they release
-        # the GIL; their target is this thread's buffer, not a second
-        # chunk-sized temporary that glibc would trim from the worker's heap
-        # and fault back in for the next chunk; v(0) = 0 is left out, as the
+        # the GIL, into this thread's buffer; v(0) = 0 is left out, as the
         # terminal map allows
         v = pool.accumulate_rows(np.add, dB, pool.thread_rows(buffers, dB.shape))
-        return skorokhod_terminal_1d_batch(v)
+        terminals[a : a + len(dB)] = skorokhod_terminal_1d_batch(v)
 
-    parts = map_chunks(chunk_terminals, config.n_paths, chunk=_row_chunk(len(grid)))
-    return np.concatenate(parts)
+    rng = RngSeed(config.seed, block * STREAM_BLOCK)
+    normal_blocks(rng, config.n_paths, 0, np.sqrt(grid.deltas), finish)
+    return terminals
 
 
 def _run_rbm_density(config: ExperimentConfig):
@@ -321,18 +332,15 @@ def _local_time_pass(
     seed: int, first_stream: int, n_paths: int, grid: TimeGrid, level: float, eps_list
 ):
     """Occupation estimates per eps, and Tanaka estimates, of paths from 0."""
-    rng = RngSeed(seed, first_stream)
-    buffers = threading.local()
+    occ = np.empty((len(eps_list), n_paths))
+    tan = np.empty(n_paths)
 
-    def chunk_pair(start, stop):
-        rows = pool.thread_rows(buffers, (stop - start, len(grid), 1))
-        x = brownian_paths(rng, stop - start, grid, first_stream=start, out=rows)[..., 0]
-        occ = local_time_occupation_batch(x, grid, level, eps_list)
-        return occ, local_time_tanaka_batch(x, level)
+    def finish(a, x):
+        occ[:, a : a + len(x)] = local_time_occupation_batch(x, grid, level, eps_list)
+        tan[a : a + len(x)] = local_time_tanaka_batch(x, level)
 
-    parts = map_chunks(chunk_pair, n_paths, chunk=_row_chunk(len(grid)))
-    occ = np.concatenate([p[0] for p in parts], axis=1)
-    return list(occ), np.concatenate([p[1] for p in parts])
+    brownian_path_blocks(RngSeed(seed, first_stream), n_paths, grid, finish)
+    return list(occ), tan
 
 
 def _run_local_time(config: ExperimentConfig):

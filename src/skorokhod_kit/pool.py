@@ -1,19 +1,20 @@
 """The worker pool shared by the experiments and the pipelined normal draw.
 
 SKOROKHOD_KIT_THREADS caps the worker threads (default: at most 2), the
-calling thread counting as one. map_chunks cuts work into fixed ranges whose
-results come back in range order. fill_then_finish runs a two-stage job
+calling thread counting as one. fill_then_finish runs a two-stage job
 block by block: the caller fills the blocks in order (the stage that holds
 the GIL), and helper threads finish them (the stage that does not), the
 caller too when no buffer is free; randomness.normal_blocks, the one
-pipelined Brownian draw, is built on it. No result depends on the worker
-count, nor does the error raised when blocks fail. thread_rows keeps one
-scratch array per pool thread.
+pipelined Brownian draw, is built on it. map_chunks runs fn over fixed
+ranges on the same layout, with nothing to fill, and returns the results in
+range order. No result depends on the worker count, nor does the error
+raised when blocks or ranges fail. thread_rows keeps one scratch array per
+pool thread.
 
 Workers overlap only in code that releases the GIL. numpy's
 ``ufunc.accumulate`` (``cumsum``, ``np.minimum.accumulate``) releases it only
 for a 1-d call or a call over more than 500 lines, and never when ``out``
-overlaps the input. A chunk of about 1 MiB holds at most a few dozen long
+overlaps the input. A block of about 1 MiB holds at most a few dozen long
 rows, so its running sums and running minima go through accumulate_rows:
 one 1-d, out-of-place call per row.
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,13 +50,21 @@ def worker_count() -> int:
 
 
 def map_chunks(fn, n_items: int, chunk: int) -> list:
-    """fn(start, stop) over fixed-size ranges; results in range order."""
-    ranges = [(s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]
-    workers = worker_count()
-    if workers == 1 or len(ranges) == 1:
-        return [fn(s, e) for s, e in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda se: fn(*se), ranges))
+    """fn(start, stop) over the ranges of ``chunk`` items; results in range order.
+
+    The ranges run as fill_then_finish's blocks with an empty fill: on this
+    thread and worker_count() - 1 helpers, each range once, in any order.
+    The error raised is that of the lowest failing range, after every helper
+    has joined.
+    """
+    starts = range(0, n_items, chunk)
+    results = [None] * len(starts)
+
+    def run(i, _):
+        results[i] = fn(starts[i], min(starts[i] + chunk, n_items))
+
+    fill_then_finish(lambda i, buf: None, run, len(starts), (0,))
+    return results
 
 
 def fill_then_finish(fill, finish, n_blocks: int, shape) -> None:

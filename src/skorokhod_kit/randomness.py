@@ -12,7 +12,9 @@ the counter change from one stream to the next, so each thread keeps one
 Philox bit generator and re-keys it per row from a key column built once
 per call (keyed_uniforms). normal_blocks is the one pipelined draw: one
 thread keys the rows, which holds the GIL, while pool threads turn them
-into normals without it and hand each block to the caller's finish.
+into normals without it and hand each block, of at most 1 MiB, to the
+caller's finish; brownian_path_blocks hands on the blocks' 1-d paths
+instead.
 """
 
 from __future__ import annotations
@@ -25,11 +27,15 @@ from scipy.special import ndtri
 
 from .errors import GenerationError
 from .paths import SampledPath, TimeGrid
-from .pool import accumulate_rows, fill_then_finish
+from .pool import accumulate_rows, fill_then_finish, thread_rows
 
 _HALF_ULP = 2.0**-54  # half the spacing of the 53-bit uniform grid
-# Rows per block of normal_blocks: one block's scratch fits in L2.
+# normal_blocks' blocks hold at most _BLOCK_ROWS rows and, unless one row is
+# longer, _BLOCK_VALUES values (1 MiB of float64): the fill_then_finish
+# buffers stay a few MiB however long the rows, and wide rows still make
+# enough blocks for the pool to share.
 _BLOCK_ROWS = 64
+_BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,11 @@ def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0)
     return inverse_cdf(keyed_uniforms(rng, n_rows, 0, n_cols, first_stream))
 
 
+def _block_rows(n_cols: int) -> int:
+    """Rows per normal_blocks block of n_cols columns: 1 to _BLOCK_ROWS, within _BLOCK_VALUES."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // max(n_cols, 1)))
+
+
 def normal_blocks(
     rng: RngSeed, n_rows: int, col_start: int, scale: np.ndarray, finish, first_stream: int = 0
 ) -> None:
@@ -139,27 +150,28 @@ def normal_blocks(
     finish(first_row, block) gets rows first_row .. first_row + len(block) - 1
     of ``normal_matrix(rng, n_rows, col_start + len(scale),
     first_stream)[:, col_start:] * scale``, bit for bit; col_start is a
-    multiple of 4. Blocks of _BLOCK_ROWS rows run on pool.fill_then_finish:
-    this thread fills each block's uniforms in row order (keyed_uniforms),
-    and pool threads, this one too when no buffer is free, turn them into
-    normals (inverse_cdf), scale them in place and call finish, in any
-    order. The block is scratch that finish may overwrite and must not
-    keep; the error raised is that of the lowest failing block.
+    multiple of 4. Blocks of _block_rows(len(scale)) rows (the last may be
+    short) run on pool.fill_then_finish: this thread fills each block's
+    uniforms in row order (keyed_uniforms), and pool threads, this one too
+    when no buffer is free, turn them into normals (inverse_cdf), scale them
+    in place and call finish, in any order. The block is scratch that
+    finish may overwrite and must not keep; the error raised is that of the
+    lowest failing block.
     """
     n_cols = len(scale)
+    rows = _block_rows(n_cols)
 
     def fill(i, buf):
-        a = i * _BLOCK_ROWS
+        a = i * rows
         u = buf[: n_rows - a]  # the last block may be short
         return keyed_uniforms(rng, len(u), col_start, n_cols, first_stream + a, out=u)
 
     def finish_block(i, u):
-        rows = inverse_cdf(u)
-        rows *= scale
-        finish(i * _BLOCK_ROWS, rows)
+        block = inverse_cdf(u)
+        block *= scale
+        finish(i * rows, block)
 
-    n_blocks = -(-n_rows // _BLOCK_ROWS)
-    fill_then_finish(fill, finish_block, n_blocks, (min(_BLOCK_ROWS, n_rows), n_cols))
+    fill_then_finish(fill, finish_block, -(-n_rows // rows), (min(rows, n_rows), n_cols))
 
 
 def path_values(x0, increments: np.ndarray, out=None) -> np.ndarray:
@@ -195,6 +207,12 @@ def brownian_increments(
     return rows.reshape(n_paths, n_steps, d)
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise GenerationError("brownian_paths produced a non-finite value")
+    return values
+
+
 def brownian_paths(
     rng: RngSeed, n_paths: int, grid: TimeGrid, d: int = 1, x0=0.0, first_stream: int = 0, out=None
 ) -> np.ndarray:
@@ -207,10 +225,27 @@ def brownian_paths(
     if d < 1 or x0.size not in (1, d):
         raise ValueError(f"x0 needs 1 or d = {d} coordinates (d >= 1), got {x0.size}")
     dB = brownian_increments(rng, n_paths, grid, d, first_stream)
-    values = path_values(x0, dB, out=out)
-    if not np.all(np.isfinite(values)):
-        raise GenerationError("brownian_paths produced a non-finite value")
-    return values
+    return _finite(path_values(x0, dB, out=out))
+
+
+def brownian_path_blocks(rng: RngSeed, n_paths: int, grid: TimeGrid, finish) -> None:
+    """brownian_paths(rng, n_paths, grid)[..., 0], block by block.
+
+    finish(first_row, values) gets that array's rows first_row ..
+    first_row + len(values) - 1, bit for bit, shaped (rows, len(grid)): the
+    running sums (path_values) of one normal_blocks block, written into a
+    scratch array kept per pool thread, which finish may overwrite and must
+    not keep. A block with a non-finite value raises GenerationError, as
+    brownian_paths does, the lowest such block whatever the worker count.
+    """
+    buffers = threading.local()
+
+    def finish_block(a, dB):
+        values = thread_rows(buffers, (len(dB), len(grid)))
+        path_values(0.0, dB[..., None], out=values[..., None])
+        finish(a, _finite(values))
+
+    normal_blocks(rng, n_paths, 0, np.sqrt(grid.deltas), finish_block)
 
 
 def brownian_sample(grid: TimeGrid, d: int, x0, rng: RngSeed) -> SampledPath:

@@ -19,7 +19,7 @@ from skorokhod_kit import (
     skorokhod_map_1d_batch,
     solve_skorokhod_step,
 )
-from skorokhod_kit import experiments
+from skorokhod_kit import experiments, randomness
 from skorokhod_kit.cli import main
 from skorokhod_kit.config import ExperimentConfig, parse_kv_file
 from skorokhod_kit.experiments import (
@@ -276,6 +276,16 @@ def test_run_all_names_each_digest_that_differs_from_the_expected_file(tmp_path,
     assert run_all.main() == 1
     err = capsys.readouterr().err.splitlines()
     assert [line.split(":")[1].strip() for line in err] == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", ["skorokhod-1d-props", "rbm-density", "local-time"])
+def test_normal_blocks_kernels_keep_their_default_digests(name, tmp_path):
+    # the three 1-d kernels that draw through randomness.normal_blocks, at
+    # their default configs, against the committed digests
+    run_all = _load_script("run_all_experiments")
+    shipped = Path(__file__).resolve().parents[1] / "scripts" / "default_digests.txt"
+    result = run_experiment(default_config(name, out_dir=str(tmp_path)))
+    assert run_all.summary_digest(result.artifacts.summary) == run_all.read_digests(shipped)[name]
 
 
 def test_figure_script_writes_both_csvs(tmp_path, monkeypatch):
@@ -629,8 +639,9 @@ def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
     # filled on the calling thread and finished on the pool's threads in any
     # order (two helpers at 3 workers). ito-formula, 70
     # paths: row chunks of 65 paths on the 2000-step grid and of 16 on the
-    # 8000-step one, each with a short last chunk. skorokhod-1d-props and
-    # rbm-density, 60 paths of 5000 steps: row chunks of 26, 26 and 8, whose
+    # 8000-step one, each with a short last chunk, run by map_chunks on the
+    # calling thread and two helpers. skorokhod-1d-props and rbm-density, 60
+    # paths of 5000 steps: normal_blocks blocks of 26, 26 and 8 rows, whose
     # running sums and minima run one row per call on the pool's threads.
     # rsde-consistency, 150 paths: three 64-path draw blocks per tile (the
     # last one short), filled on the calling thread and finished by two
@@ -681,12 +692,22 @@ def _local_time_oracle(seed, first_stream, n_paths, grid, level, eps_list):
     return occ, tan
 
 
-@pytest.mark.parametrize("workers, rows", [("1", None), ("3", None), ("2", 7)])
-def test_local_time_pass_matches_per_path_oracle(monkeypatch, workers, rows):
+# worker count, and rows per normal_blocks block: None keeps the 1 MiB rule
+# (26 rows on a 5000-step grid, so 60 paths make blocks of 26, 26 and 8); 7
+# makes eight blocks of 7 and a short one of 4
+BLOCK_LAYOUTS = [("1", None), ("2", None), ("3", None), ("2", 7)]
+
+
+def _set_layout(monkeypatch, workers, rows):
     monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
     if rows is not None:
-        monkeypatch.setattr(experiments, "_row_chunk", lambda n_cols: rows)
-    grid = TimeGrid.uniform(1.0, 5000)  # 26 rows per chunk: 60 paths make 3 chunks
+        monkeypatch.setattr(randomness, "_block_rows", lambda n_cols: rows)
+
+
+@pytest.mark.parametrize("workers, rows", BLOCK_LAYOUTS)
+def test_local_time_pass_matches_per_path_oracle(monkeypatch, workers, rows):
+    _set_layout(monkeypatch, workers, rows)
+    grid = TimeGrid.uniform(1.0, 5000)
     occ, tan = _local_time_pass(5, STREAM_BLOCK, 60, grid, 0.1, LT_EPS)
     ref_occ, ref_tan = _local_time_oracle(5, STREAM_BLOCK, 60, grid, 0.1, LT_EPS)
     assert np.array_equal(np.array(occ), ref_occ)
@@ -734,15 +755,44 @@ def test_local_time_means_at_a_negative_level(tmp_path):
     assert verdicts["tanaka_within_3se"]
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
-def test_rbm_terminals_equal_library_map(monkeypatch, workers):
-    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+@pytest.mark.parametrize("workers, rows", BLOCK_LAYOUTS, ids=["1", "2", "3", "2-7"])
+def test_rbm_terminals_equal_library_map(monkeypatch, workers, rows):
+    _set_layout(monkeypatch, workers, rows)
     config = default_config("rbm-density", n_paths=60, n_steps=5000)
     terminals = experiments._rbm_terminals(config, block=0)
     grid = TimeGrid.uniform(config.horizon, config.n_steps)
     paths = [brownian_sample(grid, 1, 0.0, RngSeed(config.seed, i)) for i in range(60)]
     expected = [skorokhod_map_1d_batch(B.values[..., 0])[0][0, -1] for B in paths]
     assert np.array_equal(terminals, expected)
+
+
+def _skorokhod_1d_oracle(seed, n_paths, grid):
+    """Per-path reference for _skorokhod_1d_columns: the running-minimum map, one path at a time."""
+    col = {key: np.empty(n_paths) for key in (
+        "decomposition_max_abs", "min_h_increment", "h_start", "complementarity_mass", "min_g")}
+    for i in range(n_paths):
+        z = normal_matrix(RngSeed(seed, i), 1, len(grid) - 1)[0]
+        v = np.concatenate(([0.0], np.cumsum(z * np.sqrt(grid.deltas))))
+        h = -np.minimum.accumulate(np.minimum(v, 0.0))
+        g = v + h
+        dh = np.diff(h)
+        col["decomposition_max_abs"][i] = np.max(np.abs(g - (v + h))) / max(1.0, np.max(np.abs(v)))
+        col["min_h_increment"][i] = np.min(dh)
+        col["h_start"][i] = h[0]
+        col["complementarity_mass"][i] = np.sum(dh * (g[1:] > 0.0))
+        col["min_g"][i] = np.min(g)
+    return col
+
+
+@pytest.mark.parametrize("workers, rows", BLOCK_LAYOUTS)
+def test_skorokhod_1d_columns_match_per_path_oracle(monkeypatch, workers, rows):
+    _set_layout(monkeypatch, workers, rows)
+    config = default_config("skorokhod-1d-props", n_paths=60, n_steps=5000)
+    col = experiments._skorokhod_1d_columns(config)
+    expected = _skorokhod_1d_oracle(config.seed, 60, TimeGrid.uniform(config.horizon, 5000))
+    assert col.keys() == expected.keys()
+    for key in col:
+        assert np.array_equal(col[key], expected[key]), key
 
 
 def test_local_time_pass_independent_of_blas_threads():

@@ -228,3 +228,72 @@ def test_fill_then_finish_prefers_a_lower_failing_finish_to_a_later_failing_fill
         bounded(lambda: fill_then_finish(failing_fill, failing_finish, 12, (3,)))
     assert out[:6].tolist() == list(range(6))
     assert not any(t.is_alive() for t in helper_threads)
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+@pytest.mark.parametrize("n_items", [0, 1, 7, 103])
+def test_map_chunks_returns_results_in_range_order(workers, n_items, monkeypatch, bounded):
+    # the first ranges sleep longest, so on several workers later ranges end first
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+
+    def fn(start, stop):
+        time.sleep(0.002 * max(0, 4 - start // 7))
+        return (start, stop)
+
+    ranges = bounded(lambda: pool.map_chunks(fn, n_items, 7))
+    assert ranges == [(s, min(s + 7, n_items)) for s in range(0, n_items, 7)]
+
+
+def test_map_chunks_runs_ranges_on_the_calling_thread(monkeypatch, helper_threads, bounded):
+    # the helper holds its first range until the caller has run one
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", "2")
+    caller, on_caller, caller_ran = [], [], threading.Event()
+
+    def fn(start, stop):
+        if threading.get_ident() == caller[0]:
+            on_caller.append(start)
+            caller_ran.set()
+        elif not caller_ran.wait(timeout=20.0):
+            raise TimeoutError("the caller ran no range")
+        return start
+
+    def run():
+        caller.append(threading.get_ident())
+        return pool.map_chunks(fn, 40, 4)
+
+    assert bounded(run) == list(range(0, 40, 4))
+    assert on_caller
+    assert len(helper_threads) == 1
+    assert not any(t.is_alive() for t in helper_threads)
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_map_chunks_raises_the_lowest_failing_range_after_joining_helpers(
+    workers, monkeypatch, helper_threads, bounded
+):
+    # ranges 3 and 8 fail; range 3 waits until range 8 has failed (or a short
+    # while, when one thread runs both), so on several workers the later range
+    # fails first in time
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    later_failed = threading.Event()
+
+    def fn(start, stop):
+        i = start // 5
+        if i == 3:
+            later_failed.wait(timeout=0.2)
+        if i in (3, 8):
+            if i == 8:
+                later_failed.set()
+            raise ArithmeticError(f"range {i}")
+        time.sleep(0.002)
+        return i
+
+    with pytest.raises(ArithmeticError, match="^range 3$"):
+        bounded(lambda: pool.map_chunks(fn, 100, 5))
+    assert len(helper_threads) == int(workers) - 1
+    assert not any(t.is_alive() for t in helper_threads)
+
+
+def test_map_chunks_of_no_items_calls_nothing(helper_threads):
+    assert pool.map_chunks(lambda start, stop: pytest.fail("called"), 0, 5) == []
+    assert helper_threads == []

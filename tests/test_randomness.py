@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from skorokhod_kit import GenerationError, RngSeed, TimeGrid, brownian_sample
+from skorokhod_kit import randomness
 from skorokhod_kit.randomness import (
     brownian_increments,
+    brownian_path_blocks,
     brownian_paths,
     inverse_cdf,
     keyed_uniforms,
@@ -169,6 +171,26 @@ def test_normal_blocks_finish_every_row_once_with_its_scaled_slice(
     assert set(threading.enumerate()) <= before
 
 
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+@pytest.mark.parametrize(
+    "n_rows, n_cols, rows",
+    [(130, 12, 64), (130, 2048, 64), (60, 5000, 26), (3, 100_000, 1)],
+)
+def test_normal_blocks_hold_at_most_64_rows_and_1_mib(
+    workers, n_rows, n_cols, rows, monkeypatch, bounded
+):
+    # blocks of `rows` rows, the last one short: 64, 64 and 2 rows; 26, 26
+    # and 8 rows of 5000 columns; one row each of 100,000 columns
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    rng = RngSeed(6, 11)
+    scale = np.linspace(0.5, 2.0, n_cols)
+    got, finished = bounded(lambda: drawn_blocks(rng, n_rows, 8, scale))
+    assert finished == [(a, min(rows, n_rows - a)) for a in range(0, n_rows, rows)]
+    assert all(m <= 64 and m * n_cols <= 1 << 17 for _, m in finished)
+    expected = normal_matrix(rng, n_rows, 8 + n_cols)[:, 8:] * scale
+    assert got.tobytes() == expected.tobytes()
+
+
 def _keyed_uniforms_oracle(rng, n_rows, col_start, n_cols, first_stream):
     return [
         RngSeed(rng.seed, rng.stream + first_stream + i).generator().random(col_start + n_cols)[
@@ -277,6 +299,37 @@ def test_brownian_paths_match_per_path_samples():
         assert np.array_equal(values[i], B.values[0])
     with pytest.raises(GenerationError):
         brownian_paths(RngSeed(6), 2, grid, 2, [np.inf, 0.0])
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_brownian_path_blocks_are_the_brownian_paths_rows(workers, monkeypatch, bounded):
+    # blocks of 7 rows: 30 paths make four blocks of 7 and a short one of 2
+    monkeypatch.setenv("SKOROKHOD_KIT_THREADS", workers)
+    monkeypatch.setattr(randomness, "_block_rows", lambda n_cols: 7)
+    grid = TimeGrid(np.array([0.0, 0.1, 0.15, 0.6, 1.0, 1.7]))
+    rng = RngSeed(8, 2**32 + 3)
+    got = np.full((30, len(grid)), np.nan)
+    firsts = []
+
+    def finish(a, values):
+        firsts.append((a, len(values)))
+        got[a : a + len(values)] = values
+
+    bounded(lambda: brownian_path_blocks(rng, 30, grid, finish))
+    assert sorted(firsts) == [(0, 7), (7, 7), (14, 7), (21, 7), (28, 2)]
+    assert got.tobytes() == brownian_paths(rng, 30, grid)[..., 0].tobytes()
+
+    # a non-finite value in any block is a GenerationError, finish never sees it
+    def poisoned(x0, increments, out):
+        path_values(x0, increments, out=out)
+        out[-1, -1] = np.inf
+        return out
+
+    monkeypatch.setattr(randomness, "path_values", poisoned)
+    firsts.clear()
+    with pytest.raises(GenerationError, match="non-finite"):
+        bounded(lambda: brownian_path_blocks(rng, 30, grid, finish))
+    assert firsts == []
 
 
 def test_brownian_increments_are_the_sample_increments():
