@@ -197,6 +197,7 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_count("n_paths", self.n_paths)
         _check_count("N", self.n_steps)
+        _flag("emit_paths", self.emit_paths)
         if self.alpha not in KS_CRITICAL:
             raise ValueError(f"config key alpha must be one of {sorted(KS_CRITICAL)}, got {self.alpha}")
 
@@ -210,7 +211,7 @@ class ExperimentConfig:
             value = values[-1] if isinstance(values, list) else values
             if key in cls._KNOWN:
                 attr, conv = cls._KNOWN[key]
-                checked = {int: _whole_number, float: _real_number}.get(conv)
+                checked = {int: _whole_number, float: _real_number, bool: _flag}.get(conv)
                 kwargs[attr] = checked(key, value) if checked else conv(value)
             elif key.startswith("tol_"):
                 tolerances[key[4:]] = _real_number(key, value)
@@ -275,6 +276,13 @@ def _real_number(key: str, value) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"config key {key} must be a number, got {value!r}")
+
+
+def _flag(key: str, value) -> bool:
+    """A switch: one of the booleans a config file spells true/false, yes/no or on/off."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"config key {key} must be true or false, got {value!r}")
 
 
 def _check_count(key: str, value: int) -> int:

@@ -44,7 +44,6 @@ from .randomness import (
     brownian_path_blocks,
     brownian_paths,
     brownian_sample,
-    normal_blocks,
     normal_matrix,
 )
 from .reflect1d import (
@@ -187,7 +186,7 @@ def _skorokhod_1d_columns(config: ExperimentConfig) -> dict:
     col = {key: np.empty(config.n_paths) for key in keys}
     buffers = threading.local()
 
-    def finish(a, v):
+    def finish(a, dB, v):
         # g, h and the diagnostics' scratch, all in this thread's buffer
         g, h, scratch = pool.thread_rows(buffers, (3,) + v.shape)
         skorokhod_map_1d_batch(v, out=(g, h))
@@ -217,19 +216,14 @@ def _run_skorokhod_1d_props(config: ExperimentConfig):
 
 
 def _rbm_terminals(config: ExperimentConfig, block: int) -> np.ndarray:
+    """Terminal values of reflected Brownian motion from 0, path i from stream block * 2^32 + i."""
     grid = TimeGrid.uniform(config.horizon, config.n_steps)
     terminals = np.empty(config.n_paths)
-    buffers = threading.local()
 
-    def finish(a, dB):
-        # the running sums go out of place, one row per call, so they release
-        # the GIL, into this thread's buffer; v(0) = 0 is left out, as the
-        # terminal map allows
-        v = pool.accumulate_rows(np.add, dB, pool.thread_rows(buffers, dB.shape))
-        terminals[a : a + len(dB)] = skorokhod_terminal_1d_batch(v)
+    def finish(a, dB, v):
+        terminals[a : a + len(v)] = skorokhod_terminal_1d_batch(v)
 
-    rng = RngSeed(config.seed, block * STREAM_BLOCK)
-    normal_blocks(rng, config.n_paths, 0, np.sqrt(grid.deltas), finish)
+    brownian_path_blocks(RngSeed(config.seed, block * STREAM_BLOCK), config.n_paths, grid, finish)
     return terminals
 
 
@@ -335,7 +329,7 @@ def _local_time_pass(
     occ = np.empty((len(eps_list), n_paths))
     tan = np.empty(n_paths)
 
-    def finish(a, x):
+    def finish(a, dB, x):
         occ[:, a : a + len(x)] = local_time_occupation_batch(x, grid, level, eps_list)
         tan[a : a + len(x)] = local_time_tanaka_batch(x, level)
 

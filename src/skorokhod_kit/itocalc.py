@@ -16,7 +16,6 @@ the model bracket t of Brownian motion, one row shared by every path.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,8 +24,7 @@ from scipy.special import ndtr
 
 from .errors import ContractError, EvaluationFault
 from .paths import SampledPath, TimeGrid
-from .pool import thread_rows
-from .randomness import RngSeed, normal_blocks, path_values
+from .randomness import RngSeed, brownian_path_blocks, path_values
 
 
 @dataclass(frozen=True)
@@ -240,38 +238,29 @@ def ito_isometry_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path samples of (int_0^T f dB)^2 and of int_0^T f^2 dt.
 
-    Path i draws its increments from stream rng.stream + first_stream + i,
-    the increments of brownian_increments on that stream bit for bit, so a
-    path's samples do not depend on which other paths share the call: a
-    run split into stream ranges and concatenated in order gives the same
-    arrays. The increments come in blocks of paths from
-    randomness.normal_blocks, finished on pool threads in any order: the
-    running sums in one n-d cumsum into a path array kept per thread, the
-    integrand on the block's grid values in one call, and both sums for the
-    whole block at once as pairwise numpy row sums over products written
-    back into the block; those sums call no BLAS and give every row the
-    same bits whatever the block's shape. A non-finite integrand value
-    raises EvaluationFault with its grid step and the path's index i, the
-    first such path of the call whatever the worker count.
+    Path i is brownian_paths' path of stream rng.stream + first_stream + i,
+    so a run split into stream ranges and concatenated in order gives the
+    same arrays. A finish of randomness.brownian_path_blocks evaluates the
+    integrand on a block's paths in one call and takes both sums for the
+    block at once, as pairwise numpy row sums (no BLAS, the same bits
+    whatever the block's shape) over products written into its increments.
+    A non-finite integrand value raises EvaluationFault with its grid step
+    and the path's index i, the first such path whatever the worker count.
     """
     if n_paths < 1:
         raise ValueError("need at least 1 path")
     grid = TimeGrid.uniform(T, n_steps)
     lhs_samples = np.empty(n_paths)
     rhs_samples = np.empty(n_paths)
-    paths = threading.local()
 
-    def finish(a, dB):
+    def finish(a, dB, x):
         m = len(dB)
-        x = thread_rows(paths, (m, n_steps + 1))
-        x[:, 0] = 0.0
-        np.cumsum(dB, axis=1, out=x[:, 1:])
         left = integrand_grid_values(f, grid.times, x, path_index=a)[:, :-1]
         lhs_samples[a : a + m] = np.multiply(left, dB, out=dB).sum(axis=1)
         np.square(left, out=dB)
         dB *= grid.deltas
         rhs_samples[a : a + m] = dB.sum(axis=1)
 
-    normal_blocks(rng, n_paths, 0, np.sqrt(grid.deltas), finish, first_stream)
+    brownian_path_blocks(rng, n_paths, grid, finish, first_stream)
     lhs_samples **= 2
     return lhs_samples, rhs_samples

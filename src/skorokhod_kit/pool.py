@@ -5,18 +5,10 @@ calling thread counting as one. fill_then_finish runs a two-stage job
 block by block: the caller fills the blocks in order (the stage that holds
 the GIL), and helper threads finish them (the stage that does not), the
 caller too when no buffer is free; randomness.normal_blocks, the one
-pipelined Brownian draw, is built on it. map_chunks runs fn over fixed
-ranges on the same layout, with nothing to fill, and returns the results in
-range order. No result depends on the worker count, nor does the error
-raised when blocks or ranges fail. thread_rows keeps one scratch array per
-pool thread.
-
-Workers overlap only in code that releases the GIL. numpy's
-``ufunc.accumulate`` (``cumsum``, ``np.minimum.accumulate``) releases it only
-for a 1-d call or a call over more than 500 lines, and never when ``out``
-overlaps the input. A block of about 1 MiB holds at most a few dozen long
-rows, so its running sums and running minima go through accumulate_rows:
-one 1-d, out-of-place call per row.
+pipelined Brownian draw, is built on it, and map_chunks runs ranges on it
+with nothing to fill. No result depends on the worker count, nor does the
+error raised. thread_rows keeps one scratch array per pool thread, and
+accumulate_rows holds the one rule by which running sums and minima run.
 """
 
 from __future__ import annotations
@@ -32,6 +24,10 @@ from .errors import UsageError
 # Scratch buffers fill_then_finish keeps per worker: one being finished, one
 # filled and waiting.
 _BUFFERS_PER_WORKER = 2
+# accumulate_rows runs rows of more values one 1-d call each: 2,048 is the
+# longest row a 1 MiB block holds 64 of. On draw plus sum at 2 workers, one
+# n-d call won at 1,000 and 2,000 steps, one call per row from 3,000.
+_LONG_ROW = 2048
 
 
 def worker_count() -> int:
@@ -161,16 +157,20 @@ def thread_rows(buffers: threading.local, shape) -> np.ndarray:
 
 
 def accumulate_rows(ufunc, src: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """ufunc.accumulate of src along its last axis into out, one 1-d call per row.
+    """ufunc.accumulate of src along its last axis into out, bit for bit.
 
-    Equal bit for bit to ``ufunc.accumulate(src, axis=-1, out=out)``, but each
-    call runs without the GIL, so pool workers overlap. src and out must have
-    one shape and share no memory (in place, numpy keeps the GIL).
+    numpy releases the GIL only for a 1-d call or one over more than 500
+    lines, and never when out overlaps src, so src and out must have one
+    shape and share no memory. Rows of more than _LONG_ROW values run one
+    1-d call each, so pool workers overlap; shorter rows run one n-d call,
+    which takes the GIL once.
     """
     if out.shape != src.shape:
         raise ValueError(f"accumulate_rows needs out shaped {src.shape}, got {out.shape}")
     if np.may_share_memory(src, out):
         raise ValueError("accumulate_rows needs an out that shares no memory with src")
+    if src.shape[-1] <= _LONG_ROW:
+        return ufunc.accumulate(src, axis=-1, out=out)
     for row in np.ndindex(src.shape[:-1]):
         ufunc.accumulate(src[row], out=out[row])
     return out

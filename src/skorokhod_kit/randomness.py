@@ -13,8 +13,8 @@ Philox bit generator and re-keys it per row from a key column built once
 per call (keyed_uniforms). normal_blocks is the one pipelined draw: one
 thread keys the rows, which holds the GIL, while pool threads turn them
 into normals without it and hand each block, of at most 1 MiB, to the
-caller's finish; brownian_path_blocks hands on the blocks' 1-d paths
-instead.
+caller's finish; brownian_path_blocks hands on each block with its 1-d
+paths.
 """
 
 from __future__ import annotations
@@ -177,8 +177,8 @@ def normal_blocks(
 def path_values(x0, increments: np.ndarray, out=None) -> np.ndarray:
     """x0, then x0 plus the running sums of increments (..., steps, d) along steps.
 
-    For d = 1 the sums run one path per call (pool.accumulate_rows), which
-    releases the GIL; for d > 1 they stay one n-d cumsum.
+    For d = 1 the sums go through pool.accumulate_rows, which runs long
+    paths one call each without the GIL; for d > 1 they stay one n-d cumsum.
     """
     shape = increments.shape
     values = np.empty(shape[:-2] + (shape[-2] + 1, shape[-1])) if out is None else out
@@ -208,7 +208,12 @@ def brownian_increments(
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
+    """values, paths (paths, grid, ...), if finite at their last grid point.
+
+    That point alone is exact: a non-finite running sum or start stays so,
+    and a finite start plus these sums (steps below 1.2e155) cannot overflow.
+    """
+    if not np.all(np.isfinite(values[:, -1])):
         raise GenerationError("brownian_paths produced a non-finite value")
     return values
 
@@ -228,24 +233,26 @@ def brownian_paths(
     return _finite(path_values(x0, dB, out=out))
 
 
-def brownian_path_blocks(rng: RngSeed, n_paths: int, grid: TimeGrid, finish) -> None:
-    """brownian_paths(rng, n_paths, grid)[..., 0], block by block.
+def brownian_path_blocks(
+    rng: RngSeed, n_paths: int, grid: TimeGrid, finish, first_stream: int = 0
+) -> None:
+    """brownian_paths(rng, n_paths, grid, first_stream=first_stream)[..., 0], block by block.
 
-    finish(first_row, values) gets that array's rows first_row ..
-    first_row + len(values) - 1, bit for bit, shaped (rows, len(grid)): the
-    running sums (path_values) of one normal_blocks block, written into a
-    scratch array kept per pool thread, which finish may overwrite and must
-    not keep. A block with a non-finite value raises GenerationError, as
-    brownian_paths does, the lowest such block whatever the worker count.
+    finish(first_row, dB, values) gets one normal_blocks block from row
+    first_row: dB, its increments scaled by sqrt(grid.deltas), and values,
+    its paths bit for bit, 0 then the running sums of dB (accumulate_rows)
+    in an array kept per pool thread; both are scratch that finish must not
+    keep. The lowest block with a non-finite value raises GenerationError.
     """
     buffers = threading.local()
 
     def finish_block(a, dB):
         values = thread_rows(buffers, (len(dB), len(grid)))
-        path_values(0.0, dB[..., None], out=values[..., None])
-        finish(a, _finite(values))
+        values[:, 0] = 0.0
+        accumulate_rows(np.add, dB, values[:, 1:])
+        finish(a, dB, _finite(values))
 
-    normal_blocks(rng, n_paths, 0, np.sqrt(grid.deltas), finish_block)
+    normal_blocks(rng, n_paths, 0, np.sqrt(grid.deltas), finish_block, first_stream)
 
 
 def brownian_sample(grid: TimeGrid, d: int, x0, rng: RngSeed) -> SampledPath:

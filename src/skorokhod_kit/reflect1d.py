@@ -27,9 +27,10 @@ def skorokhod_map_1d_batch(v: np.ndarray, out=None) -> tuple[np.ndarray, np.ndar
     Returns (g, h) shaped like v: h = -running min of min(v, 0) along each
     row and g = v + h, written into the arrays ``out`` = (g, h) if given;
     any two of v, g and h sharing memory is a ValueError. g first holds
-    min(v, 0), so the running minimum runs out of place, one row per call
-    (pool.accumulate_rows), without the GIL. A row whose start v(0) = x0
-    is negative is a ValueError naming the first.
+    min(v, 0), so the running minimum runs out of place through
+    pool.accumulate_rows, which runs long rows one call each without the
+    GIL. A row whose start v(0) = x0 is negative is a ValueError naming the
+    first.
     """
     starts = v[..., 0]
     below = np.flatnonzero(starts < 0.0)

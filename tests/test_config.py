@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from skorokhod_kit.cli import main
 from skorokhod_kit.config import (
     BUILTIN_DOMAINS,
     ExperimentConfig,
@@ -116,6 +117,27 @@ def test_experiment_config_from_mapping():
     assert config.tolerance("refine", 1.0) == 0.01
     assert config.tolerance("other", 0.5) == 0.5
     assert config.option("eps", 0.0) == 0.02
+
+
+@pytest.mark.parametrize(
+    "text, emit", [("true", True), ("yes", True), ("on", True), ("False", False), ("off", False)]
+)
+def test_emit_paths_reads_the_config_booleans(text, emit):
+    doc = parse_kv_text(f"experiment = local-time\nemit_paths = {text}\n")
+    assert ExperimentConfig.from_mapping(doc).emit_paths is emit
+
+
+@pytest.mark.parametrize("text", ["maybe", "2", "0.5", "(1, 2)", "1", "0"])
+def test_emit_paths_rejects_what_is_not_a_boolean(text, tmp_path, capsys):
+    doc = parse_kv_text(f"experiment = local-time\nemit_paths = {text}\n")
+    with pytest.raises(ValueError, match="config key emit_paths must be true or false, got "):
+        ExperimentConfig.from_mapping(doc)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"experiment = local-time\nemit_paths = {text}\nout = {tmp_path}\n")
+    assert main(["local-time", "--config", str(cfg)]) == 2
+    assert "emit_paths" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="config key emit_paths must be true or false"):
+        ExperimentConfig(experiment="x").replace(emit_paths=parse_value(text))
 
 
 def test_experiment_config_needs_a_name():

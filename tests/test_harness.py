@@ -278,10 +278,12 @@ def test_run_all_names_each_digest_that_differs_from_the_expected_file(tmp_path,
     assert [line.split(":")[1].strip() for line in err] == sorted(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("name", ["skorokhod-1d-props", "rbm-density", "local-time"])
+@pytest.mark.parametrize(
+    "name", ["skorokhod-1d-props", "rbm-density", "local-time", "ito-isometry"]
+)
 def test_normal_blocks_kernels_keep_their_default_digests(name, tmp_path):
-    # the three 1-d kernels that draw through randomness.normal_blocks, at
-    # their default configs, against the committed digests
+    # the kernels that draw their paths through randomness.brownian_path_blocks,
+    # at their default configs, against the committed digests
     run_all = _load_script("run_all_experiments")
     shipped = Path(__file__).resolve().parents[1] / "scripts" / "default_digests.txt"
     result = run_experiment(default_config(name, out_dir=str(tmp_path)))

@@ -11,13 +11,32 @@ from skorokhod_kit.pool import accumulate_rows, fill_then_finish
 ACCUMULATIONS = [(np.add, np.cumsum), (np.minimum, np.minimum.accumulate)]
 
 
+class SpyUfunc:
+    """A ufunc whose accumulate records the shape of each call's input."""
+
+    def __init__(self, ufunc):
+        self.ufunc, self.calls = ufunc, []
+
+    def accumulate(self, src, **kwargs):
+        self.calls.append(src.shape)
+        return self.ufunc.accumulate(src, **kwargs)
+
+
 @pytest.mark.parametrize("ufunc, reference", ACCUMULATIONS)
-@pytest.mark.parametrize("shape", [(1, 100_001), (26, 5001), (3, 2), (2, 3, 50), (7,)])
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 100_001), (26, 5001), (26, 2049), (64, 2048), (64, 1000), (3, 2), (2, 3, 50), (7,)],
+)
 def test_accumulate_rows_equals_the_nd_accumulate(ufunc, reference, shape):
     src = np.random.default_rng(sum(shape)).standard_normal(shape)
     out = np.full(shape, np.nan)
-    assert accumulate_rows(ufunc, src, out) is out
+    spy = SpyUfunc(ufunc)
+    assert accumulate_rows(spy, src, out) is out
     assert out.tobytes() == reference(src, axis=-1).tobytes()
+    # rows of more than 2,048 values run one 1-d call each, shorter ones one n-d call
+    rows = int(np.prod(shape[:-1]))
+    expected = [shape[-1:]] * rows if shape[-1] > 2048 else [shape]
+    assert spy.calls == expected
 
 
 @pytest.mark.parametrize("ufunc, reference", ACCUMULATIONS)

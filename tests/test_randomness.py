@@ -308,28 +308,38 @@ def test_brownian_path_blocks_are_the_brownian_paths_rows(workers, monkeypatch, 
     monkeypatch.setattr(randomness, "_block_rows", lambda n_cols: 7)
     grid = TimeGrid(np.array([0.0, 0.1, 0.15, 0.6, 1.0, 1.7]))
     rng = RngSeed(8, 2**32 + 3)
+    got_dB = np.full((30, len(grid) - 1), np.nan)
     got = np.full((30, len(grid)), np.nan)
     firsts = []
 
-    def finish(a, values):
+    def finish(a, dB, values):
         firsts.append((a, len(values)))
+        got_dB[a : a + len(dB)] = dB
         got[a : a + len(values)] = values
 
-    bounded(lambda: brownian_path_blocks(rng, 30, grid, finish))
+    bounded(lambda: brownian_path_blocks(rng, 30, grid, finish, first_stream=5))
     assert sorted(firsts) == [(0, 7), (7, 7), (14, 7), (21, 7), (28, 2)]
-    assert got.tobytes() == brownian_paths(rng, 30, grid)[..., 0].tobytes()
+    increments = normal_matrix(rng, 30, len(grid) - 1, first_stream=5) * np.sqrt(grid.deltas)
+    assert got_dB.tobytes() == increments.tobytes()
+    assert got.tobytes() == brownian_paths(rng, 30, grid, first_stream=5)[..., 0].tobytes()
 
-    # a non-finite value in any block is a GenerationError, finish never sees it
-    def poisoned(x0, increments, out):
-        path_values(x0, increments, out=out)
-        out[-1, -1] = np.inf
-        return out
+    # an inf increment in the middle of a row makes the rest of that path
+    # non-finite: a GenerationError, and finish never sees the block
+    drawn = randomness.normal_blocks
 
-    monkeypatch.setattr(randomness, "path_values", poisoned)
+    def poisoned(rng, n_rows, col_start, scale, finish, first_stream=0):
+        def poison(a, dB):
+            if a == 14:
+                dB[3, 2] = np.inf
+            finish(a, dB)
+
+        drawn(rng, n_rows, col_start, scale, poison, first_stream)
+
+    monkeypatch.setattr(randomness, "normal_blocks", poisoned)
     firsts.clear()
     with pytest.raises(GenerationError, match="non-finite"):
-        bounded(lambda: brownian_path_blocks(rng, 30, grid, finish))
-    assert firsts == []
+        bounded(lambda: brownian_path_blocks(rng, 30, grid, finish, first_stream=5))
+    assert (14, 7) not in firsts
 
 
 def test_brownian_increments_are_the_sample_increments():
