@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._special import ndtr
 from .errors import ContractError, EvaluationFault
 from .paths import SampledPath, TimeGrid
 from .randomness import RngSeed, brownian_path_blocks, path_values

@@ -23,8 +23,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._special import ndtri
 from .errors import GenerationError
 from .paths import SampledPath, TimeGrid
 from .pool import accumulate_rows, fill_then_finish, thread_rows

@@ -10,7 +10,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
+
+from ._special import ndtr
 
 KS_CRITICAL = {0.05: 1.358, 0.01: 1.628}
 

@@ -50,15 +50,70 @@ def small_1d_config(tmp_path, **overrides):
 # --- package import ---------------------------------------------------------
 
 
-def test_package_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is slow to import, and no module of the package uses it
+def run_fresh(code, **env):
+    """Run code in a fresh interpreter with this package on its path; return its stdout."""
     src = str(Path(skorokhod_kit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, skorokhod_kit; print('scipy.optimize' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src, **env),
+        capture_output=True,
+        text=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+# the library's ndtr and ndtri are scipy.special's own objects, whichever
+# route loaded them
+SAME_UFUNCS = (
+    "import scipy.special, scipy.stats\n"
+    "from skorokhod_kit import itocalc, randomness, stats\n"
+    "assert scipy.special.ndtri is randomness.ndtri\n"
+    "assert scipy.special.ndtr is stats.ndtr is itocalc.ndtr\n"
+    "print('same')\n"
+)
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is slow to import, and no module of the package uses it;
+    # nor is scipy.special's init run for the two ufuncs the package takes
+    code = (
+        "import sys, scipy, skorokhod_kit\n"
+        "heavy = [k for k in sys.modules if k == 'scipy.optimize'\n"
+        "         or k == 'scipy.special' or k.startswith('scipy.special.')]\n"
+        "print(heavy, 'special' in vars(scipy))\n"
+    )
+    assert run_fresh(code + SAME_UFUNCS) == "[] False\nsame\n"
+
+
+def test_ufuncs_fall_back_to_the_plain_import_when_the_light_route_fails():
+    # a finder refuses scipy.special._ufuncs while the stand-in package is
+    # in place, as a scipy with another layout would
+    code = (
+        "import sys\n"
+        "class Refuse:\n"
+        "    hits = 0\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        parent = sys.modules.get('scipy.special')\n"
+        "        if name == 'scipy.special._ufuncs' and not hasattr(parent, '__file__'):\n"
+        "            Refuse.hits += 1\n"
+        "            raise ImportError(name)\n"
+        "sys.meta_path.insert(0, Refuse())\n"
+        "import skorokhod_kit\n"
+        "print(Refuse.hits, sys.modules['scipy.special'].__file__.endswith('__init__.py'))\n"
+    )
+    assert run_fresh(code + SAME_UFUNCS) == "1 True\nsame\n"
+
+
+def test_ufuncs_come_from_an_already_imported_scipy_special():
+    # the plain import then loads nothing more of scipy
+    code = (
+        "import sys, scipy.special\n"
+        "before = set(sys.modules)\n"
+        "import skorokhod_kit\n"
+        "print(sorted(k for k in set(sys.modules) - before if k.startswith('scipy')))\n"
+    )
+    assert run_fresh(code + SAME_UFUNCS) == "[]\nsame\n"
 
 
 def test_every_exported_name_resolves():
@@ -70,8 +125,6 @@ def test_every_exported_name_resolves():
 def test_nd_diagnostics_leave_scipy_optimize_unloaded():
     # the normal-cone residual and condition B's boundedness are computed
     # in-house, without nnls or linprog
-    src = str(Path(skorokhod_kit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -90,10 +143,8 @@ def test_nd_diagnostics_leave_scipy_optimize_unloaded():
         "assert check_condition_b(simplex).status == 'holds'\n"
         "print(diag['max_angular_gap'][0] <= 1e-6, 'scipy.optimize' in sys.modules)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "True False"
+    assert run_fresh(code).strip() == "True False"
+
 
 # --- emit_plot_data ---------------------------------------------------------
 
@@ -799,7 +850,6 @@ def test_skorokhod_1d_columns_match_per_path_oracle(monkeypatch, workers, rows):
 
 def test_local_time_pass_independent_of_blas_threads():
     # a BLAS product would split its long reduction across BLAS threads
-    src = str(Path(skorokhod_kit.__file__).resolve().parents[1])
     code = (
         "import sys, numpy as np\n"
         "from skorokhod_kit import TimeGrid\n"
@@ -808,18 +858,10 @@ def test_local_time_pass_independent_of_blas_threads():
         "occ, tan = _local_time_pass(5, 0, 20, grid, 0.0, [0.08, 0.01])\n"
         "sys.stdout.write(np.concatenate(occ + [tan]).tobytes().hex())\n"
     )
-    outputs = []
-    for blas_threads in ("1", "2"):
-        env = dict(
-            os.environ,
-            PYTHONPATH=src,
-            OPENBLAS_NUM_THREADS=blas_threads,
-            SKOROKHOD_KIT_THREADS="2",
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        outputs.append(out.stdout)
+    outputs = [
+        run_fresh(code, OPENBLAS_NUM_THREADS=blas_threads, SKOROKHOD_KIT_THREADS="2")
+        for blas_threads in ("1", "2")
+    ]
     assert len(outputs[0]) == 2 * 8 * 3 * 20
     assert outputs[0] == outputs[1]
 
@@ -827,7 +869,6 @@ def test_local_time_pass_independent_of_blas_threads():
 def test_isometry_samples_independent_of_blas_threads():
     # OpenBLAS splits a dot product of more than about 10,000 terms across
     # its threads, which changes the sum's bits; the isometry sums call no BLAS
-    src = str(Path(skorokhod_kit.__file__).resolve().parents[1])
     code = (
         "import sys, numpy as np\n"
         "from skorokhod_kit import Integrand, RngSeed, ito_isometry_samples\n"
@@ -835,13 +876,7 @@ def test_isometry_samples_independent_of_blas_threads():
         "lhs, rhs = ito_isometry_samples(f, 1.0, 8, RngSeed(3), n_steps=50_000)\n"
         "sys.stdout.write(np.concatenate([lhs, rhs]).tobytes().hex())\n"
     )
-    outputs = []
-    for blas_threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=blas_threads)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        outputs.append(out.stdout)
+    outputs = [run_fresh(code, OPENBLAS_NUM_THREADS=blas_threads) for blas_threads in ("1", "2")]
     assert len(outputs[0]) == 2 * 8 * 2 * 8
     assert outputs[0] == outputs[1]
 
