@@ -8,6 +8,7 @@ domain file lists several halfspaces or balls.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -198,6 +199,11 @@ class ExperimentConfig:
         _check_count("n_paths", self.n_paths)
         _check_count("N", self.n_steps)
         _flag("emit_paths", self.emit_paths)
+        if not _real_number("T", self.horizon) > 0:
+            raise ValueError(f"config key T must be positive, got {self.horizon!r}")
+        for name, tol in self.tolerances.items():
+            if not _real_number(f"tol_{name}", tol) >= 0:
+                raise ValueError(f"config key tol_{name} must be at least 0, got {tol!r}")
         if self.alpha not in KS_CRITICAL:
             raise ValueError(f"config key alpha must be one of {sorted(KS_CRITICAL)}, got {self.alpha}")
 
@@ -242,7 +248,7 @@ class ExperimentConfig:
         return self.options.get(name, default)
 
     def real_option(self, name: str, default: float) -> float:
-        """An option that is a real number; a ValueError naming it otherwise."""
+        """An option that is a finite real number; a ValueError naming it otherwise."""
         return _real_number(name, self.options.get(name, default))
 
     def count_option(self, name: str, default: int) -> int:
@@ -272,10 +278,12 @@ def _whole_number(key: str, value) -> int:
 
 
 def _real_number(key: str, value) -> float:
-    """A float from an int or float; bools, text and tuples are rejected."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"config key {key} must be a number, got {value!r}")
+    """A finite float from an int or float; bools, text, tuples, nan and inf are rejected."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"config key {key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, inf or an int beyond the float range
+        raise ValueError(f"config key {key} must be finite, got {value!r}")
+    return float(value)
 
 
 def _flag(key: str, value) -> bool:

@@ -5,7 +5,8 @@ component c always draws from stream c * 2^32 + i of the configured seed,
 and pooled kernels write each path's results to its own entry, or combine
 per-chunk results in chunk order, so reruns are byte-identical no matter
 how many workers run (the pool module's SKOROKHOD_KIT_THREADS caps the
-worker count).
+worker count). Pooled kernels fan out through pool.fill_then_finish, the
+one primitive, in blocks of randomness._block_rows rows.
 
 A runner simulates and returns its summary and the statistics its checks
 read. Every check is declared once, in ``GATES``: its conditions, bounds,
@@ -41,6 +42,7 @@ from .pathio import RunArtifacts, write_run_artifacts
 from .pool import worker_count  # noqa: F401  the benchmark reads the policy from here
 from .randomness import (
     RngSeed,
+    _block_rows,
     brownian_path_blocks,
     brownian_paths,
     brownian_sample,
@@ -152,23 +154,23 @@ def _checks(experiment: str, stats: dict, config: ExperimentConfig) -> list[Chec
 
 
 def map_chunks(fn, n_items: int, chunk: int = CHUNK) -> list:
-    """pool.map_chunks over chunks of CHUNK paths unless told otherwise.
+    """fn(start, stop) over the ranges of ``chunk`` items; results in range order.
 
-    ito-formula's row chunks are its one caller here; the other pooled
-    kernels are randomness.normal_blocks finishes. Defined in this module,
-    not re-exported, because the benchmark's tracer hooks the experiments'
-    fan-out by this function.
+    The ranges are pool.fill_then_finish blocks with an empty fill, the
+    pool's one fan-out: they run on this thread and worker_count() - 1
+    helpers, each once, in any order, and the error raised is that of the
+    lowest failing range, after every helper has joined. ito-formula's row
+    chunks are the one library caller; the benchmark's tracer hooks the
+    experiments' fan-out by this name.
     """
-    return pool.map_chunks(fn, n_items, chunk)
+    starts = range(0, n_items, chunk)
+    results = [None] * len(starts)
 
+    def run(i, _):
+        results[i] = fn(starts[i], min(starts[i] + chunk, n_items))
 
-def _row_chunk(n_cols: int) -> int:
-    """Rows per ito-formula chunk so that one float64 chunk array is about 1 MiB.
-
-    Narrow chunks give the pool enough of them to balance when paths are
-    long: one row per chunk past 65,536 points.
-    """
-    return max(1, min(CHUNK, (1 << 17) // n_cols))
+    pool.fill_then_finish(lambda i, buf: None, run, len(starts), (0,))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +300,8 @@ def _cubic_residuals(config: ExperimentConfig, n_steps: int, n_paths: int) -> np
             qv,
         )
 
-    return np.concatenate(map_chunks(chunk_residuals, n_paths, chunk=_row_chunk(len(grid))))
+    # normal_blocks' rows per block; residuals are per-row, so no bit depends on it
+    return np.concatenate(map_chunks(chunk_residuals, n_paths, chunk=_block_rows(len(grid))))
 
 
 def _run_ito_formula(config: ExperimentConfig):

@@ -4,11 +4,12 @@ SKOROKHOD_KIT_THREADS caps the worker threads (default: at most 2), the
 calling thread counting as one. fill_then_finish runs a two-stage job
 block by block: the caller fills the blocks in order (the stage that holds
 the GIL), and helper threads finish them (the stage that does not), the
-caller too when no buffer is free; randomness.normal_blocks, the one
-pipelined Brownian draw, is built on it, and map_chunks runs ranges on it
-with nothing to fill. No result depends on the worker count, nor does the
-error raised. thread_rows keeps one scratch array per pool thread, and
-accumulate_rows holds the one rule by which running sums and minima run.
+caller too when no buffer is free. It is the one fan-out: the pipelined
+Brownian draw (randomness.normal_blocks) is built on it, and
+experiments.map_chunks runs ranges on it with nothing to fill. No result
+depends on the worker count, nor does the error raised. thread_rows keeps
+one scratch array per pool thread, and accumulate_rows holds the one rule
+by which running sums and minima run.
 """
 
 from __future__ import annotations
@@ -43,24 +44,6 @@ def worker_count() -> int:
             )
         return workers
     return min(2, os.cpu_count() or 1)
-
-
-def map_chunks(fn, n_items: int, chunk: int) -> list:
-    """fn(start, stop) over the ranges of ``chunk`` items; results in range order.
-
-    The ranges run as fill_then_finish's blocks with an empty fill: on this
-    thread and worker_count() - 1 helpers, each range once, in any order.
-    The error raised is that of the lowest failing range, after every helper
-    has joined.
-    """
-    starts = range(0, n_items, chunk)
-    results = [None] * len(starts)
-
-    def run(i, _):
-        results[i] = fn(starts[i], min(starts[i] + chunk, n_items))
-
-    fill_then_finish(lambda i, buf: None, run, len(starts), (0,))
-    return results
 
 
 def fill_then_finish(fill, finish, n_blocks: int, shape) -> None:

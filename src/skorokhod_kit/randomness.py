@@ -138,7 +138,7 @@ def normal_matrix(rng: RngSeed, n_rows: int, n_cols: int, first_stream: int = 0)
 
 
 def _block_rows(n_cols: int) -> int:
-    """Rows per normal_blocks block of n_cols columns: 1 to _BLOCK_ROWS, within _BLOCK_VALUES."""
+    """Rows per pool block of n_cols columns: 1 to _BLOCK_ROWS, within _BLOCK_VALUES."""
     return max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // max(n_cols, 1)))
 
 
@@ -174,14 +174,14 @@ def normal_blocks(
     fill_then_finish(fill, finish_block, -(-n_rows // rows), (min(rows, n_rows), n_cols))
 
 
-def path_values(x0, increments: np.ndarray, out=None) -> np.ndarray:
+def path_values(x0, increments: np.ndarray) -> np.ndarray:
     """x0, then x0 plus the running sums of increments (..., steps, d) along steps.
 
     For d = 1 the sums go through pool.accumulate_rows, which runs long
     paths one call each without the GIL; for d > 1 they stay one n-d cumsum.
     """
     shape = increments.shape
-    values = np.empty(shape[:-2] + (shape[-2] + 1, shape[-1])) if out is None else out
+    values = np.empty(shape[:-2] + (shape[-2] + 1, shape[-1]))
     values[..., 0, :] = x0
     if shape[-1] == 1:
         accumulate_rows(np.add, increments[..., 0], values[..., 1:, 0])
@@ -219,9 +219,9 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 
 def brownian_paths(
-    rng: RngSeed, n_paths: int, grid: TimeGrid, d: int = 1, x0=0.0, first_stream: int = 0, out=None
+    rng: RngSeed, n_paths: int, grid: TimeGrid, d: int = 1, x0=0.0, first_stream: int = 0
 ) -> np.ndarray:
-    """Brownian paths from the point x0, shaped (paths, grid, d), in ``out`` if given.
+    """Brownian paths from the point x0, shaped (paths, grid, d).
 
     x0 is one value for every coordinate or one per coordinate. Path i is x0
     plus the running sums of brownian_increments' row i (path_values).
@@ -230,7 +230,7 @@ def brownian_paths(
     if d < 1 or x0.size not in (1, d):
         raise ValueError(f"x0 needs 1 or d = {d} coordinates (d >= 1), got {x0.size}")
     dB = brownian_increments(rng, n_paths, grid, d, first_stream)
-    return _finite(path_values(x0, dB, out=out))
+    return _finite(path_values(x0, dB))
 
 
 def brownian_path_blocks(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,24 @@ def test_experiment_config_rejects_an_untabulated_alpha():
     assert ExperimentConfig(experiment="x", alpha=0.05).alpha == 0.05
     with pytest.raises(ValueError, match=r"config key alpha must be one of \[0.01, 0.05\]"):
         ExperimentConfig(experiment="x", alpha=0.02)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"horizon": float("nan")}, "config key T must be finite, got nan"),
+        ({"horizon": 10**400}, f"config key T must be finite, got {10**400}"),
+        ({"horizon": 0.0}, "config key T must be positive, got 0.0"),
+        ({"horizon": -1}, "config key T must be positive, got -1"),
+        ({"tolerances": {"refine": float("inf")}}, "config key tol_refine must be finite, got inf"),
+        ({"tolerances": {"refine": -0.5}}, "config key tol_refine must be at least 0, got -0.5"),
+        ({"tolerances": {"refine": "x"}}, "config key tol_refine must be a number, got 'x'"),
+    ],
+)
+def test_experiment_config_rejects_a_bad_horizon_or_tolerance(fields, message):
+    assert ExperimentConfig(experiment="x", horizon=2, tolerances={"refine": 0.0}).horizon == 2
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(experiment="x", **fields)
 
 
 def test_count_option_reads_counts_and_rejects_empty_ones():

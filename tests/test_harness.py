@@ -330,11 +330,12 @@ def test_run_all_names_each_digest_that_differs_from_the_expected_file(tmp_path,
 
 
 @pytest.mark.parametrize(
-    "name", ["skorokhod-1d-props", "rbm-density", "local-time", "ito-isometry"]
+    "name", ["skorokhod-1d-props", "rbm-density", "local-time", "ito-isometry", "ito-formula"]
 )
 def test_normal_blocks_kernels_keep_their_default_digests(name, tmp_path):
     # the kernels that draw their paths through randomness.brownian_path_blocks,
-    # at their default configs, against the committed digests
+    # and ito-formula, whose row chunks take normal_blocks' rows per block, at
+    # their default configs, against the committed digests
     run_all = _load_script("run_all_experiments")
     shipped = Path(__file__).resolve().parents[1] / "scripts" / "default_digests.txt"
     result = run_experiment(default_config(name, out_dir=str(tmp_path)))
@@ -479,6 +480,7 @@ WHOLE_MESSAGE = "config key {} must be a whole number, got {}"
 LEVELS_MESSAGE = "config key dt_levels needs at least 2 step sizes, got {}"
 STEP_MESSAGE = "dt_levels needs step sizes in (0, T] with T = 1.0, got {}"
 NUMBER_MESSAGE = "config key {} must be a number, got {}"
+FINITE_MESSAGE = "config key {} must be finite, got {}"
 UNREAD_MESSAGE = "config key {} is not read by {}; its option and tol_ keys are: {}"
 ND_KEYS = "tol_refine, refine_n0, refine_drivers"
 FIELD_MESSAGE = "config key {} is not read by {}, only by {}"
@@ -511,6 +513,20 @@ ND_READERS = "nd-skorokhod-props and condition-checks"
         ("local-time", "fine_eps = (0.1, 0.2)", NUMBER_MESSAGE.format("fine_eps", "(0.1, 0.2)")),
         ("local-time", "T = yes", NUMBER_MESSAGE.format("T", True)),
         ("local-time", "tol_x = abc", NUMBER_MESSAGE.format("tol_x", "'abc'")),
+        # and reject nan and inf; the horizon is positive
+        ("local-time", "level = nan", FINITE_MESSAGE.format("level", "nan")),
+        ("local-time", "eps = inf", FINITE_MESSAGE.format("eps", "inf")),
+        ("local-time", "fine_eps = -inf", FINITE_MESSAGE.format("fine_eps", "-inf")),
+        ("local-time", "T = nan", FINITE_MESSAGE.format("T", "nan")),
+        ("local-time", "T = inf", FINITE_MESSAGE.format("T", "inf")),
+        ("local-time", "T = -1", "config key T must be positive, got -1.0"),
+        ("local-time", "T = 0", "config key T must be positive, got 0.0"),
+        # a tolerance is finite and at least 0, so no gate is poisoned or switched off
+        ("skorokhod-1d-props", "tol_decomposition = nan",
+         FINITE_MESSAGE.format("tol_decomposition", "nan")),
+        ("nd-skorokhod-props", "tol_refine = inf", FINITE_MESSAGE.format("tol_refine", "inf")),
+        ("nd-skorokhod-props", "tol_refine = -0.1",
+         "config key tol_refine must be at least 0, got -0.1"),
         # a key the experiment does not read is a usage error, not a default run
         ("nd-skorokhod-props", "refine_drivrs = 2",
          UNREAD_MESSAGE.format("refine_drivrs", "nd-skorokhod-props", ND_KEYS)),
@@ -691,7 +707,7 @@ def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
     # ito-isometry, 2100 paths: 33 blocks of 64 paths, the last one short,
     # filled on the calling thread and finished on the pool's threads in any
     # order (two helpers at 3 workers). ito-formula, 70
-    # paths: row chunks of 65 paths on the 2000-step grid and of 16 on the
+    # paths: row chunks of 64 paths on the 2000-step grid and of 16 on the
     # 8000-step one, each with a short last chunk, run by map_chunks on the
     # calling thread and two helpers. skorokhod-1d-props and rbm-density, 60
     # paths of 5000 steps: normal_blocks blocks of 26, 26 and 8 rows, whose
@@ -718,6 +734,20 @@ def test_ito_isometry_summary_independent_of_workers(tmp_path, monkeypatch):
         ("strong-error", 1100, 50),
     ):
         assert summary(*case, "1") == summary(*case, "3")
+
+
+def test_ito_formula_summary_independent_of_its_chunk_rows(tmp_path, monkeypatch):
+    # 70 paths: 2 chunks on the 2000-step grid and 5 on the 8000-step one by
+    # default, 10 on each when forced to 7 rows; residuals are per row
+    def summary(out):
+        config = default_config("ito-formula", n_paths=70, n_steps=2000, out_dir=str(out))
+        return run_experiment(config).artifacts.summary.read_bytes()
+
+    default = summary(tmp_path / "default")
+    widths = []
+    monkeypatch.setattr(experiments, "_block_rows", lambda n_cols: widths.append(n_cols) or 7)
+    assert summary(tmp_path / "seven") == default
+    assert widths == [2001, 8001]
 
 
 # --- 1-d chunk kernels ------------------------------------------------------

@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from skorokhod_kit import pool
+from skorokhod_kit import experiments, pool
 from skorokhod_kit.pool import accumulate_rows, fill_then_finish
 
 ACCUMULATIONS = [(np.add, np.cumsum), (np.minimum, np.minimum.accumulate)]
@@ -249,6 +249,7 @@ def test_fill_then_finish_prefers_a_lower_failing_finish_to_a_later_failing_fill
     assert not any(t.is_alive() for t in helper_threads)
 
 
+# experiments.map_chunks runs its ranges as fill_then_finish blocks with an empty fill
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
 @pytest.mark.parametrize("n_items", [0, 1, 7, 103])
 def test_map_chunks_returns_results_in_range_order(workers, n_items, monkeypatch, bounded):
@@ -259,7 +260,7 @@ def test_map_chunks_returns_results_in_range_order(workers, n_items, monkeypatch
         time.sleep(0.002 * max(0, 4 - start // 7))
         return (start, stop)
 
-    ranges = bounded(lambda: pool.map_chunks(fn, n_items, 7))
+    ranges = bounded(lambda: experiments.map_chunks(fn, n_items, 7))
     assert ranges == [(s, min(s + 7, n_items)) for s in range(0, n_items, 7)]
 
 
@@ -278,7 +279,7 @@ def test_map_chunks_runs_ranges_on_the_calling_thread(monkeypatch, helper_thread
 
     def run():
         caller.append(threading.get_ident())
-        return pool.map_chunks(fn, 40, 4)
+        return experiments.map_chunks(fn, 40, 4)
 
     assert bounded(run) == list(range(0, 40, 4))
     assert on_caller
@@ -308,11 +309,11 @@ def test_map_chunks_raises_the_lowest_failing_range_after_joining_helpers(
         return i
 
     with pytest.raises(ArithmeticError, match="^range 3$"):
-        bounded(lambda: pool.map_chunks(fn, 100, 5))
+        bounded(lambda: experiments.map_chunks(fn, 100, 5))
     assert len(helper_threads) == int(workers) - 1
     assert not any(t.is_alive() for t in helper_threads)
 
 
 def test_map_chunks_of_no_items_calls_nothing(helper_threads):
-    assert pool.map_chunks(lambda start, stop: pytest.fail("called"), 0, 5) == []
+    assert experiments.map_chunks(lambda start, stop: pytest.fail("called"), 0, 5) == []
     assert helper_threads == []

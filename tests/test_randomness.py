@@ -371,7 +371,7 @@ def test_stream_blocks_draw_distinct_rows():
 @pytest.mark.parametrize("shape", [(5, 300, 1), (5, 300, 2), (300, 1), (2, 3, 40, 1)])
 def test_path_values_equal_one_nd_cumsum(shape):
     # d = 1 sums one row per call, d > 1 one n-d cumsum: both are the n-d
-    # running sum plus x0, bit for bit, also into a given buffer
+    # running sum plus x0, bit for bit
     increments = np.random.default_rng(shape[-2]).standard_normal(shape)
     x0 = np.linspace(0.5, 1.0, shape[-1])
     want = np.concatenate(
@@ -379,6 +379,3 @@ def test_path_values_equal_one_nd_cumsum(shape):
         axis=-2,
     )
     assert path_values(x0, increments).tobytes() == want.tobytes()
-    out = np.full(want.shape, np.nan)
-    assert path_values(x0, increments, out=out) is out
-    assert out.tobytes() == want.tobytes()
