@@ -346,6 +346,9 @@ def _run_local_time(config: ExperimentConfig):
     fine_steps = config.count_option("fine_steps", 100_000)
     fine_paths = config.count_option("fine_paths", 400)
     fine_eps = config.real_option("fine_eps", 0.005)
+    for key, bandwidth in (("eps", eps), ("fine_eps", fine_eps)):
+        if not bandwidth > 0.0:
+            raise ValueError(f"config key {key} must be positive, got {bandwidth!r}")
     target = brownian_local_time_mean(level, config.horizon)
 
     # estimator means at the coarse grid
@@ -548,14 +551,19 @@ def _run_rsde_consistency(config: ExperimentConfig):
     stream = RngSeed(config.seed, 3 * STREAM_BLOCK)
     M = brownian_sample(grid, 2, [0.0, 0.0], stream)
     A = SampledPath.continuous(grid, np.column_stack([grid.times, np.zeros(len(grid))]))
-    semi = semimartingale_skorokhod(M, A, disc, refine_tol=config.tolerance("refine", 0.02))
-    euler_route = euler_reflected(drift_coeffs, disc, [0.0, 0.0], grid, stream)
-    stride = (len(semi.X.grid) - 1) // (len(grid) - 1)
-    route_gap = float(
-        np.max(np.linalg.norm(semi.X.values[0, ::stride] - euler_route.X.values[0], axis=1))
-    )
-    summary["semimartingale_route_gap"] = route_gap
-    stats = {"preset": accept_name.split("(")[0],
+    try:
+        semi = semimartingale_skorokhod(M, A, disc, refine_tol=config.tolerance("refine", 0.02))
+    except RefinementLimitError as err:
+        summary["semimartingale_refinement_failure"] = {"gaps": list(err.gaps)}
+        route_gap = np.inf  # no finite gap to report: the gate fails
+    else:
+        euler_route = euler_reflected(drift_coeffs, disc, [0.0, 0.0], grid, stream)
+        stride = (len(semi.X.grid) - 1) // (len(grid) - 1)
+        route_gap = float(
+            np.max(np.linalg.norm(semi.X.values[0, ::stride] - euler_route.X.values[0], axis=1))
+        )
+        summary["semimartingale_route_gap"] = route_gap
+    stats = {"preset": accept_name.split("(")[0], "semimartingale_route_gap": route_gap,
              "accept_ratio": max(accept.max_sigma_growth, accept.max_b_lipschitz)}
     return summary, stats, {"rsde_path": path}
 
@@ -810,6 +818,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         if getattr(config, key) is not None and config.experiment not in readers:
             raise UsageError(f"config key {key} is not read by {config.experiment}, "
                              f"only by {' and '.join(readers)}")
+    if config.tolerances.get("refine") == 0.0:  # a zero refinement gap is never reached
+        raise ValueError("config key tol_refine must be positive, got 0.0")
     config.resolve_domain()  # fail before running if a referenced file is bad
     if config.coefficients is not None:
         preset_coefficients(config.coefficients)  # same for presets

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -24,27 +25,34 @@ import numpy as np
 from .domains import ConvexDomain, boundary_tolerance, normal_cone_residuals
 from .domains import _cone_distance, _onto_faces
 from .errors import RefinementLimitError
-from .paths import PathKind, SampledPath, TimeGrid, row_slice
+from .paths import PathKind, SampledPath, TimeGrid, _frozen, row_slice
+
+
+def _increments(phi: np.ndarray):
+    """Increments of pushing terms phi (..., grid, d), the first from 0, and their norms."""
+    dphi = np.diff(phi, axis=-2, prepend=0.0)
+    return dphi, np.sqrt(np.vecdot(dphi, dphi))  # np.linalg.norm of each row
 
 
 @dataclass(frozen=True, eq=False)
 class SkorokhodNdSolution:
-    """Confined paths X, pushing terms phi, and their running total variation.
+    """A batch of solutions (X, phi): confined paths and their pushing terms.
 
-    A batch with one row per driver: X and phi are batched paths on one
-    grid, ``total_variation`` is (paths, grid) and ``directions`` is
-    (paths, grid, d); (grid,) and (grid, d) arrays are read as a batch of
-    one. ``directions[i, k]`` is the unit direction of path i's phi
-    increment arriving at grid index k; rows are NaN where the increment is
-    zero (the direction is only defined where pushing happens). ``driver``
-    is the Brownian path that drove a projected-Euler solution; its
-    dimension may differ from X's. ``sol[i]`` and ``sol[a:b]`` select rows.
+    One row per driver: X and phi are batched paths on one grid. Their
+    pushing record is derived from phi on first read, as read-only arrays:
+    ``total_variation`` (paths, grid) sums phi's increment norms in grid
+    order, and ``directions`` (paths, grid, d) holds at ``[i, k]`` the unit
+    direction of path i's phi increment arriving at grid index k, NaN where
+    the increment is zero (the direction is only defined where pushing
+    happens). phi(0) counts as the first increment, from 0. ``driver`` is
+    the Brownian path that drove a projected-Euler solution; its dimension
+    may differ from X's. ``refine_gaps`` and ``tv_by_level`` record the
+    refinement levels of a continuous solution. ``sol[i]`` and ``sol[a:b]``
+    select rows.
     """
 
     X: SampledPath
     phi: SampledPath
-    total_variation: np.ndarray
-    directions: np.ndarray
     refine_gaps: tuple = ()
     tv_by_level: tuple = ()
     driver: SampledPath | None = None
@@ -56,16 +64,18 @@ class SkorokhodNdSolution:
             not self.driver.grid.same_as(self.X.grid) or self.driver.n_paths != self.X.n_paths
         ):
             raise ValueError("driver must share X's grid and number of paths")
-        tv = np.array(self.total_variation, dtype=np.float64, ndmin=2)
-        dirs = np.array(self.directions, dtype=np.float64, ndmin=3)
-        if tv.shape != self.X.values.shape[:2] or dirs.shape != self.X.values.shape:
-            raise ValueError("total_variation and directions must match the grid")
-        if np.any(tv[:, 0] != 0.0) or np.any(np.diff(tv, axis=1) < 0.0):
-            raise ValueError("total variation must be nondecreasing from 0")
-        tv.setflags(write=False)
-        dirs.setflags(write=False)
-        object.__setattr__(self, "total_variation", tv)
-        object.__setattr__(self, "directions", dirs)
+
+    @cached_property
+    def total_variation(self) -> np.ndarray:
+        return _frozen(np.cumsum(_increments(self.phi.values)[1], axis=-1))
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        dphi, norms = _increments(self.phi.values)
+        pushed = norms > 0.0
+        dirs = np.full_like(dphi, np.nan)
+        dirs[pushed] = dphi[pushed] / norms[pushed, None]
+        return _frozen(dirs)
 
     def __getitem__(self, rows) -> "SkorokhodNdSolution":
         rows = row_slice(rows, self.X.n_paths)
@@ -73,24 +83,8 @@ class SkorokhodNdSolution:
             self,
             X=self.X[rows],
             phi=self.phi[rows],
-            total_variation=self.total_variation[rows],
-            directions=self.directions[rows],
             driver=None if self.driver is None else self.driver[rows],
         )
-
-def _pushing_record(dphi: np.ndarray):
-    """Running total variation and unit directions of pushing increments.
-
-    ``dphi`` is (..., grid, d), each path's increments in grid order with a
-    zero first row. Returns ``(tv, directions)`` shaped (..., grid) and
-    (..., grid, d): tv sums the increment norms in grid order from 0, and
-    directions are NaN where the increment is zero.
-    """
-    norms = np.sqrt(np.vecdot(dphi, dphi))  # np.linalg.norm of each row
-    pushed = norms > 0.0
-    dirs = np.full_like(dphi, np.nan)
-    dirs[pushed] = dphi[pushed] / norms[pushed, None]
-    return np.cumsum(norms, axis=-1), dirs
 
 
 # longest block of steps screened at once; bounds the slack work wasted when
@@ -105,8 +99,7 @@ def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain):
     over all paths. After a step without pushing, the following steps are
     screened in blocks of doubling length: while every path stays in the
     closure, X = w + phi(t_k) needs no projection. Rows are independent, so
-    a path's result does not depend on the batch. Returns X, phi and their
-    :func:`_pushing_record`.
+    a path's result does not depend on the batch. Returns X and phi.
     """
     n_paths, n, d = wv.shape
     outside = np.flatnonzero(np.min(domain.slack_matrix(wv[:, 0]), axis=1) < 0.0)
@@ -146,8 +139,7 @@ def _reflect_on_grid(wv: np.ndarray, domain: ConvexDomain):
             span = 2
         phi[:, k] = acc
         k += 1
-    # phi[:, 0] is 0, so the first increment is 0 too
-    return (X, phi) + _pushing_record(np.diff(phi, axis=1, prepend=0.0))
+    return X, phi
 
 
 def solve_skorokhod_step(w: SampledPath, domain: ConvexDomain) -> SkorokhodNdSolution:
@@ -159,13 +151,8 @@ def solve_skorokhod_step(w: SampledPath, domain: ConvexDomain) -> SkorokhodNdSol
     """
     if w.kind is not PathKind.STEP:
         raise ValueError("solve_skorokhod_step expects step paths")
-    X, phi, tv, dirs = _reflect_on_grid(w.values, domain)
-    return SkorokhodNdSolution(
-        X=SampledPath.step(w.grid, X),
-        phi=SampledPath.step(w.grid, phi),
-        total_variation=tv,
-        directions=dirs,
-    )
+    X, phi = _reflect_on_grid(w.values, domain)
+    return SkorokhodNdSolution(X=SampledPath.step(w.grid, X), phi=SampledPath.step(w.grid, phi))
 
 
 def _refine_linear(times: np.ndarray, wv: np.ndarray, factor: int):
@@ -216,15 +203,16 @@ def solve_skorokhod_continuous_many(
     solutions: list[SkorokhodNdSolution | None] = [None] * n
     prev_X = None
     for level in range(max_levels + 1):
-        X, phi, tv, dirs = _reflect_on_grid(wv, domain)
+        X, phi = _reflect_on_grid(wv, domain)
+        tv = np.cumsum(_increments(phi)[1], axis=-1)[:, -1]
         if prev_X is not None:
             level_gaps = np.max(np.linalg.norm(X[:, ::refine_factor] - prev_X, axis=2), axis=1)
         level_grid = TimeGrid(times)
         keep = []
         for row, i in enumerate(live):
-            tvs[i].append(float(tv[row, -1]))
+            tvs[i].append(float(tv[row]))
             converged = False
-            if tv[row, -1] == 0.0:
+            if tv[row] == 0.0:
                 # no pushing at all: w stays in the (convex) closure, X = w exactly
                 gaps[i].append(0.0)
                 converged = True
@@ -237,8 +225,6 @@ def solve_skorokhod_continuous_many(
             solutions[i] = SkorokhodNdSolution(
                 X=SampledPath.continuous(level_grid, X[row]),
                 phi=SampledPath.continuous(level_grid, phi[row]),
-                total_variation=tv[row],
-                directions=dirs[row],
                 refine_gaps=tuple(gaps[i]),
                 tv_by_level=tuple(tvs[i]),
             )
@@ -467,7 +453,7 @@ def nd_solution_diagnostics(
     # unbuffered, in landing order: each path's mass is its running sum
     np.add.at(interior_mass, path[interior], dphi_norms[path[interior], step[interior]])
     edge = ~interior
-    units = dphi[path[edge], step[edge]] / dphi_norms[path[edge], step[edge], None]
+    units = sol.directions[path[edge], step[edge] + 1]
     residuals, _ = normal_cone_residuals(landings[edge], units, domain, tol_bd[edge])
     angular_gap = np.zeros(n_paths)
     np.maximum.at(angular_gap, path[edge], residuals)

@@ -26,7 +26,7 @@ from .domains import ConvexDomain
 from .errors import EvaluationFault
 from .paths import SampledPath, TimeGrid
 from .randomness import RngSeed, normal_blocks, path_values
-from .reflectnd import SkorokhodNdSolution, _pushing_record, solve_skorokhod_continuous
+from .reflectnd import SkorokhodNdSolution, solve_skorokhod_continuous
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -222,15 +222,12 @@ def euler_reflected(
         coeffs, domain, X[0], dB, grid.times, grid.deltas, free_out=free, state_out=X[1:]
     )
     X = np.ascontiguousarray(X.transpose(1, 0, 2))
-    # a leading zero row makes each cumsum add in step order from 0
+    # a leading zero row makes the cumsum add in step order from 0
     dphi = np.zeros_like(X)
     np.subtract(X[:, 1:], free.transpose(1, 0, 2), out=dphi[:, 1:])
-    tv, dirs = _pushing_record(dphi)
     return SkorokhodNdSolution(
         X=SampledPath.continuous(grid, X),
         phi=SampledPath.continuous(grid, np.cumsum(dphi, axis=1)),
-        total_variation=tv,
-        directions=dirs,
         driver=SampledPath.continuous(grid, path_values(0.0, dB.transpose(1, 0, 2))),
     )
 

@@ -330,12 +330,15 @@ def test_run_all_names_each_digest_that_differs_from_the_expected_file(tmp_path,
 
 
 @pytest.mark.parametrize(
-    "name", ["skorokhod-1d-props", "rbm-density", "local-time", "ito-isometry", "ito-formula"]
+    "name",
+    ["skorokhod-1d-props", "rbm-density", "local-time", "ito-isometry", "ito-formula",
+     "nd-skorokhod-props", "rsde-consistency"],
 )
 def test_normal_blocks_kernels_keep_their_default_digests(name, tmp_path):
-    # the kernels that draw their paths through randomness.brownian_path_blocks,
-    # and ito-formula, whose row chunks take normal_blocks' rows per block, at
-    # their default configs, against the committed digests
+    # at their default configs, against the committed digests: the kernels that
+    # draw their paths through randomness.brownian_path_blocks, ito-formula,
+    # whose row chunks take normal_blocks' rows per block, and the two
+    # experiments that build n-d solutions, whose pushing record is derived from phi
     run_all = _load_script("run_all_experiments")
     shipped = Path(__file__).resolve().parents[1] / "scripts" / "default_digests.txt"
     result = run_experiment(default_config(name, out_dir=str(tmp_path)))
@@ -521,6 +524,12 @@ ND_READERS = "nd-skorokhod-props and condition-checks"
         ("local-time", "T = inf", FINITE_MESSAGE.format("T", "inf")),
         ("local-time", "T = -1", "config key T must be positive, got -1.0"),
         ("local-time", "T = 0", "config key T must be positive, got 0.0"),
+        # so are the bandwidths, and a refinement tolerance that could never be met
+        ("local-time", "eps = 0", "config key eps must be positive, got 0.0"),
+        ("local-time", "eps = -0.1", "config key eps must be positive, got -0.1"),
+        ("local-time", "fine_eps = 0", "config key fine_eps must be positive, got 0.0"),
+        ("nd-skorokhod-props", "tol_refine = 0", "config key tol_refine must be positive, got 0.0"),
+        ("rsde-consistency", "tol_refine = 0", "config key tol_refine must be positive, got 0.0"),
         # a tolerance is finite and at least 0, so no gate is poisoned or switched off
         ("skorokhod-1d-props", "tol_decomposition = nan",
          FINITE_MESSAGE.format("tol_decomposition", "nan")),
@@ -1069,6 +1078,29 @@ def test_a_refinement_failure_fails_its_gate_and_names_domain_and_gaps(tmp_path)
     assert failure["domain"] == "unit_disc"
     assert len(failure["gaps"]) >= 2 and failure["gaps"][-1] > 2e-12
     assert "unit_disc_refinement" not in written and "orthant_refinement" not in written
+
+
+def test_cli_semimartingale_refinement_failure_fails_its_gate_with_artifacts(tmp_path, capsys):
+    cfg = tmp_path / "route.cfg"
+    cfg.write_text("experiment = rsde-consistency\nn_paths = 100\nN = 100\nroute_steps = 50\n"
+                   "tol_refine = 0.0001\n")
+    out = tmp_path / "out"
+    assert main(["rsde-consistency", "--config", str(cfg), "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert "[FAIL] semimartingale_route_agrees_with_scheme: max gap inf <= 0.1" in printed.out
+    assert "failed checks: semimartingale_route_agrees_with_scheme\n" in printed.err
+    # standard JSON: parse_constant sees Infinity and NaN, which it rejects here
+    written = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    verdicts = {c["name"]: c["passed"] for c in written["checks"]}
+    assert verdicts.pop("semimartingale_route_agrees_with_scheme") is False
+    assert all(verdicts.values())
+    gaps = written["semimartingale_refinement_failure"]["gaps"]
+    assert len(gaps) >= 2 and gaps[-1] > 0.0001
+    assert "semimartingale_route_gap" not in written
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds {name}")
 
 
 def test_checks_stop_at_a_failed_guard_and_show_the_resolved_bound(monkeypatch):

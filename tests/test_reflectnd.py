@@ -84,7 +84,7 @@ def test_step_solver_preconditions():
 def _solution_parts(n=5, d=2):
     grid = TimeGrid.uniform(1.0, n - 1)
     zeros = SampledPath.continuous(grid, np.zeros((n, d)))
-    return grid, zeros, dict(X=zeros, total_variation=np.zeros(n), directions=np.zeros((n, d)))
+    return grid, zeros, dict(X=zeros)
 
 
 def test_solution_accepts_a_driver_of_another_dimension():
@@ -550,15 +550,7 @@ def interior_pushing_solution():
     X = np.array([[1.0, 1.0], [1.5, 1.0], [2.0, 2.0], [2.5, 2.25], [0.0, 1.5], [0.0, 1.2]])
     phi = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.5, 0.75], [1.0, 0.75], [1.0, 1.05]])
     grid = TimeGrid.uniform(1.0, 5)
-    norms = np.linalg.norm(np.diff(phi, axis=0), axis=1)
-    dirs = np.full_like(X, np.nan)
-    dirs[1:][norms > 0.0] = np.diff(phi, axis=0)[norms > 0.0] / norms[norms > 0.0, None]
-    sol = SkorokhodNdSolution(
-        X=SampledPath.step(grid, X),
-        phi=SampledPath.step(grid, phi),
-        total_variation=np.concatenate([[0.0], np.cumsum(norms)]),
-        directions=dirs,
-    )
+    sol = SkorokhodNdSolution(X=SampledPath.step(grid, X), phi=SampledPath.step(grid, phi))
     return sol, SampledPath.step(grid, X - phi)
 
 
@@ -568,8 +560,6 @@ def concatenated(sols):
     return SkorokhodNdSolution(
         X=SampledPath.step(grid, np.concatenate([s.X.values for s in sols])),
         phi=SampledPath.step(grid, np.concatenate([s.phi.values for s in sols])),
-        total_variation=np.concatenate([s.total_variation for s in sols]),
-        directions=np.concatenate([s.directions for s in sols]),
     )
 
 
@@ -665,8 +655,6 @@ def test_solution_rows_equal_batches_of_one_built_from_the_row():
         built = SkorokhodNdSolution(
             X=SampledPath.step(w.grid, sol.X.values[i]),
             phi=SampledPath.step(w.grid, sol.phi.values[i]),
-            total_variation=sol.total_variation[i],
-            directions=sol.directions[i],
         )
         got = sol[i]
         for name in ("total_variation", "directions"):
@@ -677,6 +665,31 @@ def test_solution_rows_equal_batches_of_one_built_from_the_row():
     assert sol[1:3].total_variation.tobytes() == sol.total_variation[1:3].tobytes()
     with pytest.raises(ValueError, match="at least one path"):
         sol[4:]
+
+
+def test_derived_pushing_record_is_read_only():
+    w = mixed_batch(unit_disc(), [0.0, 0.0], [0.1, 0.1], n_paths=4, n_steps=24)
+    sol = solve_skorokhod_step(w, unit_disc())
+    for name in ("total_variation", "directions"):
+        record = getattr(sol, name)
+        assert not record.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            record[0, 0] = 1.0
+        assert getattr(sol, name) is record  # derived once, on first read
+        with pytest.raises(AttributeError):
+            setattr(sol, name, np.zeros_like(record))
+
+
+@pytest.mark.parametrize("rows", [slice(0, 4), slice(1, 3), slice(2, 5), slice(3, 4), 2])
+def test_row_slices_derive_the_rows_of_the_pushing_record(rows):
+    w = mixed_batch(unit_disc(), [0.0, 0.0], [0.1, 0.1], n_paths=5, n_steps=48)
+    sol = solve_skorokhod_step(w, unit_disc())
+    assert np.count_nonzero(sol.total_variation[:, -1] > 0.0) >= 3  # rows 0, 2 and 4 are pushed
+    part = sol[rows]
+    whole = slice(rows, rows + 1) if isinstance(rows, int) else rows
+    assert part.total_variation.tobytes() == sol.total_variation[whole].tobytes()
+    assert part.directions.tobytes() == sol.directions[whole].tobytes()
+    assert part.directions.shape == sol.directions[whole].shape
 
 
 def test_solution_rejects_a_driver_with_another_number_of_paths():

@@ -812,7 +812,8 @@ def test_strong_error_matches_oracle_across_tiles(workers, r, monkeypatch):
 
 
 def _euler_path_oracle(coeffs, domain, x0, grid, rng):
-    # the scalar per-step loop: one project call per step, phi and TV accumulated
+    # the scalar per-step loop: one project call per step, phi accumulated from
+    # the projection displacements; TV and directions from phi's stored increments
     d = domain.dimension
     x0 = np.asarray(x0, dtype=np.float64).reshape(d)
     n_steps = len(grid) - 1
@@ -834,11 +835,12 @@ def _euler_path_oracle(coeffs, domain, x0, grid, rng):
         X[k + 1] = y
         acc = acc + dphi
         phi[k + 1] = acc
-        step_norm = float(np.linalg.norm(dphi))
+        stored = phi[k + 1] - phi[k]
+        step_norm = float(np.linalg.norm(stored))
         acc_tv += step_norm
         tv[k + 1] = acc_tv
         if step_norm > 0.0:
-            dirs[k + 1] = dphi / step_norm
+            dirs[k + 1] = stored / step_norm
     driver = np.vstack([np.zeros((1, coeffs.r)), np.cumsum(dB, axis=0)])
     return X, phi, tv, dirs, driver
 
@@ -911,6 +913,16 @@ def test_euler_reflected_rows_match_batches_of_one(case):
         assert paths.driver.values[i].tobytes() == one.driver.values[0].tobytes()
         pushed += int(np.sum(one.total_variation[0, 1:] > one.total_variation[0, :-1]))
     assert pushed > 0  # the rows reach the boundary, so directions are compared
+
+
+@pytest.mark.parametrize("case", ["unit-half_line", "drift-disc", "drift-orthant"])
+def test_euler_reflected_total_variation_sums_the_increment_norms_of_phi(case):
+    make, domain, x0 = EULER_PATH_CASES[case]
+    paths = euler_reflected(make(), domain, x0, TimeGrid.uniform(1.0, 300), RngSeed(29), n_paths=3)
+    phi = paths.phi.values
+    norms = np.linalg.norm(np.diff(phi, axis=1, prepend=0.0), axis=2)
+    assert paths.total_variation.tobytes() == np.cumsum(norms, axis=1).tobytes()
+    assert np.all(paths.total_variation[:, -1] > 0.0)
 
 
 # --- constant diffusion -------------------------------------------------------
